@@ -22,7 +22,12 @@ from scipy import optimize
 from scipy.special import erf
 from scipy.stats import qmc
 
-from .ensemble import combine_predictions, finalize_weights, weights_from_predictions
+from .ensemble import (
+    EnsembleWeights,
+    combine_predictions,
+    finalize_weights,
+    weights_from_predictions,
+)
 from .errors import ConfigurationError, NumericDivergenceError, ShapeError
 from .hyperspace import SearchSpace
 from .metaheuristics import ObjectiveTracker, _ensure_tracker
@@ -324,6 +329,7 @@ class EnsembleCandidate:
     objective: float
     weights: np.ndarray
     predictions: np.ndarray
+    state: EnsembleWeights  # the weight evolution that produced ``weights``
 
 
 @dataclass
@@ -366,7 +372,7 @@ def enumerate_ensembles(ksets: list, predict_fn, targets, *, lam: float = 0.85,
             continue
         objectives.append(objective)
         if best is None or objective < best.objective:
-            best = EnsembleCandidate(combo, objective, weights, combined)
+            best = EnsembleCandidate(combo, objective, weights, combined, state)
     if best is None:
         raise ConfigurationError("every candidate tuple failed to train")
     assert n_tuples == k ** len(ksets)

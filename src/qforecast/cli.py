@@ -43,12 +43,14 @@ from .errors import (
 from .hyperspace import SearchSpace
 from .metaheuristics import ObjectiveTracker, hybrid_minimize, pso_minimize, qga_minimize
 from .metrics import forecast_to_tsv, format_metrics_table
-from .qlstm import HyperConfig, predict_batch, save_checkpoint
+from .qlstm import HyperConfig, save_checkpoint
 from .runner import (
     REFERENCE_LEARNING_RATES,
     StageTimer,
     derive_seed,
     ensemble_checkpoint_parts,
+    evaluate_ensemble,
+    forecast_horizon,
     load_ensemble_checkpoint,
     probe_objective,
     run_boq_ensemble,
@@ -406,25 +408,6 @@ def _load_ensemble_dir(run_dir: Path, arch: str | None):
     )
 
 
-def _checkpoint_predictions(dataset, models, weights):
-    """Aligned per-model and combined test predictions for stored models."""
-    from .runner import _align_test_predictions  # shared alignment logic
-
-    class _Stub:
-        def __init__(self, kind, config, model, dataset):
-            part = dataset.test_windows(config.sequence_length)
-            self.config = config
-            self.kind = kind
-            self.model = model
-            self.tag = f"{kind}-seq{config.sequence_length}"
-            self.test_predictions = predict_batch(model, part.inputs)
-            self.test_target_rows = part.target_rows
-
-    stubs = [_Stub(kind, config, model, dataset) for kind, config, model in models]
-    preds, rows = _align_test_predictions(stubs)
-    return stubs, preds, rows
-
-
 def cmd_forecast(options: dict) -> int:
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
@@ -433,39 +416,14 @@ def cmd_forecast(options: dict) -> int:
     timer = StageTimer()
     horizon = int(options["horizon"])
 
-    from .data import destandardize_temperature
-    from .metrics import ForecastResult, SequencePredictor, forecast_iterative
-    from .qlstm import forward_sequence
-
     with timer.time("one_step"):
-        stubs, preds_std, rows = _checkpoint_predictions(dataset, models, weights)
-        y_std = dataset.test_matrix[rows, 0]
-        y_c = destandardize_temperature(y_std, dataset.scaler)
-        results = []
-        for stub, p in zip(stubs, preds_std):
-            results.append(ForecastResult(
-                list(map(int, rows)), y_c,
-                destandardize_temperature(p, dataset.scaler), stub.tag, "test-one-step"))
-        combined = weights @ preds_std
-        results.append(ForecastResult(
-            list(map(int, rows)), y_c,
-            destandardize_temperature(combined, dataset.scaler),
-            f"{arch}-ensemble", "test-one-step"))
+        _, one_step = evaluate_ensemble(dataset, models, weights, arch)
         onestep_path = out_dir / "test_onestep.tsv"
-        onestep_path.write_text(forecast_to_tsv(results))
+        onestep_path.write_text(forecast_to_tsv(one_step))
 
     with timer.time("multi_step"):
-        max_seq = max(config.sequence_length for _, config, _ in models)
-        context = dataset.train_matrix[-max_seq:]
-        future = dataset.test_matrix[:horizon, 0] if len(dataset.test_matrix) >= horizon else None
-        predictors = [
-            SequencePredictor(config.sequence_length,
-                              (lambda m: lambda w: forward_sequence(m, w))(model))
-            for _, config, model in models
-        ]
-        multi = forecast_iterative(predictors, weights, context, dataset.scaler,
-                                   horizon=horizon, true_future=future,
-                                   model_tag=f"{arch}-ensemble")
+        multi = forecast_horizon(dataset, models, weights, horizon,
+                                 model_tag=f"{arch}-ensemble")
         multi_path = out_dir / f"horizon{horizon}.tsv"
         multi_path.write_text(forecast_to_tsv([multi]))
 
@@ -482,23 +440,8 @@ def cmd_evaluate(options: dict) -> int:
     out_dir = ensure_output(run_dir / "evaluate", options["force"])
     timer = StageTimer()
 
-    from .data import destandardize_temperature
-    from .metrics import mse
-    from .runner import _metric_row
-
     with timer.time("evaluate"):
-        stubs, preds_std, rows = _checkpoint_predictions(dataset, models, weights)
-        y_std = dataset.test_matrix[rows, 0]
-        y_c = destandardize_temperature(y_std, dataset.scaler)
-        metric_rows = []
-        for stub, p in zip(stubs, preds_std):
-            metric_rows.append(_metric_row(
-                stub.tag, y_c, destandardize_temperature(p, dataset.scaler),
-                mse(y_std, p)))
-        combined = weights @ preds_std
-        metric_rows.append(_metric_row(
-            f"{arch}-ensemble", y_c, destandardize_temperature(combined, dataset.scaler),
-            mse(y_std, combined)))
+        metric_rows, _ = evaluate_ensemble(dataset, models, weights, arch)
     table = format_metrics_table(metric_rows)
     metrics_json = write_json(out_dir / "metrics.json", metric_rows)
     metrics_txt = out_dir / "metrics.txt"
@@ -509,16 +452,14 @@ def cmd_evaluate(options: dict) -> int:
     return 0
 
 
-TEXT_ARTIFACT_SUFFIXES = {".json", ".jsonl", ".tsv", ".txt", ".csv"}
-
-
 def cmd_rerun(options: dict) -> int:
     """Re-execute a command from its manifest and verify reproducibility.
 
     The command runs again with the stored options (against the same run
-    directory unless ``--run`` redirects it) and every text artifact hash is
-    compared with the manifest's record.  Binary caches (npz) are excluded:
-    their zip containers embed timestamps.
+    directory unless ``--run`` redirects it) and every artifact hash is
+    compared with the manifest's record, the npz checkpoints and dataset
+    caches included: numpy stamps each npz member with the fixed zip date
+    1980-01-01, so an npz file is reproducible byte for byte.
     """
     manifest_path = Path(options["manifest"]).resolve()
     if not manifest_path.exists():
@@ -548,8 +489,6 @@ def cmd_rerun(options: dict) -> int:
     new_hashes = {a["path"]: a["sha256"] for a in new_manifest["artifacts"]}
     mismatched = []
     for artifact in manifest["artifacts"]:
-        if Path(artifact["path"]).suffix not in TEXT_ARTIFACT_SUFFIXES:
-            continue
         fresh = new_hashes.get(artifact["path"])
         status = "identical" if fresh == artifact["sha256"] else "DIFFERS"
         print(f"  {artifact['path']}: {status}")

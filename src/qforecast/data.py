@@ -14,11 +14,12 @@ import csv
 import datetime as dt
 import math
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import CheckpointVersionError, ConfigurationError, DataError
 
 FEATURES = (
     "temperature",
@@ -100,35 +101,42 @@ def ingest_csv(path) -> list[WeatherRecord]:
     Empty cells become missing values.  Rows must be hourly-contiguous:
     a non-monotonic or gapped timestamp sequence raises
     :class:`~qforecast.errors.DataError` with the offending line number.
+    A missing or unreadable file is a DataError too.
     """
+    try:
+        with open(path, newline="") as fh:
+            return _parse_records(csv.reader(fh), path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
+
+
+def _parse_records(reader, path) -> list[WeatherRecord]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    if tuple(h.strip() for h in header) != CSV_COLUMNS:
+        raise DataError(f"{path}: header {header!r} does not match expected schema")
     records: list[WeatherRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    prev_ts = None
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(CSV_COLUMNS):
+            raise DataError(f"line {line_no}: expected {len(CSV_COLUMNS)} cells, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != CSV_COLUMNS:
-            raise DataError(f"{path}: header {header!r} does not match expected schema")
-        prev_ts = None
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_COLUMNS):
-                raise DataError(f"line {line_no}: expected {len(CSV_COLUMNS)} cells, got {len(row)}")
-            try:
-                date = dt.date.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise DataError(f"line {line_no}: bad date {row[0]!r}") from exc
-            hour = _parse_hour(row[1], line_no)
-            cells = [_parse_cell(row[2 + i], name, line_no) for i, name in enumerate(FEATURES)]
-            record = WeatherRecord(date, hour, *cells)
-            ts = record.timestamp()
-            if prev_ts is not None:
-                if ts <= prev_ts:
-                    raise DataError(f"line {line_no}: timestamps not strictly increasing")
-                if ts - prev_ts != dt.timedelta(hours=1):
-                    raise DataError(f"line {line_no}: gap larger than one hour before {ts}")
-            prev_ts = ts
-            records.append(record)
+            date = dt.date.fromisoformat(row[0].strip())
+        except ValueError as exc:
+            raise DataError(f"line {line_no}: bad date {row[0]!r}") from exc
+        hour = _parse_hour(row[1], line_no)
+        cells = [_parse_cell(row[2 + i], name, line_no) for i, name in enumerate(FEATURES)]
+        record = WeatherRecord(date, hour, *cells)
+        ts = record.timestamp()
+        if prev_ts is not None:
+            if ts <= prev_ts:
+                raise DataError(f"line {line_no}: timestamps not strictly increasing")
+            if ts - prev_ts != dt.timedelta(hours=1):
+                raise DataError(f"line {line_no}: gap larger than one hour before {ts}")
+        prev_ts = ts
+        records.append(record)
     return records
 
 
@@ -360,27 +368,55 @@ def save_dataset(path, dataset: Dataset) -> None:
     )
 
 
-def load_dataset(path) -> Dataset:
-    from .errors import CheckpointVersionError
+class NpzArrays(dict):
+    """Every array of one npz file; looking up an absent one raises DataError."""
 
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != CACHE_VERSION:
-            raise CheckpointVersionError(
-                f"dataset cache version {version} unsupported (expected {CACHE_VERSION})"
-            )
-        scaler = ScalerState(
-            median=data["median"], q1=data["q1"], q3=data["q3"],
-            mean=data["mean"], std=data["std"],
-            robust_skip=data["robust_skip"], z_skip=data["z_skip"],
-            n_fit_rows=int(data["n_fit_rows"]),
-        )
-        return Dataset(
-            train_matrix=data["train_matrix"],
-            test_matrix=data["test_matrix"],
-            scaler=scaler,
-            n_rows=int(data["n_rows"]),
-        )
+    def __init__(self, path, arrays: dict):
+        super().__init__(arrays)
+        self.path = path
+
+    def __missing__(self, key):
+        raise DataError(f"{self.path}: no {key!r} array")
+
+    def integer(self, key) -> int:
+        value = self[key]
+        if value.shape != () or value.dtype.kind not in "iu":
+            raise DataError(f"{self.path}: {key} is not an integer")
+        return int(value)
+
+
+def read_npz(path, what: str, version: int) -> NpzArrays:
+    """Read a versioned npz file (dataset cache or checkpoint) in full.
+
+    A truncated or corrupt container, a bad ``.npy`` header or a missing
+    array raises :class:`~qforecast.errors.DataError`; a version other than
+    ``version`` raises :class:`~qforecast.errors.CheckpointVersionError`.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = NpzArrays(path, {name: archive[name] for name in archive.files})
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: unreadable {what}: {exc}") from exc
+    found = arrays.integer("version")
+    if found != version:
+        raise CheckpointVersionError(f"{what} version {found} unsupported (expected {version})")
+    return arrays
+
+
+def load_dataset(path) -> Dataset:
+    data = read_npz(path, "dataset cache", CACHE_VERSION)
+    scaler = ScalerState(
+        median=data["median"], q1=data["q1"], q3=data["q3"],
+        mean=data["mean"], std=data["std"],
+        robust_skip=data["robust_skip"], z_skip=data["z_skip"],
+        n_fit_rows=data.integer("n_fit_rows"),
+    )
+    return Dataset(
+        train_matrix=data["train_matrix"],
+        test_matrix=data["test_matrix"],
+        scaler=scaler,
+        n_rows=data.integer("n_rows"),
+    )
 
 
 # ---------------------------------------------------------------------------

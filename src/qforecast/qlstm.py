@@ -9,6 +9,13 @@ The cell state itself lives in qubit-count dimensions.
 
 Gradients flow through the full unrolled sequence; circuit angles get exact
 parameter-shift gradients, everything classical is analytic backprop.
+
+Models are stored through one codec: ``model_to_arrays`` names a model's
+kind (``qlstm``, ``lstm`` or ``persistence``) and its parameter arrays, and
+``model_from_arrays`` rebuilds it after checking every array's shape against
+the configuration and that every value is finite.  The single-model
+checkpoint here and the ensemble checkpoint in ``runner`` only add their
+own header keys around those arrays.
 """
 
 from __future__ import annotations
@@ -19,9 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import read_npz
 from .errors import (
     CheckpointVersionError,
     ConfigurationError,
+    DataError,
     NumericDivergenceError,
     NumericError,
     ShapeError,
@@ -93,6 +102,17 @@ class HyperConfig:
             batch_size=int(d["batch_size"]),
             epochs=int(d["epochs"]),
         )
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text) -> "HyperConfig":
+        """A stored configuration; an unreadable or invalid one is a DataError."""
+        try:
+            return cls.from_dict(json.loads(str(text))).validate()
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"stored configuration {str(text)!r} is invalid: {exc}") from exc
 
 
 @dataclass
@@ -553,62 +573,90 @@ def classical_lstm_train(model, config, train_set, test_set, seed) -> TrainRepor
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
+# Model codec and checkpoints
 # ---------------------------------------------------------------------------
+
+
+def _qlstm_layout(config: HyperConfig, input_dim: int, output_dim: int) -> dict:
+    n, hidden = config.n_qubits, config.hidden_units
+    layout = {f"theta_{name}": (config.n_layers, n, 3) for name in GATE_NAMES}
+    layout.update(w_in=(n, hidden + input_dim), b_in=(n,), w_h=(hidden, n), b_h=(hidden,),
+                  w_y=(output_dim, n), b_y=(output_dim,))
+    return layout
+
+
+def _qlstm_build(arrays: dict, config: HyperConfig, input_dim: int) -> QLSTMParams:
+    blocks = tuple(VQCBlock(config.n_qubits, config.n_layers, arrays.pop(f"theta_{name}"))
+                   for name in GATE_NAMES)
+    return QLSTMParams(vqc=blocks, **arrays, hidden_units=config.hidden_units,
+                       input_dim=input_dim)
+
+
+def _lstm_layout(config: HyperConfig, input_dim: int, output_dim: int) -> dict:
+    hidden = config.hidden_units
+    layout = {}
+    for gate in "figo":
+        layout[f"w_{gate}"] = (hidden, hidden + input_dim)
+        layout[f"b_{gate}"] = (hidden,)
+    layout.update(w_y=(output_dim, hidden), b_y=(output_dim,))
+    return layout
+
+
+# kind -> (model class, stored arrays and their shapes, constructor from those arrays)
+MODEL_KINDS = {
+    "qlstm": (QLSTMParams, _qlstm_layout, _qlstm_build),
+    "lstm": (ClassicalLSTMParams, _lstm_layout,
+             lambda arrays, config, input_dim: ClassicalLSTMParams(
+                 **arrays, hidden_units=config.hidden_units, input_dim=input_dim)),
+    "persistence": (PersistenceModel, lambda config, input_dim, output_dim: {},
+                    lambda arrays, config, input_dim: PersistenceModel(input_dim=input_dim)),
+}
+
+
+def model_to_arrays(model) -> tuple[str, dict]:
+    """``(kind, arrays)``: the model's kind and its parameter arrays, in stored order."""
+    for kind, (cls, _, _) in MODEL_KINDS.items():
+        if type(model) is cls:
+            return kind, model.param_arrays()
+    raise ConfigurationError(f"cannot checkpoint model of type {type(model).__name__}")
+
+
+def checked_array(name: str, value, shape: tuple) -> np.ndarray:
+    """A stored float array of the given shape with finite values, else DataError."""
+    if value is None:
+        raise DataError(f"no {name!r} array stored")
+    if value.shape != shape:
+        raise DataError(f"{name} has shape {value.shape}, expected {shape}")
+    if value.dtype.kind != "f" or not np.all(np.isfinite(value)):
+        raise DataError(f"{name} holds non-finite or non-float values")
+    return value
+
+
+def model_from_arrays(kind: str, config: HyperConfig, input_dim: int, arrays: dict):
+    """Rebuild a ``model_to_arrays`` model, checking every array it reads."""
+    if kind not in MODEL_KINDS:
+        raise CheckpointVersionError(f"unknown model kind {kind!r}")
+    _, layout, build = MODEL_KINDS[kind]
+    # the output width is whatever b_y stores; w_y must agree with it
+    output_dim = int(np.size(arrays.get("b_y")))
+    shapes = layout(config, input_dim, output_dim)
+    return build({name: checked_array(name, arrays.get(name), shape)
+                  for name, shape in shapes.items()}, config, input_dim)
 
 
 def save_checkpoint(path, model, config: HyperConfig) -> None:
     """Write a versioned checkpoint; the write/read round-trip is exact."""
-    payload = {"version": np.array(CHECKPOINT_VERSION)}
-    if isinstance(model, QLSTMParams):
-        payload["kind"] = np.array("qlstm")
-        for name, blk in zip(GATE_NAMES, model.vqc):
-            payload[f"theta_{name}"] = blk.thetas
-        for key in ("w_in", "b_in", "w_h", "b_h", "w_y", "b_y"):
-            payload[key] = getattr(model, key)
-    elif isinstance(model, ClassicalLSTMParams):
-        payload["kind"] = np.array("lstm")
-        payload.update(model.param_arrays())
-    else:
-        raise ConfigurationError(f"cannot checkpoint model of type {type(model).__name__}")
-    payload["config_json"] = np.array(json.dumps(config.to_dict(), sort_keys=True))
-    payload["input_dim"] = np.array(model.input_dim)
+    kind, arrays = model_to_arrays(model)
+    payload = {"version": np.array(CHECKPOINT_VERSION), "kind": np.array(kind), **arrays,
+               "config_json": np.array(config.to_json()),
+               "input_dim": np.array(model.input_dim)}
     with open(path, "wb") as fh:
         np.savez(fh, **payload)
 
 
 def load_checkpoint(path):
     """Read a checkpoint back; returns ``(model, config)``."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointVersionError(
-                f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
-            )
-        kind = str(data["kind"])
-        config = HyperConfig.from_dict(json.loads(str(data["config_json"])))
-        input_dim = int(data["input_dim"])
-        if kind == "qlstm":
-            blocks = tuple(
-                VQCBlock(config.n_qubits, config.n_layers, data[f"theta_{name}"])
-                for name in GATE_NAMES
-            )
-            model = QLSTMParams(
-                vqc=blocks,
-                w_in=data["w_in"], b_in=data["b_in"],
-                w_h=data["w_h"], b_h=data["b_h"],
-                w_y=data["w_y"], b_y=data["b_y"],
-                hidden_units=config.hidden_units,
-                input_dim=input_dim,
-            )
-        elif kind == "lstm":
-            model = ClassicalLSTMParams(
-                w_f=data["w_f"], b_f=data["b_f"], w_i=data["w_i"], b_i=data["b_i"],
-                w_g=data["w_g"], b_g=data["b_g"], w_o=data["w_o"], b_o=data["b_o"],
-                w_y=data["w_y"], b_y=data["b_y"],
-                hidden_units=config.hidden_units,
-                input_dim=input_dim,
-            )
-        else:
-            raise CheckpointVersionError(f"unknown checkpoint kind {kind!r}")
+    data = read_npz(path, "checkpoint", CHECKPOINT_VERSION)
+    config = HyperConfig.from_json(data["config_json"])
+    model = model_from_arrays(str(data["kind"]), config, data.integer("input_dim"), data)
     return model, config

@@ -21,29 +21,30 @@ from pathlib import Path
 import numpy as np
 
 from .bayesopt import EnumerationResult, enumerate_ensembles
-from .data import Dataset, destandardize_temperature
+from .data import Dataset, destandardize_temperature, read_npz
 from .ensemble import (
     EnsembleWeights,
     combine_predictions,
     finalize_weights,
-    weight_history_tsv,
     weights_from_predictions,
 )
-from .errors import CheckpointVersionError, ConfigurationError
+from .errors import ConfigurationError, DataError
 from .metrics import (
     ForecastResult,
     SequencePredictor,
     forecast_iterative,
-    format_metrics_table,
     mape_with_exclusions,
     mse,
 )
 from .qlstm import (
     HyperConfig,
     TrainReport,
+    checked_array,
     forward_sequence,
     init_classical_lstm,
     init_qlstm,
+    model_from_arrays,
+    model_to_arrays,
     predict_batch,
     train,
 )
@@ -52,7 +53,6 @@ ENSEMBLE_CHECKPOINT_VERSION = 1
 
 # reference magnitudes from full-scale tuning runs, shown for sanity checks
 REFERENCE_LEARNING_RATES = {"genhyb": (0.0677, 0.0691), "bo-q": (0.0726, 0.0522)}
-REFERENCE_COMBINING_WEIGHTS = {"genhyb": (0.50272, 0.49728), "bo-q": (0.50123, 0.49876)}
 
 
 def derive_seed(master_seed: int, *names) -> int:
@@ -63,14 +63,12 @@ def derive_seed(master_seed: int, *names) -> int:
 
 
 def config_digest(config: HyperConfig) -> str:
-    return hashlib.sha256(
-        json.dumps(config.to_dict(), sort_keys=True).encode()
-    ).hexdigest()[:16]
+    return hashlib.sha256(config.to_json().encode()).hexdigest()[:16]
 
 
 @dataclass
 class BaseModelRun:
-    """One trained base model plus its aligned held-out predictions."""
+    """One trained base model plus its predictions on the validation segment."""
 
     model_index: int
     config: HyperConfig
@@ -78,18 +76,16 @@ class BaseModelRun:
     model: object
     report: TrainReport
     val_predictions: np.ndarray  # aligned on the shared validation targets
-    test_predictions: np.ndarray
-    test_target_rows: np.ndarray
 
     @property
-    def tag(self) -> str:
-        return f"{self.kind}-seq{self.config.sequence_length}"
+    def triple(self) -> tuple:
+        return self.kind, self.config, self.model
 
 
 def train_base_model(dataset: Dataset, config: HyperConfig, model_index: int,
                      master_seed: int, *, kind: str = "qlstm",
                      val_fraction: float = 0.1, memo: dict | None = None) -> BaseModelRun:
-    """Train one base model on the inner split and collect its predictions.
+    """Train one base model on the inner split and predict its validation segment.
 
     The training seed derives from (run seed, model index, configuration),
     so repeated calls are bit-identical; ``memo`` short-circuits them.
@@ -98,7 +94,6 @@ def train_base_model(dataset: Dataset, config: HyperConfig, model_index: int,
     if memo is not None and key in memo:
         return memo[key]
     train_part, val_part = dataset.train_val_windows(config.sequence_length, val_fraction)
-    test_part = dataset.test_windows(config.sequence_length)
     seed = derive_seed(master_seed, "train", kind, model_index, config_digest(config))
     if kind == "qlstm":
         model = init_qlstm(config, input_dim=dataset.train_matrix.shape[1], seed=seed)
@@ -114,8 +109,6 @@ def train_base_model(dataset: Dataset, config: HyperConfig, model_index: int,
         model=model,
         report=report,
         val_predictions=predict_batch(model, val_part.inputs),
-        test_predictions=predict_batch(model, test_part.inputs),
-        test_target_rows=test_part.target_rows,
     )
     if memo is not None:
         memo[key] = run
@@ -158,52 +151,49 @@ class EnsembleRun:
     enumeration: EnumerationResult | None = None
 
 
-def _align_test_predictions(base_runs) -> tuple[np.ndarray, np.ndarray]:
+def _test_predictions(dataset: Dataset, models) -> tuple[np.ndarray, np.ndarray]:
     """Per-model test predictions restricted to the rows every model covers."""
-    start = max(run.test_target_rows[0] for run in base_runs)
-    preds = []
-    for run in base_runs:
-        offset = start - run.test_target_rows[0]
-        preds.append(run.test_predictions[offset:])
-    rows = base_runs[0].test_target_rows
-    common_rows = rows[start - rows[0] :]
-    return np.vstack(preds), common_rows
+    preds, rows = [], []
+    for _, config, model in models:  # one window stack alive at a time
+        part = dataset.test_windows(config.sequence_length)
+        preds.append(predict_batch(model, part.inputs))
+        rows.append(part.target_rows)
+    start = max(r[0] for r in rows)
+    aligned = [p[start - r[0]:] for p, r in zip(preds, rows)]
+    return np.vstack(aligned), rows[0][start - rows[0][0]:]
 
 
-def _metric_row(name: str, y_true_c: np.ndarray, y_pred_c: np.ndarray,
-                std_mse: float) -> dict:
-    value, excluded = mape_with_exclusions(y_true_c, y_pred_c)
-    return {
-        "model": name,
-        "mape_pct": value,
-        "mse": mse(y_true_c, y_pred_c),
-        "mse_standardized": std_mse,
-        "excluded": excluded,
-    }
-
-
-def evaluate_ensemble(dataset: Dataset, base_runs, weights, architecture: str,
-                      weight_state: EnsembleWeights,
-                      enumeration: EnumerationResult | None = None) -> EnsembleRun:
-    """Test-set one-step evaluation of the base models and their combination."""
-    preds_std, common_rows = _align_test_predictions(base_runs)
+def evaluate_ensemble(dataset: Dataset, models, weights, architecture: str) -> tuple[list, list]:
+    """Test-set one-step evaluation of (kind, config, model) triples and their
+    weighted combination: returns the metric rows and the forecast series."""
+    preds_std, common_rows = _test_predictions(dataset, models)
     y_std = dataset.test_matrix[common_rows, 0]
     y_c = destandardize_temperature(y_std, dataset.scaler)
+    tags = [f"{kind}-seq{config.sequence_length}" for kind, config, _ in models]
+    combined_std = combine_predictions(weights, preds_std)
 
     rows, forecasts = [], []
-    for run, model_preds in zip(base_runs, preds_std):
-        pred_c = destandardize_temperature(model_preds, dataset.scaler)
-        rows.append(_metric_row(run.tag, y_c, pred_c, mse(y_std, model_preds)))
+    for tag, pred_std in zip([*tags, f"{architecture}-ensemble"], [*preds_std, combined_std]):
+        pred_c = destandardize_temperature(pred_std, dataset.scaler)
+        mape_pct, excluded = mape_with_exclusions(y_c, pred_c)
+        rows.append({"model": tag, "mape_pct": mape_pct, "mse": mse(y_c, pred_c),
+                     "mse_standardized": mse(y_std, pred_std), "excluded": excluded})
         forecasts.append(ForecastResult(list(map(int, common_rows)), y_c, pred_c,
-                                        run.tag, "test-one-step"))
-    combined_std = combine_predictions(weights, preds_std)
-    combined_c = destandardize_temperature(combined_std, dataset.scaler)
-    rows.append(_metric_row(f"{architecture}-ensemble", y_c, combined_c,
-                            mse(y_std, combined_std)))
-    forecasts.append(ForecastResult(list(map(int, common_rows)), y_c, combined_c,
-                                    f"{architecture}-ensemble", "test-one-step"))
-    return EnsembleRun(architecture, list(base_runs), weight_state, weights,
-                       rows, forecasts, enumeration)
+                                        tag, "test-one-step"))
+    return rows, forecasts
+
+
+def _train_all(dataset: Dataset, pairs, master_seed: int, memo: dict, jobs: int) -> list:
+    """Train each (model index, configuration) pair, on ``jobs`` threads if > 1."""
+
+    def one(pair):
+        model_index, config = pair
+        return train_base_model(dataset, config, model_index, master_seed, memo=memo)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(one, pairs))
+    return [one(pair) for pair in pairs]
 
 
 def run_genhyb_ensemble(dataset: Dataset, configs, master_seed: int, *,
@@ -215,21 +205,14 @@ def run_genhyb_ensemble(dataset: Dataset, configs, master_seed: int, *,
     test set); test metrics come from the finalized simplex weights.
     """
     memo = {} if memo is None else memo
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(train_base_model, dataset, cfg, i, master_seed, memo=memo)
-                for i, cfg in enumerate(configs)
-            ]
-            base_runs = [f.result() for f in futures]
-    else:
-        base_runs = [train_base_model(dataset, cfg, i, master_seed, memo=memo)
-                     for i, cfg in enumerate(configs)]
+    base_runs = _train_all(dataset, list(enumerate(configs)), master_seed, memo, jobs)
     val_y = validation_targets(dataset, [cfg.sequence_length for cfg in configs])
     val_preds = np.vstack([run.val_predictions for run in base_runs])
     state = weights_from_predictions(val_y, val_preds, lam=lam, gamma=gamma, nu=nu)
     weights = finalize_weights(state)
-    return evaluate_ensemble(dataset, base_runs, weights, "genhyb", state)
+    rows, forecasts = evaluate_ensemble(dataset, [run.triple for run in base_runs], weights,
+                                        "genhyb")
+    return EnsembleRun("genhyb", base_runs, state, weights, rows, forecasts)
 
 
 def run_boq_ensemble(dataset: Dataset, ksets: list, master_seed: int, *,
@@ -249,13 +232,9 @@ def run_boq_ensemble(dataset: Dataset, ksets: list, master_seed: int, *,
         seqs.append(lengths.pop())
     val_y = validation_targets(dataset, seqs)
 
-    if jobs > 1:
-        pairs = [(m, cfg) for m, kset in enumerate(ksets) for cfg in kset.configs]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(train_base_model, dataset, cfg, m, master_seed, memo=memo)
-                       for m, cfg in pairs]
-            for future in futures:
-                future.result()
+    if jobs > 1:  # train every candidate up front; the enumeration then reads the memo
+        _train_all(dataset, [(m, cfg) for m, kset in enumerate(ksets) for cfg in kset.configs],
+                   master_seed, memo, jobs)
 
     def predict_fn(model_index: int, config: HyperConfig) -> np.ndarray:
         run = train_base_model(dataset, config, model_index, master_seed, memo=memo)
@@ -263,25 +242,24 @@ def run_boq_ensemble(dataset: Dataset, ksets: list, master_seed: int, *,
 
     enumeration = enumerate_ensembles(ksets, predict_fn, val_y, lam=lam, gamma=gamma, nu=nu)
     winner = enumeration.best
-    base_runs = [train_base_model(dataset, cfg, m, master_seed, memo=memo)
-                 for m, cfg in enumerate(winner.configs)]
-    # the weight evolution that produced the winning objective
-    val_preds = np.vstack([run.val_predictions for run in base_runs])
-    state = weights_from_predictions(val_y, val_preds, lam=lam, gamma=gamma, nu=nu)
-    return evaluate_ensemble(dataset, base_runs, winner.weights, "bo-q", state,
-                             enumeration=enumeration)
+    base_runs = _train_all(dataset, list(enumerate(winner.configs)), master_seed, memo, 1)
+    rows, forecasts = evaluate_ensemble(dataset, [run.triple for run in base_runs],
+                                        winner.weights, "bo-q")
+    return EnsembleRun("bo-q", base_runs, winner.state, winner.weights, rows, forecasts,
+                       enumeration)
 
 
-def forecast_horizon(dataset: Dataset, base_runs, weights, horizon: int = 24,
+def forecast_horizon(dataset: Dataset, models, weights, horizon: int = 24,
                      *, model_tag: str = "ensemble") -> ForecastResult:
-    """Iterative multi-step forecast from the end of the training split."""
-    max_seq = max(run.config.sequence_length for run in base_runs)
+    """Iterative multi-step forecast of (kind, config, model) triples from the
+    end of the training split."""
+    max_seq = max(config.sequence_length for _, config, _ in models)
     context = dataset.train_matrix[-max_seq:]
     future = dataset.test_matrix[:horizon, 0] if len(dataset.test_matrix) >= horizon else None
     predictors = [
-        SequencePredictor(run.config.sequence_length,
-                          (lambda m: lambda w: forward_sequence(m, w))(run.model))
-        for run in base_runs
+        SequencePredictor(config.sequence_length,
+                          (lambda m: lambda w: forward_sequence(m, w))(model))
+        for _, config, model in models
     ]
     return forecast_iterative(predictors, weights, context, dataset.scaler,
                               horizon=horizon, true_future=future, model_tag=model_tag)
@@ -300,65 +278,36 @@ def save_ensemble_checkpoint(path, architecture: str, weights, models: list) -> 
         "n_models": np.array(len(models)),
         "weights": np.asarray(weights, dtype=float),
     }
-    for i, (kind, config, model) in enumerate(models):
+    for i, (_, config, model) in enumerate(models):
+        kind, arrays = model_to_arrays(model)
         payload[f"model{i}_kind"] = np.array(kind)
-        payload[f"model{i}_config"] = np.array(json.dumps(config.to_dict(), sort_keys=True))
+        payload[f"model{i}_config"] = np.array(config.to_json())
         payload[f"model{i}_input_dim"] = np.array(model.input_dim)
-        for key, value in model.param_arrays().items():
-            payload[f"model{i}_{key}"] = value
+        payload.update({f"model{i}_{key}": value for key, value in arrays.items()})
     np.savez(path, **payload)
 
 
 def ensemble_checkpoint_parts(run: EnsembleRun) -> list:
-    return [(base.kind, base.config, base.model) for base in run.base_runs]
+    return [base.triple for base in run.base_runs]
 
 
 def load_ensemble_checkpoint(path):
     """Returns (architecture, weights, [(kind, config, model), ...])."""
-    from .quantum import VQCBlock
-    from .qlstm import GATE_NAMES, ClassicalLSTMParams, PersistenceModel, QLSTMParams
-
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != ENSEMBLE_CHECKPOINT_VERSION:
-            raise CheckpointVersionError(
-                f"ensemble checkpoint version {version} unsupported "
-                f"(expected {ENSEMBLE_CHECKPOINT_VERSION})"
-            )
-        architecture = str(data["architecture"])
-        weights = data["weights"]
-        models = []
-        for i in range(int(data["n_models"])):
-            kind = str(data[f"model{i}_kind"])
-            config = HyperConfig.from_dict(json.loads(str(data[f"model{i}_config"])))
-            input_dim = int(data[f"model{i}_input_dim"])
-            if kind == "persistence":
-                model = PersistenceModel(input_dim=input_dim)
-            elif kind == "qlstm":
-                blocks = tuple(
-                    VQCBlock(config.n_qubits, config.n_layers, data[f"model{i}_theta_{n}"])
-                    for n in GATE_NAMES
-                )
-                model = QLSTMParams(
-                    vqc=blocks,
-                    w_in=data[f"model{i}_w_in"], b_in=data[f"model{i}_b_in"],
-                    w_h=data[f"model{i}_w_h"], b_h=data[f"model{i}_b_h"],
-                    w_y=data[f"model{i}_w_y"], b_y=data[f"model{i}_b_y"],
-                    hidden_units=config.hidden_units, input_dim=input_dim,
-                )
-            elif kind == "lstm":
-                model = ClassicalLSTMParams(
-                    w_f=data[f"model{i}_w_f"], b_f=data[f"model{i}_b_f"],
-                    w_i=data[f"model{i}_w_i"], b_i=data[f"model{i}_b_i"],
-                    w_g=data[f"model{i}_w_g"], b_g=data[f"model{i}_b_g"],
-                    w_o=data[f"model{i}_w_o"], b_o=data[f"model{i}_b_o"],
-                    w_y=data[f"model{i}_w_y"], b_y=data[f"model{i}_b_y"],
-                    hidden_units=config.hidden_units, input_dim=input_dim,
-                )
-            else:
-                raise CheckpointVersionError(f"unknown model kind {kind!r}")
-            models.append((kind, config, model))
-    return architecture, weights, models
+    data = read_npz(path, "ensemble checkpoint", ENSEMBLE_CHECKPOINT_VERSION)
+    n_models = data.integer("n_models")
+    if n_models < 1:
+        raise DataError(f"{path}: the ensemble holds no models")
+    models = []
+    for i in range(n_models):
+        prefix = f"model{i}_"
+        kind = str(data[prefix + "kind"])
+        config = HyperConfig.from_json(data[prefix + "config"])
+        arrays = {key[len(prefix):]: value for key, value in data.items()
+                  if key.startswith(prefix)}
+        models.append((kind, config, model_from_arrays(
+            kind, config, data.integer(prefix + "input_dim"), arrays)))
+    weights = checked_array("weights", data["weights"], (len(models),))
+    return str(data["architecture"]), weights, models
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +356,3 @@ def write_manifest(directory, command: str, resolved_config: dict, seed: int,
     path = directory / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def metrics_report(rows: list) -> str:
-    return format_metrics_table(rows)

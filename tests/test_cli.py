@@ -6,7 +6,7 @@ import pytest
 
 from qforecast.cli import main
 from qforecast.data import prepare_dataset, save_dataset, synth_series
-from qforecast.qlstm import HyperConfig, PersistenceModel
+from qforecast.qlstm import HyperConfig, PersistenceModel, init_classical_lstm, init_qlstm
 from qforecast.runner import save_ensemble_checkpoint
 
 warnings.filterwarnings("ignore", message="zero IQR")
@@ -57,6 +57,15 @@ def test_bad_csv_is_data_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("date,bad\n")
     assert run_cli("preprocess", "--run", tmp_path / "r", "--csv", bad) == 3
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe\x00\x81"], ids=["missing", "binary"])
+def test_unreadable_csv_is_data_error(tmp_path, capsys, content):
+    path = tmp_path / "weather.csv"
+    if content is not None:
+        path.write_bytes(content)
+    assert run_cli("preprocess", "--run", tmp_path / "r", "--csv", path) == 3
+    assert capsys.readouterr().err.startswith("data error:")
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +225,62 @@ def test_checkpoint_version_mismatch_is_reported(tmp_path):
     assert run_cli("evaluate", "--run", run_dir) == 3
 
 
+def untrained_ensemble_run(tmp_path):
+    """A run directory with a small dataset and an untrained two-model genhyb
+    checkpoint (a quantum and a classical cell)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dataset = prepare_dataset(synth_series(120, seed=2))
+    run_dir = tmp_path / "untrained"
+    (run_dir / "ensemble-genhyb").mkdir(parents=True)
+    save_dataset(run_dir / "dataset.npz", dataset)
+    config = HyperConfig(0.05, 1, 2, 2, 3, 16, 1)
+    input_dim = dataset.train_matrix.shape[1]
+    save_ensemble_checkpoint(
+        run_dir / "ensemble-genhyb" / "checkpoint.npz", "genhyb", [0.5, 0.5],
+        [("qlstm", config, init_qlstm(config, input_dim, seed=0)),
+         ("lstm", config, init_classical_lstm(config, input_dim, seed=1))],
+    )
+    return run_dir
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("evaluate", "ensemble-genhyb/checkpoint.npz"),
+    ("forecast", "dataset.npz"),
+])
+def test_truncated_npz_is_data_error(tmp_path, capsys, command, artifact):
+    run_dir = untrained_ensemble_run(tmp_path)
+    path = run_dir / artifact
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    assert run_cli(command, "--run", run_dir) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("model0_b_in", np.zeros(7)),
+    ("model0_b_h", np.array([np.nan, 0.0])),
+    ("model0_theta_readout", np.zeros((1, 2, 2))),
+    ("model1_w_g", np.zeros((2, 2))),
+    ("model1_b_o", np.zeros(3)),
+    ("weights", np.array([1.0])),
+    ("weights", np.array([0.5, np.inf])),
+    ("model1_w_y", None),
+    ("model1_config", None),
+], ids=["b_in-shape", "b_h-nan", "theta-shape", "lstm-w_g-shape", "lstm-b_o-shape",
+        "one-weight-two-models", "weight-inf", "missing-array", "missing-header"])
+def test_corrupt_checkpoint_array_is_data_error(tmp_path, capsys, key, value):
+    run_dir = untrained_ensemble_run(tmp_path)
+    path = run_dir / "ensemble-genhyb" / "checkpoint.npz"
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays[key] = value
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+    assert run_cli("evaluate", "--run", run_dir) == 3
+    assert key.split("_", 1)[-1] in capsys.readouterr().err
+
+
 def test_missing_ensemble_is_actionable(prepared_run, capsys):
     fresh = prepared_run.parent / "no-ensemble"
     fresh.mkdir(exist_ok=True)
@@ -235,6 +300,7 @@ def test_rerun_verifies_identical_outputs(genhyb_run, capsys):
     assert run_cli("rerun", "--manifest", genhyb_run / "ensemble-genhyb" / "manifest.json") == 0
     out = capsys.readouterr().out
     assert "metrics.json: identical" in out
+    assert "checkpoint.npz: identical" in out
     assert "DIFFERS" not in out
 
 

@@ -48,7 +48,9 @@ def test_repeated_training_is_bit_identical(small_dataset):
     b = train_base_model(small_dataset, cfg, 0, 99)
     assert a.report.train_losses == b.report.train_losses
     np.testing.assert_array_equal(a.val_predictions, b.val_predictions)
-    np.testing.assert_array_equal(a.test_predictions, b.test_predictions)
+    test_inputs = small_dataset.test_windows(cfg.sequence_length).inputs
+    np.testing.assert_array_equal(predict_batch(a.model, test_inputs),
+                                  predict_batch(b.model, test_inputs))
 
 
 def test_memo_short_circuits(small_dataset):
@@ -100,7 +102,7 @@ def test_ensemble_checkpoint_round_trip(tmp_path, small_dataset):
     test_part = small_dataset.test_windows(3)
     np.testing.assert_array_equal(
         predict_batch(models[0][2], test_part.inputs),
-        run.base_runs[0].test_predictions,
+        predict_batch(run.base_runs[0].model, test_part.inputs),
     )
 
 
@@ -126,7 +128,8 @@ def test_persistence_checkpoint_round_trip(tmp_path):
 def test_forecast_horizon_shapes(small_dataset):
     configs = [small_config(3), small_config(5)]
     run = run_genhyb_ensemble(small_dataset, configs, 17)
-    result = forecast_horizon(small_dataset, run.base_runs, run.weights, horizon=24)
+    result = forecast_horizon(small_dataset, ensemble_checkpoint_parts(run), run.weights,
+                              horizon=24)
     assert len(result.y_pred) == 24
     assert result.y_true is not None and len(result.y_true) == 24
     assert result.horizon == "24h"
