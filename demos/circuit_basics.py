@@ -32,9 +32,9 @@ x = rng.normal(size=3)
 readout = run_vqc(block, x)
 print("\n3-qubit block readout <Z_i>:", np.round(readout, 6))
 
-# --- parameter-shift gradient vs finite differences ------------------------
+# --- adjoint gradient vs finite differences --------------------------------
 upstream = np.ones(3)
-shift = vqc_gradient(block, x, upstream)
+adjoint = vqc_gradient(block, x, upstream)
 
 h = 1e-5
 fd = np.zeros_like(block.thetas)
@@ -48,5 +48,5 @@ for idx in np.ndindex(block.thetas.shape):
         - upstream @ run_vqc(VQCBlock(3, 2, down), x)
     ) / (2 * h)
 
-print("max |parameter-shift - finite-difference| =", float(np.max(np.abs(shift - fd))))
-print("(the shift rule is exact; the residual is the finite-difference error)")
+print("max |adjoint - finite-difference| =", float(np.max(np.abs(adjoint - fd))))
+print("(the adjoint gradient is exact; the residual is the finite-difference error)")

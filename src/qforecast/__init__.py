@@ -2,7 +2,7 @@
 
 The package provides an exact statevector simulator for small variational
 circuits, a quantum LSTM (plus a classical baseline) trained by
-backpropagation through time with parameter-shift gradients, swarm/genetic/
+backpropagation through time with adjoint circuit gradients, swarm/genetic/
 Bayesian hyperparameter tuners, inverse-error adaptive ensemble weighting,
 an hourly-weather data pipeline, and a reproducible CLI harness.
 """

@@ -83,14 +83,28 @@ def resolve_run_dir(raw: str) -> Path:
     return path
 
 
+def read_manifest(path: Path) -> tuple[dict, dict]:
+    """A manifest and its artifact hashes by path; an unreadable one is a usage error."""
+    try:
+        manifest = json.loads(path.read_text())
+        return manifest, {str(a["path"]): str(a["sha256"]) for a in manifest["artifacts"]}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError(f"{path} is not a readable manifest: {exc}") from exc
+
+
 def ensure_output(path: Path, force: bool) -> Path:
-    """Refuse to clobber an existing non-empty output unless forced."""
+    """Refuse to clobber an existing non-empty output unless forced; a forced
+    run first deletes the artifacts the old manifest lists, and nothing else."""
     if path.exists():
         occupied = path.is_file() or any(path.iterdir())
         if occupied and not force:
             raise ConfigurationError(
                 f"{path} already exists; pass --force to overwrite"
             )
+        if (path / "manifest.json").is_file():
+            for name in read_manifest(path / "manifest.json")[1]:
+                if (path / name).parent == path and (path / name).is_file():
+                    (path / name).unlink()
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -167,7 +181,6 @@ def cmd_synth(options: dict) -> int:
 
 
 def cmd_preprocess(options: dict) -> int:
-    run_dir = ensure_output(resolve_run_dir(options["run"]), options["force"])
     timer = StageTimer()
     seed = int(options["seed"])
     with timer.time("ingest"):
@@ -180,6 +193,7 @@ def cmd_preprocess(options: dict) -> int:
             source = {"synth_hours": int(options["synth_hours"]), "noise": float(options["noise"])}
         else:
             raise ConfigurationError("preprocess needs --csv FILE or --synth-hours N")
+    run_dir = ensure_output(resolve_run_dir(options["run"]), options["force"])
     with timer.time("prepare"):
         dataset = prepare_dataset(records, train_fraction=float(options["train_fraction"]))
         cache = run_dir / "dataset.npz"
@@ -455,45 +469,37 @@ def cmd_evaluate(options: dict) -> int:
 def cmd_rerun(options: dict) -> int:
     """Re-execute a command from its manifest and verify reproducibility.
 
-    The command runs again with the stored options (against the same run
-    directory unless ``--run`` redirects it) and every artifact hash is
-    compared with the manifest's record, the npz checkpoints and dataset
-    caches included: numpy stamps each npz member with the fixed zip date
-    1980-01-01, so an npz file is reproducible byte for byte.
+    The command runs again with the stored options against the run directory
+    the manifest sits in (or the one ``--run`` names), and every artifact
+    hash is compared with the manifest's record, the npz checkpoints and
+    dataset caches included: numpy stamps each npz member with the fixed zip
+    date 1980-01-01, so an npz file is reproducible byte for byte.
     """
     manifest_path = Path(options["manifest"]).resolve()
-    if not manifest_path.exists():
-        raise ConfigurationError(f"manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    command = manifest["command"]
+    manifest, recorded = read_manifest(manifest_path)
+    command = manifest.get("command")
     handler = COMMANDS.get(command)
     if handler is None:
         raise ConfigurationError(f"manifest command {command!r} is not re-runnable")
-    stored = dict(manifest["config"])
+    stored = dict(manifest.get("config", {}))
     stored["force"] = True
-    old_out_dir = manifest_path.parent
-
-    new_out_dir = old_out_dir
+    # preprocess writes into the run directory itself, every other command
+    # into one subdirectory of it
+    out_dir = manifest_path.parent
+    run_dir, sub = (out_dir, "") if command == "preprocess" else (out_dir.parent, out_dir.name)
     if options.get("run"):
-        old_run = resolve_run_dir(stored["run"]).resolve()
-        stored["run"] = options["run"]
-        rel = old_out_dir.resolve().relative_to(old_run)
-        new_out_dir = resolve_run_dir(options["run"]) / rel
+        run_dir = resolve_run_dir(options["run"])
+    stored["run"] = str(run_dir)
 
     print(f"re-running `{command}` from {manifest_path}")
     code = handler(stored)
     if code != 0:
         return code
 
-    new_manifest = json.loads((new_out_dir / "manifest.json").read_text())
-    new_hashes = {a["path"]: a["sha256"] for a in new_manifest["artifacts"]}
-    mismatched = []
-    for artifact in manifest["artifacts"]:
-        fresh = new_hashes.get(artifact["path"])
-        status = "identical" if fresh == artifact["sha256"] else "DIFFERS"
-        print(f"  {artifact['path']}: {status}")
-        if fresh != artifact["sha256"]:
-            mismatched.append(artifact["path"])
+    _, fresh = read_manifest(run_dir / sub / "manifest.json")
+    mismatched = [path for path, sha in recorded.items() if fresh.get(path) != sha]
+    for path in recorded:
+        print(f"  {path}: {'DIFFERS' if path in mismatched else 'identical'}")
     if mismatched:
         raise ConfigurationError(
             f"re-run outputs differ from the manifest record: {', '.join(mismatched)}"

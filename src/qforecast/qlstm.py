@@ -7,8 +7,9 @@ bridge the two: one maps ``concat(h, x)`` down to circuit inputs, and two
 map circuit readouts up to the hidden state and the scalar prediction.
 The cell state itself lives in qubit-count dimensions.
 
-Gradients flow through the full unrolled sequence; circuit angles get exact
-parameter-shift gradients, everything classical is analytic backprop.
+Gradients flow through the full unrolled sequence; circuit angles and
+circuit inputs get exact adjoint gradients, everything classical is
+analytic backprop.
 
 Models are stored through one codec: ``model_to_arrays`` names a model's
 kind (``qlstm``, ``lstm`` or ``persistence``) and its parameter arrays, and

@@ -3,8 +3,8 @@
 Pure-numpy simulator for the circuit blocks used inside the quantum LSTM
 cell: an angle-encoding layer, ring entanglement, trainable single-qubit
 rotations, and Pauli-Z expectation readout.  Gradients with respect to the
-rotation angles use the parameter-shift rule (two evaluations at theta
-plus/minus pi/2), which is exact for this gate set.
+rotation angles and the inputs come from one adjoint reverse sweep over the
+block's gates, which is exact for this gate set.
 
 Conventions
 -----------
@@ -266,31 +266,43 @@ def _check_inputs(block: VQCBlock, x: np.ndarray, batched: bool) -> np.ndarray:
     return x
 
 
-def _run_block(block: VQCBlock, enc_ry: np.ndarray, enc_rz: np.ndarray, theta_of) -> np.ndarray:
-    """Simulate the block for a batch of encodings; returns final amplitudes."""
+def _apply_block_gate(amps: np.ndarray, n: int, kind: str, qubit: int, angle) -> np.ndarray:
+    if kind == "cnot":  # ring entangler: the target is the next qubit
+        return _apply_cnot(amps, n, qubit, (qubit + 1) % n)
+    return _apply_rotation(amps, n, kind, qubit, angle)
+
+
+def _run_block(block: VQCBlock, inputs: np.ndarray) -> tuple[np.ndarray, list]:
+    """Simulate the block on a batch of inputs; returns the final amplitudes
+    and the gate sequence, which is written down only here.
+
+    Each gate is (kind, qubit, angle, slot): encoding angles are per-row
+    vectors, trainable angles scalars, and ``slot`` indexes the per-qubit
+    angle axis of the gradient (0/1 for the RY/RZ encoding,
+    ``2 + 3 * layer + k`` for ``thetas[layer, qubit, k]``, None for a CNOT).
+    """
     n = block.n_qubits
-    batch = enc_ry.shape[0]
-    amps = np.zeros((batch, 2**n), dtype=np.complex128)
-    amps[:, 0] = 1.0
+    enc_ry, enc_rz = encoding_angles(inputs)
+    gates = []
     for q in range(n):
-        amps = _apply_rotation(amps, n, "ry", q, enc_ry[:, q])
-        amps = _apply_rotation(amps, n, "rz", q, enc_rz[:, q])
+        gates += [("ry", q, enc_ry[:, q], 0), ("rz", q, enc_rz[:, q], 1)]
     for layer in range(block.n_layers):
         if n >= 2:
-            for q in range(n):
-                amps = _apply_cnot(amps, n, q, (q + 1) % n)
+            gates += [("cnot", q, None, None) for q in range(n)]
         for q in range(n):
-            amps = _apply_rotation(amps, n, "rx", q, theta_of(layer, q, 0))
-            amps = _apply_rotation(amps, n, "ry", q, theta_of(layer, q, 1))
-            amps = _apply_rotation(amps, n, "rz", q, theta_of(layer, q, 2))
-    return amps
+            gates += [(kind, q, block.thetas[layer, q, k], 2 + 3 * layer + k)
+                      for k, kind in enumerate(ROTATION_KINDS)]
+    amps = np.zeros((inputs.shape[0], 2**n), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    for kind, q, angle, _ in gates:
+        amps = _apply_block_gate(amps, n, kind, q, angle)
+    return amps, gates
 
 
 def run_vqc_batch(block: VQCBlock, inputs: np.ndarray) -> np.ndarray:
     """Run the block on a (batch, n_qubits) input matrix; returns (batch, n_qubits) <Z> values."""
     inputs = _check_inputs(block, inputs, batched=True)
-    enc_ry, enc_rz = encoding_angles(inputs)
-    amps = _run_block(block, enc_ry, enc_rz, lambda l, q, k: block.thetas[l, q, k])
+    amps, _ = _run_block(block, inputs)
     return _z_expectations(amps, block.n_qubits)
 
 
@@ -301,24 +313,18 @@ def run_vqc(block: VQCBlock, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Parameter-shift gradients.
+# Adjoint gradients (Jones & Gacon, arXiv:2009.02823).
 #
-# Every shifted circuit is embedded in one large batch (two rows per shifted
-# parameter per batch element), so a full gradient costs a single pass of
-# vectorized gate applications instead of a Python loop over parameters.
+# psi is the final state and lambda = O psi for the diagonal observable
+# O = sum_q u_q Z_q.  A reverse sweep un-applies each gate to both; at a
+# rotation R(theta) they hold the states just after it, and as dR/dtheta =
+# R(theta + pi) / 2 = R(pi) R(theta) / 2, d<psi|O|psi>/dtheta = Re<lambda|R(pi) psi>.
 # ---------------------------------------------------------------------------
 
-_SHIFT = 0.5 * np.pi
 
-
-def vqc_gradients_batch(
-    block: VQCBlock,
-    inputs: np.ndarray,
-    upstream: np.ndarray,
-    *,
-    max_rows: int = 65536,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter-shift gradients of ``sum_b upstream_b . output_b``.
+def vqc_gradients_batch(block: VQCBlock, inputs: np.ndarray,
+                        upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint gradients of ``sum_b upstream_b . output_b``.
 
     Parameters
     ----------
@@ -329,8 +335,8 @@ def vqc_gradients_batch(
     -------
     theta_grad : array with the shape of ``block.thetas`` (summed over batch).
     input_grad : (batch, n_qubits) gradient with respect to the raw inputs,
-        obtained by shifting the encoding angles and applying the chain rule
-        of the arctan encoding.
+        from the per-row encoding-angle gradients and the chain rule of the
+        arctan encoding.
     """
     inputs = _check_inputs(block, inputs, batched=True)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -339,55 +345,22 @@ def vqc_gradients_batch(
 
     n, layers = block.n_qubits, block.n_layers
     batch = inputs.shape[0]
-    enc_ry0, enc_rz0 = encoding_angles(inputs)
+    psi, gates = _run_block(block, inputs)
+    # rows [:batch] hold psi and rows [batch:] lambda, so one kernel call moves both
+    pair = np.concatenate([psi, psi * (upstream @ _z_signs(n))])
+    grad = np.empty((batch, 2 + 3 * layers, n))  # per row: d/d(angle slot, qubit)
+    for kind, q, angle, slot in reversed(gates):
+        if kind != "cnot":
+            kicked = _apply_rotation(pair[:batch], n, kind, q, np.pi)
+            lam = pair[batch:]
+            grad[:, slot, q] = np.sum(lam.real * kicked.real + lam.imag * kicked.imag, axis=1)
+            angle = -np.concatenate([angle, angle]) if np.ndim(angle) else -angle
+        pair = _apply_block_gate(pair, n, kind, q, angle)
 
-    theta_blocks = [("theta", l, q, k) for l in range(layers) for q in range(n) for k in range(3)]
-    enc_blocks = [("enc", q, slot) for slot in (0, 1) for q in range(n)]
-    blocks = theta_blocks + enc_blocks
-
-    theta_grad = np.zeros_like(block.thetas)
-    enc_grad = np.zeros((2, batch, n))  # slot 0 = RY encoding angle, 1 = RZ
-
-    chunk = max(1, max_rows // (2 * batch))
-    for start in range(0, len(blocks), chunk):
-        part = blocks[start : start + chunk]
-        rows = 2 * len(part) * batch
-        enc_ry = np.tile(enc_ry0, (2 * len(part), 1))
-        enc_rz = np.tile(enc_rz0, (2 * len(part), 1))
-        shifted_theta: dict[tuple[int, int, int], np.ndarray] = {}
-        for i, blk in enumerate(part):
-            plus = slice(2 * i * batch, 2 * i * batch + batch)
-            minus = slice(2 * i * batch + batch, 2 * (i + 1) * batch)
-            if blk[0] == "theta":
-                _, l, q, k = blk
-                angle = np.full(rows, block.thetas[l, q, k])
-                angle[plus] += _SHIFT
-                angle[minus] -= _SHIFT
-                shifted_theta[(l, q, k)] = angle
-            else:
-                _, q, slot = blk
-                target = enc_ry if slot == 0 else enc_rz
-                target[plus, q] += _SHIFT
-                target[minus, q] -= _SHIFT
-
-        def theta_of(l, q, k):
-            return shifted_theta.get((l, q, k), block.thetas[l, q, k])
-
-        amps = _run_block(block, enc_ry, enc_rz, theta_of)
-        z = _z_expectations(amps, n).reshape(len(part), 2, batch, n)
-        # (parts, batch): contraction of the +/- difference with the upstream
-        contrib = np.einsum("pbq,bq->pb", (z[:, 0] - z[:, 1]) * 0.5, upstream)
-        for i, blk in enumerate(part):
-            if blk[0] == "theta":
-                _, l, q, k = blk
-                theta_grad[l, q, k] = contrib[i].sum()
-            else:
-                _, q, slot = blk
-                enc_grad[slot, :, q] = contrib[i]
-
+    theta_grad = grad[:, 2:].sum(axis=0).reshape(layers, 3, n).transpose(0, 2, 1)
     # chain rule through the encoding: a = arctan(x), b = arctan(x^2)
     x = inputs
-    input_grad = enc_grad[0] / (1.0 + x * x) + enc_grad[1] * (2.0 * x) / (1.0 + x**4)
+    input_grad = grad[:, 0] / (1.0 + x * x) + grad[:, 1] * (2.0 * x) / (1.0 + x**4)
     return theta_grad, input_grad
 
 

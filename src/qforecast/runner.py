@@ -28,7 +28,7 @@ from .ensemble import (
     finalize_weights,
     weights_from_predictions,
 )
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, NumericDivergenceError
 from .metrics import (
     ForecastResult,
     SequencePredictor,
@@ -184,11 +184,15 @@ def evaluate_ensemble(dataset: Dataset, models, weights, architecture: str) -> t
 
 
 def _train_all(dataset: Dataset, pairs, master_seed: int, memo: dict, jobs: int) -> list:
-    """Train each (model index, configuration) pair, on ``jobs`` threads if > 1."""
+    """Train each (model index, configuration) pair, on ``jobs`` threads if > 1;
+    a pair whose training diverges yields its NumericDivergenceError instead."""
 
     def one(pair):
         model_index, config = pair
-        return train_base_model(dataset, config, model_index, master_seed, memo=memo)
+        try:
+            return train_base_model(dataset, config, model_index, master_seed, memo=memo)
+        except NumericDivergenceError as exc:
+            return exc
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -206,6 +210,9 @@ def run_genhyb_ensemble(dataset: Dataset, configs, master_seed: int, *,
     """
     memo = {} if memo is None else memo
     base_runs = _train_all(dataset, list(enumerate(configs)), master_seed, memo, jobs)
+    for run in base_runs:
+        if isinstance(run, NumericDivergenceError):
+            raise run
     val_y = validation_targets(dataset, [cfg.sequence_length for cfg in configs])
     val_preds = np.vstack([run.val_predictions for run in base_runs])
     state = weights_from_predictions(val_y, val_preds, lam=lam, gamma=gamma, nu=nu)
@@ -232,17 +239,19 @@ def run_boq_ensemble(dataset: Dataset, ksets: list, master_seed: int, *,
         seqs.append(lengths.pop())
     val_y = validation_targets(dataset, seqs)
 
-    if jobs > 1:  # train every candidate up front; the enumeration then reads the memo
-        _train_all(dataset, [(m, cfg) for m, kset in enumerate(ksets) for cfg in kset.configs],
-                   master_seed, memo, jobs)
+    # every distinct candidate trains once, up front; the enumeration reads the outcomes
+    pairs = list(dict.fromkeys((m, cfg) for m, kset in enumerate(ksets) for cfg in kset.configs))
+    outcomes = dict(zip(pairs, _train_all(dataset, pairs, master_seed, memo, jobs)))
 
     def predict_fn(model_index: int, config: HyperConfig) -> np.ndarray:
-        run = train_base_model(dataset, config, model_index, master_seed, memo=memo)
+        run = outcomes[(model_index, config)]
+        if isinstance(run, NumericDivergenceError):
+            raise run  # the enumeration scores the tuple +inf
         return run.val_predictions
 
     enumeration = enumerate_ensembles(ksets, predict_fn, val_y, lam=lam, gamma=gamma, nu=nu)
     winner = enumeration.best
-    base_runs = _train_all(dataset, list(enumerate(winner.configs)), master_seed, memo, 1)
+    base_runs = [outcomes[pair] for pair in enumerate(winner.configs)]
     rows, forecasts = evaluate_ensemble(dataset, [run.triple for run in base_runs],
                                         winner.weights, "bo-q")
     return EnsembleRun("bo-q", base_runs, winner.state, winner.weights, rows, forecasts,

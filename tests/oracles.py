@@ -28,10 +28,8 @@ DENSE_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def place_single(gate2x2, target, n):
-    mat = np.eye(1, dtype=complex)
-    for q in range(n - 1, -1, -1):
-        mat = np.kron(mat, gate2x2 if q == target else np.eye(2, dtype=complex))
-    return mat
+    high = np.eye(2 ** (n - 1 - target), dtype=complex)
+    return np.kron(np.kron(high, gate2x2), np.eye(2**target, dtype=complex))
 
 
 def dense_cnot(control, target, n):
@@ -45,10 +43,16 @@ def dense_cnot(control, target, n):
 
 def dense_block_unitary(n_qubits, n_layers, thetas, x):
     """Full unitary of the variational block for input vector ``x``."""
+    x = np.asarray(x, dtype=float)
+    return dense_angle_unitary(n_qubits, n_layers, thetas, np.arctan(x), np.arctan(x**2))
+
+
+def dense_angle_unitary(n_qubits, n_layers, thetas, enc_ry, enc_rz):
+    """Full unitary of the variational block given its encoding angles."""
     ops = []
     for q in range(n_qubits):
-        ops.append(place_single(dense_rotation("ry", np.arctan(x[q])), q, n_qubits))
-        ops.append(place_single(dense_rotation("rz", np.arctan(x[q] ** 2)), q, n_qubits))
+        ops.append(place_single(dense_rotation("ry", enc_ry[q]), q, n_qubits))
+        ops.append(place_single(dense_rotation("rz", enc_rz[q]), q, n_qubits))
     for layer in range(n_layers):
         if n_qubits >= 2:
             for q in range(n_qubits):
@@ -62,15 +66,56 @@ def dense_block_unitary(n_qubits, n_layers, thetas, x):
     return unitary
 
 
-def dense_vqc_expectations(n_qubits, n_layers, thetas, x):
-    """<Z_q> readout computed from the dense unitary applied to |0...0>."""
-    psi = dense_block_unitary(n_qubits, n_layers, thetas, x)[:, 0]
+def dense_z_readout(psi, n_qubits):
+    """<Z_q> of every qubit of the state vector ``psi``."""
     probs = np.abs(psi) ** 2
     out = np.empty(n_qubits)
     for q in range(n_qubits):
         signs = np.array([1.0 if ((j >> q) & 1) == 0 else -1.0 for j in range(2**n_qubits)])
         out[q] = float(probs @ signs)
     return out
+
+
+def dense_vqc_expectations(n_qubits, n_layers, thetas, x):
+    """<Z_q> readout computed from the dense unitary applied to |0...0>."""
+    return dense_z_readout(dense_block_unitary(n_qubits, n_layers, thetas, x)[:, 0], n_qubits)
+
+
+# ---------------------------------------------------------------------------
+# Parameter-shift gradients (Schuld et al., arXiv:1811.11184) on the dense
+# oracle: for every rotation angle, d<O>/dangle = (<O>(angle + pi/2) -
+# <O>(angle - pi/2)) / 2, one angle and one input row at a time.
+# ---------------------------------------------------------------------------
+
+
+def parameter_shift_gradients(block, inputs, upstream):
+    """(theta_grad, input_grad) of ``sum_b upstream_b . output_b``, as
+    ``qforecast.quantum.vqc_gradients_batch`` returns them."""
+    n, layers = block.n_qubits, block.n_layers
+    inputs = np.asarray(inputs, dtype=float)
+    theta_grad = np.zeros_like(block.thetas)
+    input_grad = np.zeros_like(inputs)
+    shift = np.pi / 2
+    for b, (x, u) in enumerate(zip(inputs, upstream)):
+
+        def value(thetas, enc_ry, enc_rz):
+            psi = dense_angle_unitary(n, layers, thetas, enc_ry, enc_rz)[:, 0]
+            return float(u @ dense_z_readout(psi, n))
+
+        enc = [np.arctan(x), np.arctan(x * x)]
+        for idx in np.ndindex(block.thetas.shape):
+            plus, minus = block.thetas.copy(), block.thetas.copy()
+            plus[idx] += shift
+            minus[idx] -= shift
+            theta_grad[idx] += (value(plus, *enc) - value(minus, *enc)) / 2
+        for slot, d_angle_dx in enumerate([1 / (1 + x * x), 2 * x / (1 + x**4)]):
+            for q in range(n):
+                plus, minus = [a.copy() for a in enc], [a.copy() for a in enc]
+                plus[slot][q] += shift
+                minus[slot][q] -= shift
+                d_angle = (value(block.thetas, *plus) - value(block.thetas, *minus)) / 2
+                input_grad[b, q] += d_angle * d_angle_dx[q]
+    return theta_grad, input_grad
 
 
 # ---------------------------------------------------------------------------

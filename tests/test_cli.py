@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qforecast.cli import main
-from qforecast.data import prepare_dataset, save_dataset, synth_series
+from qforecast.data import load_dataset, prepare_dataset, save_dataset, synth_series
 from qforecast.qlstm import HyperConfig, PersistenceModel, init_classical_lstm, init_qlstm
 from qforecast.runner import save_ensemble_checkpoint
 
@@ -57,6 +57,7 @@ def test_bad_csv_is_data_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("date,bad\n")
     assert run_cli("preprocess", "--run", tmp_path / "r", "--csv", bad) == 3
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00\x81"], ids=["missing", "binary"])
@@ -66,6 +67,7 @@ def test_unreadable_csv_is_data_error(tmp_path, capsys, content):
         path.write_bytes(content)
     assert run_cli("preprocess", "--run", tmp_path / "r", "--csv", path) == 3
     assert capsys.readouterr().err.startswith("data error:")
+    assert not (tmp_path / "r").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +96,24 @@ def test_bayes_tune_persists_k_best(prepared_run):
         payload = json.loads((prepared_run / "tune-bayes" / f"kbest_seq{seq}.json").read_text())
         assert len(payload["configs"]) == 2
         assert payload["scores"] == sorted(payload["scores"])
+
+
+def test_forced_tune_leaves_no_stale_artifacts(prepared_run, tmp_path):
+    import shutil
+
+    run_dir = tmp_path / "force"
+    run_dir.mkdir()
+    shutil.copy(prepared_run / "dataset.npz", run_dir / "dataset.npz")
+    tune = ("tune", "--run", run_dir, "--tuner", "hybrid", "--budget", 4,
+            "--probe-epochs", 1, "--max-qubits", 2, "--max-layers", 1, "--seq")
+    assert run_cli(*tune, 3, 5) == 0
+    out = run_dir / "tune-hybrid"
+    (out / "notes.txt").write_text("not an artifact")
+    assert run_cli(*tune, 3, "--force") == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "best_config_seq3.json", "manifest.json", "notes.txt", "trace_seq3.jsonl"]
+    # the ensemble no longer finds a tuned configuration for sequence length 5
+    assert run_cli("ensemble", "--run", run_dir, "--arch", "genhyb", "--seq", 3, 5) == 2
 
 
 def test_unknown_tuner_is_usage_error(prepared_run):
@@ -302,6 +322,37 @@ def test_rerun_verifies_identical_outputs(genhyb_run, capsys):
     assert "metrics.json: identical" in out
     assert "checkpoint.npz: identical" in out
     assert "DIFFERS" not in out
+
+
+def test_rerun_acts_on_the_copied_run(genhyb_run, tmp_path, capsys):
+    import shutil
+
+    def snapshot(root):
+        return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    original = snapshot(genhyb_run)
+    copy = tmp_path / "copy"
+    shutil.copytree(genhyb_run, copy)
+    assert run_cli("rerun", "--manifest", copy / "ensemble-genhyb" / "manifest.json") == 0
+    assert "DIFFERS" not in capsys.readouterr().out
+    assert snapshot(genhyb_run) == original
+
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    shutil.copy(genhyb_run / "dataset.npz", fresh / "dataset.npz")
+    assert run_cli("rerun", "--manifest", copy / "ensemble-genhyb" / "manifest.json",
+                   "--run", fresh) == 0
+    assert "DIFFERS" not in capsys.readouterr().out
+    assert (fresh / "ensemble-genhyb" / "checkpoint.npz").read_bytes() == \
+        (genhyb_run / "ensemble-genhyb" / "checkpoint.npz").read_bytes()
+
+    # a tampered input in the copy changes what the re-execution produces
+    dataset = load_dataset(copy / "dataset.npz")
+    dataset.train_matrix[:, 0] += 0.01
+    save_dataset(copy / "dataset.npz", dataset)
+    assert run_cli("rerun", "--manifest", copy / "ensemble-genhyb" / "manifest.json") == 2
+    assert "checkpoint.npz: DIFFERS" in capsys.readouterr().out
+    assert snapshot(genhyb_run) == original
 
 
 def test_output_root_env_rebases_relative_runs(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qforecast.errors import InvalidGateError, ShapeError
 from qforecast.quantum import (
@@ -16,7 +18,7 @@ from qforecast.quantum import (
     zero_state,
 )
 
-from oracles import central_difference, dense_vqc_expectations
+from oracles import central_difference, dense_vqc_expectations, parameter_shift_gradients
 
 
 def random_block(rng, max_qubits=4, max_layers=2):
@@ -142,7 +144,7 @@ def test_input_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# Parameter-shift gradients
+# Gradients
 # ---------------------------------------------------------------------------
 
 
@@ -205,12 +207,30 @@ def test_batched_gradient_sums_over_batch():
         np.testing.assert_allclose(input_grad[i], vqc_input_gradient(block, xs[i], ups[i]), atol=1e-10)
 
 
-def test_gradient_chunking_is_transparent():
-    rng = np.random.default_rng(29)
-    block = VQCBlock.random(3, 2, rng)
-    xs = rng.normal(size=(4, 3))
-    ups = rng.normal(size=(4, 3))
-    full = vqc_gradients_batch(block, xs, ups)
-    tiny = vqc_gradients_batch(block, xs, ups, max_rows=16)
-    np.testing.assert_allclose(full[0], tiny[0], atol=1e-12)
-    np.testing.assert_allclose(full[1], tiny[1], atol=1e-12)
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(n=st.integers(1, 4), layers=st.integers(1, 3), batch=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_adjoint_gradients_match_shift_and_dense_oracles(n, layers, batch, seed):
+    rng = np.random.default_rng(seed)
+    block = VQCBlock.random(n, layers, rng)
+    xs = rng.normal(size=(batch, n))
+    ups = rng.normal(size=(batch, n))
+    theta_grad, input_grad = vqc_gradients_batch(block, xs, ups)
+
+    shift_theta, shift_input = parameter_shift_gradients(block, xs, ups)
+    scale = max(1.0, np.abs(shift_theta).max(), np.abs(shift_input).max())
+    np.testing.assert_allclose(theta_grad, shift_theta, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(input_grad, shift_input, rtol=0, atol=1e-12 * scale)
+
+    def dense_loss(thetas, inputs, upstream=ups):
+        return sum(float(u @ dense_vqc_expectations(n, layers, thetas, x))
+                   for x, u in zip(inputs, upstream))
+
+    fd_theta = central_difference(lambda t: dense_loss(t, xs), block.thetas, h=1e-5)
+    # each row's output depends on that row's input only
+    fd_input = np.array([
+        central_difference(lambda x: dense_loss(block.thetas, [x], [u]), x_row, h=1e-6)
+        for x_row, u in zip(xs, ups)
+    ])
+    np.testing.assert_allclose(theta_grad, fd_theta, rtol=1e-4, atol=1e-8)
+    np.testing.assert_allclose(input_grad, fd_input, rtol=1e-4, atol=1e-8)

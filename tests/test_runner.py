@@ -90,6 +90,32 @@ def test_boq_reuses_shared_trainings(small_dataset):
     assert [r["model"] for r in run.metrics_rows][-1] == "bo-q-ensemble"
 
 
+def test_boq_diverged_candidate_scores_inf_under_every_jobs(small_dataset, monkeypatch):
+    from qforecast import runner
+    from qforecast.bayesopt import KBestSet
+
+    trainings = []
+    real_train = runner.train
+
+    def counting_train(*args, **kwargs):
+        trainings.append(args[1])
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "train", counting_train)
+    ksets = [
+        KBestSet(0, [small_config(3), small_config(3, learning_rate=1e300)], [0.0, 1.0]),
+        KBestSet(1, [small_config(5), small_config(5, learning_rate=0.03)], [0.0, 1.0]),
+    ]
+    objectives = []
+    for jobs in (1, 2):
+        trainings.clear()
+        run = run_boq_ensemble(small_dataset, ksets, 11, jobs=jobs)
+        assert len(trainings) == 4  # once per distinct (model, config) pair
+        objectives.append(run.enumeration.objectives)
+    assert objectives[0] == objectives[1]
+    assert objectives[0][2:] == [float("inf")] * 2 and max(objectives[0][:2]) < float("inf")
+
+
 def test_ensemble_checkpoint_round_trip(tmp_path, small_dataset):
     configs = [small_config(3), small_config(5)]
     run = run_genhyb_ensemble(small_dataset, configs, 13)
