@@ -32,7 +32,7 @@ from .data import (
     synth_series,
     write_csv,
 )
-from .ensemble import weight_history_tsv
+from .ensemble import check_weight_params, weight_history_tsv
 from .errors import (
     CheckpointVersionError,
     ConfigurationError,
@@ -337,6 +337,11 @@ def _kbest_sets(run_dir: Path, seqs, options: dict) -> list | None:
 
 
 def cmd_ensemble(options: dict) -> int:
+    nu = options.get("nu")
+    nu = int(nu) if nu is not None else None
+    kwargs = dict(lam=float(options["lam"]), gamma=float(options["gamma"]), nu=nu,
+                  jobs=int(options["jobs"]))
+    check_weight_params(kwargs["lam"], kwargs["gamma"], nu)
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     arch = options["arch"]
@@ -344,10 +349,6 @@ def cmd_ensemble(options: dict) -> int:
     timer = StageTimer()
     seed = int(options["seed"])
     seqs = [int(s) for s in options["seq"]]
-    nu = options.get("nu")
-    nu = int(nu) if nu is not None else None
-    kwargs = dict(lam=float(options["lam"]), gamma=float(options["gamma"]), nu=nu,
-                  jobs=int(options["jobs"]))
 
     with timer.time("train_and_combine"):
         if arch == "genhyb":

@@ -3,8 +3,9 @@
 Weights evolve over a sequence of per-model absolute prediction errors:
 at each step k the discounted error memory
 
-    eps_m(k) = sum_{t=k-nu+1..k} gamma^(k-t) * e_m(t)
+    eps_m(k) = sum_{t=max(1, k-nu+1)..k} gamma^(k-t) * e_m(t)
 
+covers the last ``nu`` steps that exist (``nu=None`` covers all of them),
 is inverted and normalized across models into an increment
 
     delta_m(k) = (1/eps_m(k)) / sum_n (1/eps_n(k)),
@@ -12,12 +13,17 @@ is inverted and normalized across models into an increment
 and the running weights move by w_m <- w_m + lambda * delta_m(k).  After the
 last step the accumulated weights are normalized onto the probability
 simplex.  A forgetting factor gamma < 1 makes recent errors count more.
+
+``evolve_weights`` computes every step in one pass: the full-history memory
+is the recursion eps_m(k) = gamma * eps_m(k-1) + e_m(k), a window of ``nu``
+is one convolution per model with the taps gamma^0..gamma^(nu-1), and the
+weights are the running sum of the increments.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +40,8 @@ def _check_errors(errors: np.ndarray) -> np.ndarray:
     errors = np.asarray(errors, dtype=float)
     if errors.ndim != 2:
         raise ShapeError("errors must be (n_models, n_steps)")
+    if errors.shape[0] < 1:
+        raise ConfigurationError("need at least one model")
     if not np.all(np.isfinite(errors)):
         raise NumericError("error series contains non-finite values")
     if np.any(errors < 0):
@@ -41,81 +49,65 @@ def _check_errors(errors: np.ndarray) -> np.ndarray:
     return errors
 
 
-def exp_smoothed_error(errors, m: int, k: int, gamma: float = DEFAULT_GAMMA, nu: int | None = None) -> float:
-    """Discounted error memory of model ``m`` at (1-indexed) step ``k``.
-
-    ``nu`` is the window length; ``None`` uses the full history (nu = k).
-    A zero result is floored to 1e-12 so the inversion stays finite.
-    """
-    errors = _check_errors(errors)
-    if not 1 <= k <= errors.shape[1]:
-        raise ConfigurationError(f"step k={k} outside 1..{errors.shape[1]}")
-    window = k if nu is None else nu
-    if not 1 <= window <= k:
-        raise ConfigurationError(f"window nu={window} must satisfy 1 <= nu <= k={k}")
-    ts = np.arange(k - window + 1, k + 1)  # 1-indexed step numbers
-    discounts = gamma ** (k - ts)
-    value = float(discounts @ errors[m, ts - 1])
-    if value <= 0.0:
-        logger.warning("zero smoothed error for model %d at step %d; flooring to %g", m, k, ERROR_FLOOR)
-        return ERROR_FLOOR
-    return value
-
-
-def smoothed_errors_at(errors, k: int, gamma: float = DEFAULT_GAMMA, nu: int | None = None) -> np.ndarray:
-    errors = _check_errors(errors)
-    return np.array([exp_smoothed_error(errors, m, k, gamma, nu) for m in range(errors.shape[0])])
+def check_weight_params(lam: float, gamma: float, nu: int | None) -> None:
+    """Reject a step size, forgetting factor or window outside its range:
+    lambda finite and >= 0, 0 <= gamma <= 1, nu None or an integer >= 1."""
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ConfigurationError(f"lambda={lam} must be finite and >= 0")
+    if not 0 <= gamma <= 1:
+        raise ConfigurationError(f"gamma={gamma} must satisfy 0 <= gamma <= 1")
+    if nu is not None and not (isinstance(nu, (int, np.integer)) and nu >= 1):
+        raise ConfigurationError(f"window nu={nu} must be None or an integer >= 1")
 
 
 @dataclass
 class EnsembleWeights:
-    """Running combination weights plus the step history that produced them."""
+    """Accumulated weights plus the per-step history that produced them."""
 
-    n_models: int
     weights: np.ndarray
-    lam: float = DEFAULT_LAMBDA
-    gamma: float = DEFAULT_GAMMA
-    nu: int | None = None  # None = full history
-    history: list = field(default_factory=list)  # one weight vector per update
-    eps_history: list = field(default_factory=list)
+    history: np.ndarray  # (n_steps, n_models) weights after each step
+    eps_history: np.ndarray  # (n_steps, n_models) floored smoothed errors
 
-    @classmethod
-    def uniform(cls, n_models: int, lam: float = DEFAULT_LAMBDA, gamma: float = DEFAULT_GAMMA,
-                nu: int | None = None) -> "EnsembleWeights":
-        if n_models < 1:
-            raise ConfigurationError("need at least one model")
-        return cls(n_models=n_models, weights=np.full(n_models, 1.0 / n_models),
-                   lam=lam, gamma=gamma, nu=nu)
+    @property
+    def n_models(self) -> int:
+        return len(self.weights)
 
     @property
     def steps_taken(self) -> int:
         return len(self.history)
 
 
-def weight_update(weights: EnsembleWeights, errors, k: int) -> EnsembleWeights:
-    """Apply one increment at step ``k``; returns ``weights`` with history appended."""
-    errors = _check_errors(errors)
-    if errors.shape[0] != weights.n_models:
-        raise ShapeError(f"expected {weights.n_models} error rows, got {errors.shape[0]}")
-    eps = smoothed_errors_at(errors, k, weights.gamma, weights.nu)
-    if not np.all(np.isfinite(eps)):
-        raise NumericError("non-finite smoothed error")
-    inv = 1.0 / eps
-    delta = inv / inv.sum()
-    weights.weights = weights.weights + weights.lam * delta
-    weights.history.append(weights.weights.copy())
-    weights.eps_history.append(eps)
-    return weights
-
-
 def evolve_weights(errors, lam: float = DEFAULT_LAMBDA, gamma: float = DEFAULT_GAMMA,
                    nu: int | None = None) -> EnsembleWeights:
-    """Run the update over every step of an error series (k = 1..T)."""
+    """Run the update over every step of an (n_models, n_steps) error series."""
+    check_weight_params(lam, gamma, nu)
     errors = _check_errors(errors)
-    state = EnsembleWeights.uniform(errors.shape[0], lam=lam, gamma=gamma, nu=nu)
-    for k in range(1, errors.shape[1] + 1):
-        weight_update(state, errors, k)
-    return state
+    n_models, n_steps = errors.shape
+    eps = np.empty((n_steps, n_models))
+    if nu is None or nu >= n_steps:  # the window holds every step
+        # on Python floats: one numpy call per step would cost ~15x more
+        for m, row in enumerate(errors):
+            memory, column = 0.0, []
+            for error in row.tolist():
+                memory = gamma * memory + error
+                column.append(memory)
+            eps[:, m] = column
+    else:
+        taps = gamma ** np.arange(nu)
+        for m, row in enumerate(errors):
+            eps[:, m] = np.convolve(row, taps)[:n_steps]
+    if not np.all(np.isfinite(eps)):
+        raise NumericError("non-finite smoothed error")
+    floored = eps <= 0.0  # only an all-zero window sums to zero
+    if floored.any():
+        logger.warning("%d zero smoothed errors; flooring each to %g",
+                       int(floored.sum()), ERROR_FLOOR)
+        eps[floored] = ERROR_FLOOR
+    inv = 1.0 / eps
+    delta = inv / inv.sum(axis=1, keepdims=True)
+    steps = np.vstack([np.full((1, n_models), 1.0 / n_models), lam * delta])
+    history = np.cumsum(steps, axis=0)
+    return EnsembleWeights(weights=history[-1].copy(), history=history[1:], eps_history=eps)
 
 
 def finalize_weights(weights: EnsembleWeights) -> np.ndarray:

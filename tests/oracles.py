@@ -177,3 +177,38 @@ def expected_improvement_oracle(mean, var, best):
     ei[pos] = (best - mean[pos]) * norm.cdf(z) + sd[pos] * norm.pdf(z)
     ei[~pos] = np.maximum(best - mean[~pos], 0.0)
     return np.maximum(ei, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Adaptive ensemble weights, one model and one step at a time.
+# ---------------------------------------------------------------------------
+
+
+def loop_oracle(errors, lam, gamma, nu=None):
+    """Straight-line reimplementation of the weight evolution equations.
+
+    Each eps_m(k) is summed afresh over its window t = max(1, k-nu+1)..k and
+    a zero sum is floored to 1e-12.  Returns the final simplex weights, the
+    accumulated weights after each step and the floored eps of each step,
+    the last two as (n_steps, n_models) arrays.
+    """
+    n_models, n_steps = errors.shape
+    w = [1.0 / n_models] * n_models
+    history, eps_history = [], []
+    for k in range(1, n_steps + 1):
+        first = 1 if nu is None else max(1, k - nu + 1)
+        eps = []
+        for m in range(n_models):
+            total = 0.0
+            for t in range(first, k + 1):
+                total += gamma ** (k - t) * errors[m, t - 1]
+            eps.append(total if total > 0.0 else 1e-12)
+        inv_sum = sum(1.0 / e for e in eps)
+        for m in range(n_models):
+            w[m] = w[m] + lam * (1.0 / eps[m]) / inv_sum
+        history.append(list(w))
+        eps_history.append(eps)
+    total = sum(w)
+    final = np.array([wi / total for wi in w])
+    shape = (n_steps, n_models)
+    return final, np.array(history).reshape(shape), np.array(eps_history).reshape(shape)

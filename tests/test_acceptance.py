@@ -46,7 +46,7 @@ from qforecast.runner import (
     validation_targets,
 )
 
-from oracles import central_difference, dense_vqc_expectations
+from oracles import central_difference, dense_vqc_expectations, loop_oracle
 from test_quantum import random_gate
 
 
@@ -209,8 +209,6 @@ def test_criterion_4_gp_ei_correctness():
 
 def test_criterion_5_ensemble_math():
     with Criterion(5, "adaptive weight equations and simplex constraint", 60.0):
-        from test_ensemble import loop_oracle
-
         rng = np.random.default_rng(500)
         # loop-oracle agreement
         for _ in range(50):
@@ -218,7 +216,7 @@ def test_criterion_5_ensemble_math():
             steps = int(rng.integers(1, 25))
             errors = rng.uniform(0.01, 4.0, size=(n_models, steps))
             got = finalize_weights(evolve_weights(errors, lam=0.85, gamma=0.85))
-            want = loop_oracle(errors, lam=0.85, gamma=0.85)
+            want, _, _ = loop_oracle(errors, lam=0.85, gamma=0.85)
             np.testing.assert_allclose(got, want, atol=1e-12)
         # simplex constraint over 1000 random error histories
         for _ in range(1000):

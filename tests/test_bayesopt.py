@@ -19,7 +19,7 @@ from qforecast.errors import ConfigurationError, NumericDivergenceError
 from qforecast.hyperspace import SearchSpace
 from qforecast.qlstm import HyperConfig
 
-from oracles import expected_improvement_oracle, gp_posterior_oracle
+from oracles import expected_improvement_oracle, gp_posterior_oracle, loop_oracle
 
 SIN_X = np.array([[0.05], [0.3], [0.5], [0.75], [0.95]])
 SIN_Y = np.sin(6 * SIN_X[:, 0])
@@ -276,6 +276,29 @@ def test_enumeration_matches_independent_brute_force():
                 best_obj, best_combo = obj, (c0, c1)
     assert result.best.objective == best_obj
     assert result.best.configs == best_combo
+
+
+def test_windowed_enumeration_matches_loop_oracle():
+    # a window longer than the first steps: the weights come from t = max(1, k-2)..k
+    rng = np.random.default_rng(4)
+    targets = rng.normal(size=30)
+    ksets = [
+        KBestSet(0, [_mk_config(0.01), _mk_config(0.02)], [1.0, 2.0]),
+        KBestSet(1, [_mk_config(0.01, 5), _mk_config(0.03, 5)], [1.5, 2.5]),
+    ]
+    predict = _fake_predictor(targets, rng)
+    result = enumerate_ensembles(ksets, predict, targets, lam=0.85, gamma=0.85, nu=3)
+    assert result.n_tuples == 4
+    objectives = []
+    for c0 in ksets[0].configs:
+        for c1 in ksets[1].configs:
+            preds = np.vstack([predict(0, c0), predict(1, c1)])
+            weights, _, _ = loop_oracle(np.abs(preds - targets), lam=0.85, gamma=0.85, nu=3)
+            objectives.append(float(np.mean((weights @ preds - targets) ** 2)))
+    np.testing.assert_allclose(result.objectives, objectives, rtol=1e-12, atol=0)
+    best = int(np.argmin(objectives))
+    assert result.best.configs == (ksets[0].configs[best // 2], ksets[1].configs[best % 2])
+    assert result.best.state.steps_taken == 30
 
 
 def test_failed_tuples_are_skipped():

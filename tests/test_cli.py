@@ -183,6 +183,20 @@ def test_ensemble_without_tuned_configs_names_prerequisite(prepared_run, capsys)
     assert "tune" in err and "--tuner bayes" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--gamma", 1.5), ("--nu", 0)])
+def test_out_of_range_weight_params_exit_before_training(prepared_run, tmp_path, capsys,
+                                                          flag, value):
+    import shutil
+
+    run_dir = tmp_path / "params"
+    run_dir.mkdir()
+    shutil.copy(prepared_run / "dataset.npz", run_dir / "dataset.npz")
+    assert run_cli("ensemble", "--run", run_dir, "--arch", "genhyb", "--inline",
+                   flag, value) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (run_dir / "ensemble-genhyb").exists()
+
+
 def test_ensemble_refuses_overwrite(genhyb_run):
     assert run_cli(
         "ensemble", "--run", genhyb_run, "--arch", "genhyb", "--inline", "--epochs", 2,

@@ -1,39 +1,33 @@
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qforecast.ensemble import (
-    EnsembleWeights,
     combine_predictions,
     evolve_weights,
-    exp_smoothed_error,
     finalize_weights,
-    smoothed_errors_at,
     weight_history_tsv,
-    weight_update,
     weights_from_predictions,
 )
 from qforecast.errors import ConfigurationError, NumericError, ShapeError
 
+from oracles import loop_oracle
 
-def loop_oracle(errors, lam, gamma, nu=None):
-    """Straight-line reimplementation of the weight evolution equations."""
-    n_models, n_steps = errors.shape
-    w = [1.0 / n_models] * n_models
-    for k in range(1, n_steps + 1):
-        window = k if nu is None else nu
-        eps = []
-        for m in range(n_models):
-            total = 0.0
-            for t in range(k - window + 1, k + 1):
-                total += gamma ** (k - t) * errors[m, t - 1]
-            eps.append(max(total, 1e-12))
-        inv_sum = sum(1.0 / e for e in eps)
-        for m in range(n_models):
-            w[m] = w[m] + lam * (1.0 / eps[m]) / inv_sum
-    total = sum(w)
-    return np.array([wi / total for wi in w])
+
+def assert_matches_oracle(errors, lam, gamma, nu=None):
+    """Final weights, per-step weights and per-step eps agree with the loop."""
+    state = evolve_weights(errors, lam=lam, gamma=gamma, nu=nu)
+    final, history, eps_history = loop_oracle(errors, lam=lam, gamma=gamma, nu=nu)
+    np.testing.assert_allclose(finalize_weights(state), final, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(state.history, history, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(state.eps_history, eps_history, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -43,35 +37,64 @@ def loop_oracle(errors, lam, gamma, nu=None):
 
 def test_gamma_one_is_plain_sum():
     errors = np.array([[1.0, 2.0, 3.0, 4.0]])
-    assert exp_smoothed_error(errors, 0, 4, gamma=1.0) == pytest.approx(10.0, abs=1e-14)
+    eps = evolve_weights(errors, gamma=1.0).eps_history[:, 0]
+    np.testing.assert_allclose(eps, [1.0, 3.0, 6.0, 10.0], rtol=0, atol=1e-14)
 
 
 def test_two_term_hand_expansion():
     errors = np.array([[1.0, 1.0]])
-    assert exp_smoothed_error(errors, 0, 2, gamma=0.85, nu=2) == pytest.approx(1.85, abs=1e-14)
+    eps = evolve_weights(errors, gamma=0.85, nu=2).eps_history[:, 0]
+    np.testing.assert_allclose(eps, [1.0, 1.85], rtol=0, atol=1e-14)
 
 
 def test_smoothed_error_matches_naive_loop():
     rng = np.random.default_rng(0)
     errors = rng.uniform(0.0, 3.0, size=(2, 10))
+    eps = evolve_weights(errors, gamma=0.85).eps_history
     for k in range(1, 11):
         for m in range(2):
             naive = sum(0.85 ** (k - t) * errors[m, t - 1] for t in range(1, k + 1))
-            got = exp_smoothed_error(errors, m, k, gamma=0.85)
-            assert got == pytest.approx(naive, abs=1e-14)
+            assert eps[k - 1, m] == pytest.approx(naive, abs=1e-14)
 
 
-def test_zero_error_is_floored():
-    errors = np.zeros((1, 3))
-    assert exp_smoothed_error(errors, 0, 2) == 1e-12
+def test_zero_error_is_floored(caplog):
+    errors = np.zeros((2, 3))
+    with caplog.at_level(logging.WARNING, logger="qforecast.ensemble"):
+        state = evolve_weights(errors)
+    np.testing.assert_array_equal(state.eps_history, np.full((3, 2), 1e-12))
+    # one warning for the whole call, counting every floored (step, model)
+    assert [r.getMessage() for r in caplog.records] == [
+        "6 zero smoothed errors; flooring each to 1e-12"
+    ]
 
 
 def test_window_bounds_checked():
     errors = np.ones((1, 5))
+    for nu in (0, -1, 2.5):
+        with pytest.raises(ConfigurationError):
+            evolve_weights(errors, nu=nu)
+
+
+@pytest.mark.parametrize("lam, gamma", [
+    (float("nan"), 0.85), (float("inf"), 0.85), (-0.1, 0.85),
+    (0.85, -0.9), (0.85, 1.5), (0.85, float("nan")),
+])
+def test_out_of_range_weight_params_raise(lam, gamma):
     with pytest.raises(ConfigurationError):
-        exp_smoothed_error(errors, 0, 2, nu=3)
-    with pytest.raises(ConfigurationError):
-        exp_smoothed_error(errors, 0, 9)
+        evolve_weights(np.ones((2, 4)), lam=lam, gamma=gamma)
+
+
+def test_window_covers_the_steps_that_exist():
+    # at k <= nu the window is t = 1..k, so the first steps equal full history
+    rng = np.random.default_rng(4)
+    errors = rng.uniform(0.05, 4.0, size=(3, 12))
+    full = evolve_weights(errors, gamma=0.85)
+    windowed = evolve_weights(errors, gamma=0.85, nu=5)
+    np.testing.assert_allclose(windowed.eps_history[:5], full.eps_history[:5], rtol=1e-12, atol=0)
+    for nu in (12, 13, 40):
+        windowed = evolve_weights(errors, gamma=0.85, nu=nu)
+        np.testing.assert_allclose(windowed.eps_history, full.eps_history, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(windowed.history, full.history, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,46 +105,55 @@ def test_window_bounds_checked():
 def test_identical_errors_give_symmetric_increments():
     rng = np.random.default_rng(1)
     row = rng.uniform(0.1, 2.0, size=12)
-    errors = np.vstack([row, row])
-    state = EnsembleWeights.uniform(2)
-    for k in range(1, 13):
-        weight_update(state, errors, k)
-        assert state.weights[0] == state.weights[1]
+    state = evolve_weights(np.vstack([row, row]))
+    assert state.history.shape == (12, 2)
+    for step_weights in state.history:
+        assert step_weights[0] == step_weights[1]
     np.testing.assert_array_equal(finalize_weights(state), [0.5, 0.5])
 
 
 def test_hand_computed_inverse_error_shares():
     # eps = [1, 2] at step 1 -> delta = [2/3, 1/3]
     errors = np.array([[1.0], [2.0]])
-    state = EnsembleWeights.uniform(2, lam=1.0)
-    weight_update(state, errors, 1)
-    np.testing.assert_allclose(state.weights, [0.5 + 2 / 3, 0.5 + 1 / 3], atol=1e-15)
+    state = evolve_weights(errors, lam=1.0)
+    np.testing.assert_allclose(state.history[0], [0.5 + 2 / 3, 0.5 + 1 / 3], atol=1e-15)
+    np.testing.assert_array_equal(state.weights, state.history[-1])
 
 
 def test_final_weights_match_loop_oracle():
     rng = np.random.default_rng(7)
     errors = rng.uniform(0.05, 4.0, size=(3, 20))
-    state = evolve_weights(errors, lam=0.85, gamma=0.85)
-    got = finalize_weights(state)
-    want = loop_oracle(errors, lam=0.85, gamma=0.85)
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    assert_matches_oracle(errors, lam=0.85, gamma=0.85)
 
 
 def test_windowed_evolution_matches_loop_oracle():
     rng = np.random.default_rng(8)
     errors = rng.uniform(0.05, 4.0, size=(4, 15))
-    state = evolve_weights(errors, lam=0.6, gamma=0.9, nu=1)
-    # nu=1 only looks at the current step, but nu must satisfy nu <= k, so
-    # the oracle uses the same fixed window
-    want = loop_oracle(errors, lam=0.6, gamma=0.9, nu=1)
-    np.testing.assert_allclose(finalize_weights(state), want, atol=1e-12)
+    # nu > k at the first steps, and nu >= T, clip the window at t = 1
+    for nu in (1, 3, 14, 15, 40):
+        assert_matches_oracle(errors, lam=0.6, gamma=0.9, nu=nu)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_evolution_matches_loop_oracle_with_zero_runs(data):
+    n_models = data.draw(st.integers(min_value=1, max_value=5))
+    n_steps = data.draw(st.integers(min_value=1, max_value=30))
+    nu = data.draw(st.none() | st.integers(min_value=1, max_value=n_steps + 5))
+    gamma = data.draw(st.sampled_from([0.0, 0.85, 1.0]))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    errors = rng.uniform(0.0, 5.0, size=(n_models, n_steps))
+    for row in errors:  # one run of exact zeros per row, possibly the whole row
+        start = rng.integers(0, n_steps)
+        row[start:start + rng.integers(0, n_steps + 1)] = 0.0
+    assert_matches_oracle(errors, lam=0.85, gamma=gamma, nu=nu)
 
 
 def test_non_finite_errors_raise():
-    errors = np.array([[1.0, np.nan], [1.0, 1.0]])
-    state = EnsembleWeights.uniform(2)
-    with pytest.raises(NumericError):
-        weight_update(state, errors, 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericError):
+            evolve_weights(np.array([[1.0, bad], [1.0, 1.0]]))
 
 
 def test_monotone_sensitivity():
@@ -142,9 +174,8 @@ def test_recency_never_helps_large_errors():
         worst_last = np.sort(series)  # largest error most recent
         for perm_seed in range(5):
             perm = np.random.default_rng(perm_seed).permutation(series)
-            k = 8
-            eps_perm = smoothed_errors_at(np.vstack([perm, other]), k, gamma=0.85)
-            eps_sorted = smoothed_errors_at(np.vstack([worst_last, other]), k, gamma=0.85)
+            eps_perm = evolve_weights(np.vstack([perm, other]), gamma=0.85).eps_history[-1]
+            eps_sorted = evolve_weights(np.vstack([worst_last, other]), gamma=0.85).eps_history[-1]
             delta_perm = (1 / eps_perm[0]) / (1 / eps_perm).sum()
             delta_sorted = (1 / eps_sorted[0]) / (1 / eps_sorted).sum()
             assert delta_sorted <= delta_perm + 1e-12
@@ -174,8 +205,10 @@ def test_finalized_weights_live_on_simplex(n_models, n_steps, seed):
 
 
 def test_finalize_requires_steps():
+    state = evolve_weights(np.zeros((2, 0)))
+    assert state.steps_taken == 0 and state.n_models == 2
     with pytest.raises(ConfigurationError):
-        finalize_weights(EnsembleWeights.uniform(2))
+        finalize_weights(state)
 
 
 # ---------------------------------------------------------------------------
@@ -225,3 +258,19 @@ def test_weight_history_export():
     lines = text.strip().split("\n")
     assert lines[0].split("\t") == ["step", "w_0", "w_1", "eps_0", "eps_1"]
     assert len(lines) == 3
+
+
+# ---------------------------------------------------------------------------
+# Demo
+# ---------------------------------------------------------------------------
+
+
+def test_adaptive_weights_demo_runs(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    done = subprocess.run([sys.executable, str(repo / "demos" / "adaptive_weights.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = (tmp_path / "weight_history.tsv").read_text().strip().split("\n")
+    assert lines[0].split("\t") == ["step", "w_0", "w_1", "eps_0", "eps_1"]
+    assert len(lines) == 25
