@@ -9,6 +9,10 @@ with local refinement.
 ``bo_tune`` runs the loop per base model and keeps the K lowest-scoring
 distinct configurations; ``enumerate_ensembles`` scores every K^m tuple of
 those sets with the adaptive-weight combiner and returns the argmin.
+
+scipy is imported inside the functions that use it (``gp_fit``,
+``_normal_cdf``, ``acquire_next``, ``bo_minimize_unit``): importing it takes
+most of a ``qforecast`` process's start-up, and only the GP search needs it.
 """
 
 from __future__ import annotations
@@ -18,9 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.special import erf
-from scipy.stats import qmc
 
 from .ensemble import (
     EnsembleWeights,
@@ -95,6 +96,8 @@ def gp_fit(observations_x, observations_y, *, seed=0, n_restarts: int = 6,
     Duplicate points never break the fit: the noise floor keeps the kernel
     matrix positive definite.
     """
+    from scipy import optimize
+
     x = np.atleast_2d(np.asarray(observations_x, dtype=float))
     y = np.asarray(observations_y, dtype=float).reshape(-1)
     if len(x) != len(y):
@@ -162,6 +165,8 @@ def gp_posterior(gp: GPSurrogate, query) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normal_cdf(z):
+    from scipy.special import erf
+
     return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
 
 
@@ -194,6 +199,9 @@ def expected_improvement(gp: GPSurrogate, query, best_so_far: float) -> np.ndarr
 def acquire_next(gp: GPSurrogate, best_so_far: float, *, n_candidates: int = 1024,
                  seed=0, refine: bool = True) -> np.ndarray:
     """Argmax of EI over a quasi-random grid plus local refinement."""
+    from scipy import optimize
+    from scipy.stats import qmc
+
     d = gp.x.shape[1]
     m = max(3, int(round(math.log2(max(n_candidates, 8)))))
     sobol = qmc.Sobol(d, scramble=True, seed=np.random.default_rng(seed))
@@ -221,6 +229,8 @@ def bo_minimize_unit(objective, d: int, *, n_init: int = 5, n_iterations: int = 
     Starts from a Latin-hypercube design of ``n_init`` points, then runs
     ``n_iterations`` acquire-evaluate-refit rounds.
     """
+    from scipy.stats import qmc
+
     if n_init < 2:
         raise ConfigurationError("n_init must be >= 2")
     tracker = _ensure_tracker(objective, None, trace)
@@ -291,6 +301,8 @@ def bo_tune(objective, space: SearchSpace, *, n_init: int = 5, n_iterations: int
     configuration; each configuration keeps its best observed score, and
     the K lowest-scoring distinct configurations are returned.
     """
+    if k < 1:
+        raise ConfigurationError(f"K must be >= 1, got {k}")
 
     def unit_objective(u):
         return objective(space.decode_vector(space.from_unit(u)))

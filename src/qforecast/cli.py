@@ -120,11 +120,21 @@ def load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigurationError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigurationError(f"config file {path} must hold a JSON object")
+    return config
+
+
+def check_counts(options: dict, *keys: str) -> None:
+    """Counts such as ``--k`` and ``--jobs`` must be at least 1."""
+    for key in keys:
+        if int(options[key]) < 1:
+            raise ConfigurationError(f"--{key} must be >= 1, got {options[key]}")
 
 
 def merge_options(defaults: dict, config_file: dict, args: argparse.Namespace,
@@ -269,6 +279,7 @@ def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: di
 
 
 def cmd_tune(options: dict) -> int:
+    check_counts(options, "k")
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     tuner = options["tuner"]
@@ -342,6 +353,7 @@ def cmd_ensemble(options: dict) -> int:
     kwargs = dict(lam=float(options["lam"]), gamma=float(options["gamma"]), nu=nu,
                   jobs=int(options["jobs"]))
     check_weight_params(kwargs["lam"], kwargs["gamma"], nu)
+    check_counts(options, "k", "jobs")
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     arch = options["arch"]

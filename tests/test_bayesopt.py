@@ -177,6 +177,16 @@ def test_bo_tune_k_too_large():
         bo_tune(_config_score, space, n_init=3, n_iterations=0, k=10, seed=0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_bo_tune_rejects_k_below_one_before_evaluating(k):
+    def objective(config):
+        raise AssertionError("the objective must not run")
+
+    space = SearchSpace.default(sequence_length=3, epochs=2)
+    with pytest.raises(ConfigurationError, match="K must be >= 1"):
+        bo_tune(objective, space, n_init=3, n_iterations=0, k=k, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # K-best sets
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qforecast.bayesopt import KBestSet
 from qforecast.cli import main
 from qforecast.data import load_dataset, prepare_dataset, save_dataset, synth_series
 from qforecast.qlstm import HyperConfig, PersistenceModel, init_classical_lstm, init_qlstm
@@ -40,6 +45,26 @@ def test_preprocess_writes_cache_and_summary(prepared_run):
     manifest = json.loads((prepared_run / "manifest.json").read_text())
     assert manifest["command"] == "preprocess"
     assert {a["path"] for a in manifest["artifacts"]} == {"dataset.npz", "summary.json"}
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", None, "{not json"],
+                         ids=["list", "missing", "malformed"])
+def test_bad_config_file_is_usage_error(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_text(content)
+    assert run_cli("preprocess", "--run", tmp_path / "r", "--synth-hours", 120,
+                   "--config", config) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "r").exists()
+
+
+def test_config_file_sets_options(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train_fraction": 0.5}))
+    assert run_cli("preprocess", "--run", tmp_path / "r", "--synth-hours", 120,
+                   "--config", config) == 0
+    assert json.loads((tmp_path / "r" / "summary.json").read_text())["train_rows"] == 60
 
 
 def test_synth_refuses_overwrite(tmp_path):
@@ -195,6 +220,37 @@ def test_out_of_range_weight_params_exit_before_training(prepared_run, tmp_path,
                    flag, value) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (run_dir / "ensemble-genhyb").exists()
+
+
+TUNE_BAYES = ("tune", "--tuner", "bayes", "--budget", 4, "--probe-epochs", 1,
+              "--max-qubits", 2, "--max-layers", 1)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (TUNE_BAYES + ("--k", 0), "--k"),
+    (TUNE_BAYES + ("--k", -1), "--k"),
+    (("ensemble", "--arch", "bo-q", "--k", 0), "--k"),
+    (("ensemble", "--arch", "bo-q", "--k", -1), "--k"),
+    (("ensemble", "--arch", "genhyb", "--inline", "--epochs", 1, "--jobs", -2), "--jobs"),
+], ids=["tune-k0", "tune-k-1", "boq-k0", "boq-k-1", "genhyb-jobs-2"])
+def test_counts_below_one_exit_before_writing(prepared_run, tmp_path, capsys, argv, flag):
+    import shutil
+
+    run_dir = tmp_path / "counts"
+    run_dir.mkdir()
+    shutil.copy(prepared_run / "dataset.npz", run_dir / "dataset.npz")
+    command, *flags = argv
+    if command == "ensemble":  # K-best sets of two configs each, as a bayes tune leaves
+        (run_dir / "tune-bayes").mkdir()
+        for m, seq in enumerate((3, 5)):
+            configs = [HyperConfig(0.05, 1, 2, hidden, seq, 16, 1) for hidden in (2, 3)]
+            payload = KBestSet(m, configs, [0.0, 1.0]).to_dict()
+            (run_dir / "tune-bayes" / f"kbest_seq{seq}.json").write_text(json.dumps(payload))
+    before = sorted(run_dir.rglob("*"))
+    assert run_cli(command, "--run", run_dir, "--seq", 3, 5, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{flag} must be >= 1" in err
+    assert sorted(run_dir.rglob("*")) == before
 
 
 def test_ensemble_refuses_overwrite(genhyb_run):
@@ -373,3 +429,47 @@ def test_output_root_env_rebases_relative_runs(tmp_path, monkeypatch):
     monkeypatch.setenv("QFORECAST_OUT_ROOT", str(tmp_path))
     assert run_cli("preprocess", "--run", "nested/exp", "--synth-hours", 120) == 0
     assert (tmp_path / "nested" / "exp" / "dataset.npz").exists()
+
+
+# ---------------------------------------------------------------------------
+# Start-up
+# ---------------------------------------------------------------------------
+
+SCIPY_PROBE = """
+import sys
+
+import qforecast
+import qforecast.cli
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+assert not scipy_modules(), ("import", scipy_modules())
+run = sys.argv[1]
+small = ["--seq", "3", "--max-qubits", "2", "--max-layers", "1", "--probe-epochs", "1"]
+for argv in (
+    ["preprocess", "--run", run, "--synth-hours", "120"],
+    ["tune", "--run", run, "--tuner", "hybrid", "--budget", "4", *small],
+    ["ensemble", "--run", run, "--arch", "genhyb", "--inline", "--seq", "3", "--epochs", "1"],
+    ["forecast", "--run", run],
+    ["evaluate", "--run", run],
+):
+    assert qforecast.cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv[0], scipy_modules())
+assert qforecast.cli.main(["tune", "--run", run, "--tuner", "bayes", "--budget", "4",
+                           "--k", "1", *small]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_the_gp_search_loads_scipy(tmp_path):
+    """Importing the package and running every command but the bayes tune
+    leaves scipy unloaded: importing it dominates a process's start-up."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "run")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
