@@ -356,10 +356,12 @@ def enumerate_ensembles(ksets: list, predict_fn, targets, *, lam: float = 0.85,
     """Evaluate every K^m tuple of per-model configurations.
 
     ``predict_fn(model_index, config)`` returns that model's predictions on
-    the held-out segment whose truth is ``targets``; training failures mark
-    the tuple's objective +inf and enumeration continues.  For each tuple
-    the adaptive weights are evolved on the prediction errors, and the
-    weighted forecast's MSE is the tuple objective.
+    the held-out segment whose truth is ``targets``.  For each tuple the
+    adaptive weights are evolved on the prediction errors, and the weighted
+    forecast's MSE is the tuple objective.  A NumericDivergenceError marks
+    the tuple's objective +inf and enumeration continues; when every tuple
+    diverges, the first tuple's error is raised again, so a single tuple
+    fails exactly as its training did.
     """
     if not ksets:
         raise ConfigurationError("need at least one K-best set")
@@ -369,6 +371,7 @@ def enumerate_ensembles(ksets: list, predict_fn, targets, *, lam: float = 0.85,
     targets = np.asarray(targets, dtype=float)
 
     best: EnsembleCandidate | None = None
+    first_error: NumericDivergenceError | None = None
     objectives = []
     n_tuples = 0
     for combo in itertools.product(*[ks.configs for ks in ksets]):
@@ -379,13 +382,14 @@ def enumerate_ensembles(ksets: list, predict_fn, targets, *, lam: float = 0.85,
             weights = finalize_weights(state)
             combined = combine_predictions(weights, preds)
             objective = mse(targets, combined)
-        except NumericDivergenceError:
+        except NumericDivergenceError as exc:
+            first_error = first_error or exc
             objectives.append(float("inf"))
             continue
         objectives.append(objective)
         if best is None or objective < best.objective:
             best = EnsembleCandidate(combo, objective, weights, combined, state)
     if best is None:
-        raise ConfigurationError("every candidate tuple failed to train")
+        raise first_error
     assert n_tuples == k ** len(ksets)
     return EnumerationResult(best=best, n_tuples=n_tuples, objectives=objectives)

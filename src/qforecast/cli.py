@@ -323,22 +323,42 @@ def cmd_train(options: dict) -> int:
     return 0
 
 
-def _tuned_config(run_dir: Path, seq: int, options: dict) -> HyperConfig | None:
-    for tuner in ("hybrid", "pso", "qga"):
-        path = run_dir / f"tune-{tuner}" / f"best_config_seq{seq}.json"
-        if path.exists():
-            return HyperConfig.from_dict(json.loads(path.read_text())["config"])
-    return None
+def _read_kbest(path: Path, model_index: int, seq: int) -> KBestSet:
+    """A tune artifact as a K-best set: ``kbest_seq*.json`` from the bayes
+    tuner, or ``best_config_seq*.json`` (one configuration) from the others.
+    An unreadable or invalid file is a DataError, as a stored configuration is."""
+    try:
+        payload = json.loads(path.read_text())
+        if path.name.startswith("best_config"):
+            payload = {"configs": [payload["config"]], "scores": [payload["score"]]}
+        configs = [HyperConfig.from_dict(c).validate() for c in payload["configs"]]
+        if any(c.sequence_length != seq for c in configs):
+            raise DataError(f"a configuration is not for sequence length {seq}")
+        return KBestSet(model_index, configs, [float(x) for x in payload["scores"]])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path} is not a valid tune artifact: {exc}") from exc
 
 
-def _kbest_sets(run_dir: Path, seqs, options: dict) -> list | None:
+def _kbest_sets(run_dir: Path, seqs: list, options: dict) -> list:
+    """One K-best set per model: K = 1 for genhyb and for ``--inline``, the
+    first ``--k`` configurations of a bayes tune for bo-q."""
+    if options["inline"]:
+        return [KBestSet(m, [model_config(options, seq)], [0.0]) for m, seq in enumerate(seqs)]
+    if options["arch"] == "genhyb":
+        k, name, tuners = 1, "best_config_seq{}.json", ("hybrid", "pso", "qga")
+    else:
+        k, name, tuners = int(options["k"]), "kbest_seq{}.json", ("bayes",)
     ksets = []
     for model_index, seq in enumerate(seqs):
-        path = run_dir / "tune-bayes" / f"kbest_seq{seq}.json"
-        if not path.exists():
-            return None
-        kset = KBestSet.from_dict(json.loads(path.read_text()))
-        k = int(options["k"])
+        paths = [run_dir / f"tune-{tuner}" / name.format(seq) for tuner in tuners]
+        path = next((path for path in paths if path.exists()), None)
+        if path is None:
+            raise ConfigurationError(
+                f"no tuned configuration for sequence length {seq}; run `qforecast tune "
+                f"--run {run_dir} --tuner {tuners[0]}` first or pass --inline to use the "
+                f"flag-provided configuration"
+            )
+        kset = _read_kbest(path, model_index, seq)
         if k > kset.k:
             raise ConfigurationError(
                 f"requested K={k} but {path} holds only {kset.k} configs"
@@ -357,40 +377,16 @@ def cmd_ensemble(options: dict) -> int:
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     arch = options["arch"]
+    ksets = _kbest_sets(run_dir, [int(s) for s in options["seq"]], options)
     out_dir = ensure_output(run_dir / f"ensemble-{arch}", options["force"])
     timer = StageTimer()
     seed = int(options["seed"])
-    seqs = [int(s) for s in options["seq"]]
 
     with timer.time("train_and_combine"):
         if arch == "genhyb":
-            configs = []
-            for model_index, seq in enumerate(seqs):
-                if options["inline"]:
-                    configs.append(model_config(options, seq))
-                    continue
-                tuned = _tuned_config(run_dir, seq, options)
-                if tuned is None:
-                    raise ConfigurationError(
-                        f"no tuned configuration for sequence length {seq}; run "
-                        f"`qforecast tune --run {run_dir} --tuner hybrid` first "
-                        f"or pass --inline to use the flag-provided configuration"
-                    )
-                configs.append(tuned)
-            result = run_genhyb_ensemble(dataset, configs, seed, **kwargs)
+            result = run_genhyb_ensemble(dataset, [ks.configs[0] for ks in ksets], seed,
+                                         **kwargs)
         else:
-            if options["inline"]:
-                ksets = [
-                    KBestSet(m, [model_config(options, seq)], [0.0])
-                    for m, seq in enumerate(seqs)
-                ]
-            else:
-                ksets = _kbest_sets(run_dir, seqs, options)
-                if ksets is None:
-                    raise ConfigurationError(
-                        f"no K-best sets found; run `qforecast tune --run {run_dir} "
-                        f"--tuner bayes` first or pass --inline for a degenerate K=1 run"
-                    )
             result = run_boq_ensemble(dataset, ksets, seed, **kwargs)
 
     checkpoint = out_dir / "checkpoint.npz"
@@ -410,7 +406,7 @@ def cmd_ensemble(options: dict) -> int:
     metrics_txt = out_dir / "metrics.txt"
     metrics_txt.write_text(format_metrics_table(result.metrics_rows))
     artifacts = [checkpoint, weights_path, history_path, metrics_json, metrics_txt]
-    if result.enumeration is not None:
+    if arch == "bo-q":
         enum_path = write_json(out_dir / "enumeration.json", {
             "n_tuples": result.enumeration.n_tuples,
             "objectives": result.enumeration.objectives,

@@ -118,12 +118,14 @@ class HyperConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch loss curves for one training run."""
+    """Per-epoch loss curves for one training run, and the trained model's
+    predictions on the held-out windows."""
 
     train_losses: list
     test_losses: list
     final_val_loss: float
     wall_seconds: float
+    val_predictions: np.ndarray
 
 
 def _sigmoid(x):
@@ -502,12 +504,6 @@ class Adam:
             self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def mse_on(model, dataset) -> float:
-    x, y = _as_xy(dataset)
-    preds, _ = model.forward_batch(x)
-    return float(np.mean((preds - y) ** 2))
-
-
 def train(model, config: HyperConfig, train_set, test_set, seed) -> TrainReport:
     """Minimize MSE by minibatch Adam over ``config.epochs`` epochs.
 
@@ -553,7 +549,8 @@ def train(model, config: HyperConfig, train_set, test_set, seed) -> TrainReport:
         epoch_train = float(np.sum(sq_errors)) / n
         if not np.isfinite(epoch_train):
             raise NumericDivergenceError(f"training loss diverged at epoch {epoch}")
-        epoch_test = mse_on(model, (x_test, y_test))
+        test_preds, _ = model.forward_batch(x_test)
+        epoch_test = float(np.mean((test_preds - y_test) ** 2))
         if not np.isfinite(epoch_test):
             raise NumericDivergenceError(f"test loss diverged at epoch {epoch}")
         train_losses.append(epoch_train)
@@ -563,6 +560,7 @@ def train(model, config: HyperConfig, train_set, test_set, seed) -> TrainReport:
         test_losses=test_losses,
         final_val_loss=test_losses[-1],
         wall_seconds=time.perf_counter() - start,
+        val_predictions=test_preds,
     )
 
 

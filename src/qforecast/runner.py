@@ -1,5 +1,9 @@
-"""End-to-end orchestration: base-model training, both ensemble recipes,
+"""End-to-end orchestration: base-model training, the ensemble recipes,
 held-out evaluation, and reproducible run artifacts.
+
+One path trains, enumerates, weights and evaluates every ensemble: BO-Q
+keeps the best of the K^m tuples of its K-best sets, and GenHyb is the
+K = 1 case, one tuned configuration per model.
 
 Every stochastic stage draws its seed from the single run seed through
 named sub-streams (``derive_seed``), and every (model index, configuration)
@@ -20,14 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayesopt import EnumerationResult, enumerate_ensembles
+from .bayesopt import EnumerationResult, KBestSet, enumerate_ensembles
 from .data import Dataset, destandardize_temperature, read_npz
-from .ensemble import (
-    EnsembleWeights,
-    combine_predictions,
-    finalize_weights,
-    weights_from_predictions,
-)
+from .ensemble import EnsembleWeights, combine_predictions
 from .errors import ConfigurationError, DataError, NumericDivergenceError
 from .metrics import (
     ForecastResult,
@@ -102,14 +101,7 @@ def train_base_model(dataset: Dataset, config: HyperConfig, model_index: int,
     else:
         raise ConfigurationError(f"unknown model kind {kind!r}")
     report = train(model, config, train_part, val_part, seed=seed)
-    run = BaseModelRun(
-        model_index=model_index,
-        config=config,
-        kind=kind,
-        model=model,
-        report=report,
-        val_predictions=predict_batch(model, val_part.inputs),
-    )
+    run = BaseModelRun(model_index, config, kind, model, report, report.val_predictions)
     if memo is not None:
         memo[key] = run
     return run
@@ -148,7 +140,7 @@ class EnsembleRun:
     weights: np.ndarray
     metrics_rows: list
     test_forecasts: list  # ForecastResult per model + ensemble
-    enumeration: EnumerationResult | None = None
+    enumeration: EnumerationResult  # a single tuple for genhyb
 
 
 def _test_predictions(dataset: Dataset, models) -> tuple[np.ndarray, np.ndarray]:
@@ -203,23 +195,11 @@ def _train_all(dataset: Dataset, pairs, master_seed: int, memo: dict, jobs: int)
 def run_genhyb_ensemble(dataset: Dataset, configs, master_seed: int, *,
                         lam: float = 0.85, gamma: float = 0.85, nu: int | None = None,
                         memo: dict | None = None, jobs: int = 1) -> EnsembleRun:
-    """Train one base model per configuration and combine them adaptively.
-
-    Weight evolution runs over the shared validation segment (never the
-    test set); test metrics come from the finalized simplex weights.
-    """
-    memo = {} if memo is None else memo
-    base_runs = _train_all(dataset, list(enumerate(configs)), master_seed, memo, jobs)
-    for run in base_runs:
-        if isinstance(run, NumericDivergenceError):
-            raise run
-    val_y = validation_targets(dataset, [cfg.sequence_length for cfg in configs])
-    val_preds = np.vstack([run.val_predictions for run in base_runs])
-    state = weights_from_predictions(val_y, val_preds, lam=lam, gamma=gamma, nu=nu)
-    weights = finalize_weights(state)
-    rows, forecasts = evaluate_ensemble(dataset, [run.triple for run in base_runs], weights,
-                                        "genhyb")
-    return EnsembleRun("genhyb", base_runs, state, weights, rows, forecasts)
+    """Train one base model per configuration and combine them adaptively:
+    the K = 1 case of :func:`run_boq_ensemble`."""
+    ksets = [KBestSet(m, [config], [0.0]) for m, config in enumerate(configs)]
+    return _run_ensemble("genhyb", dataset, ksets, master_seed, lam=lam, gamma=gamma,
+                         nu=nu, memo=memo, jobs=jobs)
 
 
 def run_boq_ensemble(dataset: Dataset, ksets: list, master_seed: int, *,
@@ -229,6 +209,21 @@ def run_boq_ensemble(dataset: Dataset, ksets: list, master_seed: int, *,
 
     The tuple objective is the adaptively-weighted forecast MSE on the
     validation segment; the winning tuple's weights carry to the test set.
+    """
+    return _run_ensemble("bo-q", dataset, ksets, master_seed, lam=lam, gamma=gamma,
+                         nu=nu, memo=memo, jobs=jobs)
+
+
+def _run_ensemble(architecture: str, dataset: Dataset, ksets: list, master_seed: int, *,
+                  lam: float, gamma: float, nu: int | None, memo: dict | None,
+                  jobs: int) -> EnsembleRun:
+    """Train every distinct candidate once, enumerate the tuples, and evaluate
+    the winner on the test set.
+
+    Weight evolution runs over the shared validation segment (never the test
+    set); test metrics come from the winner's finalized simplex weights.  When
+    every tuple diverges, the first failing model's NumericDivergenceError
+    propagates.
     """
     memo = {} if memo is None else memo
     seqs = []
@@ -253,8 +248,8 @@ def run_boq_ensemble(dataset: Dataset, ksets: list, master_seed: int, *,
     winner = enumeration.best
     base_runs = [outcomes[pair] for pair in enumerate(winner.configs)]
     rows, forecasts = evaluate_ensemble(dataset, [run.triple for run in base_runs],
-                                        winner.weights, "bo-q")
-    return EnsembleRun("bo-q", base_runs, winner.state, winner.weights, rows, forecasts,
+                                        winner.weights, architecture)
+    return EnsembleRun(architecture, base_runs, winner.state, winner.weights, rows, forecasts,
                        enumeration)
 
 

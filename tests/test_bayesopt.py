@@ -327,6 +327,16 @@ def test_failed_tuples_are_skipped():
     assert result.objectives[1] == np.inf
     assert result.best.configs == (good,)
 
+    # with no tuple left, the first tuple's divergence propagates
+    errors = {}
+
+    def diverging(model_index, config):
+        raise errors.setdefault(config, NumericDivergenceError(f"lr {config.learning_rate}"))
+
+    with pytest.raises(NumericDivergenceError) as exc:
+        enumerate_ensembles([KBestSet(0, [bad, good], [1.0, 2.0])], diverging, targets)
+    assert exc.value is errors[bad]
+
 
 def test_mismatched_k_rejected():
     ksets = [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qforecast.bayesopt import KBestSet
-from qforecast.cli import main
+from qforecast.cli import ARCH_CHOICES, main
 from qforecast.data import load_dataset, prepare_dataset, save_dataset, synth_series
 from qforecast.qlstm import HyperConfig, PersistenceModel, init_classical_lstm, init_qlstm
 from qforecast.runner import save_ensemble_checkpoint
@@ -188,24 +188,90 @@ def test_boq_with_k1_matches_genhyb(genhyb_run):
     assert run_cli(
         "ensemble", "--run", genhyb_run, "--arch", "bo-q", "--inline", "--epochs", 2,
     ) == 0
-    gen_rows = json.loads((genhyb_run / "ensemble-genhyb" / "metrics.json").read_text())
-    boq_rows = json.loads((genhyb_run / "ensemble-bo-q" / "metrics.json").read_text())
-    for gen_row, boq_row in zip(gen_rows[:-1], boq_rows[:-1]):
-        assert gen_row == boq_row
-    assert gen_rows[-1]["mape_pct"] == boq_rows[-1]["mape_pct"]
-    enum = json.loads((genhyb_run / "ensemble-bo-q" / "enumeration.json").read_text())
+    gen, boq = genhyb_run / "ensemble-genhyb", genhyb_run / "ensemble-bo-q"
+    gen_rows = json.loads((gen / "metrics.json").read_text())
+    boq_rows = json.loads((boq / "metrics.json").read_text())
+    assert [r.pop("model") for r in gen_rows] == ["qlstm-seq3", "qlstm-seq5", "genhyb-ensemble"]
+    assert [r.pop("model") for r in boq_rows] == ["qlstm-seq3", "qlstm-seq5", "bo-q-ensemble"]
+    assert gen_rows == boq_rows
+    assert (json.loads((gen / "weights.json").read_text())["weights"]
+            == json.loads((boq / "weights.json").read_text())["weights"])
+    assert (gen / "weight_history.tsv").read_bytes() == (boq / "weight_history.tsv").read_bytes()
+    enum = json.loads((boq / "enumeration.json").read_text())
     assert enum["n_tuples"] == 1
+    assert not (gen / "enumeration.json").exists()
 
 
-def test_ensemble_without_tuned_configs_names_prerequisite(prepared_run, capsys):
-    fresh = prepared_run.parent / "no-tune"
-    fresh.mkdir(exist_ok=True)
+def _write_kbest(run_dir: Path) -> None:
+    """K-best sets of two configs per model, as a bayes tune leaves them."""
+    (run_dir / "tune-bayes").mkdir()
+    for m, seq in enumerate((3, 5)):
+        configs = [HyperConfig(0.05, 1, 2, hidden, seq, 16, 1) for hidden in (2, 3)]
+        payload = KBestSet(m, configs, [0.0, 1.0]).to_dict()
+        (run_dir / "tune-bayes" / f"kbest_seq{seq}.json").write_text(json.dumps(payload))
+
+
+def test_ensemble_without_tuned_configs_names_prerequisite(prepared_run, tmp_path, capsys):
     import shutil
 
-    shutil.copy(prepared_run / "dataset.npz", fresh / "dataset.npz")
-    assert run_cli("ensemble", "--run", fresh, "--arch", "bo-q") == 2
+    for arch, k, tuned, hint in [("bo-q", 2, False, "--tuner bayes"),  # no tune-bayes/
+                                 ("bo-q", 3, True, "requested K=3"),  # --k above stored K
+                                 ("genhyb", 2, True, "--tuner hybrid")]:  # no tuned config
+        run_dir = tmp_path / f"no-tune-{arch}-{k}"
+        run_dir.mkdir()
+        shutil.copy(prepared_run / "dataset.npz", run_dir / "dataset.npz")
+        if tuned:
+            _write_kbest(run_dir)
+        before = sorted(run_dir.rglob("*"))
+        assert run_cli("ensemble", "--run", run_dir, "--arch", arch, "--k", k) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and hint in err
+        assert sorted(run_dir.rglob("*")) == before
+
+
+GOOD_CONFIG = HyperConfig(0.05, 1, 2, 2, 3, 16, 1).to_dict()
+
+
+@pytest.mark.parametrize("name, content", [
+    ("tune-hybrid/best_config_seq3.json", json.dumps({"config": GOOD_CONFIG})[:40]),
+    ("tune-hybrid/best_config_seq3.json",
+     json.dumps({"config": {k: v for k, v in GOOD_CONFIG.items() if k != "epochs"},
+                 "score": 0.1})),
+    ("tune-bayes/kbest_seq3.json", json.dumps([GOOD_CONFIG])),
+    ("tune-bayes/kbest_seq3.json",
+     json.dumps({"model_index": 0, "configs": [{**GOOD_CONFIG, "n_qubits": 0}],
+                 "scores": [0.1]})),
+    ("tune-bayes/kbest_seq3.json",
+     json.dumps({"model_index": 0, "configs": [{**GOOD_CONFIG, "sequence_length": 5}],
+                 "scores": [0.1]})),
+], ids=["truncated", "missing-key", "list", "zero-qubits", "other-seq"])
+def test_malformed_tune_artifact_is_data_error(prepared_run, tmp_path, capsys, name, content):
+    import shutil
+
+    run_dir = tmp_path / "malformed"
+    run_dir.mkdir()
+    shutil.copy(prepared_run / "dataset.npz", run_dir / "dataset.npz")
+    (run_dir / name).parent.mkdir()
+    (run_dir / name).write_text(content)
+    arch = "genhyb" if "hybrid" in name else "bo-q"
+    before = sorted(run_dir.rglob("*"))
+    assert run_cli("ensemble", "--run", run_dir, "--arch", arch, "--seq", 3, "--k", 1) == 3
     err = capsys.readouterr().err
-    assert "tune" in err and "--tuner bayes" in err
+    assert err.startswith("data error:") and name.split("/")[1] in err
+    assert sorted(run_dir.rglob("*")) == before
+
+
+@pytest.mark.parametrize("arch", ARCH_CHOICES)
+def test_diverging_ensemble_exits_4_for_both_architectures(prepared_run, tmp_path, capsys,
+                                                            arch):
+    import shutil
+
+    run_dir = tmp_path / "diverge"
+    run_dir.mkdir()
+    shutil.copy(prepared_run / "dataset.npz", run_dir / "dataset.npz")
+    assert run_cli("ensemble", "--run", run_dir, "--arch", arch, "--inline",
+                   "--lr", 1e300, "--epochs", 1) == 4
+    assert capsys.readouterr().err.startswith("numeric divergence:")
 
 
 @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--gamma", 1.5), ("--nu", 0)])
@@ -240,12 +306,8 @@ def test_counts_below_one_exit_before_writing(prepared_run, tmp_path, capsys, ar
     run_dir.mkdir()
     shutil.copy(prepared_run / "dataset.npz", run_dir / "dataset.npz")
     command, *flags = argv
-    if command == "ensemble":  # K-best sets of two configs each, as a bayes tune leaves
-        (run_dir / "tune-bayes").mkdir()
-        for m, seq in enumerate((3, 5)):
-            configs = [HyperConfig(0.05, 1, 2, hidden, seq, 16, 1) for hidden in (2, 3)]
-            payload = KBestSet(m, configs, [0.0, 1.0]).to_dict()
-            (run_dir / "tune-bayes" / f"kbest_seq{seq}.json").write_text(json.dumps(payload))
+    if command == "ensemble":
+        _write_kbest(run_dir)
     before = sorted(run_dir.rglob("*"))
     assert run_cli(command, "--run", run_dir, "--seq", 3, 5, *flags) == 2
     err = capsys.readouterr().err

@@ -48,6 +48,9 @@ def test_repeated_training_is_bit_identical(small_dataset):
     b = train_base_model(small_dataset, cfg, 0, 99)
     assert a.report.train_losses == b.report.train_losses
     np.testing.assert_array_equal(a.val_predictions, b.val_predictions)
+    # the last epoch's validation forward is the model's validation prediction
+    _, val_part = small_dataset.train_val_windows(cfg.sequence_length)
+    np.testing.assert_array_equal(a.val_predictions, predict_batch(a.model, val_part.inputs))
     test_inputs = small_dataset.test_windows(cfg.sequence_length).inputs
     np.testing.assert_array_equal(predict_batch(a.model, test_inputs),
                                   predict_batch(b.model, test_inputs))
