@@ -36,6 +36,8 @@ from .metrics import mse
 from .qlstm import HyperConfig
 
 NOISE_FLOOR = 1e-6
+GP_RESTARTS = 6  # likelihood searches per fit: one fixed start plus random ones
+EI_SOBOL_LOG2 = 10  # 2**10 Sobol points scored before the local EI refinement
 
 
 def _matern52(xa: np.ndarray, xb: np.ndarray, length_scales, signal_var: float) -> np.ndarray:
@@ -87,7 +89,7 @@ def _lml(x, y_centered, length_scales, signal_var, noise_var) -> float:
     )
 
 
-def gp_fit(observations_x, observations_y, *, seed=0, n_restarts: int = 6,
+def gp_fit(observations_x, observations_y, *, seed=0,
            hyperparams: tuple | None = None) -> GPSurrogate:
     """Fit the surrogate to observed (point, score) pairs.
 
@@ -131,7 +133,7 @@ def gp_fit(observations_x, observations_y, *, seed=0, n_restarts: int = 6,
     rng = np.random.default_rng(seed)
     starts = [np.concatenate([np.full(d, math.log10(0.3)),
                               [math.log10(y_var)], [-4.0]])]
-    starts += [rng.uniform(lo, hi) for _ in range(max(0, n_restarts - 1))]
+    starts += [rng.uniform(lo, hi) for _ in range(GP_RESTARTS - 1)]
     best_params, best_val = None, np.inf
     for start in starts:
         res = optimize.minimize(neg_lml, start, method="Nelder-Mead",
@@ -196,34 +198,29 @@ def expected_improvement(gp: GPSurrogate, query, best_so_far: float) -> np.ndarr
     return ei_from_moments(mean, var, best_so_far)
 
 
-def acquire_next(gp: GPSurrogate, best_so_far: float, *, n_candidates: int = 1024,
-                 seed=0, refine: bool = True) -> np.ndarray:
-    """Argmax of EI over a quasi-random grid plus local refinement."""
+def acquire_next(gp: GPSurrogate, best_so_far: float, *, seed=0) -> np.ndarray:
+    """Argmax of EI over 2**``EI_SOBOL_LOG2`` quasi-random points, refined locally."""
     from scipy import optimize
     from scipy.stats import qmc
 
     d = gp.x.shape[1]
-    m = max(3, int(round(math.log2(max(n_candidates, 8)))))
     sobol = qmc.Sobol(d, scramble=True, seed=np.random.default_rng(seed))
-    candidates = sobol.random_base2(m)
+    candidates = sobol.random_base2(EI_SOBOL_LOG2)
     ei = expected_improvement(gp, candidates, best_so_far)
     best_idx = int(np.argmax(ei))
     best_point, best_ei = candidates[best_idx], ei[best_idx]
-    if refine:
-        res = optimize.minimize(
-            lambda u: -float(expected_improvement(gp, np.clip(u, 0, 1)[None, :], best_so_far)[0]),
-            best_point, method="Nelder-Mead",
-            options={"maxiter": 60 * d, "xatol": 1e-4, "fatol": 1e-12},
-        )
-        refined = np.clip(res.x, 0.0, 1.0)
-        if -res.fun > best_ei:
-            best_point = refined
+    res = optimize.minimize(
+        lambda u: -float(expected_improvement(gp, np.clip(u, 0, 1)[None, :], best_so_far)[0]),
+        best_point, method="Nelder-Mead",
+        options={"maxiter": 60 * d, "xatol": 1e-4, "fatol": 1e-12},
+    )
+    if -res.fun > best_ei:
+        best_point = np.clip(res.x, 0.0, 1.0)
     return np.asarray(best_point, dtype=float)
 
 
 def bo_minimize_unit(objective, d: int, *, n_init: int = 5, n_iterations: int = 15,
-                     seed=0, n_candidates: int = 1024, trace: list | None = None,
-                     phase: str = "bo") -> tuple[np.ndarray, np.ndarray]:
+                     seed=0) -> tuple[np.ndarray, np.ndarray]:
     """BO loop on the unit cube; returns all evaluated (points, scores).
 
     Starts from a Latin-hypercube design of ``n_init`` points, then runs
@@ -233,12 +230,12 @@ def bo_minimize_unit(objective, d: int, *, n_init: int = 5, n_iterations: int = 
 
     if n_init < 2:
         raise ConfigurationError("n_init must be >= 2")
-    tracker = _ensure_tracker(objective, None, trace)
+    tracker = _ensure_tracker(objective, None, None)
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     lhs_seed, fit_seed, acq_seed = seed_seq.spawn(3)
     lhs = qmc.LatinHypercube(d, seed=np.random.default_rng(lhs_seed))
     xs = list(lhs.random(n_init))
-    ys = [tracker(x, phase, 0) for x in xs]
+    ys = [tracker(x, "bo", 0) for x in xs]
     fit_rng = np.random.default_rng(fit_seed)
     acq_rng = np.random.default_rng(acq_seed)
     for it in range(1, n_iterations + 1):
@@ -246,12 +243,11 @@ def bo_minimize_unit(objective, d: int, *, n_init: int = 5, n_iterations: int = 
         if len(finite) >= 2:
             gp = gp_fit(np.array([xs[i] for i in finite]), np.array([ys[i] for i in finite]),
                         seed=fit_rng.integers(2**31))
-            nxt = acquire_next(gp, gp.best_observed, n_candidates=n_candidates,
-                               seed=acq_rng.integers(2**31))
+            nxt = acquire_next(gp, gp.best_observed, seed=acq_rng.integers(2**31))
         else:
             nxt = np.random.default_rng(acq_rng.integers(2**31)).random(d)
         xs.append(nxt)
-        ys.append(tracker(nxt, phase, it))
+        ys.append(tracker(nxt, "bo", it))
     return np.array(xs), np.array(ys)
 
 

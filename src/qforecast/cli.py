@@ -92,19 +92,21 @@ def read_manifest(path: Path) -> tuple[dict, dict]:
         raise ConfigurationError(f"{path} is not a readable manifest: {exc}") from exc
 
 
+def check_output(path: Path, force: bool) -> Path:
+    """Refuse to clobber an existing non-empty output unless forced."""
+    if path.exists() and (path.is_file() or any(path.iterdir())) and not force:
+        raise ConfigurationError(f"{path} already exists; pass --force to overwrite")
+    return path
+
+
 def ensure_output(path: Path, force: bool) -> Path:
-    """Refuse to clobber an existing non-empty output unless forced; a forced
+    """Create an output directory that :func:`check_output` accepts; a forced
     run first deletes the artifacts the old manifest lists, and nothing else."""
-    if path.exists():
-        occupied = path.is_file() or any(path.iterdir())
-        if occupied and not force:
-            raise ConfigurationError(
-                f"{path} already exists; pass --force to overwrite"
-            )
-        if (path / "manifest.json").is_file():
-            for name in read_manifest(path / "manifest.json")[1]:
-                if (path / name).parent == path and (path / name).is_file():
-                    (path / name).unlink()
+    check_output(path, force)
+    if (path / "manifest.json").is_file():
+        for name in read_manifest(path / "manifest.json")[1]:
+            if (path / name).parent == path and (path / name).is_file():
+                (path / name).unlink()
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -131,7 +133,7 @@ def load_config_file(path: str | None) -> dict:
 
 
 def check_counts(options: dict, *keys: str) -> None:
-    """Counts such as ``--k`` and ``--jobs`` must be at least 1."""
+    """Counts such as ``--k`` must be at least 1."""
     for key in keys:
         if int(options[key]) < 1:
             raise ConfigurationError(f"--{key} must be >= 1, got {options[key]}")
@@ -253,13 +255,13 @@ def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: di
         )
         if tuner == "pso":
             result = pso_minimize(tracker, space.bounds(), n_particles=20,
-                                  n_iterations=10**9, seed=seed, budget=budget)
+                                  n_iterations=10**9, seed=seed)
             best_vector = result.best_position
             score = result.best_value
         elif tuner == "qga":
             result = qga_minimize(tracker, space.total_bits, pop_size=20,
                                   n_generations=max(1, budget // 20), seed=seed,
-                                  decode=space.decode_bits, budget=budget)
+                                  decode=space.decode_bits)
             best_vector = np.asarray(result.best_decoded)
             score = result.best_value
         else:  # hybrid
@@ -304,11 +306,12 @@ def cmd_train(options: dict) -> int:
     dataset = load_dataset(dataset_path(run_dir))
     kind = options["kind"]
     seq = int(options["seq"])
-    out_dir = ensure_output(run_dir / f"train-{kind}-seq{seq}", options["force"])
+    out_dir = check_output(run_dir / f"train-{kind}-seq{seq}", options["force"])
     timer = StageTimer()
     config = model_config(options, seq)
     with timer.time("train"):
         run = train_base_model(dataset, config, 0, int(options["seed"]), kind=kind)
+    ensure_output(out_dir, options["force"])  # only a trained model replaces old outputs
     checkpoint = out_dir / "checkpoint.npz"
     save_checkpoint(checkpoint, run.model, config)
     report_path = write_json(out_dir / "report.json", {
@@ -370,15 +373,14 @@ def _kbest_sets(run_dir: Path, seqs: list, options: dict) -> list:
 def cmd_ensemble(options: dict) -> int:
     nu = options.get("nu")
     nu = int(nu) if nu is not None else None
-    kwargs = dict(lam=float(options["lam"]), gamma=float(options["gamma"]), nu=nu,
-                  jobs=int(options["jobs"]))
+    kwargs = dict(lam=float(options["lam"]), gamma=float(options["gamma"]), nu=nu)
     check_weight_params(kwargs["lam"], kwargs["gamma"], nu)
-    check_counts(options, "k", "jobs")
+    check_counts(options, "k")
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     arch = options["arch"]
     ksets = _kbest_sets(run_dir, [int(s) for s in options["seq"]], options)
-    out_dir = ensure_output(run_dir / f"ensemble-{arch}", options["force"])
+    out_dir = check_output(run_dir / f"ensemble-{arch}", options["force"])
     timer = StageTimer()
     seed = int(options["seed"])
 
@@ -388,6 +390,7 @@ def cmd_ensemble(options: dict) -> int:
                                          **kwargs)
         else:
             result = run_boq_ensemble(dataset, ksets, seed, **kwargs)
+    ensure_output(out_dir, options["force"])  # only a trained ensemble replaces old outputs
 
     checkpoint = out_dir / "checkpoint.npz"
     save_ensemble_checkpoint(checkpoint, arch, result.weights,
@@ -595,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--nu", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--inline", action="store_true",
                    help="use flag-provided configs instead of tune artifacts")
     _add_model_flags(p)
@@ -627,7 +629,7 @@ DEFAULTS = {
              "max_qubits": 6, "max_layers": 3, "force": False, **MODEL_DEFAULTS},
     "train": {"seq": 3, "seed": 0, "force": False, **MODEL_DEFAULTS},
     "ensemble": {"seq": [3, 5], "k": 2, "lam": 0.85, "gamma": 0.85, "nu": None,
-                 "jobs": 1, "inline": False, "seed": 0, "force": False, **MODEL_DEFAULTS},
+                 "inline": False, "seed": 0, "force": False, **MODEL_DEFAULTS},
     "forecast": {"horizon": 24, "arch": None, "seed": 0, "force": False},
     "evaluate": {"arch": None, "seed": 0, "force": False},
 }

@@ -45,6 +45,7 @@ CSV_COLUMNS = (
 )
 
 TRAIN_FRACTION = 0.87
+VAL_FRACTION = 0.1  # trailing share of the training rows held out for validation
 CACHE_VERSION = 1
 
 
@@ -300,16 +301,16 @@ class Dataset:
     scaler: ScalerState
     n_rows: int
 
-    def train_val_windows(self, sequence_length: int, val_fraction: float = 0.1):
+    def train_val_windows(self, sequence_length: int):
         """Windows over the training matrix, partitioned by target row.
 
-        The last ``val_fraction`` of training rows form the validation
+        The last ``VAL_FRACTION`` of training rows form the validation
         segment: windows whose target falls there become validation windows
         (their inputs may reach back into earlier rows, which only uses the
         past).
         """
         rows = len(self.train_matrix)
-        val_rows = int(math.floor(val_fraction * rows))
+        val_rows = int(math.floor(VAL_FRACTION * rows))
         val_start = rows - val_rows
         if val_start <= sequence_length:
             raise ConfigurationError("training split too small for this window length")

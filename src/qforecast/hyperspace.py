@@ -16,6 +16,10 @@ import numpy as np
 from .errors import ConfigurationError
 from .qlstm import HyperConfig
 
+LR_BOUNDS = (1e-4, 0.2)
+HIDDEN_BOUNDS = (2, 8)
+BATCH_BOUNDS = (16, 256)
+
 
 @dataclass(frozen=True)
 class Dimension:
@@ -35,19 +39,16 @@ class Dimension:
 
 
 def default_dimensions(
-    lr_bounds: tuple[float, float] = (1e-4, 0.2),
     qubit_bounds: tuple[int, int] = (2, 6),
     layer_bounds: tuple[int, int] = (1, 3),
-    hidden_bounds: tuple[int, int] = (2, 8),
-    batch_bounds: tuple[int, int] = (16, 256),
 ) -> tuple[Dimension, ...]:
     return (
-        Dimension("learning_rate", math.log10(lr_bounds[0]), math.log10(lr_bounds[1]),
+        Dimension("learning_rate", math.log10(LR_BOUNDS[0]), math.log10(LR_BOUNDS[1]),
                   log10=True, bits=10),
         Dimension("n_layers", *layer_bounds, integer=True, bits=4),
         Dimension("n_qubits", *qubit_bounds, integer=True, bits=4),
-        Dimension("hidden_units", *hidden_bounds, integer=True, bits=4),
-        Dimension("batch_size", *batch_bounds, integer=True, bits=8),
+        Dimension("hidden_units", *HIDDEN_BOUNDS, integer=True, bits=4),
+        Dimension("batch_size", *BATCH_BOUNDS, integer=True, bits=8),
     )
 
 

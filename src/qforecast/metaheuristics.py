@@ -32,6 +32,11 @@ DEFAULT_INERTIA = 0.729
 DEFAULT_COGNITIVE = 1.49445
 DEFAULT_SOCIAL = 1.49445
 MAX_ROTATION = 0.05 * np.pi
+P_MUTATION = 0.02
+HYBRID_POP_SIZE = 20
+HYBRID_PARTICLES = 20
+HYBRID_BITS_PER_DIM = 12  # genome resolution per box dimension without a custom decoder
+HYBRID_SEEDS = 3  # distinct genetic-phase bests that seed the swarm
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -81,10 +86,10 @@ class ObjectiveTracker:
         return value
 
 
-def _ensure_tracker(objective, budget, trace, describe=None) -> ObjectiveTracker:
+def _ensure_tracker(objective, budget, trace) -> ObjectiveTracker:
     if isinstance(objective, ObjectiveTracker):
         return objective
-    return ObjectiveTracker(objective, budget=budget, trace=trace, describe=describe)
+    return ObjectiveTracker(objective, budget=budget, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +195,7 @@ def pso_step(swarm: Swarm, tracker: ObjectiveTracker, bounds, rng,
 
 
 def pso_minimize(objective, bounds, *, n_particles: int = 20, n_iterations: int = 100,
-                 seed=0, w=DEFAULT_INERTIA, c1=DEFAULT_COGNITIVE, c2=DEFAULT_SOCIAL,
-                 init_positions=None, budget: int | None = None,
+                 seed=0, init_positions=None, budget: int | None = None,
                  trace: list | None = None) -> TunerResult:
     """Particle-swarm minimization over a box.
 
@@ -202,8 +206,7 @@ def pso_minimize(objective, bounds, *, n_particles: int = 20, n_iterations: int 
         raise ConfigurationError("need at least one particle")
     rng = _as_rng(seed)
     tracker = _ensure_tracker(objective, budget, trace)
-    swarm = init_swarm(tracker, bounds, n_particles, rng, init_positions=init_positions,
-                       w=w, c1=c1, c2=c2)
+    swarm = init_swarm(tracker, bounds, n_particles, rng, init_positions=init_positions)
     history = [swarm.best_value]
     for it in range(1, n_iterations + 1):
         if tracker.remaining() is not None and tracker.remaining() <= 0:
@@ -292,9 +295,8 @@ class QGAResult:
 
 
 def qga_minimize(objective, n_bits: int, *, pop_size: int = 20, n_generations: int = 50,
-                 seed=0, policy: RotationPolicy | None = None, p_mutation: float = 0.02,
-                 decode=None, budget: int | None = None,
-                 trace: list | None = None) -> QGAResult:
+                 seed=0, policy: RotationPolicy | None = None,
+                 p_mutation: float = P_MUTATION, decode=None) -> QGAResult:
     """Genetic minimization on qubit-amplitude chromosomes.
 
     ``decode`` maps a measured bit array to the objective's argument (and to
@@ -306,7 +308,7 @@ def qga_minimize(objective, n_bits: int, *, pop_size: int = 20, n_generations: i
         raise ConfigurationError("genome needs at least one bit")
     policy = policy or RotationPolicy()
     rng = _as_rng(seed)
-    tracker = _ensure_tracker(objective, budget, trace)
+    tracker = _ensure_tracker(objective, None, None)
     population = [QuantumChromosome.uniform(n_bits) for _ in range(pop_size)]
 
     best_bits, best_value, best_decoded = None, np.inf, None
@@ -358,19 +360,17 @@ class HybridResult:
 
 
 def hybrid_minimize(objective, bounds, *, budget: int = 200, seed=0,
-                    pop_size: int = 20, n_particles: int = 20,
-                    qga_fraction: float = 0.4, bits_per_dim: int = 12,
-                    top_k: int = 3, policy: RotationPolicy | None = None,
-                    p_mutation: float = 0.02, w=DEFAULT_INERTIA,
-                    c1=DEFAULT_COGNITIVE, c2=DEFAULT_SOCIAL,
-                    trace: list | None = None, decode_bits=None,
-                    n_bits: int | None = None) -> HybridResult:
+                    qga_fraction: float = 0.4, trace: list | None = None,
+                    decode_bits=None, n_bits: int | None = None) -> HybridResult:
     """Genetic phase then swarm phase under one evaluation budget.
 
     The first ``qga_fraction`` of the budget funds whole genetic
-    generations; the swarm, seeded with the genetic phase's ``top_k``
-    distinct best points, consumes exactly the remainder.  Returns the
-    better of the two phases.
+    generations of ``HYBRID_POP_SIZE``; a swarm of ``HYBRID_PARTICLES``,
+    seeded with the genetic phase's ``HYBRID_SEEDS`` distinct best points,
+    consumes exactly the remainder.  ``decode_bits`` maps a genome of
+    ``n_bits`` onto the box; without it each dimension gets
+    ``HYBRID_BITS_PER_DIM`` Gray-coded bits.  Returns the better of the two
+    phases.
     """
     if not 0.0 <= qga_fraction <= 1.0:
         raise ConfigurationError("qga_fraction must lie in [0, 1]")
@@ -387,22 +387,22 @@ def hybrid_minimize(objective, bounds, *, budget: int = 200, seed=0,
         def decode_bits(bits):
             vector = np.empty(d)
             for j in range(d):
-                chunk = bits[j * bits_per_dim : (j + 1) * bits_per_dim]
+                chunk = bits[j * HYBRID_BITS_PER_DIM : (j + 1) * HYBRID_BITS_PER_DIM]
                 vector[j] = lows[j] + spans[j] * gray_fraction(chunk)
             return vector
 
-        n_bits = d * bits_per_dim
+        n_bits = d * HYBRID_BITS_PER_DIM
     elif n_bits is None:
         raise ConfigurationError("a custom decode_bits needs an explicit n_bits")
 
     qga_evals = int(round(qga_fraction * budget))
-    n_generations = qga_evals // pop_size
+    n_generations = qga_evals // HYBRID_POP_SIZE
     qga_result = None
     seeds = None
     if n_generations > 0:
         qga_result = qga_minimize(
-            tracker, n_bits, pop_size=pop_size, n_generations=n_generations,
-            seed=rng, policy=policy, p_mutation=p_mutation, decode=decode_bits,
+            tracker, n_bits, pop_size=HYBRID_POP_SIZE, n_generations=n_generations,
+            seed=rng, decode=decode_bits,
         )
         ranked = sorted(qga_result.archive, key=lambda pair: pair[0])
         seeds, seen = [], set()
@@ -411,14 +411,14 @@ def hybrid_minimize(objective, bounds, *, budget: int = 200, seed=0,
             if key not in seen:
                 seen.add(key)
                 seeds.append(np.asarray(vector, float))
-            if len(seeds) == top_k:
+            if len(seeds) == HYBRID_SEEDS:
                 break
 
     pso_result = None
     if tracker.remaining() is None or tracker.remaining() > 0:
         pso_result = pso_minimize(
-            tracker, bounds, n_particles=n_particles, n_iterations=10**9,
-            seed=rng, w=w, c1=c1, c2=c2, init_positions=seeds,
+            tracker, bounds, n_particles=HYBRID_PARTICLES, n_iterations=10**9,
+            seed=rng, init_positions=seeds,
         )
 
     candidates = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ScalerState, destandardize_temperature
+from .data import TEMPERATURE, ScalerState, destandardize_temperature
 from .errors import ConfigurationError, MetricUndefinedError, ShapeError
 
 ZERO_TOLERANCE = 1e-8
@@ -85,11 +85,10 @@ def forecast_iterative(
     *,
     true_future=None,
     teacher_forcing: bool = False,
-    temperature_col: int = 0,
     model_tag: str = "ensemble",
-    start_timestamp: int = 0,
 ) -> ForecastResult:
-    """Roll a (possibly weighted multi-model) forecaster ``horizon`` steps ahead.
+    """Roll a (possibly weighted multi-model) forecaster ``horizon`` steps ahead,
+    stamped 1..``horizon``.
 
     ``context`` is the standardized trailing history (at least the longest
     window).  Predictions are written back into the temperature column of a
@@ -119,7 +118,7 @@ def forecast_iterative(
             combined += w * float(predictor.predict(window))
         preds_std[step] = combined
         next_row = buffer[-1].copy()
-        next_row[temperature_col] = (
+        next_row[TEMPERATURE] = (
             float(true_future[step]) if teacher_forcing else combined
         )
         buffer = np.vstack([buffer, next_row])
@@ -129,7 +128,7 @@ def forecast_iterative(
     if true_future is not None:
         y_true = destandardize_temperature(np.asarray(true_future[:horizon], float), scaler)
     return ForecastResult(
-        timestamps=[start_timestamp + k for k in range(1, horizon + 1)],
+        timestamps=list(range(1, horizon + 1)),
         y_true=y_true,
         y_pred=y_pred,
         model=model_tag,

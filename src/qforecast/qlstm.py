@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_npz
+from .data import TEMPERATURE, read_npz
 from .errors import (
     CheckpointVersionError,
     ConfigurationError,
@@ -38,7 +38,6 @@ from .errors import (
 )
 from .quantum import VQCBlock, run_vqc_batch, vqc_gradients_batch
 
-DEFAULT_LR_BOUNDS = (1e-4, 0.2)
 CHECKPOINT_VERSION = 1
 
 GATE_NAMES = ("forget", "input", "update", "output", "hidden", "readout")
@@ -56,17 +55,11 @@ class HyperConfig:
     batch_size: int
     epochs: int
 
-    def validate(self, lr_bounds: tuple[float, float] | None = None) -> "HyperConfig":
-        # lr_bounds is the tuning box; training itself only needs a finite,
-        # non-negative rate (zero disables updates, which is legal)
+    def validate(self) -> "HyperConfig":
+        # training only needs a finite, non-negative rate (zero disables
+        # updates, which is legal); the tuning box lives in ``hyperspace``
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
             raise ConfigurationError("learning_rate must be finite and >= 0")
-        if lr_bounds is not None:
-            lo, hi = lr_bounds
-            if not (lo <= self.learning_rate <= hi):
-                raise ConfigurationError(
-                    f"learning_rate {self.learning_rate} outside [{lo}, {hi}]"
-                )
         if self.n_layers < 1:
             raise ConfigurationError(f"n_layers must be >= 1, got {self.n_layers}")
         if not 2 <= self.n_qubits <= 10:
@@ -290,9 +283,9 @@ class QLSTMParams:
         return grads
 
 
-def init_qlstm(config: HyperConfig, input_dim: int, seed, output_dim: int = 1) -> QLSTMParams:
-    """Seeded initialization: projections uniform in [-0.1, 0.1] (zero biases),
-    circuit angles uniform in [-pi, pi]."""
+def init_qlstm(config: HyperConfig, input_dim: int, seed) -> QLSTMParams:
+    """Seeded initialization of a one-output cell: projections uniform in
+    [-0.1, 0.1] (zero biases), circuit angles uniform in [-pi, pi]."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n, hidden = config.n_qubits, config.hidden_units
     blocks = tuple(VQCBlock.random(n, config.n_layers, rng) for _ in range(6))
@@ -302,8 +295,8 @@ def init_qlstm(config: HyperConfig, input_dim: int, seed, output_dim: int = 1) -
         b_in=np.zeros(n),
         w_h=rng.uniform(-0.1, 0.1, size=(hidden, n)),
         b_h=np.zeros(hidden),
-        w_y=rng.uniform(-0.1, 0.1, size=(output_dim, n)),
-        b_y=np.zeros(output_dim),
+        w_y=rng.uniform(-0.1, 0.1, size=(1, n)),
+        b_y=np.zeros(1),
         hidden_units=hidden,
         input_dim=input_dim,
     )
@@ -439,7 +432,7 @@ class ClassicalLSTMParams:
         return grads
 
 
-def init_classical_lstm(config: HyperConfig, input_dim: int, seed, output_dim: int = 1):
+def init_classical_lstm(config: HyperConfig, input_dim: int, seed):
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     hidden = config.hidden_units
     shape = (hidden, hidden + input_dim)
@@ -452,8 +445,8 @@ def init_classical_lstm(config: HyperConfig, input_dim: int, seed, output_dim: i
         w_i=w(), b_i=np.zeros(hidden),
         w_g=w(), b_g=np.zeros(hidden),
         w_o=w(), b_o=np.zeros(hidden),
-        w_y=rng.uniform(-0.1, 0.1, size=(output_dim, hidden)),
-        b_y=np.zeros(output_dim),
+        w_y=rng.uniform(-0.1, 0.1, size=(1, hidden)),
+        b_y=np.zeros(1),
         hidden_units=hidden,
         input_dim=input_dim,
     )
@@ -464,7 +457,6 @@ class PersistenceModel:
     """Trivial baseline: predict the last observed (standardized) temperature."""
 
     input_dim: int
-    temperature_col: int = 0
 
     def param_arrays(self) -> dict:
         return {}
@@ -473,7 +465,7 @@ class PersistenceModel:
         windows = np.asarray(windows, dtype=float)
         if windows.ndim != 3 or windows.shape[2] != self.input_dim:
             raise ShapeError(f"windows must be (batch, seq, {self.input_dim})")
-        return windows[:, -1, self.temperature_col].copy(), []
+        return windows[:, -1, TEMPERATURE].copy(), []
 
 
 # ---------------------------------------------------------------------------
@@ -482,26 +474,27 @@ class PersistenceModel:
 
 
 class Adam:
-    """Adam with the conventional (0.9, 0.999, 1e-8) moment settings."""
+    """Adam with the conventional moment settings ``BETA1``, ``BETA2``, ``EPS``."""
 
-    def __init__(self, params: dict, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, learning_rate: float):
         self.params = params
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, grads: dict) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for key in self.params:
             grad = grads[key]
             self.m[key] = b1 * self.m[key] + (1 - b1) * grad
             self.v[key] = b2 * self.v[key] + (1 - b2) * grad * grad
             m_hat = self.m[key] / (1 - b1**self.t)
             v_hat = self.v[key] / (1 - b2**self.t)
-            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 def train(model, config: HyperConfig, train_set, test_set, seed) -> TrainReport:

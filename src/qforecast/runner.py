@@ -8,9 +8,11 @@ K = 1 case, one tuned configuration per model.
 Every stochastic stage draws its seed from the single run seed through
 named sub-streams (``derive_seed``), and every (model index, configuration)
 pair maps to one fixed training seed.  Training the same pair twice --
-inside the tuple enumeration, its brute-force cross-check, or a re-run from
-a manifest -- therefore yields bit-identical results, which also makes
-memoization across tuples sound.
+inside the tuple enumeration, its brute-force cross-check, a repeated tuner
+probe, or a re-run from a manifest -- therefore yields bit-identical
+results, which also makes memoization across tuples and probes sound.
+
+Everything runs on one thread: base models train one after another.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,7 +84,7 @@ class BaseModelRun:
 
 def train_base_model(dataset: Dataset, config: HyperConfig, model_index: int,
                      master_seed: int, *, kind: str = "qlstm",
-                     val_fraction: float = 0.1, memo: dict | None = None) -> BaseModelRun:
+                     memo: dict | None = None) -> BaseModelRun:
     """Train one base model on the inner split and predict its validation segment.
 
     The training seed derives from (run seed, model index, configuration),
@@ -92,7 +93,7 @@ def train_base_model(dataset: Dataset, config: HyperConfig, model_index: int,
     key = (kind, model_index, config)
     if memo is not None and key in memo:
         return memo[key]
-    train_part, val_part = dataset.train_val_windows(config.sequence_length, val_fraction)
+    train_part, val_part = dataset.train_val_windows(config.sequence_length)
     seed = derive_seed(master_seed, "train", kind, model_index, config_digest(config))
     if kind == "qlstm":
         model = init_qlstm(config, input_dim=dataset.train_matrix.shape[1], seed=seed)
@@ -107,21 +108,25 @@ def train_base_model(dataset: Dataset, config: HyperConfig, model_index: int,
     return run
 
 
-def validation_targets(dataset: Dataset, sequence_lengths, val_fraction: float = 0.1) -> np.ndarray:
+def validation_targets(dataset: Dataset, sequence_lengths) -> np.ndarray:
     """Shared validation targets (identical for every window length)."""
-    _, val_part = dataset.train_val_windows(max(sequence_lengths), val_fraction)
+    _, val_part = dataset.train_val_windows(max(sequence_lengths))
     return val_part.targets
 
 
 def probe_objective(dataset: Dataset, sequence_length: int, model_index: int,
-                    master_seed: int, *, probe_epochs: int = 5,
-                    val_fraction: float = 0.1):
-    """Objective for the tuners: validation MSE of a short probe training run."""
+                    master_seed: int, *, probe_epochs: int = 5):
+    """Objective for the tuners: validation MSE of a short probe training run.
+
+    Each distinct probe configuration trains once: a tuner that revisits a
+    configuration gets the memoized score, which training would reproduce
+    bit for bit.
+    """
+    memo: dict = {}
 
     def objective(config: HyperConfig) -> float:
         probe = HyperConfig(**{**config.to_dict(), "epochs": probe_epochs})
-        run = train_base_model(dataset, probe, model_index, master_seed,
-                               val_fraction=val_fraction)
+        run = train_base_model(dataset, probe, model_index, master_seed, memo=memo)
         return run.report.final_val_loss
 
     return objective
@@ -139,7 +144,6 @@ class EnsembleRun:
     weight_state: EnsembleWeights
     weights: np.ndarray
     metrics_rows: list
-    test_forecasts: list  # ForecastResult per model + ensemble
     enumeration: EnumerationResult  # a single tuple for genhyb
 
 
@@ -175,48 +179,44 @@ def evaluate_ensemble(dataset: Dataset, models, weights, architecture: str) -> t
     return rows, forecasts
 
 
-def _train_all(dataset: Dataset, pairs, master_seed: int, memo: dict, jobs: int) -> list:
-    """Train each (model index, configuration) pair, on ``jobs`` threads if > 1;
-    a pair whose training diverges yields its NumericDivergenceError instead."""
-
-    def one(pair):
-        model_index, config = pair
+def _train_all(dataset: Dataset, pairs, master_seed: int, memo: dict) -> list:
+    """Train each (model index, configuration) pair in order; a pair whose
+    training diverges yields its NumericDivergenceError in place of its run."""
+    outcomes = []
+    for model_index, config in pairs:
         try:
-            return train_base_model(dataset, config, model_index, master_seed, memo=memo)
+            outcomes.append(train_base_model(dataset, config, model_index, master_seed,
+                                             memo=memo))
         except NumericDivergenceError as exc:
-            return exc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, pairs))
-    return [one(pair) for pair in pairs]
+            outcomes.append(exc)
+    return outcomes
 
 
 def run_genhyb_ensemble(dataset: Dataset, configs, master_seed: int, *,
                         lam: float = 0.85, gamma: float = 0.85, nu: int | None = None,
-                        memo: dict | None = None, jobs: int = 1) -> EnsembleRun:
+                        memo: dict | None = None) -> EnsembleRun:
     """Train one base model per configuration and combine them adaptively:
     the K = 1 case of :func:`run_boq_ensemble`."""
     ksets = [KBestSet(m, [config], [0.0]) for m, config in enumerate(configs)]
     return _run_ensemble("genhyb", dataset, ksets, master_seed, lam=lam, gamma=gamma,
-                         nu=nu, memo=memo, jobs=jobs)
+                         nu=nu, memo=memo)
 
 
 def run_boq_ensemble(dataset: Dataset, ksets: list, master_seed: int, *,
                      lam: float = 0.85, gamma: float = 0.85, nu: int | None = None,
-                     memo: dict | None = None, jobs: int = 1) -> EnsembleRun:
+                     memo: dict | None = None) -> EnsembleRun:
     """Enumerate every K^m configuration tuple and keep the winner.
 
     The tuple objective is the adaptively-weighted forecast MSE on the
     validation segment; the winning tuple's weights carry to the test set.
     """
     return _run_ensemble("bo-q", dataset, ksets, master_seed, lam=lam, gamma=gamma,
-                         nu=nu, memo=memo, jobs=jobs)
+                         nu=nu, memo=memo)
 
 
 def _run_ensemble(architecture: str, dataset: Dataset, ksets: list, master_seed: int, *,
-                  lam: float, gamma: float, nu: int | None, memo: dict | None,
-                  jobs: int) -> EnsembleRun:
+                  lam: float, gamma: float, nu: int | None,
+                  memo: dict | None) -> EnsembleRun:
     """Train every distinct candidate once, enumerate the tuples, and evaluate
     the winner on the test set.
 
@@ -236,7 +236,7 @@ def _run_ensemble(architecture: str, dataset: Dataset, ksets: list, master_seed:
 
     # every distinct candidate trains once, up front; the enumeration reads the outcomes
     pairs = list(dict.fromkeys((m, cfg) for m, kset in enumerate(ksets) for cfg in kset.configs))
-    outcomes = dict(zip(pairs, _train_all(dataset, pairs, master_seed, memo, jobs)))
+    outcomes = dict(zip(pairs, _train_all(dataset, pairs, master_seed, memo)))
 
     def predict_fn(model_index: int, config: HyperConfig) -> np.ndarray:
         run = outcomes[(model_index, config)]
@@ -247,9 +247,9 @@ def _run_ensemble(architecture: str, dataset: Dataset, ksets: list, master_seed:
     enumeration = enumerate_ensembles(ksets, predict_fn, val_y, lam=lam, gamma=gamma, nu=nu)
     winner = enumeration.best
     base_runs = [outcomes[pair] for pair in enumerate(winner.configs)]
-    rows, forecasts = evaluate_ensemble(dataset, [run.triple for run in base_runs],
-                                        winner.weights, architecture)
-    return EnsembleRun(architecture, base_runs, winner.state, winner.weights, rows, forecasts,
+    rows, _ = evaluate_ensemble(dataset, [run.triple for run in base_runs],
+                                winner.weights, architecture)
+    return EnsembleRun(architecture, base_runs, winner.state, winner.weights, rows,
                        enumeration)
 
 

@@ -148,6 +148,13 @@ def test_unknown_tuner_is_usage_error(prepared_run):
     assert exc.value.code == 2
 
 
+def test_ensemble_has_no_jobs_flag(prepared_run):
+    # every command runs on one thread; the retired --jobs is an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli("ensemble", "--run", prepared_run, "--arch", "genhyb", "--jobs", 2)
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # Training and ensembles
 # ---------------------------------------------------------------------------
@@ -161,6 +168,17 @@ def test_train_writes_checkpoint_and_report(prepared_run):
     assert (out / "checkpoint.npz").exists()
     report = json.loads((out / "report.json").read_text())
     assert len(report["train_losses"]) == 2
+
+
+def test_diverging_train_exits_4_and_leaves_no_directory(prepared_run, tmp_path, capsys):
+    import shutil
+
+    run_dir = tmp_path / "diverge"
+    run_dir.mkdir()
+    shutil.copy(prepared_run / "dataset.npz", run_dir / "dataset.npz")
+    assert run_cli("train", "--run", run_dir, "--lr", 1e300, "--epochs", 1) == 4
+    assert capsys.readouterr().err.startswith("numeric divergence:")
+    assert not list(run_dir.glob("train-*"))
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +290,20 @@ def test_diverging_ensemble_exits_4_for_both_architectures(prepared_run, tmp_pat
     assert run_cli("ensemble", "--run", run_dir, "--arch", arch, "--inline",
                    "--lr", 1e300, "--epochs", 1) == 4
     assert capsys.readouterr().err.startswith("numeric divergence:")
+    assert not list(run_dir.glob("ensemble-*"))
+
+
+def test_diverging_forced_ensemble_keeps_the_earlier_one(genhyb_run, tmp_path, capsys):
+    import shutil
+
+    run_dir = tmp_path / "earlier"
+    shutil.copytree(genhyb_run, run_dir)
+    out = run_dir / "ensemble-genhyb"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run_cli("ensemble", "--run", run_dir, "--arch", "genhyb", "--inline",
+                   "--lr", 1e300, "--epochs", 1, "--force") == 4
+    assert capsys.readouterr().err.startswith("numeric divergence:")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--gamma", 1.5), ("--nu", 0)])
@@ -297,8 +329,7 @@ TUNE_BAYES = ("tune", "--tuner", "bayes", "--budget", 4, "--probe-epochs", 1,
     (TUNE_BAYES + ("--k", -1), "--k"),
     (("ensemble", "--arch", "bo-q", "--k", 0), "--k"),
     (("ensemble", "--arch", "bo-q", "--k", -1), "--k"),
-    (("ensemble", "--arch", "genhyb", "--inline", "--epochs", 1, "--jobs", -2), "--jobs"),
-], ids=["tune-k0", "tune-k-1", "boq-k0", "boq-k-1", "genhyb-jobs-2"])
+], ids=["tune-k0", "tune-k-1", "boq-k0", "boq-k-1"])
 def test_counts_below_one_exit_before_writing(prepared_run, tmp_path, capsys, argv, flag):
     import shutil
 
@@ -453,6 +484,21 @@ def test_rerun_verifies_identical_outputs(genhyb_run, capsys):
     out = capsys.readouterr().out
     assert "metrics.json: identical" in out
     assert "checkpoint.npz: identical" in out
+    assert "DIFFERS" not in out
+
+
+def test_rerun_accepts_a_manifest_with_the_retired_jobs_key(genhyb_run, tmp_path, capsys):
+    import shutil
+
+    copy = tmp_path / "old"
+    shutil.copytree(genhyb_run, copy)
+    manifest_path = copy / "ensemble-genhyb" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["jobs"] = 2  # earlier versions stored a thread count
+    manifest_path.write_text(json.dumps(manifest))
+    assert run_cli("rerun", "--manifest", manifest_path) == 0
+    out = capsys.readouterr().out
+    assert out.count(": identical") == len(manifest["artifacts"])
     assert "DIFFERS" not in out
 
 

@@ -256,7 +256,7 @@ def test_windows_reconstruct_series():
 def test_train_val_partition():
     records = synth_series(500, seed=6)
     dataset = prepare_dataset(records)
-    train_part, val_part = dataset.train_val_windows(3, val_fraction=0.1)
+    train_part, val_part = dataset.train_val_windows(3)
     rows = len(dataset.train_matrix)
     val_rows = int(np.floor(0.1 * rows))
     assert np.all(val_part.target_rows >= rows - val_rows)

@@ -11,6 +11,7 @@ from qforecast.runner import (
     ensemble_checkpoint_parts,
     forecast_horizon,
     load_ensemble_checkpoint,
+    probe_objective,
     run_boq_ensemble,
     run_genhyb_ensemble,
     save_ensemble_checkpoint,
@@ -33,6 +34,22 @@ def small_config(seq=3, **overrides):
                 sequence_length=seq, batch_size=32, epochs=2)
     base.update(overrides)
     return HyperConfig(**base)
+
+
+@pytest.fixture
+def trainings(monkeypatch):
+    """The configuration of every call the runner makes to ``train``."""
+    from qforecast import runner
+
+    calls = []
+    real_train = runner.train
+
+    def counting_train(*args, **kwargs):
+        calls.append(args[1])
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "train", counting_train)
+    return calls
 
 
 def test_derive_seed_is_stable_and_distinct():
@@ -64,19 +81,24 @@ def test_memo_short_circuits(small_dataset):
     assert a is b
 
 
+def test_probe_objective_trains_each_configuration_once(small_dataset, trainings):
+    from qforecast.metaheuristics import ObjectiveTracker
+
+    trace = []
+    tracker = ObjectiveTracker(probe_objective(small_dataset, 3, 0, 99, probe_epochs=1),
+                               trace=trace, describe=lambda config: config.to_dict())
+    first, again = (tracker(small_config(), "probe", it) for it in range(2))
+    assert len(trainings) == 1 and first == again
+    assert len(trace) == 2 and trace[0]["objective"] == trace[1]["objective"]
+    tracker(small_config(learning_rate=0.03), "probe", 2)
+    assert len(trainings) == 2
+
+
 def test_validation_targets_align_across_window_lengths(small_dataset):
     for seqs in ([3], [5], [3, 5]):
         y = validation_targets(small_dataset, seqs)
         _, val3 = small_dataset.train_val_windows(3)
         np.testing.assert_array_equal(y, val3.targets)
-
-
-def test_genhyb_jobs_parallelism_is_deterministic(small_dataset):
-    configs = [small_config(3), small_config(5)]
-    seq_run = run_genhyb_ensemble(small_dataset, configs, 11, jobs=1)
-    par_run = run_genhyb_ensemble(small_dataset, configs, 11, jobs=4)
-    np.testing.assert_array_equal(seq_run.weights, par_run.weights)
-    assert seq_run.metrics_rows == par_run.metrics_rows
 
 
 def test_boq_reuses_shared_trainings(small_dataset):
@@ -87,36 +109,23 @@ def test_boq_reuses_shared_trainings(small_dataset):
         KBestSet(0, [small_config(3), small_config(3, learning_rate=0.03)], [0.0, 1.0]),
         KBestSet(1, [small_config(5), small_config(5, learning_rate=0.03)], [0.0, 1.0]),
     ]
-    run = run_boq_ensemble(small_dataset, ksets, 11, memo=memo, jobs=2)
+    run = run_boq_ensemble(small_dataset, ksets, 11, memo=memo)
     assert run.enumeration.n_tuples == 4
     assert len(memo) == 4  # one training per distinct (model, config) pair
     assert [r["model"] for r in run.metrics_rows][-1] == "bo-q-ensemble"
 
 
-def test_boq_diverged_candidate_scores_inf_under_every_jobs(small_dataset, monkeypatch):
-    from qforecast import runner
+def test_boq_diverged_candidate_scores_inf(small_dataset, trainings):
     from qforecast.bayesopt import KBestSet
 
-    trainings = []
-    real_train = runner.train
-
-    def counting_train(*args, **kwargs):
-        trainings.append(args[1])
-        return real_train(*args, **kwargs)
-
-    monkeypatch.setattr(runner, "train", counting_train)
     ksets = [
         KBestSet(0, [small_config(3), small_config(3, learning_rate=1e300)], [0.0, 1.0]),
         KBestSet(1, [small_config(5), small_config(5, learning_rate=0.03)], [0.0, 1.0]),
     ]
-    objectives = []
-    for jobs in (1, 2):
-        trainings.clear()
-        run = run_boq_ensemble(small_dataset, ksets, 11, jobs=jobs)
-        assert len(trainings) == 4  # once per distinct (model, config) pair
-        objectives.append(run.enumeration.objectives)
-    assert objectives[0] == objectives[1]
-    assert objectives[0][2:] == [float("inf")] * 2 and max(objectives[0][:2]) < float("inf")
+    run = run_boq_ensemble(small_dataset, ksets, 11)
+    assert len(trainings) == 4  # once per distinct (model, config) pair
+    objectives = run.enumeration.objectives
+    assert objectives[2:] == [float("inf")] * 2 and max(objectives[:2]) < float("inf")
 
 
 def test_ensemble_checkpoint_round_trip(tmp_path, small_dataset):
