@@ -5,7 +5,9 @@ Subcommands: ``synth``, ``preprocess``, ``tune``, ``train``, ``ensemble``,
 manifest).  Every command resolves its options (defaults < ``--config``
 JSON < flags), derives all randomness from the single run seed, refuses to
 overwrite existing outputs without ``--force``, and writes a manifest with
-content hashes of everything it produced.
+content hashes of everything it produced.  A command computes everything
+first and writes its outputs only once it has succeeded (:func:`publish`), so
+a command that fails leaves the run tree as it found it.
 
 Exit codes: 0 success, 2 usage/configuration, 3 data error, 4 numeric
 divergence.  The environment variable ``QFORECAST_OUT_ROOT`` rebases
@@ -99,23 +101,28 @@ def check_output(path: Path, force: bool) -> Path:
     return path
 
 
-def ensure_output(path: Path, force: bool) -> Path:
-    """Create an output directory that :func:`check_output` accepts; a forced
-    run first deletes the artifacts the old manifest lists, and nothing else."""
-    check_output(path, force)
-    if (path / "manifest.json").is_file():
-        for name in read_manifest(path / "manifest.json")[1]:
-            if (path / name).parent == path and (path / name).is_file():
-                (path / name).unlink()
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def publish(out_dir: Path, command: str, config: dict, times: dict, files: dict) -> Path:
+    """Write a command's computed outputs, then its manifest.
 
-
-def ensure_output_file(path: Path, force: bool) -> Path:
-    if path.exists() and not force:
-        raise ConfigurationError(f"{path} already exists; pass --force to overwrite")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+    ``files`` maps each name, in manifest order, to a dict or list (written as
+    JSON), a str (written as text) or a callable that writes the path it is
+    given.  An occupied ``out_dir`` is refused unless ``config["force"]``; a
+    forced run first deletes only the files the old manifest lists."""
+    check_output(out_dir, config["force"])
+    if (out_dir / "manifest.json").is_file():
+        for name in read_manifest(out_dir / "manifest.json")[1]:
+            if (out_dir / name).parent == out_dir and (out_dir / name).is_file():
+                (out_dir / name).unlink()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if callable(content):
+            content(out_dir / name)
+        elif isinstance(content, str):
+            (out_dir / name).write_text(content)
+        else:
+            (out_dir / name).write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+    return write_manifest(out_dir, command, config, int(config["seed"]), times,
+                          [out_dir / name for name in files])
 
 
 def load_config_file(path: str | None) -> dict:
@@ -132,29 +139,48 @@ def load_config_file(path: str | None) -> dict:
     return config
 
 
-def check_counts(options: dict, *keys: str) -> None:
-    """Counts such as ``--k`` must be at least 1."""
-    for key in keys:
-        if int(options[key]) < 1:
-            raise ConfigurationError(f"--{key} must be >= 1, got {options[key]}")
+def check_counts(options: dict, **minimums: int) -> None:
+    """Counts such as ``--k`` must be at least their minimum."""
+    for key, minimum in minimums.items():
+        if int(options[key]) < minimum:
+            raise ConfigurationError(f"--{key} must be >= {minimum}, got {options[key]}")
+
+
+def command_flags(parser: argparse.ArgumentParser, command: str) -> list:
+    """The argparse actions of the flags ``command`` takes, ``--config`` aside."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions if a.dest not in ("help", "config")]
+
+
+def config_value(flag: argparse.Action, value, default):
+    """A config-file value converted as the flag's argument would be: by its
+    ``type``, each element for ``nargs="+"``.  JSON null stands where the
+    default is None."""
+    if value is None and default is None:
+        return None
+    many = flag.nargs == "+"
+    try:
+        if many != isinstance(value, list) or value == []:
+            raise ValueError
+        converted = [(flag.type or str)(str(v)) for v in (value if many else [value])]
+    except ValueError:
+        raise ConfigurationError(f"config key {flag.dest!r}: {value!r} is not a valid "
+                                 f"{flag.option_strings[0]} value") from None
+    return converted if many else converted[0]
 
 
 def merge_options(defaults: dict, config_file: dict, args: argparse.Namespace,
-                  keys: list) -> dict:
-    """defaults < config file < explicit CLI flags."""
+                  flags: list) -> dict:
+    """defaults < config file < explicit CLI flags, for the keys that ``flags``
+    (the command's argparse actions) name; other config-file keys are ignored."""
     merged = dict(defaults)
-    for key in keys:
+    for flag in flags:
+        key = flag.dest
         if key in config_file:
-            merged[key] = config_file[key]
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+            merged[key] = config_value(flag, config_file[key], defaults.get(key))
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     return merged
-
-
-def write_json(path: Path, payload) -> Path:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def dataset_path(run_dir: Path) -> Path:
@@ -184,32 +210,34 @@ def model_config(options: dict, sequence_length: int) -> HyperConfig:
 
 
 def cmd_synth(options: dict) -> int:
-    out = ensure_output_file(resolve_run_dir(options["out"]), options["force"])
+    out = check_output(resolve_run_dir(options["out"]), options["force"])
+    if out.is_dir():
+        raise ConfigurationError(f"--out {out} is a directory")
     records = synth_series(int(options["hours"]), int(options["seed"]),
                            noise_sigma=float(options["noise"]))
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(records, out)
     print(f"wrote {len(records)} hourly rows to {out}")
     return 0
 
 
 def cmd_preprocess(options: dict) -> int:
+    run_dir = check_output(resolve_run_dir(options["run"]), options["force"])
     timer = StageTimer()
     seed = int(options["seed"])
     with timer.time("ingest"):
         if options.get("csv"):
+            options = {**options, "csv": str(Path(options["csv"]).resolve())}
             records = ingest_csv(options["csv"])
-            source = {"csv": str(Path(options["csv"]).resolve())}
+            source = {"csv": options["csv"]}
         elif options.get("synth_hours"):
             records = synth_series(int(options["synth_hours"]), derive_seed(seed, "synth"),
                                    noise_sigma=float(options["noise"]))
             source = {"synth_hours": int(options["synth_hours"]), "noise": float(options["noise"])}
         else:
             raise ConfigurationError("preprocess needs --csv FILE or --synth-hours N")
-    run_dir = ensure_output(resolve_run_dir(options["run"]), options["force"])
     with timer.time("prepare"):
         dataset = prepare_dataset(records, train_fraction=float(options["train_fraction"]))
-        cache = run_dir / "dataset.npz"
-        save_dataset(cache, dataset)
     n_train = split_point(len(records), float(options["train_fraction"]))
     summary = {
         "rows": len(records),
@@ -219,17 +247,17 @@ def cmd_preprocess(options: dict) -> int:
         "scaler_median": [round(v, 12) for v in dataset.scaler.median],
         "scaler_iqr": [round(v, 12) for v in dataset.scaler.iqr],
     }
-    summary_path = write_json(run_dir / "summary.json", summary)
-    resolved = {**options, "source": source}
-    write_manifest(run_dir, "preprocess", resolved, seed, timer.times,
-                   [cache, summary_path])
+    publish(run_dir, "preprocess", {**options, "source": source}, timer.times, {
+        "dataset.npz": lambda path: save_dataset(path, dataset),
+        "summary.json": summary,
+    })
     print(f"preprocessed {summary['rows']} rows -> {summary['train_rows']} train / "
           f"{summary['test_rows']} test ({run_dir})")
     return 0
 
 
-def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: dict,
-                    out_dir: Path):
+def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: dict):
+    """One model's best configuration and score, and its files by name."""
     seed = derive_seed(int(options["seed"]), "tune", tuner, model_index)
     space = SearchSpace.default(
         sequence_length=seq, epochs=int(options["epochs"]),
@@ -246,8 +274,8 @@ def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: di
         kset = bo_tune(objective, space, n_init=n_init,
                        n_iterations=max(0, budget - n_init), k=int(options["k"]),
                        seed=seed, model_index=model_index, trace=trace)
-        artifact = write_json(out_dir / f"kbest_seq{seq}.json", kset.to_dict())
         best = {"config": kset.configs[0].to_dict(), "score": kset.scores[0]}
+        files = {f"kbest_seq{seq}.json": kset.to_dict()}
     else:
         tracker = ObjectiveTracker(
             lambda v: objective(space.decode_vector(v)), budget=budget, trace=trace,
@@ -257,47 +285,42 @@ def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: di
             result = pso_minimize(tracker, space.bounds(), n_particles=20,
                                   n_iterations=10**9, seed=seed)
             best_vector = result.best_position
-            score = result.best_value
         elif tuner == "qga":
             result = qga_minimize(tracker, space.total_bits, pop_size=20,
                                   n_generations=max(1, budget // 20), seed=seed,
                                   decode=space.decode_bits)
             best_vector = np.asarray(result.best_decoded)
-            score = result.best_value
         else:  # hybrid
             result = hybrid_minimize(tracker, space.bounds(), budget=budget, seed=seed,
                                      decode_bits=space.decode_bits, n_bits=space.total_bits)
             best_vector = result.best_position
-            score = result.best_value
         config = space.decode_vector(best_vector)
-        best = {"config": config.to_dict(), "score": float(score)}
-        artifact = write_json(out_dir / f"best_config_seq{seq}.json", best)
+        best = {"config": config.to_dict(), "score": float(result.best_value)}
+        files = {f"best_config_seq{seq}.json": best}
 
-    trace_path = out_dir / f"trace_seq{seq}.jsonl"
-    with open(trace_path, "w") as fh:
-        for row in trace:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    return best, [artifact, trace_path]
+    files[f"trace_seq{seq}.jsonl"] = "".join(json.dumps(row, sort_keys=True) + "\n"
+                                             for row in trace)
+    return best, files
 
 
 def cmd_tune(options: dict) -> int:
-    check_counts(options, "k")
+    tuner = options["tuner"]
+    # the bayes tuner's GP needs two initial points
+    check_counts(options, k=1, budget=2 if tuner == "bayes" else 1)
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
-    tuner = options["tuner"]
-    out_dir = ensure_output(run_dir / f"tune-{tuner}", options["force"])
+    out_dir = check_output(run_dir / f"tune-{tuner}", options["force"])
     timer = StageTimer()
-    artifacts = []
+    files = {}
     for model_index, seq in enumerate(options["seq"]):
         with timer.time(f"model{model_index}"):
-            best, files = _tune_one_model(tuner, dataset, int(seq), model_index,
-                                          options, out_dir)
-        artifacts.extend(files)
+            best, model_files = _tune_one_model(tuner, dataset, int(seq), model_index, options)
+        files.update(model_files)
         ref = REFERENCE_LEARNING_RATES.get("genhyb" if tuner != "bayes" else "bo-q")
         print(f"model {model_index} (seq {seq}): best score {best['score']:.6f} "
               f"lr {best['config']['learning_rate']:.4f} "
               f"(reference full-scale lr magnitudes: {ref})")
-    write_manifest(out_dir, "tune", options, int(options["seed"]), timer.times, artifacts)
+    publish(out_dir, "tune", options, timer.times, files)
     return 0
 
 
@@ -311,16 +334,14 @@ def cmd_train(options: dict) -> int:
     config = model_config(options, seq)
     with timer.time("train"):
         run = train_base_model(dataset, config, 0, int(options["seed"]), kind=kind)
-    ensure_output(out_dir, options["force"])  # only a trained model replaces old outputs
-    checkpoint = out_dir / "checkpoint.npz"
-    save_checkpoint(checkpoint, run.model, config)
-    report_path = write_json(out_dir / "report.json", {
-        "train_losses": run.report.train_losses,
-        "test_losses": run.report.test_losses,
-        "final_val_loss": run.report.final_val_loss,
+    publish(out_dir, "train", options, timer.times, {
+        "checkpoint.npz": lambda path: save_checkpoint(path, run.model, config),
+        "report.json": {
+            "train_losses": run.report.train_losses,
+            "test_losses": run.report.test_losses,
+            "final_val_loss": run.report.final_val_loss,
+        },
     })
-    write_manifest(out_dir, "train", options, int(options["seed"]), timer.times,
-                   [checkpoint, report_path])
     print(f"{kind} seq={seq}: final validation MSE {run.report.final_val_loss:.6f} "
           f"({config.epochs} epochs, {run.report.wall_seconds:.1f}s)")
     return 0
@@ -375,7 +396,7 @@ def cmd_ensemble(options: dict) -> int:
     nu = int(nu) if nu is not None else None
     kwargs = dict(lam=float(options["lam"]), gamma=float(options["gamma"]), nu=nu)
     check_weight_params(kwargs["lam"], kwargs["gamma"], nu)
-    check_counts(options, "k")
+    check_counts(options, k=1)
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     arch = options["arch"]
@@ -390,35 +411,31 @@ def cmd_ensemble(options: dict) -> int:
                                          **kwargs)
         else:
             result = run_boq_ensemble(dataset, ksets, seed, **kwargs)
-    ensure_output(out_dir, options["force"])  # only a trained ensemble replaces old outputs
 
-    checkpoint = out_dir / "checkpoint.npz"
-    save_ensemble_checkpoint(checkpoint, arch, result.weights,
-                             ensemble_checkpoint_parts(result))
-    weights_path = write_json(out_dir / "weights.json", {
-        "architecture": arch,
-        "weights": [float(w) for w in result.weights],
-        "lambda": float(options["lam"]),
-        "gamma": float(options["gamma"]),
-        "nu": nu,
-        "configs": [b.config.to_dict() for b in result.base_runs],
-    })
-    history_path = out_dir / "weight_history.tsv"
-    history_path.write_text(weight_history_tsv(result.weight_state))
-    metrics_json = write_json(out_dir / "metrics.json", result.metrics_rows)
-    metrics_txt = out_dir / "metrics.txt"
-    metrics_txt.write_text(format_metrics_table(result.metrics_rows))
-    artifacts = [checkpoint, weights_path, history_path, metrics_json, metrics_txt]
+    files = {
+        "checkpoint.npz": lambda path: save_ensemble_checkpoint(
+            path, arch, result.weights, ensemble_checkpoint_parts(result)),
+        "weights.json": {
+            "architecture": arch,
+            "weights": [float(w) for w in result.weights],
+            "lambda": float(options["lam"]),
+            "gamma": float(options["gamma"]),
+            "nu": nu,
+            "configs": [b.config.to_dict() for b in result.base_runs],
+        },
+        "weight_history.tsv": weight_history_tsv(result.weight_state),
+        "metrics.json": result.metrics_rows,
+        "metrics.txt": format_metrics_table(result.metrics_rows),
+    }
     if arch == "bo-q":
-        enum_path = write_json(out_dir / "enumeration.json", {
+        files["enumeration.json"] = {
             "n_tuples": result.enumeration.n_tuples,
             "objectives": result.enumeration.objectives,
             "best_objective": result.enumeration.best.objective,
             "best_configs": [c.to_dict() for c in result.enumeration.best.configs],
-        })
-        artifacts.append(enum_path)
-    write_manifest(out_dir, "ensemble", options, seed, timer.times, artifacts)
-    print(format_metrics_table(result.metrics_rows), end="")
+        }
+    publish(out_dir, "ensemble", options, timer.times, files)
+    print(files["metrics.txt"], end="")
     print(f"combining weights: {[round(float(w), 5) for w in result.weights]}")
     return 0
 
@@ -438,24 +455,19 @@ def cmd_forecast(options: dict) -> int:
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     arch, weights, models = _load_ensemble_dir(run_dir, options.get("arch"))
-    out_dir = ensure_output(run_dir / "forecast", options["force"])
+    out_dir = check_output(run_dir / "forecast", options["force"])
     timer = StageTimer()
     horizon = int(options["horizon"])
 
     with timer.time("one_step"):
-        _, one_step = evaluate_ensemble(dataset, models, weights, arch)
-        onestep_path = out_dir / "test_onestep.tsv"
-        onestep_path.write_text(forecast_to_tsv(one_step))
-
+        one_step = forecast_to_tsv(evaluate_ensemble(dataset, models, weights, arch)[1])
     with timer.time("multi_step"):
-        multi = forecast_horizon(dataset, models, weights, horizon,
-                                 model_tag=f"{arch}-ensemble")
-        multi_path = out_dir / f"horizon{horizon}.tsv"
-        multi_path.write_text(forecast_to_tsv([multi]))
+        multi = forecast_to_tsv([forecast_horizon(dataset, models, weights, horizon,
+                                                  model_tag=f"{arch}-ensemble")])
 
-    write_manifest(out_dir, "forecast", options, int(options["seed"]), timer.times,
-                   [onestep_path, multi_path])
-    print(f"wrote {onestep_path} and {multi_path}")
+    files = {"test_onestep.tsv": one_step, f"horizon{horizon}.tsv": multi}
+    publish(out_dir, "forecast", options, timer.times, files)
+    print("wrote " + " and ".join(str(out_dir / name) for name in files))
     return 0
 
 
@@ -463,17 +475,14 @@ def cmd_evaluate(options: dict) -> int:
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     arch, weights, models = _load_ensemble_dir(run_dir, options.get("arch"))
-    out_dir = ensure_output(run_dir / "evaluate", options["force"])
+    out_dir = check_output(run_dir / "evaluate", options["force"])
     timer = StageTimer()
 
     with timer.time("evaluate"):
         metric_rows, _ = evaluate_ensemble(dataset, models, weights, arch)
     table = format_metrics_table(metric_rows)
-    metrics_json = write_json(out_dir / "metrics.json", metric_rows)
-    metrics_txt = out_dir / "metrics.txt"
-    metrics_txt.write_text(table)
-    write_manifest(out_dir, "evaluate", options, int(options["seed"]), timer.times,
-                   [metrics_json, metrics_txt])
+    publish(out_dir, "evaluate", options, timer.times,
+            {"metrics.json": metric_rows, "metrics.txt": table})
     print(table, end="")
     return 0
 
@@ -641,19 +650,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "rerun":
             return cmd_rerun({"manifest": args.manifest, "run": args.run})
-        defaults = DEFAULTS[args.command]
-        config_file = load_config_file(getattr(args, "config", None))
-        keys = list(defaults.keys()) + ["run", "out", "csv", "synth_hours", "hours",
-                                        "tuner", "arch", "kind", "horizon"]
-        options = merge_options(defaults, config_file, args, sorted(set(keys)))
-        if getattr(args, "force", False):
-            options["force"] = True
-        if getattr(args, "inline", False):
-            options["inline"] = True
+        options = merge_options(DEFAULTS[args.command], load_config_file(args.config), args,
+                                command_flags(parser, args.command))
         return COMMANDS[args.command](options)
-    except (ConfigurationError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DataError, CheckpointVersionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -47,21 +47,31 @@ def test_preprocess_writes_cache_and_summary(prepared_run):
     assert {a["path"] for a in manifest["artifacts"]} == {"dataset.npz", "summary.json"}
 
 
-@pytest.mark.parametrize("content", ["[1, 2]", None, "{not json"],
-                         ids=["list", "missing", "malformed"])
-def test_bad_config_file_is_usage_error(tmp_path, capsys, content):
+PREPROCESS = ("preprocess", "--synth-hours", 120)
+
+
+@pytest.mark.parametrize("argv, content, named", [
+    (PREPROCESS, "[1, 2]", "JSON object"),
+    (PREPROCESS, None, "not found"),
+    (PREPROCESS, "{not json", "not valid JSON"),
+    (("train",), '{"epochs": "x"}', "'epochs'"),
+    (("ensemble", "--arch", "genhyb", "--inline"), '{"seq": 3}', "'seq'"),
+], ids=["list", "missing", "malformed", "train-epochs-text", "ensemble-seq-scalar"])
+def test_bad_config_file_is_usage_error(tmp_path, capsys, argv, content, named):
     config = tmp_path / "config.json"
     if content is not None:
         config.write_text(content)
-    assert run_cli("preprocess", "--run", tmp_path / "r", "--synth-hours", 120,
-                   "--config", config) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    command, *flags = argv
+    assert run_cli(command, "--run", tmp_path / "r", *flags, "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
     assert not (tmp_path / "r").exists()
 
 
 def test_config_file_sets_options(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"train_fraction": 0.5}))
+    # null stands where the default is None; keys preprocess does not take are ignored
+    config.write_text(json.dumps({"train_fraction": 0.5, "csv": None, "epochs": "x"}))
     assert run_cli("preprocess", "--run", tmp_path / "r", "--synth-hours", 120,
                    "--config", config) == 0
     assert json.loads((tmp_path / "r" / "summary.json").read_text())["train_rows"] == 60
@@ -320,16 +330,21 @@ def test_out_of_range_weight_params_exit_before_training(prepared_run, tmp_path,
     assert not (run_dir / "ensemble-genhyb").exists()
 
 
-TUNE_BAYES = ("tune", "--tuner", "bayes", "--budget", 4, "--probe-epochs", 1,
-              "--max-qubits", 2, "--max-layers", 1)
+TUNE_SMALL = ("--probe-epochs", 1, "--max-qubits", 2, "--max-layers", 1)
+TUNE_BAYES = ("tune", "--tuner", "bayes", "--budget", 4) + TUNE_SMALL
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (TUNE_BAYES + ("--k", 0), "--k"),
-    (TUNE_BAYES + ("--k", -1), "--k"),
-    (("ensemble", "--arch", "bo-q", "--k", 0), "--k"),
-    (("ensemble", "--arch", "bo-q", "--k", -1), "--k"),
-], ids=["tune-k0", "tune-k-1", "boq-k0", "boq-k-1"])
+    (TUNE_BAYES + ("--k", 0), "--k must be >= 1"),
+    (TUNE_BAYES + ("--k", -1), "--k must be >= 1"),
+    (("ensemble", "--arch", "bo-q", "--k", 0), "--k must be >= 1"),
+    (("ensemble", "--arch", "bo-q", "--k", -1), "--k must be >= 1"),
+    (("tune", "--tuner", "pso", "--budget", 0) + TUNE_SMALL, "--budget must be >= 1"),
+    (("tune", "--tuner", "qga", "--budget", 0) + TUNE_SMALL, "--budget must be >= 1"),
+    (("tune", "--tuner", "bayes", "--budget", 0) + TUNE_SMALL, "--budget must be >= 2"),
+    (("tune", "--tuner", "bayes", "--budget", 1) + TUNE_SMALL, "--budget must be >= 2"),
+], ids=["tune-k0", "tune-k-1", "boq-k0", "boq-k-1", "pso-budget0", "qga-budget0",
+        "bayes-budget0", "bayes-budget1"])
 def test_counts_below_one_exit_before_writing(prepared_run, tmp_path, capsys, argv, flag):
     import shutil
 
@@ -342,7 +357,7 @@ def test_counts_below_one_exit_before_writing(prepared_run, tmp_path, capsys, ar
     before = sorted(run_dir.rglob("*"))
     assert run_cli(command, "--run", run_dir, "--seq", 3, 5, *flags) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{flag} must be >= 1" in err
+    assert err.startswith("error:") and flag in err
     assert sorted(run_dir.rglob("*")) == before
 
 
@@ -533,10 +548,82 @@ def test_rerun_acts_on_the_copied_run(genhyb_run, tmp_path, capsys):
     assert snapshot(genhyb_run) == original
 
 
+def test_rerun_of_a_csv_preprocess_works_from_another_directory(tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("synth", "--hours", 120, "--out", "w.csv") == 0
+    assert run_cli("preprocess", "--run", "run1", "--csv", "w.csv") == 0
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    assert run_cli("rerun", "--manifest", "../run1/manifest.json") == 0
+    out = capsys.readouterr().out
+    assert "dataset.npz: identical" in out and "DIFFERS" not in out
+
+
 def test_output_root_env_rebases_relative_runs(tmp_path, monkeypatch):
     monkeypatch.setenv("QFORECAST_OUT_ROOT", str(tmp_path))
     assert run_cli("preprocess", "--run", "nested/exp", "--synth-hours", 120) == 0
     assert (tmp_path / "nested" / "exp" / "dataset.npz").exists()
+
+
+# ---------------------------------------------------------------------------
+# Outputs are written only after a command succeeds
+# ---------------------------------------------------------------------------
+
+
+def tree_bytes(root: Path) -> dict:
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("setup, argv", [
+    ("empty", ("preprocess", "--run", "{run}", "--synth-hours", 120, "--train-fraction", 1.0)),
+    ("dataset", TUNE_BAYES + ("--run", "{run}", "--budget", 2, "--k", 3, "--seq", 3)),
+    ("tuned", TUNE_BAYES + ("--run", "{run}", "--budget", 2, "--k", 3, "--seq", 3, "--force")),
+    ("ensemble", ("forecast", "--run", "{run}", "--horizon", 0)),
+    ("forecast", ("forecast", "--run", "{run}", "--horizon", 0, "--force")),
+    ("empty", ("synth", "--hours", 10, "--out", "{run}/new/x.csv")),
+    ("dataset", ("synth", "--hours", 60, "--out", "{run}", "--force")),
+], ids=["preprocess-no-test-rows", "tune-k-above-budget", "forced-tune-k-above-budget",
+        "forecast-horizon0", "forced-forecast-horizon0", "synth-too-short",
+        "forced-synth-onto-directory"])
+def test_failed_command_leaves_the_run_tree_unchanged(prepared_run, tmp_path, capsys,
+                                                      setup, argv):
+    import shutil
+
+    if setup in ("ensemble", "forecast"):
+        run_dir = untrained_ensemble_run(tmp_path)
+    else:
+        run_dir = tmp_path / "run"
+    if setup in ("dataset", "tuned"):
+        run_dir.mkdir()
+        shutil.copy(prepared_run / "dataset.npz", run_dir / "dataset.npz")
+    if setup == "tuned":
+        assert run_cli(*TUNE_BAYES, "--run", run_dir, "--k", 2, "--seq", 3) == 0
+    if setup == "forecast":
+        assert run_cli("forecast", "--run", run_dir) == 0
+    before = tree_bytes(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*(str(a).format(run=run_dir) for a in argv)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert tree_bytes(tmp_path) == before
+
+
+def test_each_output_directory_holds_its_manifest_and_what_it_lists(genhyb_run, tmp_path):
+    import shutil
+
+    run_dir = tmp_path / "run"
+    shutil.copytree(genhyb_run, run_dir)
+    assert run_cli("forecast", "--run", run_dir, "--force") == 0
+    assert run_cli("evaluate", "--run", run_dir, "--force") == 0
+    manifests = sorted(run_dir.rglob("manifest.json"))
+    assert {m.parent.name for m in manifests} >= {
+        "run", "ensemble-genhyb", "forecast", "evaluate"}
+    for manifest in manifests:
+        listed = {a["path"] for a in json.loads(manifest.read_text())["artifacts"]}
+        held = {p.name for p in manifest.parent.iterdir() if p.is_file()}
+        assert held == listed | {"manifest.json"}, manifest
+        if manifest.parent != run_dir:
+            assert {p.name for p in manifest.parent.iterdir()} == held, manifest
 
 
 # ---------------------------------------------------------------------------
