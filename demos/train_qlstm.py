@@ -12,9 +12,9 @@ from qforecast.qlstm import HyperConfig, init_classical_lstm, init_qlstm, train
 
 warnings.filterwarnings("ignore", message="zero IQR")
 
-records = synth_series(900, seed=1)
-dataset = prepare_dataset(records)
-print(f"{len(records)} hourly rows -> {len(dataset.train_matrix)} train / "
+series = synth_series(900, seed=1)  # (900, 7) hourly matrix
+dataset = prepare_dataset(series)
+print(f"{len(series)} hourly rows -> {len(dataset.train_matrix)} train / "
       f"{len(dataset.test_matrix)} test (standardized, 7 features)")
 
 config = HyperConfig(

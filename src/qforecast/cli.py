@@ -30,7 +30,6 @@ from .data import (
     load_dataset,
     prepare_dataset,
     save_dataset,
-    split_point,
     synth_series,
     write_csv,
 )
@@ -95,8 +94,11 @@ def read_manifest(path: Path) -> tuple[dict, dict]:
 
 
 def check_output(path: Path, force: bool) -> Path:
-    """Refuse to clobber an existing non-empty output unless forced."""
-    if path.exists() and (path.is_file() or any(path.iterdir())) and not force:
+    """Refuse an output directory path that holds anything but a directory,
+    and a non-empty directory unless forced."""
+    if path.exists() and not path.is_dir():
+        raise ConfigurationError(f"{path} exists and is not a directory")
+    if path.exists() and any(path.iterdir()) and not force:
         raise ConfigurationError(f"{path} already exists; pass --force to overwrite")
     return path
 
@@ -154,15 +156,20 @@ def command_flags(parser: argparse.ArgumentParser, command: str) -> list:
 
 def config_value(flag: argparse.Action, value, default):
     """A config-file value converted as the flag's argument would be: by its
-    ``type``, each element for ``nargs="+"``.  JSON null stands where the
-    default is None."""
+    ``type``, each element for ``nargs="+"``, and checked against its
+    ``choices``; a switch (``store_true``) takes a JSON boolean.  JSON null
+    stands where the default is None."""
     if value is None and default is None:
         return None
+    if flag.nargs == 0 and isinstance(value, bool):
+        return value
     many = flag.nargs == "+"
     try:
-        if many != isinstance(value, list) or value == []:
+        if flag.nargs == 0 or many != isinstance(value, list) or value == []:
             raise ValueError
         converted = [(flag.type or str)(str(v)) for v in (value if many else [value])]
+        if flag.choices and any(v not in flag.choices for v in converted):
+            raise ValueError
     except ValueError:
         raise ConfigurationError(f"config key {flag.dest!r}: {value!r} is not a valid "
                                  f"{flag.option_strings[0]} value") from None
@@ -210,14 +217,16 @@ def model_config(options: dict, sequence_length: int) -> HyperConfig:
 
 
 def cmd_synth(options: dict) -> int:
-    out = check_output(resolve_run_dir(options["out"]), options["force"])
+    out = resolve_run_dir(options["out"])
     if out.is_dir():
         raise ConfigurationError(f"--out {out} is a directory")
-    records = synth_series(int(options["hours"]), int(options["seed"]),
-                           noise_sigma=float(options["noise"]))
+    if out.exists() and not options["force"]:
+        raise ConfigurationError(f"{out} already exists; pass --force to overwrite")
+    series = synth_series(int(options["hours"]), int(options["seed"]),
+                          noise_sigma=float(options["noise"]))
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(records, out)
-    print(f"wrote {len(records)} hourly rows to {out}")
+    write_csv(series, out)
+    print(f"wrote {len(series)} hourly rows to {out}")
     return 0
 
 
@@ -228,21 +237,20 @@ def cmd_preprocess(options: dict) -> int:
     with timer.time("ingest"):
         if options.get("csv"):
             options = {**options, "csv": str(Path(options["csv"]).resolve())}
-            records = ingest_csv(options["csv"])
+            series = ingest_csv(options["csv"])
             source = {"csv": options["csv"]}
         elif options.get("synth_hours"):
-            records = synth_series(int(options["synth_hours"]), derive_seed(seed, "synth"),
-                                   noise_sigma=float(options["noise"]))
+            series = synth_series(int(options["synth_hours"]), derive_seed(seed, "synth"),
+                                  noise_sigma=float(options["noise"]))
             source = {"synth_hours": int(options["synth_hours"]), "noise": float(options["noise"])}
         else:
             raise ConfigurationError("preprocess needs --csv FILE or --synth-hours N")
     with timer.time("prepare"):
-        dataset = prepare_dataset(records, train_fraction=float(options["train_fraction"]))
-    n_train = split_point(len(records), float(options["train_fraction"]))
+        dataset = prepare_dataset(series, train_fraction=float(options["train_fraction"]))
     summary = {
-        "rows": len(records),
-        "train_rows": n_train,
-        "test_rows": len(records) - n_train,
+        "rows": dataset.n_rows,
+        "train_rows": len(dataset.train_matrix),
+        "test_rows": len(dataset.test_matrix),
         "features": dataset.train_matrix.shape[1],
         "scaler_median": [round(v, 12) for v in dataset.scaler.median],
         "scaler_iqr": [round(v, 12) for v in dataset.scaler.iqr],
@@ -547,7 +555,8 @@ COMMANDS = {
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with option overrides")
     parser.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
-    parser.add_argument("--force", action="store_true", help="overwrite existing outputs")
+    parser.add_argument("--force", action="store_true", default=None,
+                        help="overwrite existing outputs")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -594,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one base model")
     p.add_argument("--run", required=True)
-    p.add_argument("--kind", choices=("qlstm", "lstm"), default="qlstm")
+    p.add_argument("--kind", choices=("qlstm", "lstm"), default=None)
     p.add_argument("--seq", type=int, default=None)
     _add_model_flags(p)
     _add_common(p)
@@ -607,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--nu", type=int, default=None)
-    p.add_argument("--inline", action="store_true",
+    p.add_argument("--inline", action="store_true", default=None,
                    help="use flag-provided configs instead of tune artifacts")
     _add_model_flags(p)
     _add_common(p)
@@ -636,7 +645,7 @@ DEFAULTS = {
                    "csv": None, "synth_hours": None},
     "tune": {"budget": 40, "k": 2, "probe_epochs": 5, "seq": [3, 5], "seed": 0,
              "max_qubits": 6, "max_layers": 3, "force": False, **MODEL_DEFAULTS},
-    "train": {"seq": 3, "seed": 0, "force": False, **MODEL_DEFAULTS},
+    "train": {"kind": "qlstm", "seq": 3, "seed": 0, "force": False, **MODEL_DEFAULTS},
     "ensemble": {"seq": [3, 5], "k": 2, "lam": 0.85, "gamma": 0.85, "nu": None,
                  "inline": False, "seed": 0, "force": False, **MODEL_DEFAULTS},
     "forecast": {"horizon": 24, "arch": None, "seed": 0, "force": False},

@@ -1,11 +1,14 @@
 """Hourly weather data pipeline.
 
-Ingests the hourly CSV schema (``date,time,temperature,dew_point_temp,
-rel_humidity,wind_speed,visibility,pressure,precipitation``), imputes
+An hourly series is a ``(rows, 7)`` float matrix, one column per entry of
+:data:`FEATURES`, with NaN marking a missing cell.  The pipeline ingests the
+hourly CSV schema (``date,time,temperature,dew_point_temp,rel_humidity,
+wind_speed,visibility,pressure,precipitation``) into that matrix, imputes
 missing cells with train-split medians, applies robust (median/IQR) scaling
 followed by Z-score standardization -- both fitted on the training split
 only -- and windows the standardized matrix into supervised next-hour
-sequences.  A seeded synthetic generator provides desk-scale fixtures.
+sequences, which are read-only views of it.  A seeded synthetic generator
+provides desk-scale fixtures.
 """
 
 from __future__ import annotations
@@ -49,27 +52,6 @@ VAL_FRACTION = 0.1  # trailing share of the training rows held out for validatio
 CACHE_VERSION = 1
 
 
-@dataclass
-class WeatherRecord:
-    """One hourly observation; ``None`` marks a missing cell."""
-
-    date: dt.date
-    hour: int
-    temperature: float | None
-    dew_point: float | None
-    rel_humidity: float | None
-    wind_speed: float | None
-    visibility: float | None
-    pressure: float | None
-    precipitation: float | None
-
-    def timestamp(self) -> dt.datetime:
-        return dt.datetime(self.date.year, self.date.month, self.date.day, self.hour)
-
-    def values(self) -> list:
-        return [getattr(self, name) for name in FEATURES]
-
-
 def _parse_hour(text: str, line_no: int) -> int:
     raw = text.strip()
     if ":" in raw:
@@ -83,10 +65,10 @@ def _parse_hour(text: str, line_no: int) -> int:
     return hour
 
 
-def _parse_cell(text: str, column: str, line_no: int) -> float | None:
+def _parse_cell(text: str, column: str, line_no: int) -> float:
     raw = text.strip()
     if raw == "":
-        return None
+        return math.nan
     try:
         value = float(raw)
     except ValueError as exc:
@@ -96,29 +78,29 @@ def _parse_cell(text: str, column: str, line_no: int) -> float | None:
     return value
 
 
-def ingest_csv(path) -> list[WeatherRecord]:
-    """Parse the hourly CSV into chronological records.
+def ingest_csv(path) -> np.ndarray:
+    """Parse the hourly CSV into a chronological ``(rows, 7)`` float matrix.
 
-    Empty cells become missing values.  Rows must be hourly-contiguous:
-    a non-monotonic or gapped timestamp sequence raises
+    Empty cells become NaN; a literal non-finite cell is an error.  Rows must
+    be hourly-contiguous: a non-monotonic or gapped timestamp sequence raises
     :class:`~qforecast.errors.DataError` with the offending line number.
     A missing or unreadable file is a DataError too.
     """
     try:
         with open(path, newline="") as fh:
-            return _parse_records(csv.reader(fh), path)
+            return _parse_rows(csv.reader(fh), path)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read: {exc}") from exc
 
 
-def _parse_records(reader, path) -> list[WeatherRecord]:
+def _parse_rows(reader, path) -> np.ndarray:
     try:
         header = next(reader)
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
     if tuple(h.strip() for h in header) != CSV_COLUMNS:
         raise DataError(f"{path}: header {header!r} does not match expected schema")
-    records: list[WeatherRecord] = []
+    cells: list[float] = []
     prev_ts = None
     for line_no, row in enumerate(reader, start=2):
         if len(row) != len(CSV_COLUMNS):
@@ -127,38 +109,27 @@ def _parse_records(reader, path) -> list[WeatherRecord]:
             date = dt.date.fromisoformat(row[0].strip())
         except ValueError as exc:
             raise DataError(f"line {line_no}: bad date {row[0]!r}") from exc
-        hour = _parse_hour(row[1], line_no)
-        cells = [_parse_cell(row[2 + i], name, line_no) for i, name in enumerate(FEATURES)]
-        record = WeatherRecord(date, hour, *cells)
-        ts = record.timestamp()
+        ts = dt.datetime(date.year, date.month, date.day, _parse_hour(row[1], line_no))
+        cells.extend(_parse_cell(text, name, line_no) for text, name in zip(row[2:], FEATURES))
         if prev_ts is not None:
             if ts <= prev_ts:
                 raise DataError(f"line {line_no}: timestamps not strictly increasing")
             if ts - prev_ts != dt.timedelta(hours=1):
                 raise DataError(f"line {line_no}: gap larger than one hour before {ts}")
         prev_ts = ts
-        records.append(record)
-    return records
+    return np.array(cells).reshape(-1, len(FEATURES))
 
 
-def write_csv(records, path) -> None:
-    """Write records back out in the ingestion schema (missing -> empty cell)."""
+def write_csv(matrix: np.ndarray, path) -> None:
+    """Write a series in the ingestion schema, hour i stamped ``SYNTH_START + i``
+    hours (NaN -> empty cell)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            cells = ["" if v is None else format(v, ".6f") for v in rec.values()]
-            writer.writerow([rec.date.isoformat(), f"{rec.hour:02d}"] + cells)
-
-
-def records_matrix(records) -> np.ndarray:
-    """Records as a float matrix with NaN for missing cells."""
-    out = np.full((len(records), len(FEATURES)), np.nan)
-    for i, rec in enumerate(records):
-        for j, value in enumerate(rec.values()):
-            if value is not None:
-                out[i, j] = value
-    return out
+        for i, row in enumerate(matrix.tolist()):
+            ts = SYNTH_START + dt.timedelta(hours=i)
+            cells = ["" if math.isnan(v) else format(v, ".6f") for v in row]
+            writer.writerow([ts.date().isoformat(), f"{ts.hour:02d}"] + cells)
 
 
 def split_point(n_rows: int, train_fraction: float = TRAIN_FRACTION) -> int:
@@ -265,31 +236,35 @@ class WindowedDataset:
     inputs: np.ndarray  # (n, sequence_length, n_features)
     targets: np.ndarray  # (n,) standardized next-hour temperature
     target_rows: np.ndarray  # (n,) row index of each target in the source matrix
-    split: str  # provenance tag: "train" / "val" / "test"
 
     def __len__(self) -> int:
         return len(self.targets)
 
+    def __getitem__(self, part: slice) -> WindowedDataset:
+        return WindowedDataset(self.inputs[part], self.targets[part], self.target_rows[part])
 
-def make_windows(matrix: np.ndarray, sequence_length: int, split: str = "train") -> WindowedDataset:
+
+def make_windows(matrix: np.ndarray, sequence_length: int) -> WindowedDataset:
     """Slide a length-m window over consecutive rows.
 
     Window i covers rows [i, i+m) and targets the temperature at row i+m,
-    giving ``rows - m`` windows.
+    giving ``rows - m`` windows.  Inputs and targets are read-only views of
+    ``matrix``: nothing is copied.
     """
     if sequence_length < 1:
         raise ConfigurationError(f"sequence_length must be >= 1, got {sequence_length}")
     rows = len(matrix)
-    n = rows - sequence_length
-    if n < 1:
+    if rows - sequence_length < 1:
         raise ConfigurationError(
             f"need more than {sequence_length} rows to window, got {rows}"
         )
-    idx = np.arange(n)[:, None] + np.arange(sequence_length)[None, :]
-    inputs = matrix[idx]
-    target_rows = np.arange(sequence_length, rows)
-    targets = matrix[target_rows, TEMPERATURE]
-    return WindowedDataset(inputs=inputs, targets=targets, target_rows=target_rows, split=split)
+    # (rows - m, n_features, m + 1): window i's rows i..i+m along the last axis
+    spans = np.lib.stride_tricks.sliding_window_view(matrix, sequence_length + 1, axis=0)
+    return WindowedDataset(
+        inputs=spans[:, :, :sequence_length].transpose(0, 2, 1),
+        targets=spans[:, TEMPERATURE, sequence_length],
+        target_rows=np.arange(sequence_length, rows),
+    )
 
 
 @dataclass
@@ -302,41 +277,33 @@ class Dataset:
     n_rows: int
 
     def train_val_windows(self, sequence_length: int):
-        """Windows over the training matrix, partitioned by target row.
+        """Windows over the training matrix, split by target row.
 
         The last ``VAL_FRACTION`` of training rows form the validation
         segment: windows whose target falls there become validation windows
         (their inputs may reach back into earlier rows, which only uses the
-        past).
+        past).  Targets rise by one row per window, so one slice splits them.
         """
         rows = len(self.train_matrix)
-        val_rows = int(math.floor(VAL_FRACTION * rows))
-        val_start = rows - val_rows
+        val_start = rows - int(math.floor(VAL_FRACTION * rows))
         if val_start <= sequence_length:
             raise ConfigurationError("training split too small for this window length")
-        windows = make_windows(self.train_matrix, sequence_length, split="train")
-        is_val = windows.target_rows >= val_start
-        train_part = WindowedDataset(
-            windows.inputs[~is_val], windows.targets[~is_val],
-            windows.target_rows[~is_val], "train",
-        )
-        val_part = WindowedDataset(
-            windows.inputs[is_val], windows.targets[is_val],
-            windows.target_rows[is_val], "val",
-        )
-        return train_part, val_part
+        windows = make_windows(self.train_matrix, sequence_length)
+        first_val = val_start - sequence_length  # window whose target is row val_start
+        return windows[:first_val], windows[first_val:]
 
     def test_windows(self, sequence_length: int) -> WindowedDataset:
-        return make_windows(self.test_matrix, sequence_length, split="test")
+        return make_windows(self.test_matrix, sequence_length)
 
 
-def prepare_dataset(records, train_fraction: float = TRAIN_FRACTION) -> Dataset:
-    """Chronological split, train-fitted imputation and two-stage scaling."""
-    if not records:
-        raise ConfigurationError("no records to prepare")
-    matrix = records_matrix(records)
-    n_train = split_point(len(records), train_fraction)
-    if n_train < 2 or n_train >= len(records):
+def prepare_dataset(matrix: np.ndarray, train_fraction: float = TRAIN_FRACTION) -> Dataset:
+    """Chronological split, train-fitted imputation and two-stage scaling of
+    a ``(rows, 7)`` series."""
+    rows = len(matrix)
+    if rows == 0:
+        raise ConfigurationError("no rows to prepare")
+    n_train = split_point(rows, train_fraction)
+    if n_train < 2 or n_train >= rows:
         raise ConfigurationError(f"split produces degenerate train/test sizes ({n_train})")
     medians = fit_medians(matrix[:n_train])
     full = impute_median(matrix, medians)
@@ -346,7 +313,7 @@ def prepare_dataset(records, train_fraction: float = TRAIN_FRACTION) -> Dataset:
         train_matrix=standardized[:n_train],
         test_matrix=standardized[n_train:],
         scaler=scaler,
-        n_rows=len(records),
+        n_rows=rows,
     )
 
 
@@ -437,10 +404,12 @@ def synth_series(
     annual_amplitude: float = 6.0,
     base_temperature: float = 8.0,
     missing_fraction: float = 0.0,
-) -> list[WeatherRecord]:
-    """Seeded synthetic hourly weather: a daily sinusoid on top of a slow
-    annual sinusoid plus Gaussian noise, with the remaining features derived
-    as noisy correlates of temperature.  Bit-identical for a fixed seed.
+) -> np.ndarray:
+    """Seeded synthetic hourly weather as a ``(n_hours, 7)`` matrix: a daily
+    sinusoid on top of a slow annual sinusoid plus Gaussian noise, with the
+    remaining features derived as noisy correlates of temperature, and a
+    ``missing_fraction`` share of cells set to NaN.  Bit-identical for a
+    fixed seed.  Hour i stands for ``SYNTH_START`` + i hours.
     """
     if n_hours < 48:
         raise ConfigurationError(f"n_hours must be >= 48, got {n_hours}")
@@ -462,15 +431,7 @@ def synth_series(
     rain_mask = rng.random(n_hours) < 0.08
     precipitation = np.where(rain_mask, rng.gamma(2.0, 0.8, size=n_hours), 0.0)
 
-    missing = None
+    matrix = np.column_stack([temp, dew, humidity, wind, visibility, pressure, precipitation])
     if missing_fraction > 0.0:
-        missing = rng.random((n_hours, len(FEATURES))) < missing_fraction
-
-    records = []
-    for i in range(n_hours):
-        ts = SYNTH_START + dt.timedelta(hours=i)
-        cells = [temp[i], dew[i], humidity[i], wind[i], visibility[i], pressure[i], precipitation[i]]
-        if missing is not None:
-            cells = [None if missing[i, j] else cells[j] for j in range(len(cells))]
-        records.append(WeatherRecord(ts.date(), ts.hour, *cells))
-    return records
+        matrix[rng.random(matrix.shape) < missing_fraction] = np.nan
+    return matrix

@@ -26,7 +26,6 @@ from qforecast.cli import main as cli_main
 from qforecast.data import (
     ingest_csv,
     prepare_dataset,
-    records_matrix,
     split_point,
     synth_series,
     transform,
@@ -293,11 +292,11 @@ def test_criterion_6_end_to_end_desk_scale():
 def test_criterion_7_pipeline_exactness(tmp_path):
     with Criterion(7, "full-size split counts, scaling round-trip, no leakage", 120.0):
         assert split_point(96432) == 83895
-        records = synth_series(96432, seed=7, missing_fraction=0.01)
+        series = synth_series(96432, seed=7, missing_fraction=0.01)
         csv_path = tmp_path / "full.csv"
-        write_csv(records, csv_path)
+        write_csv(series, csv_path)
         parsed = ingest_csv(csv_path)
-        assert len(parsed) == 96432
+        assert parsed.shape == (96432, 7)
         n_train = split_point(len(parsed))
         assert n_train == 83895 and len(parsed) - n_train == 12537
 
@@ -308,9 +307,8 @@ def test_criterion_7_pipeline_exactness(tmp_path):
         # scaling round-trip on the training rows
         from qforecast.data import fit_medians, impute_median, fit_scaler
 
-        matrix = records_matrix(parsed)
-        medians = fit_medians(matrix[:n_train])
-        full = impute_median(matrix, medians)
+        medians = fit_medians(parsed[:n_train])
+        full = impute_median(parsed, medians)
         scaler = fit_scaler(full[:n_train])
         round_trip = inverse_transform(transform(full[:n_train], scaler), scaler)
         np.testing.assert_allclose(round_trip, full[:n_train], atol=1e-9)

@@ -56,7 +56,11 @@ PREPROCESS = ("preprocess", "--synth-hours", 120)
     (PREPROCESS, "{not json", "not valid JSON"),
     (("train",), '{"epochs": "x"}', "'epochs'"),
     (("ensemble", "--arch", "genhyb", "--inline"), '{"seq": 3}', "'seq'"),
-], ids=["list", "missing", "malformed", "train-epochs-text", "ensemble-seq-scalar"])
+    (("train",), '{"kind": "gru"}', "'kind'"),
+    (("train",), '{"force": "yes"}', "'force'"),
+    (("ensemble", "--arch", "genhyb"), '{"inline": 1}', "'inline'"),
+], ids=["list", "missing", "malformed", "train-epochs-text", "ensemble-seq-scalar",
+        "train-kind-unknown", "train-force-text", "ensemble-inline-number"])
 def test_bad_config_file_is_usage_error(tmp_path, capsys, argv, content, named):
     config = tmp_path / "config.json"
     if content is not None:
@@ -75,6 +79,51 @@ def test_config_file_sets_options(tmp_path):
     assert run_cli("preprocess", "--run", tmp_path / "r", "--synth-hours", 120,
                    "--config", config) == 0
     assert json.loads((tmp_path / "r" / "summary.json").read_text())["train_rows"] == 60
+
+
+def test_config_file_kind_force_and_inline_take_effect(prepared_run, tmp_path):
+    import shutil
+
+    run_dir = tmp_path / "cfg"
+    run_dir.mkdir()
+    shutil.copy(prepared_run / "dataset.npz", run_dir / "dataset.npz")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": "lstm", "force": True, "inline": True}))
+    train = ("train", "--run", run_dir, "--seq", 3, "--epochs", 1, "--config", config)
+    assert run_cli(*train) == 0
+    assert [p.name for p in run_dir.glob("train-*")] == ["train-lstm-seq3"]
+    assert run_cli(*train) == 0  # the config's force overwrites
+    assert run_cli(*train, "--kind", "qlstm") == 0  # an explicit flag wins
+    assert sorted(p.name for p in run_dir.glob("train-*")) == ["train-lstm-seq3",
+                                                               "train-qlstm-seq3"]
+    # the config's inline needs no tune artifacts
+    assert run_cli("ensemble", "--run", run_dir, "--arch", "genhyb", "--seq", 3,
+                   "--epochs", 1, "--config", config) == 0
+    assert (run_dir / "ensemble-genhyb" / "manifest.json").is_file()
+    config.write_text(json.dumps({"force": False}))
+    assert run_cli(*train) == 2
+    assert run_cli(*train, "--force") == 0  # an explicit flag wins
+
+
+@pytest.mark.parametrize("force", [(), ("--force",)], ids=["plain", "forced"])
+def test_output_path_that_is_a_file_exits_before_work(prepared_run, tmp_path, capsys, force):
+    import shutil
+
+    afile = tmp_path / "afile"
+    afile.write_text("keep me\n")
+    assert run_cli("preprocess", "--run", afile, "--synth-hours", 120, *force) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "keep me\n"
+
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    shutil.copy(prepared_run / "dataset.npz", run_dir / "dataset.npz")
+    (run_dir / "tune-hybrid").write_text("keep me\n")
+    assert run_cli("tune", "--tuner", "hybrid", "--budget", 1, *TUNE_SMALL, "--run", run_dir,
+                   "--seq", 3, *force) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert (run_dir / "tune-hybrid").read_text() == "keep me\n"
+    assert sorted(p.name for p in run_dir.iterdir()) == ["dataset.npz", "tune-hybrid"]
 
 
 def test_synth_refuses_overwrite(tmp_path):
@@ -390,11 +439,11 @@ def test_evaluate_prints_table(genhyb_run, capsys):
 
 def test_evaluate_stub_checkpoint_is_perfect(tmp_path):
     # persistence on a constant series predicts the truth exactly
-    records = synth_series(300, seed=0, noise_sigma=0.0, daily_amplitude=0.0,
-                           annual_amplitude=0.0, base_temperature=8.0)
+    series = synth_series(300, seed=0, noise_sigma=0.0, daily_amplitude=0.0,
+                          annual_amplitude=0.0, base_temperature=8.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dataset = prepare_dataset(records)
+        dataset = prepare_dataset(series)
     run_dir = tmp_path / "stub"
     run_dir.mkdir()
     save_dataset(run_dir / "dataset.npz", dataset)
@@ -412,10 +461,10 @@ def test_evaluate_stub_checkpoint_is_perfect(tmp_path):
 
 
 def test_checkpoint_version_mismatch_is_reported(tmp_path):
-    records = synth_series(120, seed=1)
+    series = synth_series(120, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dataset = prepare_dataset(records)
+        dataset = prepare_dataset(series)
     run_dir = tmp_path / "ver"
     (run_dir / "ensemble-genhyb").mkdir(parents=True)
     save_dataset(run_dir / "dataset.npz", dataset)

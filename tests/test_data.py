@@ -5,9 +5,7 @@ import pytest
 
 from qforecast.data import (
     FEATURES,
-    Dataset,
-    ScalerState,
-    WeatherRecord,
+    SYNTH_START,
     fit_medians,
     fit_scaler,
     impute_median,
@@ -16,7 +14,6 @@ from qforecast.data import (
     load_dataset,
     make_windows,
     prepare_dataset,
-    records_matrix,
     robust_scale,
     save_dataset,
     split_point,
@@ -46,26 +43,29 @@ def write_text(tmp_path, text, name="fixture.csv"):
 
 
 def test_golden_fixture_parses_exactly(tmp_path):
-    records = ingest_csv(write_text(tmp_path, GOLDEN))
-    assert len(records) == 3
-    first = records[0]
-    assert first.date == dt.date(2016, 1, 1)
-    assert first.hour == 0
-    assert first.temperature == -3.5
-    assert first.dew_point == -7.1
-    assert first.rel_humidity == 77
-    assert first.wind_speed == 12
-    assert first.visibility == 24.1
-    assert first.pressure == 101.2
-    assert first.precipitation == 0.0
-    assert records[2].precipitation == 0.2
+    matrix = ingest_csv(write_text(tmp_path, GOLDEN))
+    assert matrix.shape == (3, len(FEATURES)) and matrix.dtype == np.float64
+    # columns in FEATURES order: temperature, dew point, humidity, wind,
+    # visibility, pressure, precipitation
+    assert matrix[0].tolist() == [-3.5, -7.1, 77.0, 12.0, 24.1, 101.2, 0.0]
+    assert matrix[1].tolist() == [-3.9, -7.4, 78.0, 11.0, 24.1, 101.3, 0.0]
+    assert matrix[2, FEATURES.index("precipitation")] == 0.2
 
 
 def test_blank_cell_is_missing(tmp_path):
-    text = GOLDEN.replace("2016-01-01,01,-3.9", "2016-01-01,01,")
-    records = ingest_csv(write_text(tmp_path, text))
-    assert records[1].temperature is None
-    assert records[1].dew_point == -7.4
+    text = GOLDEN.replace("2016-01-01,01,-3.9", "2016-01-01,01,").replace(",0.2", ",  ")
+    matrix = ingest_csv(write_text(tmp_path, text))
+    assert np.isnan(matrix[1, 0]) and np.isnan(matrix[2, 6])  # empty and blank cells
+    assert matrix[1, 1] == -7.4
+    assert np.isnan(matrix).sum() == 2
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf"])
+def test_literal_non_finite_cell_is_data_error(tmp_path, cell):
+    # NaN marks a missing cell, so only an empty cell may produce one
+    text = GOLDEN.replace("-7.4", cell)
+    with pytest.raises(DataError, match=f"line 3: non-finite dew_point value '{cell}'"):
+        ingest_csv(write_text(tmp_path, text))
 
 
 def test_malformed_row_reports_line_number(tmp_path):
@@ -89,19 +89,21 @@ def test_header_mismatch(tmp_path):
 
 
 def test_csv_round_trip(tmp_path):
-    records = synth_series(72, seed=3, missing_fraction=0.1)
+    series = synth_series(72, seed=3, missing_fraction=0.1)
     path = tmp_path / "round.csv"
-    write_csv(records, path)
+    write_csv(series, path)
     back = ingest_csv(path)
-    assert len(back) == len(records)
-    for a, b in zip(records, back):
-        assert a.date == b.date and a.hour == b.hour
-        for name in FEATURES:
-            va, vb = getattr(a, name), getattr(b, name)
-            if va is None:
-                assert vb is None
-            else:
-                assert abs(va - vb) < 5e-7  # six decimals in the file
+    assert back.shape == series.shape
+    missing = np.isnan(series)
+    assert missing.any()
+    np.testing.assert_array_equal(np.isnan(back), missing)
+    assert np.all(np.abs(back[~missing] - series[~missing]) < 5e-7)  # six decimals in the file
+    # row i is stamped SYNTH_START + i hours
+    lines = path.read_text().splitlines()
+    for i in (0, 23, 24, 71):
+        ts = SYNTH_START + dt.timedelta(hours=i)
+        assert lines[1 + i].startswith(f"{ts:%Y-%m-%d},{ts:%H},")
+    assert lines[25].startswith("2015-01-02,00,")
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +118,14 @@ def test_split_counts():
 
 
 def test_chronological_split_order():
-    records = synth_series(200, seed=1)
-    n_train = split_point(len(records))
-    assert records[n_train - 1].timestamp() < records[n_train].timestamp()
+    series = synth_series(200, seed=1)
+    dataset = prepare_dataset(series)
+    n_train = split_point(len(series))
+    # the first n_train rows, in order, are the training split; the rest the test split
+    np.testing.assert_allclose(inverse_transform(dataset.train_matrix, dataset.scaler),
+                               series[:n_train], atol=1e-9)
+    np.testing.assert_allclose(inverse_transform(dataset.test_matrix, dataset.scaler),
+                               series[n_train:], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +146,8 @@ def test_impute_without_missing_is_identity():
 
 
 def test_masked_cells_all_become_train_medians():
-    records = synth_series(400, seed=9, missing_fraction=0.05)
-    matrix = records_matrix(records)
-    n_train = split_point(len(records))
+    matrix = synth_series(400, seed=9, missing_fraction=0.05)
+    n_train = split_point(len(matrix))
     medians = fit_medians(matrix[:n_train])
     filled = impute_median(matrix, medians)
     mask = np.isnan(matrix)
@@ -199,12 +205,11 @@ def test_constant_feature_passes_through():
 
 
 def test_no_test_statistics_leak():
-    records = synth_series(300, seed=2)
-    dataset = prepare_dataset(records)
-    n_train = split_point(len(records))
+    matrix = synth_series(300, seed=2)
+    dataset = prepare_dataset(matrix)
+    n_train = split_point(len(matrix))
     assert dataset.scaler.n_fit_rows == n_train
     # refitting on the training rows alone reproduces the stored statistics
-    matrix = records_matrix(records)
     medians = fit_medians(matrix[:n_train])
     refit = fit_scaler(impute_median(matrix[:n_train], medians))
     np.testing.assert_array_equal(refit.median, dataset.scaler.median)
@@ -254,8 +259,7 @@ def test_windows_reconstruct_series():
 
 
 def test_train_val_partition():
-    records = synth_series(500, seed=6)
-    dataset = prepare_dataset(records)
+    dataset = prepare_dataset(synth_series(500, seed=6))
     train_part, val_part = dataset.train_val_windows(3)
     rows = len(dataset.train_matrix)
     val_rows = int(np.floor(0.1 * rows))
@@ -264,28 +268,59 @@ def test_train_val_partition():
     assert len(train_part) + len(val_part) == rows - 3
 
 
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_train_val_slice_matches_target_row_partition(m):
+    dataset = prepare_dataset(synth_series(500, seed=6))
+    train_part, val_part = dataset.train_val_windows(m)
+    # the partition by target row, built with boolean masks over copied windows
+    rows = len(dataset.train_matrix)
+    val_start = rows - int(np.floor(0.1 * rows))
+    idx = np.arange(rows - m)[:, None] + np.arange(m)[None, :]
+    inputs, target_rows = dataset.train_matrix[idx], np.arange(m, rows)
+    targets = dataset.train_matrix[target_rows, 0]
+    is_val = target_rows >= val_start
+    for part, mask in ((train_part, ~is_val), (val_part, is_val)):
+        np.testing.assert_array_equal(part.inputs, inputs[mask])
+        np.testing.assert_array_equal(part.targets, targets[mask])
+        np.testing.assert_array_equal(part.target_rows, target_rows[mask])
+
+
+def test_windows_are_read_only_views():
+    dataset = prepare_dataset(synth_series(300, seed=4))
+    train_part, val_part = dataset.train_val_windows(3)
+    parts = [(make_windows(dataset.train_matrix, 3), dataset.train_matrix),
+             (train_part, dataset.train_matrix), (val_part, dataset.train_matrix),
+             (dataset.test_windows(3), dataset.test_matrix)]
+    for part, matrix in parts:
+        for array in (part.inputs, part.targets):
+            assert np.shares_memory(array, matrix)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generator
 # ---------------------------------------------------------------------------
 
 
 def test_synth_deterministic():
-    a = records_matrix(synth_series(120, seed=77))
-    b = records_matrix(synth_series(120, seed=77))
+    a = synth_series(120, seed=77)
+    b = synth_series(120, seed=77)
+    assert a.shape == (120, len(FEATURES))
     np.testing.assert_array_equal(a, b)
-    c = records_matrix(synth_series(120, seed=78))
+    c = synth_series(120, seed=78)
     assert not np.array_equal(a, c)
 
 
 def test_synth_noiseless_daily_period():
-    records = synth_series(96, seed=0, noise_sigma=0.0, annual_amplitude=0.0)
-    temp = records_matrix(records)[:, 0]
+    temp = synth_series(96, seed=0, noise_sigma=0.0, annual_amplitude=0.0)[:, 0]
     np.testing.assert_allclose(temp[24:48], temp[:24], atol=1e-9)
     np.testing.assert_allclose(temp[48:72], temp[:24], atol=1e-9)
 
 
 def test_synth_lag24_autocorrelation():
-    temp = records_matrix(synth_series(2000, seed=13, noise_sigma=0.1))[:, 0]
+    temp = synth_series(2000, seed=13, noise_sigma=0.1)[:, 0]
     centered = temp - temp.mean()
     r = (centered[:-24] @ centered[24:]) / (centered @ centered)
     assert r > 0.9

@@ -265,12 +265,20 @@ def test_weight_history_export():
 # ---------------------------------------------------------------------------
 
 
-def test_adaptive_weights_demo_runs(tmp_path):
+@pytest.mark.parametrize("demo", ["adaptive_weights", "circuit_basics", "train_qlstm"])
+def test_demo_runs(tmp_path, demo):
     repo = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(repo / "src")}
-    done = subprocess.run([sys.executable, str(repo / "demos" / "adaptive_weights.py")],
+    done = subprocess.run([sys.executable, str(repo / "demos" / f"{demo}.py")],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    lines = (tmp_path / "weight_history.tsv").read_text().strip().split("\n")
-    assert lines[0].split("\t") == ["step", "w_0", "w_1", "eps_0", "eps_1"]
-    assert len(lines) == 25
+    if demo == "adaptive_weights":
+        lines = (tmp_path / "weight_history.tsv").read_text().strip().split("\n")
+        assert lines[0].split("\t") == ["step", "w_0", "w_1", "eps_0", "eps_1"]
+        assert len(lines) == 25
+    elif demo == "circuit_basics":
+        assert "max |adjoint - finite-difference|" in done.stdout
+    else:
+        assert "900 hourly rows -> 783 train / 117 test" in done.stdout
+        assert "windows: 702 train / 78 validation" in done.stdout
+        assert done.stdout.count(" final ") == 2

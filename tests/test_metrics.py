@@ -115,11 +115,11 @@ def trained_fixture():
     values, so the fixture model sees the temperature column alone; its
     whole input then evolves coherently during the rollout.
     """
-    records = synth_series(
+    series = synth_series(
         700, seed=21, noise_sigma=0.0, annual_amplitude=0.0,
         base_temperature=15.0, daily_amplitude=5.0,
     )
-    dataset = prepare_dataset(records)
+    dataset = prepare_dataset(series)
     cfg = HyperConfig(0.02, 1, 2, 8, 5, 32, 60)
     windows = make_windows(dataset.train_matrix[:, :1], cfg.sequence_length)
     split = int(0.9 * len(windows))

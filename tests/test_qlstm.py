@@ -44,8 +44,8 @@ def small_config(**overrides):
 
 @pytest.fixture(scope="module")
 def sine_dataset():
-    records = synth_series(600, seed=33)
-    return prepare_dataset(records)
+    series = synth_series(600, seed=33)
+    return prepare_dataset(series)
 
 
 # ---------------------------------------------------------------------------
