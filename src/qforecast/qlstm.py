@@ -9,7 +9,12 @@ The cell state itself lives in qubit-count dimensions.
 
 Gradients flow through the full unrolled sequence; circuit angles and
 circuit inputs get exact adjoint gradients, everything classical is
-analytic backprop.
+analytic backprop.  A forward pass compiles the six blocks once into their
+unitaries, so a step is two closed-form product states and two matrix
+products.  A backward pass takes the input gradients of each step through
+the adjoint unitaries and sums each block's psi^H lambda over the steps; one
+adjoint sweep per compiled block then gives its angle gradient for the
+whole minibatch.
 
 Models are stored through one codec: ``model_to_arrays`` names a model's
 kind (``qlstm``, ``lstm`` or ``persistence``) and its parameter arrays, and
@@ -36,7 +41,15 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .quantum import VQCBlock, run_vqc_batch, vqc_gradients_batch
+from .quantum import (
+    VQCBlock,
+    compile_blocks,
+    compiled_theta_gradients,
+    encoding_gradient,
+    product_state,
+    z_expectations,
+    z_signs,
+)
 
 CHECKPOINT_VERSION = 1
 
@@ -125,6 +138,24 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+def _check_windows(windows, input_dim: int) -> np.ndarray:
+    """A ``(batch, seq, input_dim)`` float stack with ``seq >= 1``, else ShapeError."""
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim != 3 or windows.shape[2] != input_dim:
+        raise ShapeError(f"windows must have shape (batch, seq, {input_dim}), got {windows.shape}")
+    if windows.shape[1] == 0:
+        raise ShapeError("windows must have at least one time step, got sequence length 0")
+    return windows
+
+
+def _encoded(x) -> np.ndarray:
+    """The product states of a step's circuit inputs, which must be finite:
+    exploded parameters show up here first."""
+    if not np.all(np.isfinite(x)):
+        raise NumericError("circuit inputs must be finite")
+    return product_state(x)
+
+
 def _as_xy(dataset):
     if hasattr(dataset, "inputs") and hasattr(dataset, "targets"):
         return np.asarray(dataset.inputs, float), np.asarray(dataset.targets, float)
@@ -184,44 +215,57 @@ class QLSTMParams:
 
     # -- forward -----------------------------------------------------------
 
-    def step_batch(self, x_t, h_prev, c_prev, *, want_y: bool):
-        """One cell step over a batch; returns (h, c, y, cache)."""
+    def _step(self, unitaries, x_t, h_prev, c_prev, want_y: bool, need_cache: bool):
+        dim = unitaries.shape[0]
         concat = np.concatenate([h_prev, x_t], axis=1)
         v = concat @ self.w_in.T + self.b_in
-        f = _sigmoid(run_vqc_batch(self.vqc[0], v))
-        i = _sigmoid(run_vqc_batch(self.vqc[1], v))
-        g = np.tanh(run_vqc_batch(self.vqc[2], v))
-        o = _sigmoid(run_vqc_batch(self.vqc[3], v))
+        psi_v = _encoded(v)
+        phi_v = psi_v @ unitaries[:, : 4 * dim]  # the four gates that read v, side by side
+        z_v = z_expectations(phi_v.reshape(len(v), 4, dim))
+        f = _sigmoid(z_v[:, 0])
+        i = _sigmoid(z_v[:, 1])
+        g = np.tanh(z_v[:, 2])
+        o = _sigmoid(z_v[:, 3])
         c = f * c_prev + i * g
-        tc = np.tanh(c)
-        u = o * tc
-        z5 = run_vqc_batch(self.vqc[4], u)
+        u = o * np.tanh(c)
+        psi_u = _encoded(u)
+        phi_u = psi_u @ unitaries[:, 4 * dim : (6 if want_y else 5) * dim]
+        z_u = z_expectations(phi_u.reshape(len(u), -1, dim))
+        z5 = z_u[:, 0]
         h = z5 @ self.w_h.T + self.b_h
-        y = None
-        if want_y:
-            z6 = run_vqc_batch(self.vqc[5], u)
-            y = z6 @ self.w_y.T + self.b_y
-        cache = {
-            "concat": concat, "v": v, "f": f, "i": i, "g": g, "o": o,
-            "c_prev": c_prev, "c": c, "tc": tc, "u": u, "z5": z5,
-            "z6": None if not want_y else z6,
-        }
+        z6 = z_u[:, 1] if want_y else None
+        y = z6 @ self.w_y.T + self.b_y if want_y else None
+        cache = None
+        if need_cache:
+            cache = {
+                "unitaries": unitaries, "concat": concat, "v": v, "psi_v": psi_v,
+                "phi_v": phi_v, "f": f, "i": i, "g": g, "o": o, "c_prev": c_prev, "c": c,
+                "u": u, "psi_u": psi_u, "phi_u": phi_u, "z5": z5, "z6": z6,
+            }
         return h, c, y, cache
 
+    def step_batch(self, x_t, h_prev, c_prev, *, want_y: bool):
+        """One cell step over a batch; returns (h, c, y, cache)."""
+        return self._step(compile_blocks(self.vqc), x_t, h_prev, c_prev, want_y, need_cache=True)
+
     def forward_batch(self, windows, need_cache: bool = False):
-        """Run full sequences; returns final predictions (batch,) and caches."""
-        windows = np.asarray(windows, dtype=float)
-        if windows.ndim != 3 or windows.shape[2] != self.input_dim:
-            raise ShapeError(
-                f"windows must have shape (batch, seq, {self.input_dim}), got {windows.shape}"
-            )
+        """Run full sequences; returns final predictions (batch,) and caches.
+
+        The six blocks are compiled once for the call, so each step costs one
+        product state and one matrix product for ``v`` and the same for ``u``.
+        They are compiled again on every call, because Adam moves the angles
+        in place between calls.
+        """
+        windows = _check_windows(windows, self.input_dim)
         batch, seq = windows.shape[0], windows.shape[1]
+        # [W_f^T | W_i^T | W_g^T | W_o^T | W_hidden^T | W_readout^T]
+        unitaries = compile_blocks(self.vqc)
         h = np.zeros((batch, self.hidden_units))
         c = np.zeros((batch, self.n_qubits))
         caches = []
-        y = None
         for t in range(seq):
-            h, c, y, cache = self.step_batch(windows[:, t, :], h, c, want_y=(t == seq - 1))
+            h, c, y, cache = self._step(unitaries, windows[:, t, :], h, c,
+                                        want_y=(t == seq - 1), need_cache=need_cache)
             if need_cache:
                 caches.append(cache)
         return y[:, 0], caches
@@ -229,11 +273,30 @@ class QLSTMParams:
     # -- backward ------------------------------------------------------------
 
     def backward(self, caches, dpred):
-        """BPTT through cached steps; ``dpred`` is (batch,) loss gradient on y."""
+        """BPTT through cached steps; ``dpred`` is (batch,) loss gradient on y.
+
+        Each step forms every block's lambda = phi * (dz @ signs), turns it
+        into input gradients through mu = W^dagger lambda, and adds psi^H
+        lambda to the block's sum G; one adjoint sweep per compiled block
+        then gives its theta gradient from that sum.
+        """
         seq = len(caches)
         grads = {k: np.zeros_like(v) for k, v in self.param_arrays().items()}
-        dy = dpred[:, None]
         final = caches[-1]
+        unitaries = final["unitaries"]
+        dim = unitaries.shape[0]
+        signs = z_signs(self.n_qubits)
+        gram = np.zeros_like(unitaries)
+
+        def circuit_backward(x, psi, phi, dz, first):
+            # dz (batch, blocks, n) for the blocks from `first` on that read x
+            cols = slice(first * dim, (first + dz.shape[1]) * dim)
+            lam = phi * (dz @ signs).reshape(len(x), -1)
+            gram[:, cols] += psi.conj().T @ lam
+            # mu = sum_k W_k^dagger lam_k, as rows: conj(W^T lam^H)^T
+            return encoding_gradient(x, (unitaries[:, cols] @ lam.conj().T).conj().T)
+
+        dy = dpred[:, None]
         grads["w_y"] += dy.T @ final["z6"]
         grads["b_y"] += dy.sum(axis=0)
         dz6 = dy @ self.w_y
@@ -243,19 +306,13 @@ class QLSTMParams:
         dc_carry = np.zeros((batch, self.n_qubits))
         for t in range(seq - 1, -1, -1):
             cache = caches[t]
-            du = np.zeros((batch, self.n_qubits))
-            if t == seq - 1:
-                tg, ig = vqc_gradients_batch(self.vqc[5], cache["u"], dz6)
-                grads["theta_readout"] += tg
-                du += ig
-            if np.any(dh):
-                dz5 = dh @ self.w_h
-                grads["w_h"] += dh.T @ cache["z5"]
-                grads["b_h"] += dh.sum(axis=0)
-                tg, ig = vqc_gradients_batch(self.vqc[4], cache["u"], dz5)
-                grads["theta_hidden"] += tg
-                du += ig
-            o, tc, f, i, g = cache["o"], cache["tc"], cache["f"], cache["i"], cache["g"]
+            dz5 = dh @ self.w_h
+            grads["w_h"] += dh.T @ cache["z5"]
+            grads["b_h"] += dh.sum(axis=0)
+            dz_u = np.stack([dz5, dz6], axis=1) if t == seq - 1 else dz5[:, None]
+            du = circuit_backward(cache["u"], cache["psi_u"], cache["phi_u"], dz_u, first=4)
+            o, f, i, g = cache["o"], cache["f"], cache["i"], cache["g"]
+            tc = np.tanh(cache["c"])
             dc = dc_carry + du * o * (1.0 - tc * tc)
             do = du * tc
             dz4 = do * o * (1.0 - o)
@@ -267,19 +324,15 @@ class QLSTMParams:
             dz3 = dg * (1.0 - g * g)
             dc_carry = dc * f
 
-            dv = np.zeros((batch, self.n_qubits))
-            for blk, key, dz in (
-                (self.vqc[0], "theta_forget", dz1),
-                (self.vqc[1], "theta_input", dz2),
-                (self.vqc[2], "theta_update", dz3),
-                (self.vqc[3], "theta_output", dz4),
-            ):
-                tg, ig = vqc_gradients_batch(blk, cache["v"], dz)
-                grads[key] += tg
-                dv += ig
+            dv = circuit_backward(cache["v"], cache["psi_v"], cache["phi_v"],
+                                  np.stack([dz1, dz2, dz3, dz4], axis=1), first=0)
             grads["w_in"] += dv.T @ cache["concat"]
             grads["b_in"] += dv.sum(axis=0)
             dh = (dv @ self.w_in)[:, : self.hidden_units]
+
+        theta_grads = compiled_theta_gradients(self.vqc, unitaries, gram)
+        for name, theta_grad in zip(GATE_NAMES, theta_grads):
+            grads[f"theta_{name}"] += theta_grad
         return grads
 
 
@@ -370,9 +423,7 @@ class ClassicalLSTMParams:
         }
 
     def forward_batch(self, windows, need_cache: bool = False):
-        windows = np.asarray(windows, dtype=float)
-        if windows.ndim != 3 or windows.shape[2] != self.input_dim:
-            raise ShapeError(f"windows must be (batch, seq, {self.input_dim})")
+        windows = _check_windows(windows, self.input_dim)
         batch, seq = windows.shape[0], windows.shape[1]
         h = np.zeros((batch, self.hidden_units))
         c = np.zeros((batch, self.hidden_units))
@@ -462,9 +513,7 @@ class PersistenceModel:
         return {}
 
     def forward_batch(self, windows, need_cache: bool = False):
-        windows = np.asarray(windows, dtype=float)
-        if windows.ndim != 3 or windows.shape[2] != self.input_dim:
-            raise ShapeError(f"windows must be (batch, seq, {self.input_dim})")
+        windows = _check_windows(windows, self.input_dim)
         return windows[:, -1, TEMPERATURE].copy(), []
 
 

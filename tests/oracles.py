@@ -6,6 +6,8 @@ loops) so the fast library paths can be checked against a second route.
 
 import numpy as np
 
+from qforecast.quantum import run_vqc_batch, vqc_gradients_batch
+
 # ---------------------------------------------------------------------------
 # Dense-unitary circuit oracle.  Builds the full 2^n x 2^n matrix of every
 # gate by Kronecker placement and multiplies it out; qubit 0 is the
@@ -116,6 +118,106 @@ def parameter_shift_gradients(block, inputs, upstream):
                 d_angle = (value(block.thetas, *plus) - value(block.thetas, *minus)) / 2
                 input_grad[b, q] += d_angle * d_angle_dx[q]
     return theta_grad, input_grad
+
+
+# ---------------------------------------------------------------------------
+# The quantum LSTM cell block by block: every step runs each circuit block
+# through ``run_vqc_batch`` and every backward step takes its gradients from
+# ``vqc_gradients_batch``, gate by gate on the step's own rows.
+# ---------------------------------------------------------------------------
+
+
+def _sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def cell_oracle_step(params, x_t, h_prev, c_prev, want_y):
+    """One cell step of a ``QLSTMParams``; returns (h, c, y, cache)."""
+    concat = np.concatenate([h_prev, x_t], axis=1)
+    v = concat @ params.w_in.T + params.b_in
+    f = _sigmoid(run_vqc_batch(params.vqc[0], v))
+    i = _sigmoid(run_vqc_batch(params.vqc[1], v))
+    g = np.tanh(run_vqc_batch(params.vqc[2], v))
+    o = _sigmoid(run_vqc_batch(params.vqc[3], v))
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    u = o * tc
+    z5 = run_vqc_batch(params.vqc[4], u)
+    h = z5 @ params.w_h.T + params.b_h
+    y = z6 = None
+    if want_y:
+        z6 = run_vqc_batch(params.vqc[5], u)
+        y = z6 @ params.w_y.T + params.b_y
+    cache = {"concat": concat, "v": v, "f": f, "i": i, "g": g, "o": o,
+             "c_prev": c_prev, "c": c, "tc": tc, "u": u, "z5": z5, "z6": z6}
+    return h, c, y, cache
+
+
+def cell_oracle_forward(params, windows):
+    """Final predictions (batch,) and the per-step caches."""
+    batch, seq = windows.shape[0], windows.shape[1]
+    h = np.zeros((batch, params.hidden_units))
+    c = np.zeros((batch, params.n_qubits))
+    caches = []
+    for t in range(seq):
+        h, c, y, cache = cell_oracle_step(params, windows[:, t, :], h, c, want_y=(t == seq - 1))
+        caches.append(cache)
+    return y[:, 0], caches
+
+
+def cell_oracle_backward(params, caches, dpred):
+    """BPTT through ``cell_oracle_forward`` caches; gradients by parameter name."""
+    seq = len(caches)
+    grads = {k: np.zeros_like(v) for k, v in params.param_arrays().items()}
+    dy = dpred[:, None]
+    final = caches[-1]
+    grads["w_y"] += dy.T @ final["z6"]
+    grads["b_y"] += dy.sum(axis=0)
+    dz6 = dy @ params.w_y
+
+    batch = dpred.shape[0]
+    dh = np.zeros((batch, params.hidden_units))
+    dc_carry = np.zeros((batch, params.n_qubits))
+    for t in range(seq - 1, -1, -1):
+        cache = caches[t]
+        du = np.zeros((batch, params.n_qubits))
+        if t == seq - 1:
+            tg, ig = vqc_gradients_batch(params.vqc[5], cache["u"], dz6)
+            grads["theta_readout"] += tg
+            du += ig
+        if np.any(dh):
+            dz5 = dh @ params.w_h
+            grads["w_h"] += dh.T @ cache["z5"]
+            grads["b_h"] += dh.sum(axis=0)
+            tg, ig = vqc_gradients_batch(params.vqc[4], cache["u"], dz5)
+            grads["theta_hidden"] += tg
+            du += ig
+        o, tc, f, i, g = cache["o"], cache["tc"], cache["f"], cache["i"], cache["g"]
+        dc = dc_carry + du * o * (1.0 - tc * tc)
+        do = du * tc
+        dz4 = do * o * (1.0 - o)
+        df = dc * cache["c_prev"]
+        dz1 = df * f * (1.0 - f)
+        di = dc * g
+        dz2 = di * i * (1.0 - i)
+        dg = dc * i
+        dz3 = dg * (1.0 - g * g)
+        dc_carry = dc * f
+
+        dv = np.zeros((batch, params.n_qubits))
+        for blk, key, dz in (
+            (params.vqc[0], "theta_forget", dz1),
+            (params.vqc[1], "theta_input", dz2),
+            (params.vqc[2], "theta_update", dz3),
+            (params.vqc[3], "theta_output", dz4),
+        ):
+            tg, ig = vqc_gradients_batch(blk, cache["v"], dz)
+            grads[key] += tg
+            dv += ig
+        grads["w_in"] += dv.T @ cache["concat"]
+        grads["b_in"] += dv.sum(axis=0)
+        dh = (dv @ params.w_in)[:, : params.hidden_units]
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qforecast.data import make_windows, prepare_dataset, synth_series
 from qforecast.errors import (
@@ -12,6 +14,7 @@ from qforecast.qlstm import (
     GATE_NAMES,
     ClassicalLSTMParams,
     HyperConfig,
+    PersistenceModel,
     QLSTMParams,
     TrainReport,
     classical_lstm_train,
@@ -26,7 +29,7 @@ from qforecast.qlstm import (
 )
 from qforecast.quantum import VQCBlock
 
-from oracles import dense_vqc_expectations
+from oracles import cell_oracle_backward, cell_oracle_forward, dense_vqc_expectations
 
 
 def sigmoid(x):
@@ -207,6 +210,68 @@ def test_classical_bptt_matches_finite_differences():
     for key in grads:
         fd = _finite_difference(model, x, y, key)
         np.testing.assert_allclose(grads[key], fd, rtol=1e-5, atol=1e-9, err_msg=key)
+
+
+# ---------------------------------------------------------------------------
+# Compiled cell against the block-by-block oracle cell
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_cell_oracle(model, windows, targets):
+    """Predictions and every gradient array agree with the oracle cell to
+    1e-12 of their scale: a prediction's largest possible size, sum |w_y| +
+    |b_y|, and each gradient array's largest entry."""
+    preds, caches = model.forward_batch(windows, need_cache=True)
+    want_preds, want_caches = cell_oracle_forward(model, windows)
+    scale = np.abs(model.w_y).sum() + np.abs(model.b_y).sum()
+    np.testing.assert_allclose(preds, want_preds, rtol=0, atol=1e-12 * scale)
+    dpred = 2.0 * (want_preds - targets) / len(targets)
+    grads = model.backward(caches, dpred)
+    want = cell_oracle_backward(model, want_caches, dpred)
+    assert grads.keys() == want.keys()
+    for key in want:
+        np.testing.assert_allclose(grads[key], want[key], rtol=0,
+                                   atol=1e-12 * np.abs(want[key]).max(), err_msg=key)
+
+
+# n 2-4 against 2**n basis rows covers T * B below and above 2**n, and
+# seq = 1 makes the only backward step the one where dh = 0
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(n=st.integers(2, 4), layers=st.integers(1, 3), seq=st.integers(1, 5),
+       batch=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_compiled_cell_matches_block_by_block_oracle(n, layers, seq, batch, seed):
+    rng = np.random.default_rng(seed)
+    model = init_qlstm(small_config(n_qubits=n, n_layers=layers, sequence_length=seq),
+                       input_dim=3, seed=rng)
+    assert_matches_cell_oracle(model, rng.normal(size=(batch, seq, 3)), rng.normal(size=batch))
+
+
+def test_forward_compiles_at_the_current_angles():
+    # Adam updates the angles in place through param_arrays(), so a unitary
+    # compiled by one call must not serve the next
+    rng = np.random.default_rng(14)
+    model = init_qlstm(small_config(n_qubits=3, n_layers=2), input_dim=3, seed=15)
+    windows, targets = rng.normal(size=(5, 3, 3)), rng.normal(size=5)
+    before, _ = model.forward_batch(windows)
+    for block in model.vqc:
+        block.thetas += rng.uniform(-0.5, 0.5, size=block.thetas.shape)
+    after, _ = model.forward_batch(windows)
+    assert not np.allclose(before, after)
+    assert_matches_cell_oracle(model, windows, targets)
+
+
+@pytest.mark.parametrize("kind", ["qlstm", "lstm", "persistence"])
+def test_zero_length_windows_are_shape_errors(kind):
+    cfg = small_config()
+    model = {
+        "qlstm": lambda: init_qlstm(cfg, input_dim=7, seed=1),
+        "lstm": lambda: init_classical_lstm(cfg, input_dim=7, seed=1),
+        "persistence": lambda: PersistenceModel(input_dim=7),
+    }[kind]()
+    with pytest.raises(ShapeError, match="sequence length 0"):
+        model.forward_batch(np.zeros((4, 0, 7)))
+    with pytest.raises(ShapeError, match="sequence length 0"):
+        forward_sequence(model, np.zeros((0, 7)))
 
 
 # ---------------------------------------------------------------------------
