@@ -1,18 +1,20 @@
 """Gaussian-process Bayesian optimization and K-best ensemble enumeration.
 
 The surrogate is a Matern-5/2 kernel with per-dimension length scales over
-inputs normalized to the unit cube; its hyperparameters maximize the log
-marginal likelihood by multi-start Nelder-Mead (gradient-free).  Candidates
-are proposed by maximizing Expected Improvement over a quasi-random grid
-with local refinement.
+inputs normalized to the unit cube.  Its hyperparameters maximize the log
+marginal likelihood by multi-start bounded L-BFGS-B on the closed-form
+likelihood gradient (Rasmussen & Williams, GPML, 2006, eq. 5.9).
+Candidates are proposed by maximizing Expected Improvement over a Latin
+hypercube (McKay, Beckman & Conover, 1979) with local refinement.
 
 ``bo_tune`` runs the loop per base model and keeps the K lowest-scoring
 distinct configurations; ``enumerate_ensembles`` scores every K^m tuple of
 those sets with the adaptive-weight combiner and returns the argmin.
 
 scipy is imported inside the functions that use it (``gp_fit``,
-``_normal_cdf``, ``acquire_next``, ``bo_minimize_unit``): importing it takes
-most of a ``qforecast`` process's start-up, and only the GP search needs it.
+``_normal_cdf``, ``acquire_next``): importing it takes most of a
+``qforecast`` process's start-up, and only the GP search needs it.  A bayes
+tune loads ``scipy.optimize`` and ``scipy.special`` alone.
 """
 
 from __future__ import annotations
@@ -36,15 +38,30 @@ from .metrics import mse
 from .qlstm import HyperConfig
 
 NOISE_FLOOR = 1e-6
-GP_RESTARTS = 6  # likelihood searches per fit: one fixed start plus random ones
-EI_SOBOL_LOG2 = 10  # 2**10 Sobol points scored before the local EI refinement
+GP_RESTARTS = 12  # likelihood searches per fit: one fixed start plus random ones
+EI_CANDIDATES = 1024  # Latin-hypercube points scored before the local EI refinement
 
 
-def _matern52(xa: np.ndarray, xb: np.ndarray, length_scales, signal_var: float) -> np.ndarray:
-    d = (xa[:, None, :] - xb[None, :, :]) / np.asarray(length_scales)
-    r = np.sqrt(np.maximum(np.sum(d * d, axis=-1), 0.0))
+def _sq_diffs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Per-dimension squared differences D, shape (len(xa), len(xb), d)."""
+    return (xa[:, None, :] - xb[None, :, :]) ** 2
+
+
+def _matern52(sq_diffs: np.ndarray, length_scales, signal_var: float):
+    """Matern-5/2 kernel matrix and its slope s = sf2 (5/3)(1 + sqrt5 r) e^(-sqrt5 r).
+
+    r^2 = sum_d D_d / l_d^2, and dk/d ln l_d = s * D_d / l_d^2.
+    """
+    r = np.sqrt(sq_diffs @ (1.0 / np.asarray(length_scales) ** 2))
     sq5r = math.sqrt(5.0) * r
-    return signal_var * (1.0 + sq5r + 5.0 / 3.0 * r * r) * np.exp(-sq5r)
+    decay = signal_var * np.exp(-sq5r)
+    return decay * (1.0 + sq5r + 5.0 / 3.0 * r * r), decay * (5.0 / 3.0) * (1.0 + sq5r)
+
+
+def latin_hypercube(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n points in [0, 1)^d, one in each of the n equal strata of every axis."""
+    strata = rng.permuted(np.tile(np.arange(n), (d, 1)), axis=1).T
+    return (strata + rng.random((n, d))) / n
 
 
 @dataclass
@@ -65,28 +82,41 @@ class GPSurrogate:
         return float(np.min(self.y))
 
 
-def _chol_with_jitter(k: np.ndarray) -> tuple[np.ndarray, float]:
+def _chol_with_jitter(k: np.ndarray) -> np.ndarray:
     jitter = 0.0
     for attempt in range(8):
         try:
-            return np.linalg.cholesky(k + jitter * np.eye(len(k))), jitter
+            return np.linalg.cholesky(k + jitter * np.eye(len(k)))
         except np.linalg.LinAlgError:
             jitter = 10.0 ** (attempt - 10)
     raise ConfigurationError("kernel matrix is not positive definite even with jitter")
 
 
-def _lml(x, y_centered, length_scales, signal_var, noise_var) -> float:
-    k = _matern52(x, x, length_scales, signal_var) + noise_var * np.eye(len(x))
+def _neg_lml(log_params, sq_diffs, y_centered):
+    """-LML and its gradient over log10 (l_1..l_d, sf2, sn2).
+
+    dLML/d ln theta = 1/2 tr((alpha alpha^T - K^-1) dK/d ln theta)
+    (GPML eq. 5.9).  A kernel matrix without a Cholesky factor gives +inf:
+    L-BFGS-B rejects that step and ends the search at its last finite point.
+    """
+    n, d = sq_diffs.shape[1:]
+    params = 10.0 ** log_params
+    length_scales, signal_var, noise_var = params[:d], params[d], params[d + 1]
+    k_signal, slope = _matern52(sq_diffs, length_scales, signal_var)
     try:
-        chol = np.linalg.cholesky(k)
+        chol = np.linalg.cholesky(k_signal + noise_var * np.eye(n))
     except np.linalg.LinAlgError:
-        return -np.inf
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y_centered))
-    return float(
-        -0.5 * y_centered @ alpha
-        - np.sum(np.log(np.diag(chol)))
-        - 0.5 * len(x) * math.log(2.0 * math.pi)
-    )
+        return np.inf, np.zeros_like(log_params)
+    chol_inv = np.linalg.solve(chol, np.eye(n))
+    alpha = chol_inv.T @ (chol_inv @ y_centered)
+    outer = np.outer(alpha, alpha) - chol_inv.T @ chol_inv
+    lml = (-0.5 * y_centered @ alpha - np.sum(np.log(np.diag(chol)))
+           - 0.5 * n * math.log(2.0 * math.pi))
+    grad = np.empty(d + 2)
+    grad[:d] = (outer * slope).reshape(-1) @ sq_diffs.reshape(-1, d) / length_scales**2
+    grad[d] = np.sum(outer * k_signal)
+    grad[d + 1] = noise_var * np.trace(outer)
+    return -float(lml), -0.5 * math.log(10.0) * grad
 
 
 def gp_fit(observations_x, observations_y, *, seed=0,
@@ -95,11 +125,10 @@ def gp_fit(observations_x, observations_y, *, seed=0,
 
     ``hyperparams`` pins (length_scales, signal_var, noise_var) directly,
     skipping the likelihood search (used by tests and tight loops).
-    Duplicate points never break the fit: the noise floor keeps the kernel
-    matrix positive definite.
+    Duplicate points do not break the fit while the noise bounds are not
+    negligible against the scores' variance; where no search finds a
+    positive-definite kernel matrix, ConfigurationError is raised.
     """
-    from scipy import optimize
-
     x = np.atleast_2d(np.asarray(observations_x, dtype=float))
     y = np.asarray(observations_y, dtype=float).reshape(-1)
     if len(x) != len(y):
@@ -119,37 +148,32 @@ def gp_fit(observations_x, observations_y, *, seed=0,
         return _finalize_fit(x, y, length_scales, float(signal_var),
                              max(float(noise_var), NOISE_FLOOR), mean)
 
+    from scipy import optimize
+
     # bounded likelihood search in log10 coordinates
     lo = np.concatenate([np.full(d, -2.0), [math.log10(max(y_var * 1e-3, 1e-12))], [-6.0]])
     hi = np.concatenate([np.full(d, 1.0), [math.log10(y_var * 10.0 + 1e-12)], [-1.0]])
-
-    def neg_lml(log_params):
-        p = np.clip(log_params, lo, hi)
-        ls = 10.0 ** p[:d]
-        sf2 = 10.0 ** p[d]
-        sn2 = max(10.0 ** p[d + 1], NOISE_FLOOR)
-        return -_lml(x, y_centered, ls, sf2, sn2)
-
+    sq_diffs = _sq_diffs(x, x)
     rng = np.random.default_rng(seed)
     starts = [np.concatenate([np.full(d, math.log10(0.3)),
                               [math.log10(y_var)], [-4.0]])]
     starts += [rng.uniform(lo, hi) for _ in range(GP_RESTARTS - 1)]
     best_params, best_val = None, np.inf
     for start in starts:
-        res = optimize.minimize(neg_lml, start, method="Nelder-Mead",
-                                options={"maxiter": 120 * (d + 2), "xatol": 1e-3,
-                                         "fatol": 1e-6})
+        res = optimize.minimize(_neg_lml, start, args=(sq_diffs, y_centered),
+                                method="L-BFGS-B", jac=True, bounds=list(zip(lo, hi)))
         if res.fun < best_val:
-            best_val, best_params = res.fun, np.clip(res.x, lo, hi)
-    length_scales = 10.0 ** best_params[:d]
-    signal_var = float(10.0 ** best_params[d])
-    noise_var = max(float(10.0 ** best_params[d + 1]), NOISE_FLOOR)
-    return _finalize_fit(x, y, length_scales, signal_var, noise_var, mean)
+            best_val, best_params = res.fun, res.x
+    if best_params is None:
+        raise ConfigurationError("no likelihood search found a positive-definite kernel matrix")
+    params = 10.0 ** best_params  # as _neg_lml computed them, to the last bit
+    return _finalize_fit(x, y, params[:d], float(params[d]),
+                         max(float(params[d + 1]), NOISE_FLOOR), mean)
 
 
 def _finalize_fit(x, y, length_scales, signal_var, noise_var, mean) -> GPSurrogate:
-    k = _matern52(x, x, length_scales, signal_var) + noise_var * np.eye(len(x))
-    chol, _ = _chol_with_jitter(k)
+    k, _ = _matern52(_sq_diffs(x, x), length_scales, signal_var)
+    chol = _chol_with_jitter(k + noise_var * np.eye(len(x)))
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y - mean))
     return GPSurrogate(x=x, y=y, length_scales=np.asarray(length_scales, float),
                        signal_var=float(signal_var), noise_var=float(noise_var),
@@ -159,7 +183,7 @@ def _finalize_fit(x, y, length_scales, signal_var, noise_var, mean) -> GPSurroga
 def gp_posterior(gp: GPSurrogate, query) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and (latent) variance at query points in the unit cube."""
     query = np.atleast_2d(np.asarray(query, dtype=float))
-    k_star = _matern52(query, gp.x, gp.length_scales, gp.signal_var)
+    k_star, _ = _matern52(_sq_diffs(query, gp.x), gp.length_scales, gp.signal_var)
     mean = gp.mean + k_star @ gp.alpha
     v = np.linalg.solve(gp.chol, k_star.T)
     var = gp.signal_var - np.sum(v * v, axis=0)
@@ -199,13 +223,11 @@ def expected_improvement(gp: GPSurrogate, query, best_so_far: float) -> np.ndarr
 
 
 def acquire_next(gp: GPSurrogate, best_so_far: float, *, seed=0) -> np.ndarray:
-    """Argmax of EI over 2**``EI_SOBOL_LOG2`` quasi-random points, refined locally."""
+    """Argmax of EI over ``EI_CANDIDATES`` Latin-hypercube points, refined locally."""
     from scipy import optimize
-    from scipy.stats import qmc
 
     d = gp.x.shape[1]
-    sobol = qmc.Sobol(d, scramble=True, seed=np.random.default_rng(seed))
-    candidates = sobol.random_base2(EI_SOBOL_LOG2)
+    candidates = latin_hypercube(EI_CANDIDATES, d, np.random.default_rng(seed))
     ei = expected_improvement(gp, candidates, best_so_far)
     best_idx = int(np.argmax(ei))
     best_point, best_ei = candidates[best_idx], ei[best_idx]
@@ -226,15 +248,12 @@ def bo_minimize_unit(objective, d: int, *, n_init: int = 5, n_iterations: int = 
     Starts from a Latin-hypercube design of ``n_init`` points, then runs
     ``n_iterations`` acquire-evaluate-refit rounds.
     """
-    from scipy.stats import qmc
-
     if n_init < 2:
         raise ConfigurationError("n_init must be >= 2")
     tracker = _ensure_tracker(objective, None, None)
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     lhs_seed, fit_seed, acq_seed = seed_seq.spawn(3)
-    lhs = qmc.LatinHypercube(d, seed=np.random.default_rng(lhs_seed))
-    xs = list(lhs.random(n_init))
+    xs = list(latin_hypercube(n_init, d, np.random.default_rng(lhs_seed)))
     ys = [tracker(x, "bo", 0) for x in xs]
     fit_rng = np.random.default_rng(fit_seed)
     acq_rng = np.random.default_rng(acq_seed)

@@ -267,6 +267,58 @@ def gp_posterior_oracle(x_train, y_train, x_query, length_scales, signal_var, no
     return post_mean, np.maximum(post_var, 0.0)
 
 
+def lml_oracle(x, y_centered, length_scales, signal_var, noise_var):
+    """GP log marginal likelihood through a Cholesky factor; -inf without one."""
+    k = matern52_kernel(x, x, length_scales, signal_var) + noise_var * np.eye(len(x))
+    try:
+        chol = np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        return -np.inf
+    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y_centered))
+    return float(
+        -0.5 * y_centered @ alpha
+        - np.sum(np.log(np.diag(chol)))
+        - 0.5 * len(x) * np.log(2.0 * np.pi)
+    )
+
+
+def lml_box(d, y_var):
+    """gp_fit's search box over log10 (l_1..l_d, sf2, sn2)."""
+    lo = np.concatenate([np.full(d, -2.0), [np.log10(max(y_var * 1e-3, 1e-12))], [-6.0]])
+    hi = np.concatenate([np.full(d, 1.0), [np.log10(y_var * 10.0 + 1e-12)], [-1.0]])
+    return lo, hi
+
+
+def nelder_mead_gp_fit(x, y, seed, restarts=6, noise_floor=1e-6):
+    """The gradient-free likelihood search: multi-start Nelder-Mead over
+    gp_fit's log10 box, clipped into it.  Returns the best log10 parameters
+    and their LML."""
+    from scipy import optimize
+
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y_centered = np.asarray(y, dtype=float) - np.mean(y)
+    d = x.shape[1]
+    y_var = max(float(np.var(y_centered)), 1e-12)
+    lo, hi = lml_box(d, y_var)
+
+    def neg_lml(log_params):
+        p = np.clip(log_params, lo, hi)
+        return -lml_oracle(x, y_centered, 10.0 ** p[:d], 10.0 ** p[d],
+                           max(10.0 ** p[d + 1], noise_floor))
+
+    rng = np.random.default_rng(seed)
+    starts = [np.concatenate([np.full(d, np.log10(0.3)), [np.log10(y_var)], [-4.0]])]
+    starts += [rng.uniform(lo, hi) for _ in range(restarts - 1)]
+    best_params, best_val = None, np.inf
+    for start in starts:
+        res = optimize.minimize(neg_lml, start, method="Nelder-Mead",
+                                options={"maxiter": 120 * (d + 2), "xatol": 1e-3,
+                                         "fatol": 1e-6})
+        if res.fun < best_val:
+            best_val, best_params = res.fun, np.clip(res.x, lo, hi)
+    return best_params, -best_val
+
+
 def expected_improvement_oracle(mean, var, best):
     """Phi/phi closed form of EI for minimization, via scipy.stats."""
     from scipy.stats import norm

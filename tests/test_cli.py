@@ -705,12 +705,14 @@ for argv in (
 assert qforecast.cli.main(["tune", "--run", run, "--tuner", "bayes", "--budget", "4",
                            "--k", "1", *small]) == 0
 assert "scipy.optimize" in sys.modules
+assert "scipy.stats" not in sys.modules
 """
 
 
 def test_only_the_gp_search_loads_scipy(tmp_path):
     """Importing the package and running every command but the bayes tune
-    leaves scipy unloaded: importing it dominates a process's start-up."""
+    leaves scipy unloaded: importing it dominates a process's start-up.  The
+    bayes tune loads scipy.optimize but not scipy.stats."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
