@@ -9,12 +9,20 @@ followed by Z-score standardization -- both fitted on the training split
 only -- and windows the standardized matrix into supervised next-hour
 sequences, which are read-only views of it.  A seeded synthetic generator
 provides desk-scale fixtures.
+
+Ingestion has two readers.  The bulk reader runs first: it checks blocks of
+whole lines (:data:`BULK_BLOCK_BYTES`) with numpy array operations and reads
+their cells with ``np.loadtxt``, and it refuses any file outside the common
+form of a line (see :func:`ingest_csv`).  The per-line checker is the
+fallback and the definition of a valid line: a refused file is read again
+by it, so every error names the line the per-line checker names.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 import warnings
 import zipfile
@@ -84,13 +92,104 @@ def ingest_csv(path) -> np.ndarray:
     Empty cells become NaN; a literal non-finite cell is an error.  Rows must
     be hourly-contiguous: a non-monotonic or gapped timestamp sequence raises
     :class:`~qforecast.errors.DataError` with the offending line number.
-    A missing or unreadable file is a DataError too.
+    A missing or unreadable file is a DataError too.  The file is UTF-8, and
+    a leading byte-order mark is skipped.
+
+    The bulk reader (:func:`_ingest_bulk`) runs first, with numpy, over
+    blocks of whole lines of about :data:`BULK_BLOCK_BYTES`; CRLF line
+    endings read as LF.  It takes only the common form of a line and
+    refuses the whole file otherwise: any byte outside ``[0-9,.:eE+-]`` and
+    the newline (so ``nan``, ``inf``, spaces, quotes and a lone CR), a cell
+    count other than nine, a date other than ``YYYY-MM-DD`` from year 1, an
+    hour other than two digits up to 23 (alone or before ``:``), a cell that
+    overflows, a line longer than the csv field limit, or any step between
+    timestamps other than one hour.  A refused file is read again by the
+    per-line checker, which alone defines a valid line and names the first
+    bad one; on every file the bulk reader takes, both give the same
+    matrix, bit for bit.
     """
     try:
-        with open(path, newline="") as fh:
-            return _parse_rows(csv.reader(fh), path)
-    except (OSError, UnicodeDecodeError) as exc:
+        matrix = _ingest_bulk(path)
+        if matrix is None:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                matrix = _parse_rows(csv.reader(fh), path)
+        return matrix
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: cannot read: {exc}") from exc
+
+
+BULK_BLOCK_BYTES = 1 << 18  # the bulk reader takes whole lines in blocks of about this size
+_BOM = b"\xef\xbb\xbf"
+_HEADER_LINE = (",".join(CSV_COLUMNS) + "\n").encode()
+_BULK_ALPHABET = np.zeros(256, dtype=bool)
+_BULK_ALPHABET[np.frombuffer(b"0123456789,.:eE+-\n", np.uint8)] = True
+# a line's fixed head "YYYY-MM-DD,HH,", with "0" standing for each digit; an
+# "HH:MM" time has ":" for the last byte.  Minus the head, a digit gives 0-9
+# and a matching literal 0, so each offset must be at most _HEAD_MAX.
+_HEAD = np.frombuffer(b"0000-00-00,00,", dtype=np.uint8)
+_HEAD_MAX = np.where(_HEAD == ord("0"), 9, 0)
+
+
+def _ingest_bulk(path) -> np.ndarray | None:
+    """The file's matrix, read block by block with numpy array operations, or
+    None where any line falls outside the common form (see :func:`ingest_csv`)."""
+    cells, last = [], None
+    with open(path, "rb") as fh:
+        if fh.readline().removeprefix(_BOM).replace(b"\r\n", b"\n") != _HEADER_LINE:
+            return None
+        try:
+            for text in _line_blocks(fh):
+                block, stamps = _bulk_block(text)
+                steps = np.diff(stamps, prepend=stamps[0] - 1 if last is None else last)
+                if (steps != 1).any():
+                    return None
+                cells.append(block)
+                last = stamps[-1]
+        except ValueError:
+            return None
+    return np.concatenate(cells) if cells else None
+
+
+def _line_blocks(fh):
+    """The rest of ``fh`` in blocks of whole lines, each ending in a newline."""
+    tail = b""
+    while chunk := fh.read(BULK_BLOCK_BYTES):
+        lines, newline, tail = (tail + chunk).rpartition(b"\n")
+        if newline:
+            yield lines + newline
+    if tail:
+        yield tail + b"\n"
+
+
+def _bulk_block(text: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """One block's ``(lines, 7)`` cells and hour stamps; a block is whole
+    lines, each ending in a newline.  ValueError refuses the block."""
+    text = text.replace(b"\r\n", b"\n")
+    buf = np.frombuffer(text, dtype=np.uint8)
+    if not _BULK_ALPHABET[buf].all():
+        raise ValueError("byte outside the bulk alphabet")
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    if lengths.min() < _HEAD.size or lengths.max() > csv.field_size_limit():
+        raise ValueError("line too short or too long")
+    commas = np.searchsorted(np.flatnonzero(buf == ord(",")), ends)
+    if (np.diff(commas, prepend=0) != len(CSV_COLUMNS) - 1).any():
+        raise ValueError("cell count")
+    head = buf[starts[:, None] + np.arange(_HEAD.size)]
+    head[head[:, -1] == ord(":"), -1] = ord(",")
+    offsets = head - _HEAD  # uint8: a byte below its head byte wraps above 9
+    if (offsets > _HEAD_MAX).any():
+        raise ValueError("line head")
+    year, hour = offsets[:, :4] @ [1000, 100, 10, 1], offsets[:, 11:13] @ [10, 1]
+    if year.min() < 1 or hour.max() > 23:
+        raise ValueError("year or hour out of range")
+    days = np.ascontiguousarray(head[:, :10]).view("S10")[:, 0].astype("datetime64[D]")
+    filled = text.replace(b",,", b",nan,").replace(b",,", b",nan,").replace(b",\n", b",nan\n")
+    block = np.loadtxt(io.BytesIO(filled), delimiter=",", usecols=range(2, 9), ndmin=2)
+    if np.isinf(block).any():
+        raise ValueError("overflowing cell")
+    return block, days.astype(np.int64) * 24 + hour
 
 
 def _parse_rows(reader, path) -> np.ndarray:
@@ -203,14 +302,18 @@ def fit_scaler(train_matrix: np.ndarray) -> ScalerState:
 
 def robust_scale(matrix: np.ndarray, scaler: ScalerState) -> np.ndarray:
     """Stage one: (x - median) / IQR, zero-IQR features passed through."""
-    iqr = np.where(scaler.robust_skip, 1.0, scaler.iqr)
-    return np.where(scaler.robust_skip, matrix, (matrix - scaler.median) / iqr)
+    out = matrix - scaler.median  # then in place: a large prepare peaks in this stage
+    out /= np.where(scaler.robust_skip, 1.0, scaler.iqr)
+    out[..., scaler.robust_skip] = matrix[..., scaler.robust_skip]
+    return out
 
 
 def zscore(stage1: np.ndarray, scaler: ScalerState) -> np.ndarray:
     """Stage two: (x - mean) / std on the stage-one output."""
-    std = np.where(scaler.z_skip, 1.0, scaler.std)
-    return np.where(scaler.z_skip, stage1, (stage1 - scaler.mean) / std)
+    out = stage1 - scaler.mean
+    out /= np.where(scaler.z_skip, 1.0, scaler.std)
+    out[..., scaler.z_skip] = stage1[..., scaler.z_skip]
+    return out
 
 
 def transform(matrix: np.ndarray, scaler: ScalerState) -> np.ndarray:
@@ -298,7 +401,8 @@ class Dataset:
 
 def prepare_dataset(matrix: np.ndarray, train_fraction: float = TRAIN_FRACTION) -> Dataset:
     """Chronological split, train-fitted imputation and two-stage scaling of
-    a ``(rows, 7)`` series."""
+    a ``(rows, 7)`` series.  A feature whose fitted statistics or standardized
+    cells overflow to a non-finite value is a :class:`DataError`."""
     rows = len(matrix)
     if rows == 0:
         raise ConfigurationError("no rows to prepare")
@@ -307,8 +411,15 @@ def prepare_dataset(matrix: np.ndarray, train_fraction: float = TRAIN_FRACTION) 
         raise ConfigurationError(f"split produces degenerate train/test sizes ({n_train})")
     medians = fit_medians(matrix[:n_train])
     full = impute_median(matrix, medians)
-    scaler = fit_scaler(full[:n_train])
-    standardized = transform(full, scaler)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        scaler = fit_scaler(full[:n_train])
+        standardized = transform(full, scaler)
+        stats = np.vstack([scaler.median, scaler.q1, scaler.q3, scaler.iqr, scaler.mean, scaler.std])
+    overflowed = ~(np.isfinite(stats).all(axis=0) & np.isfinite(standardized).all(axis=0))
+    if overflowed.any():
+        names = [FEATURES[j] for j in np.flatnonzero(overflowed)]
+        raise DataError(f"scaling overflows for {names}: a fitted statistic or a "
+                        "standardized cell is not finite")
     return Dataset(
         train_matrix=standardized[:n_train],
         test_matrix=standardized[n_train:],

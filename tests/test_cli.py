@@ -10,7 +10,7 @@ import pytest
 
 from qforecast.bayesopt import KBestSet
 from qforecast.cli import ARCH_CHOICES, main
-from qforecast.data import load_dataset, prepare_dataset, save_dataset, synth_series
+from qforecast.data import load_dataset, prepare_dataset, save_dataset, synth_series, write_csv
 from qforecast.qlstm import HyperConfig, PersistenceModel, init_classical_lstm, init_qlstm
 from qforecast.runner import save_ensemble_checkpoint
 
@@ -151,6 +151,17 @@ def test_unreadable_csv_is_data_error(tmp_path, capsys, content):
         path.write_bytes(content)
     assert run_cli("preprocess", "--run", tmp_path / "r", "--csv", path) == 3
     assert capsys.readouterr().err.startswith("data error:")
+    assert not (tmp_path / "r").exists()
+
+
+def test_overflowing_scaling_is_data_error(tmp_path, capsys):
+    # finite cells whose IQR overflows: no summary with Infinity, no NaN cache
+    series = synth_series(120, seed=0)
+    series[::2, 0], series[1::2, 0] = 1e308, -1e308
+    path = tmp_path / "weather.csv"
+    write_csv(series, path)
+    assert run_cli("preprocess", "--run", tmp_path / "r", "--csv", path) == 3
+    assert "['temperature']" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

@@ -1,9 +1,17 @@
+import csv
 import datetime as dt
+import importlib.util
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qforecast import data as data_module
 from qforecast.data import (
+    CSV_COLUMNS,
     FEATURES,
     SYNTH_START,
     fit_medians,
@@ -21,6 +29,7 @@ from qforecast.data import (
     transform,
     write_csv,
     zscore,
+    _parse_rows,
 )
 from qforecast.errors import ConfigurationError, DataError
 
@@ -104,6 +113,120 @@ def test_csv_round_trip(tmp_path):
         ts = SYNTH_START + dt.timedelta(hours=i)
         assert lines[1 + i].startswith(f"{ts:%Y-%m-%d},{ts:%H},")
     assert lines[25].startswith("2015-01-02,00,")
+
+
+def per_line(path):
+    """The per-line checker's matrix for a file, or its DataError message."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return _parse_rows(csv.reader(fh), path)
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_ingests_as_per_line(path):
+    expected = per_line(path)
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as info:
+            ingest_csv(path)
+        assert str(info.value) == expected
+    else:
+        got = ingest_csv(path)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()  # bit for bit, NaN cells included
+
+
+CELLS = st.one_of(
+    st.just(""),
+    st.floats(-1e4, 1e4).map(lambda v: f"{v:.2f}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["-0", ".5", "5.", "+1.5", "1E3", "2e-400"]),
+)
+BAD_CELLS = ["", " ", " 1.5", "1.5 ", "nan", "NaN", "inf", "-inf", "1e400", '"1.5"', "1_000"]
+BAD_DATES = ["0000-01-01", "+016-01-01", "2015-02-29"]
+
+
+@st.composite
+def csv_bodies(draw):
+    """A valid hourly body as rows of cells, then at most one mutation, as text."""
+    start = draw(st.datetimes(dt.datetime(1, 1, 1), dt.datetime(9999, 12, 30)))
+    start = start.replace(minute=0, second=0, microsecond=0)
+    rows = []
+    for i in range(draw(st.integers(1, 12))):
+        ts = start + dt.timedelta(hours=i)
+        time = draw(st.sampled_from([f"{ts.hour:02d}", f"{ts.hour:02d}:00", f"{ts.hour:02d}:30"]))
+        rows.append([ts.date().isoformat(), time] + draw(st.lists(CELLS, min_size=7, max_size=7)))
+    row = draw(st.integers(0, len(rows) - 1))
+    newline, final = "\n", "\n"
+    mutation = draw(st.sampled_from([
+        None, "cell", "extra", "missing", "crlf", "cr", "no_final", "hour", "date",
+        "duplicate", "gap", "bom"]))
+    if mutation == "cell":
+        rows[row][draw(st.integers(2, 8))] = draw(st.sampled_from(BAD_CELLS))
+    elif mutation == "extra":
+        rows[row].append(draw(CELLS))
+    elif mutation == "missing":
+        del rows[row][draw(st.integers(0, 8))]
+    elif mutation == "crlf":
+        newline = final = "\r\n"
+    elif mutation == "cr":
+        newline = final = "\r"
+    elif mutation == "no_final":
+        final = ""
+    elif mutation == "hour":
+        rows[row][1] = "24"
+    elif mutation == "date":  # every row of that day, so the hours still run on
+        day, bad = rows[row][0], draw(st.sampled_from(BAD_DATES))
+        for cells in rows:
+            cells[0] = bad if cells[0] == day else cells[0]
+    elif mutation == "duplicate":
+        rows.insert(row, list(rows[row]))
+    elif mutation == "gap" and len(rows) > 2:
+        del rows[1]
+    lines = [",".join(CSV_COLUMNS)] + [",".join(cells) for cells in rows]
+    return ("\ufeff" if mutation == "bom" else "") + newline.join(lines) + final
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(csv_bodies(), st.sampled_from([data_module.BULK_BLOCK_BYTES, 1, 50]))
+@example(GOLDEN.replace("-7.4", "1e400"), data_module.BULK_BLOCK_BYTES)  # a finite cell overflows
+@example(GOLDEN.replace("2016-01-01", "0000-01-01"), data_module.BULK_BLOCK_BYTES)  # numpy reads year 0
+def test_bulk_reader_never_widens_what_is_accepted(tmp_path_factory, text, block_bytes):
+    # every file gives the per-line checker's exact matrix or its exact error,
+    # also where blocks end inside a line or split the file into many blocks
+    path = tmp_path_factory.mktemp("bulk") / "weather.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(data_module, "BULK_BLOCK_BYTES", block_bytes):
+        assert_ingests_as_per_line(path)
+
+
+def test_bulk_reader_matches_per_line_on_paper_length_csv(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    path = tmp_path / "paper.csv"
+    inputs.write_weather_csv(path, 96432, seed=5)
+    matrix = ingest_csv(path)
+    assert matrix.shape == (96432, len(FEATURES)) and np.isnan(matrix).any()
+    assert matrix.tobytes() == per_line(path).tobytes()
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    plain = ingest_csv(write_text(tmp_path, GOLDEN))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + GOLDEN.encode())
+    assert ingest_csv(path).tobytes() == plain.tobytes()
+    path.write_bytes(b"\xef\xbb\xbf" + GOLDEN.replace("-7.4", " ").encode())  # per-line path
+    assert np.isnan(ingest_csv(path)[1, 1])
+
+
+def test_overlong_cell_is_data_error(tmp_path):
+    # longer than the csv module's field limit: refused in bulk, reported per line
+    text = GOLDEN.replace("-7.4", "0." + "0" * 140000 + "1")
+    with pytest.raises(DataError, match="field larger than field limit"):
+        ingest_csv(write_text(tmp_path, text))
 
 
 # ---------------------------------------------------------------------------
