@@ -282,15 +282,13 @@ class ScalerState:
 def fit_scaler(train_matrix: np.ndarray) -> ScalerState:
     if np.isnan(train_matrix).any():
         raise ConfigurationError("impute before fitting the scaler")
-    q1 = np.percentile(train_matrix, 25, axis=0)
-    median = np.percentile(train_matrix, 50, axis=0)
-    q3 = np.percentile(train_matrix, 75, axis=0)
+    q1, median, q3 = np.percentile(train_matrix, [25, 50, 75], axis=0)
     iqr = q3 - q1
     robust_skip = iqr == 0.0
     if robust_skip.any():
         names = [FEATURES[j] for j in np.where(robust_skip)[0]]
         warnings.warn(f"zero IQR for {names}; passing through unscaled", stacklevel=2)
-    stage1 = np.where(robust_skip, train_matrix, (train_matrix - median) / np.where(iqr == 0, 1, iqr))
+    stage1 = _scaled(train_matrix, median, iqr, robust_skip)
     mean = stage1.mean(axis=0)
     std = stage1.std(axis=0)
     z_skip = std == 0.0
@@ -300,20 +298,22 @@ def fit_scaler(train_matrix: np.ndarray) -> ScalerState:
     )
 
 
+def _scaled(matrix: np.ndarray, center, scale, skip) -> np.ndarray:
+    """(x - center) / scale with ``skip`` features passed through, in one new array."""
+    out = matrix - center  # then in place: a large prepare peaks in this stage
+    out /= np.where(skip, 1.0, scale)
+    out[..., skip] = matrix[..., skip]
+    return out
+
+
 def robust_scale(matrix: np.ndarray, scaler: ScalerState) -> np.ndarray:
     """Stage one: (x - median) / IQR, zero-IQR features passed through."""
-    out = matrix - scaler.median  # then in place: a large prepare peaks in this stage
-    out /= np.where(scaler.robust_skip, 1.0, scaler.iqr)
-    out[..., scaler.robust_skip] = matrix[..., scaler.robust_skip]
-    return out
+    return _scaled(matrix, scaler.median, scaler.iqr, scaler.robust_skip)
 
 
 def zscore(stage1: np.ndarray, scaler: ScalerState) -> np.ndarray:
     """Stage two: (x - mean) / std on the stage-one output."""
-    out = stage1 - scaler.mean
-    out /= np.where(scaler.z_skip, 1.0, scaler.std)
-    out[..., scaler.z_skip] = stage1[..., scaler.z_skip]
-    return out
+    return _scaled(stage1, scaler.mean, scaler.std, scaler.z_skip)
 
 
 def transform(matrix: np.ndarray, scaler: ScalerState) -> np.ndarray:

@@ -107,16 +107,8 @@ class SearchSpace:
         Gray coding keeps single-bit genome changes local in the box, which
         matters for rotation-driven updates.
         """
-        bits = np.asarray(bits).astype(int).reshape(-1)
-        if bits.shape != (self.total_bits,):
-            raise ConfigurationError(f"expected {self.total_bits} genome bits, got {bits.shape}")
-        vector = np.empty(self.n_dims)
-        offset = 0
-        for j, dim in enumerate(self.dimensions):
-            chunk = bits[offset : offset + dim.bits]
-            offset += dim.bits
-            vector[j] = dim.low + (dim.high - dim.low) * gray_fraction(chunk)
-        return vector
+        return gray_decode(bits, [d.low for d in self.dimensions],
+                           [d.high for d in self.dimensions], [d.bits for d in self.dimensions])
 
     def from_unit(self, unit) -> np.ndarray:
         """Map [0,1]^d coordinates onto the box."""
@@ -140,3 +132,17 @@ def gray_fraction(bits) -> float:
         acc ^= int(b)
         value = (value << 1) | acc
     return value / float(2 ** len(bits) - 1)
+
+
+def gray_decode(bits, lows, highs, widths) -> np.ndarray:
+    """Coordinate j is ``lows[j] + span_j * gray_fraction(chunk_j)``, where
+    chunk j is the next ``widths[j]`` bits of the genome."""
+    bits = np.asarray(bits).astype(int).reshape(-1)
+    if bits.shape != (sum(widths),):
+        raise ConfigurationError(f"expected {sum(widths)} genome bits, got {bits.shape}")
+    vector = np.empty(len(widths))
+    offset = 0
+    for j, width in enumerate(widths):
+        vector[j] = lows[j] + (highs[j] - lows[j]) * gray_fraction(bits[offset : offset + width])
+        offset += width
+    return vector

@@ -1,16 +1,21 @@
 """Population-based hyperparameter tuners.
 
-Three minimizers over a continuous box:
+Three minimizers over a continuous box, each holding its population as
+arrays:
 
-* ``pso_minimize`` -- particle swarm with inertia ``w`` and cognitive/social
-  pulls ``c1``/``c2``: velocities update as
-  ``v <- w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x)``, positions as
-  ``x <- x + v`` with clamping to the box (and velocity zeroing on the
-  violated dimension).
-* ``qga_minimize`` -- a genetic search over qubit-amplitude chromosomes:
-  each genome bit is a normalized (alpha, beta) pair measured to a classical
-  bit with probability beta^2, steered by 2x2 rotation gates toward the
-  generation best, with amplitude-swap mutation.
+* ``pso_minimize`` -- a particle swarm kept as ``(P, d)`` matrices of
+  positions, velocities and per-particle bests.  Each sweep updates every
+  particle at once, ``v <- INERTIA*v + COGNITIVE*r1*(pbest - x)
+  + SOCIAL*r2*(gbest - x)`` and ``x <- x + v`` clamped to the box (with the
+  velocity zeroed on a violated dimension), then evaluates the particles in
+  order; a best moves only on a strict improvement.
+* ``qga_minimize`` -- a genetic search over qubit amplitudes: the population
+  is two ``(pop, n_bits)`` arrays alpha and beta with alpha^2 + beta^2 = 1,
+  each bit measured to 1 with probability beta^2.  A 2x2 rotation gate
+  turns each disagreeing bit toward the generation best's bit by
+  ``TOWARD_BEST``, or, for an individual at least as fit, toward its own
+  bit by ``TOWARD_OWN``; each bit's amplitudes then swap with probability
+  ``P_MUTATION``.
 * ``hybrid_minimize`` -- the genetic phase's best decoded points seed the
   swarm's initial positions; the remaining evaluation budget goes to the
   swarm.
@@ -22,16 +27,18 @@ trace row per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-DEFAULT_INERTIA = 0.729
-DEFAULT_COGNITIVE = 1.49445
-DEFAULT_SOCIAL = 1.49445
-MAX_ROTATION = 0.05 * np.pi
+INERTIA = 0.729
+COGNITIVE = 1.49445
+SOCIAL = 1.49445
+TOWARD_BEST = 0.05 * np.pi  # rotation of a worse individual's bits toward the best's
+TOWARD_OWN = 0.01 * np.pi  # rotation of an at-least-as-fit individual toward its own bits
 P_MUTATION = 0.02
 HYBRID_POP_SIZE = 20
 HYBRID_PARTICLES = 20
@@ -98,21 +105,15 @@ def _ensure_tracker(objective, budget, trace) -> ObjectiveTracker:
 
 
 @dataclass
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_value: float
-
-
-@dataclass
 class Swarm:
-    particles: list
-    best_position: np.ndarray
+    """Row i of each matrix is particle i; the swarm best is tracked apart."""
+
+    position: np.ndarray  # (P, d)
+    velocity: np.ndarray  # (P, d)
+    pbest: np.ndarray  # (P, d) each particle's best position
+    pbest_value: np.ndarray  # (P,) +inf until a particle has a finite value
+    best_position: np.ndarray  # (d,)
     best_value: float
-    w: float = DEFAULT_INERTIA
-    c1: float = DEFAULT_COGNITIVE
-    c2: float = DEFAULT_SOCIAL
 
 
 @dataclass
@@ -121,7 +122,7 @@ class TunerResult:
     best_value: float
     history: list  # best value after each iteration/generation
     n_evals: int
-    n_non_finite: int = 0
+    n_non_finite: int
 
 
 def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -132,9 +133,21 @@ def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
     return lows, highs
 
 
+def _evaluate(swarm: Swarm, tracker: ObjectiveTracker, iteration: int) -> None:
+    """Score the particles in order.  The swarm best moves on a strict
+    improvement only, so among tied values the first evaluated stays best."""
+    for i, x in enumerate(swarm.position):
+        value = tracker(x, "pso", iteration)
+        if value < swarm.pbest_value[i]:
+            swarm.pbest_value[i] = value
+            swarm.pbest[i] = x
+        if value < swarm.best_value:
+            swarm.best_value = value
+            swarm.best_position = x.copy()
+
+
 def init_swarm(tracker: ObjectiveTracker, bounds, n_particles: int, rng,
-               init_positions=None, w=DEFAULT_INERTIA, c1=DEFAULT_COGNITIVE,
-               c2=DEFAULT_SOCIAL) -> Swarm:
+               init_positions=None) -> Swarm:
     """Seeded swarm; the first particles can start at supplied positions."""
     lows, highs = _check_bounds(bounds)
     d = len(lows)
@@ -149,48 +162,32 @@ def init_swarm(tracker: ObjectiveTracker, bounds, n_particles: int, rng,
     # first sweep exploits their basin instead of jumping away
     velocities[: len(seeded)] = 0.0
 
-    particles = []
-    best_position, best_value = None, np.inf
-    for i in range(n_particles):
-        try:
-            value = tracker(positions[i], "pso", 0)
-        except BudgetExhausted:
-            value = np.inf  # unevaluated stragglers keep an infinite pbest
-        particles.append(Particle(positions[i].copy(), velocities[i].copy(),
-                                  positions[i].copy(), value))
-        if value < best_value:
-            best_position, best_value = positions[i].copy(), value
-    if best_position is None:
-        best_position = positions[0].copy()
-    return Swarm(particles, best_position, best_value, w=w, c1=c1, c2=c2)
+    swarm = Swarm(positions, velocities, positions.copy(), np.full(n_particles, np.inf),
+                  positions[0].copy(), np.inf)
+    try:
+        _evaluate(swarm, tracker, 0)
+    except BudgetExhausted:
+        pass  # unevaluated stragglers keep an infinite pbest
+    return swarm
 
 
 def pso_step(swarm: Swarm, tracker: ObjectiveTracker, bounds, rng,
              iteration: int = 0) -> Swarm:
-    """One velocity/position/evaluation sweep; the swarm best never worsens."""
+    """One velocity/position/evaluation sweep; the swarm best never worsens.
+
+    ``r[i, 0]`` and ``r[i, 1]`` are particle i's r1 and r2.
+    """
     lows, highs = _check_bounds(bounds)
-    for particle in swarm.particles:
-        r1 = rng.uniform(size=particle.position.shape)
-        r2 = rng.uniform(size=particle.position.shape)
-        particle.velocity = (
-            swarm.w * particle.velocity
-            + swarm.c1 * r1 * (particle.best_position - particle.position)
-            + swarm.c2 * r2 * (swarm.best_position - particle.position)
-        )
-        particle.position = particle.position + particle.velocity
-        below = particle.position < lows
-        above = particle.position > highs
-        if below.any() or above.any():
-            particle.position = np.clip(particle.position, lows, highs)
-            particle.velocity[below | above] = 0.0
-    for particle in swarm.particles:
-        value = tracker(particle.position, "pso", iteration)
-        if value < particle.best_value:
-            particle.best_value = value
-            particle.best_position = particle.position.copy()
-        if value < swarm.best_value:
-            swarm.best_value = value
-            swarm.best_position = particle.position.copy()
+    x = swarm.position
+    r = rng.uniform(size=(len(x), 2, x.shape[1]))
+    velocity = (INERTIA * swarm.velocity
+                + COGNITIVE * r[:, 0] * (swarm.pbest - x)
+                + SOCIAL * r[:, 1] * (swarm.best_position - x))
+    position = x + velocity
+    velocity[(position < lows) | (position > highs)] = 0.0
+    swarm.position = np.clip(position, lows, highs)
+    swarm.velocity = velocity
+    _evaluate(swarm, tracker, iteration)
     return swarm
 
 
@@ -225,63 +222,31 @@ def pso_minimize(objective, bounds, *, n_particles: int = 20, n_iterations: int 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class QuantumChromosome:
-    """Per-bit (alpha, beta) amplitude pairs with |alpha|^2 + |beta|^2 = 1."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    @classmethod
-    def uniform(cls, n_bits: int) -> "QuantumChromosome":
-        amp = np.full(n_bits, 1.0 / np.sqrt(2.0))
-        return cls(amp.copy(), amp.copy())
-
-    def normalization_error(self) -> float:
-        return float(np.max(np.abs(self.alpha**2 + self.beta**2 - 1.0)))
-
-    def measure(self, rng) -> np.ndarray:
-        return (rng.random(self.alpha.shape) < self.beta**2).astype(int)
-
-    def rotate(self, angles) -> None:
-        """Apply per-bit 2x2 rotations [[cos,-sin],[sin,cos]]; exactly norm-preserving."""
-        c, s = np.cos(angles), np.sin(angles)
-        alpha = c * self.alpha - s * self.beta
-        beta = s * self.alpha + c * self.beta
-        self.alpha, self.beta = alpha, beta
-
-    def swap_mutate(self, mask) -> None:
-        alpha = np.where(mask, self.beta, self.alpha)
-        beta = np.where(mask, self.alpha, self.beta)
-        self.alpha, self.beta = alpha, beta
+def rotate(alpha, beta, angles):
+    """Per-bit 2x2 rotations [[cos,-sin],[sin,cos]]; exactly norm-preserving."""
+    c, s = np.cos(angles), np.sin(angles)
+    return c * alpha - s * beta, s * alpha + c * beta
 
 
-@dataclass(frozen=True)
-class RotationPolicy:
-    """Signed rotation magnitudes steering measured bits toward the best bits.
+def swap_mutate(alpha, beta, mask):
+    return np.where(mask, beta, alpha), np.where(mask, alpha, beta)
 
-    Positive angles push amplitude toward |1>.  When a candidate is worse
-    than the generation best it is pulled toward the best individual's bit
-    with the large magnitude; when at least as good, it is nudged toward its
-    own bit with the small one.  Bits that already agree stay put.
+
+def rotation_angles(bits, values) -> np.ndarray:
+    """Signed angles for a generation's measured ``(pop, n_bits)`` bits.
+
+    Positive angles push amplitude toward |1>.  A bit that disagrees with
+    the generation best's turns toward the best's bit by ``TOWARD_BEST``
+    when its individual scored worse than the best, and toward its own bit
+    by ``TOWARD_OWN`` when at least as good.  Agreeing bits stay put.
     """
-
-    toward_best: float = 0.05 * np.pi
-    toward_own: float = 0.01 * np.pi
-
-    def __post_init__(self):
-        if not (0 <= self.toward_best <= MAX_ROTATION and 0 <= self.toward_own <= MAX_ROTATION):
-            raise ConfigurationError(f"rotation magnitudes must lie in [0, {MAX_ROTATION}]")
-
-    def angles(self, bits, best_bits, at_least_as_fit: bool) -> np.ndarray:
-        bits = np.asarray(bits)
-        best_bits = np.asarray(best_bits)
-        disagree = bits != best_bits
-        if at_least_as_fit:
-            direction = np.where(bits == 1, 1.0, -1.0)
-            return np.where(disagree, direction * self.toward_own, 0.0)
-        direction = np.where(best_bits == 1, 1.0, -1.0)
-        return np.where(disagree, direction * self.toward_best, 0.0)
+    values = np.asarray(values)
+    best = int(np.argmin(values))
+    at_least_as_fit = (values <= values[best])[:, None]
+    target = np.where(at_least_as_fit, bits, bits[best])
+    magnitude = np.where(at_least_as_fit, TOWARD_OWN, TOWARD_BEST)
+    direction = np.where(target == 1, 1.0, -1.0)
+    return np.where(bits != bits[best], direction * magnitude, 0.0)
 
 
 @dataclass
@@ -291,12 +256,11 @@ class QGAResult:
     best_decoded: object
     history: list
     n_evals: int
-    archive: list = field(default_factory=list)  # (value, decoded) per evaluation
+    archive: list  # (value, decoded) per evaluation
 
 
 def qga_minimize(objective, n_bits: int, *, pop_size: int = 20, n_generations: int = 50,
-                 seed=0, policy: RotationPolicy | None = None,
-                 p_mutation: float = P_MUTATION, decode=None) -> QGAResult:
+                 seed=0, decode=None) -> QGAResult:
     """Genetic minimization on qubit-amplitude chromosomes.
 
     ``decode`` maps a measured bit array to the objective's argument (and to
@@ -306,40 +270,31 @@ def qga_minimize(objective, n_bits: int, *, pop_size: int = 20, n_generations: i
         raise ConfigurationError("population must be non-empty")
     if n_bits < 1:
         raise ConfigurationError("genome needs at least one bit")
-    policy = policy or RotationPolicy()
     rng = _as_rng(seed)
     tracker = _ensure_tracker(objective, None, None)
-    population = [QuantumChromosome.uniform(n_bits) for _ in range(pop_size)]
+    alpha = np.full((pop_size, n_bits), 1.0 / np.sqrt(2.0))
+    beta = alpha.copy()
 
     best_bits, best_value, best_decoded = None, np.inf, None
     history = []
     archive = []
     for gen in range(n_generations):
-        measured = [chrom.measure(rng) for chrom in population]
+        measured = (rng.random((pop_size, n_bits)) < beta**2).astype(int)
         values = []
-        exhausted = False
         for bits in measured:
             decoded = decode(bits) if decode is not None else bits.copy()
             try:
                 value = tracker(decoded, "qga", gen)
             except BudgetExhausted:
-                exhausted = True
                 break
             values.append(value)
             archive.append((value, decoded))
             if value < best_value:
                 best_bits, best_value, best_decoded = bits.copy(), value, decoded
-        if exhausted or not values:
+        if len(values) < pop_size:
             break
-        gen_best = int(np.argmin(values))
-        gen_best_bits = measured[gen_best]
-        gen_best_value = values[gen_best]
-        for chrom, bits, value in zip(population, measured, values):
-            angles = policy.angles(bits, gen_best_bits, value <= gen_best_value)
-            chrom.rotate(angles)
-        if p_mutation > 0.0:
-            for chrom in population:
-                chrom.swap_mutate(rng.random(n_bits) < p_mutation)
+        alpha, beta = rotate(alpha, beta, rotation_angles(measured, values))
+        alpha, beta = swap_mutate(alpha, beta, rng.random((pop_size, n_bits)) < P_MUTATION)
         history.append(best_value)
     return QGAResult(best_bits, float(best_value), best_decoded, history,
                      tracker.n_evals, archive)
@@ -380,18 +335,11 @@ def hybrid_minimize(objective, bounds, *, budget: int = 200, seed=0,
     tracker = _ensure_tracker(objective, budget, trace)
 
     if decode_bits is None:
-        from .hyperspace import gray_fraction
-
-        spans = highs - lows
-
-        def decode_bits(bits):
-            vector = np.empty(d)
-            for j in range(d):
-                chunk = bits[j * HYBRID_BITS_PER_DIM : (j + 1) * HYBRID_BITS_PER_DIM]
-                vector[j] = lows[j] + spans[j] * gray_fraction(chunk)
-            return vector
+        from .hyperspace import gray_decode
 
         n_bits = d * HYBRID_BITS_PER_DIM
+        decode_bits = functools.partial(gray_decode, lows=lows, highs=highs,
+                                        widths=[HYBRID_BITS_PER_DIM] * d)
     elif n_bits is None:
         raise ConfigurationError("a custom decode_bits needs an explicit n_bits")
 

@@ -265,7 +265,7 @@ def test_weight_history_export():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("demo", ["adaptive_weights", "circuit_basics", "train_qlstm"])
+@pytest.mark.parametrize("demo", ["adaptive_weights", "circuit_basics", "train_qlstm", "tuners"])
 def test_demo_runs(tmp_path, demo):
     repo = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(repo / "src")}
@@ -278,6 +278,8 @@ def test_demo_runs(tmp_path, demo):
         assert len(lines) == 25
     elif demo == "circuit_basics":
         assert "max |adjoint - finite-difference|" in done.stdout
+    elif demo == "tuners":
+        assert "QGA on OneMax(16): 16/16 ones" in done.stdout
     else:
         assert "900 hourly rows -> 783 train / 117 test" in done.stdout
         assert "windows: 702 train / 78 validation" in done.stdout

@@ -5,15 +5,20 @@ from qforecast.benchmarks import one_max, rastrigin, sphere, RASTRIGIN_BOUNDS, S
 from qforecast.errors import ConfigurationError
 from qforecast.hyperspace import SearchSpace, gray_fraction
 from qforecast.metaheuristics import (
+    COGNITIVE,
+    INERTIA,
+    SOCIAL,
+    TOWARD_BEST,
+    TOWARD_OWN,
     ObjectiveTracker,
-    QuantumChromosome,
-    RotationPolicy,
-    Swarm,
     hybrid_minimize,
     init_swarm,
     pso_minimize,
     pso_step,
     qga_minimize,
+    rotate,
+    rotation_angles,
+    swap_mutate,
 )
 
 
@@ -22,18 +27,29 @@ from qforecast.metaheuristics import (
 # ---------------------------------------------------------------------------
 
 
-def test_pure_inertia_when_pulls_are_zero():
+def test_pso_step_matches_hand_computed_update():
     rng = np.random.default_rng(0)
     tracker = ObjectiveTracker(sphere)
     bounds = [(-100.0, 100.0)] * 3
-    swarm = init_swarm(tracker, bounds, 5, rng, w=1.0, c1=0.0, c2=0.0)
-    for p in swarm.particles:
-        p.velocity = rng.normal(size=3)
-    before = [(p.position.copy(), p.velocity.copy()) for p in swarm.particles]
+    swarm = init_swarm(tracker, bounds, 5, rng)
+    swarm.velocity = rng.normal(scale=60.0, size=(5, 3))  # some particles leave the box
+    swarm.pbest = rng.uniform(-100.0, 100.0, size=(5, 3))
+    x, v, pbest, gbest = (swarm.position.copy(), swarm.velocity.copy(), swarm.pbest.copy(),
+                          swarm.best_position.copy())
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
     pso_step(swarm, tracker, bounds, rng)
-    for p, (pos, vel) in zip(swarm.particles, before):
-        np.testing.assert_array_equal(p.velocity, vel)
-        np.testing.assert_array_equal(p.position, pos + vel)
+    clamped = 0
+    for i in range(5):
+        r1, r2 = twin.uniform(size=3), twin.uniform(size=3)
+        vel = INERTIA * v[i] + COGNITIVE * r1 * (pbest[i] - x[i]) + SOCIAL * r2 * (gbest - x[i])
+        pos = x[i] + vel
+        outside = np.abs(pos) > 100.0
+        clamped += outside.sum()
+        vel[outside] = 0.0
+        np.testing.assert_array_equal(swarm.velocity[i], vel)
+        np.testing.assert_array_equal(swarm.position[i], np.clip(pos, -100.0, 100.0))
+    assert clamped > 0
 
 
 def test_particle_at_global_best_with_zero_velocity_stays():
@@ -45,8 +61,8 @@ def test_particle_at_global_best_with_zero_velocity_stays():
     assert np.array_equal(swarm.best_position, start)
     for it in range(10):
         pso_step(swarm, tracker, bounds, rng, iteration=it)
-        np.testing.assert_array_equal(swarm.particles[0].position, start)
-        np.testing.assert_array_equal(swarm.particles[0].velocity, np.zeros(2))
+        np.testing.assert_array_equal(swarm.position[0], start)
+        np.testing.assert_array_equal(swarm.velocity[0], np.zeros(2))
 
 
 def test_sphere_benchmark_criterion():
@@ -98,25 +114,32 @@ def test_budget_caps_evaluations():
 
 def test_rotation_is_orthogonal():
     rng = np.random.default_rng(5)
-    chrom = QuantumChromosome.uniform(12)
+    alpha = np.full((4, 12), 1.0 / np.sqrt(2.0))
+    beta = alpha.copy()
     for _ in range(500):
-        chrom.rotate(rng.uniform(-0.05 * np.pi, 0.05 * np.pi, size=12))
-        chrom.swap_mutate(rng.random(12) < 0.1)
-        assert chrom.normalization_error() < 1e-12
+        alpha, beta = rotate(alpha, beta, rng.uniform(-TOWARD_BEST, TOWARD_BEST, size=(4, 12)))
+        alpha, beta = swap_mutate(alpha, beta, rng.random((4, 12)) < 0.1)
+        assert np.max(np.abs(alpha**2 + beta**2 - 1.0)) < 1e-12
+    # zero angles are exactly the identity
+    still = rotate(alpha, beta, np.zeros((4, 12)))
+    np.testing.assert_array_equal(still[0], alpha)
+    np.testing.assert_array_equal(still[1], beta)
 
 
-def test_zero_policy_without_mutation_is_static():
-    policy = RotationPolicy(toward_best=0.0, toward_own=0.0)
-    result = qga_minimize(one_max, 8, pop_size=6, n_generations=5, seed=4,
-                          policy=policy, p_mutation=0.0)
-    # amplitudes never move under the all-zero policy: the rotation with
-    # zero angles is exactly the identity
-    chrom = QuantumChromosome.uniform(8)
-    before_alpha, before_beta = chrom.alpha.copy(), chrom.beta.copy()
-    angles = policy.angles(np.ones(8, dtype=int), np.zeros(8, dtype=int), False)
-    chrom.rotate(angles)
-    np.testing.assert_array_equal(chrom.alpha, before_alpha)
-    np.testing.assert_array_equal(chrom.beta, before_beta)
+def test_rotation_angles_steer_toward_best_or_own_bits():
+    bits = np.array([[1, 0, 1], [0, 0, 1], [0, 1, 1], [1, 1, 0]])
+    values = [2.0, 1.0, 3.0, 1.0]  # row 1 is the generation best; row 3 ties it
+    expected = np.array([
+        [-TOWARD_BEST, 0.0, 0.0],  # worse: pulled toward the best's bits
+        [0.0, 0.0, 0.0],
+        [0.0, -TOWARD_BEST, 0.0],
+        [TOWARD_OWN, TOWARD_OWN, -TOWARD_OWN],  # as fit: nudged toward its own bits
+    ])
+    np.testing.assert_array_equal(rotation_angles(bits, values), expected)
+
+
+def test_qga_spends_pop_times_generations_evaluations():
+    result = qga_minimize(one_max, 8, pop_size=6, n_generations=5, seed=4)
     assert result.n_evals == 30
 
 
@@ -124,11 +147,6 @@ def test_one_max_criterion():
     result = qga_minimize(one_max, 16, pop_size=20, n_generations=50, seed=7)
     assert result.best_value == -16.0
     assert np.all(result.best_bits == 1)
-
-
-def test_rotation_cap_enforced():
-    with pytest.raises(ConfigurationError):
-        RotationPolicy(toward_best=0.2 * np.pi)
 
 
 def test_qga_deterministic():
