@@ -1,4 +1,4 @@
-"""Walk through the statevector simulator: gates, blocks, and gradients.
+"""Walk through one QLSTM circuit block: encoding, unitary, readout, gradients.
 
 Run:  python3 demos/circuit_basics.py
 """
@@ -6,35 +6,38 @@ Run:  python3 demos/circuit_basics.py
 import numpy as np
 
 from qforecast.quantum import (
-    Gate,
     VQCBlock,
-    apply_gate,
-    run_vqc,
-    vqc_gradient,
-    zero_state,
+    compile_blocks,
+    product_state,
+    run_vqc_batch,
+    vqc_gradients_batch,
+    z_expectations,
 )
 
 rng = np.random.default_rng(0)
 
-# --- single gates on small registers --------------------------------------
-state = zero_state(1)
-print("|0>              :", state.amplitudes)
-print("H|0>             :", apply_gate(state, Gate("h", 0)).amplitudes)
-print("RY(pi)|0>        :", apply_gate(state, Gate("ry", 0, angle=np.pi)).amplitudes)
+# --- the angle encoding of one input is a product state ---------------------
+x = rng.normal(size=(1, 3))
+psi = product_state(x)
+print("input x                 :", np.round(x[0], 6))
+print("encoded |psi(x)> (8 amps):", np.round(psi[0], 4))
+print("<Z_i> of |psi(x)>       :", np.round(z_expectations(psi)[0], 6),
+      "= cos(arctan x_i)")
 
-bell = apply_gate(apply_gate(zero_state(2), Gate("h", 0)), Gate("cnot", target=1, control=0))
-print("Bell amplitudes  :", np.round(bell.amplitudes, 6))
-print("Bell probabilities:", np.round(bell.probabilities(), 6))
-
-# --- a variational block ----------------------------------------------------
+# --- the trainable part of a block is one unitary W ------------------------
 block = VQCBlock.random(n_qubits=3, n_layers=2, rng=rng)
-x = rng.normal(size=3)
-readout = run_vqc(block, x)
-print("\n3-qubit block readout <Z_i>:", np.round(readout, 6))
+w_t = compile_blocks([block])
+print("\ncompiled W^T shape      :", w_t.shape)
+print("max |W^H W - I|         :", float(np.max(np.abs(w_t @ w_t.conj().T - np.eye(8)))))
+
+# --- readout: <Z_i> of W|psi(x)> -------------------------------------------
+readout = run_vqc_batch(block, x)[0]
+print("block readout <Z_i>     :", np.round(readout, 6))
+print("same through W^T        :", np.round(z_expectations(psi @ w_t)[0], 6))
 
 # --- adjoint gradient vs finite differences --------------------------------
-upstream = np.ones(3)
-adjoint = vqc_gradient(block, x, upstream)
+upstream = np.ones((1, 3))
+adjoint, _ = vqc_gradients_batch(block, x, upstream)
 
 h = 1e-5
 fd = np.zeros_like(block.thetas)
@@ -43,10 +46,9 @@ for idx in np.ndindex(block.thetas.shape):
     down = block.thetas.copy()
     up[idx] += h
     down[idx] -= h
-    fd[idx] = (
-        upstream @ run_vqc(VQCBlock(3, 2, up), x)
-        - upstream @ run_vqc(VQCBlock(3, 2, down), x)
+    fd[idx] = np.sum(
+        upstream * (run_vqc_batch(VQCBlock(3, 2, up), x) - run_vqc_batch(VQCBlock(3, 2, down), x))
     ) / (2 * h)
 
-print("max |adjoint - finite-difference| =", float(np.max(np.abs(adjoint - fd))))
+print("\nmax |adjoint - finite-difference| =", float(np.max(np.abs(adjoint - fd))))
 print("(the adjoint gradient is exact; the residual is the finite-difference error)")

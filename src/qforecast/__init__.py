@@ -25,7 +25,7 @@ from .qlstm import (
     qlstm_step,
     train,
 )
-from .quantum import Gate, StateVector, VQCBlock, apply_gate, run_vqc, vqc_gradient
+from .quantum import VQCBlock
 from .runner import run_boq_ensemble, run_genhyb_ensemble
 
 __all__ = [
@@ -39,6 +39,6 @@ __all__ = [
     "forecast_iterative", "mape", "mse",
     "HyperConfig", "classical_lstm_train", "forward_sequence",
     "init_classical_lstm", "init_qlstm", "qlstm_step", "train",
-    "Gate", "StateVector", "VQCBlock", "apply_gate", "run_vqc", "vqc_gradient",
+    "VQCBlock",
     "run_boq_ensemble", "run_genhyb_ensemble",
 ]

@@ -45,6 +45,7 @@ from .hyperspace import SearchSpace
 from .metaheuristics import ObjectiveTracker, hybrid_minimize, pso_minimize, qga_minimize
 from .metrics import forecast_to_tsv, format_metrics_table
 from .qlstm import HyperConfig, save_checkpoint
+from .quantum import MAX_QUBITS
 from .runner import (
     REFERENCE_LEARNING_RATES,
     StageTimer,
@@ -145,7 +146,8 @@ def check_counts(options: dict, **minimums: int) -> None:
     """Counts such as ``--k`` must be at least their minimum."""
     for key, minimum in minimums.items():
         if int(options[key]) < minimum:
-            raise ConfigurationError(f"--{key} must be >= {minimum}, got {options[key]}")
+            raise ConfigurationError(f"--{key.replace('_', '-')} must be >= {minimum}, "
+                                     f"got {options[key]}")
 
 
 def command_flags(parser: argparse.ArgumentParser, command: str) -> list:
@@ -314,7 +316,10 @@ def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: di
 def cmd_tune(options: dict) -> int:
     tuner = options["tuner"]
     # the bayes tuner's GP needs two initial points
-    check_counts(options, k=1, budget=2 if tuner == "bayes" else 1)
+    check_counts(options, k=1, budget=2 if tuner == "bayes" else 1, max_qubits=2, max_layers=1)
+    if int(options["max_qubits"]) > MAX_QUBITS:
+        raise ConfigurationError(f"--max-qubits must be <= {MAX_QUBITS}, "
+                                 f"got {options['max_qubits']}")
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     out_dir = check_output(run_dir / f"tune-{tuner}", options["force"])

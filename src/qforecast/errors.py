@@ -9,12 +9,8 @@ class ShapeError(QForecastError, ValueError):
     """An array argument has the wrong length or shape."""
 
 
-class InvalidGateError(QForecastError, ValueError):
-    """A gate references qubits outside the state it is applied to."""
-
-
 class NumericError(QForecastError, ArithmeticError):
-    """A numeric invariant was violated (non-finite value, lost norm...)."""
+    """A numeric invariant was violated (non-finite value, negative error...)."""
 
 
 class NumericDivergenceError(NumericError):

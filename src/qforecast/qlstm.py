@@ -42,6 +42,7 @@ from .errors import (
     ShapeError,
 )
 from .quantum import (
+    MAX_QUBITS,
     VQCBlock,
     compile_blocks,
     compiled_theta_gradients,
@@ -75,8 +76,8 @@ class HyperConfig:
             raise ConfigurationError("learning_rate must be finite and >= 0")
         if self.n_layers < 1:
             raise ConfigurationError(f"n_layers must be >= 1, got {self.n_layers}")
-        if not 2 <= self.n_qubits <= 10:
-            raise ConfigurationError(f"n_qubits must be in [2, 10], got {self.n_qubits}")
+        if not 2 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigurationError(f"n_qubits must be in [2, {MAX_QUBITS}], got {self.n_qubits}")
         if self.hidden_units < 1:
             raise ConfigurationError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if self.sequence_length < 1:

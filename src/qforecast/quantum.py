@@ -18,8 +18,6 @@ block.
 Conventions
 -----------
 * Qubit 0 is the least-significant bit of the amplitude index.
-* States are always normalized; every public gate application checks the
-  norm to 1e-10.
 * Simulation is exact (no shot sampling), so all outputs are deterministic.
 """
 
@@ -31,82 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidGateError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 
 MAX_QUBITS = 10
-NORM_TOL = 1e-10
 
 ROTATION_KINDS = ("rx", "ry", "rz")
-GATE_KINDS = ROTATION_KINDS + ("h", "cnot")
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """An n-qubit pure state as 2**n complex amplitudes."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ShapeError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.n_qubits,):
-            raise ShapeError(
-                f"expected {2**self.n_qubits} amplitudes for {self.n_qubits} qubits, "
-                f"got shape {amps.shape}"
-            )
-        norm_sq = float(np.sum(amps.real**2 + amps.imag**2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise NumericError(f"state norm**2 = {norm_sq!r} deviates from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def probabilities(self) -> np.ndarray:
-        a = self.amplitudes
-        return a.real**2 + a.imag**2
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    """|0...0> on ``n_qubits`` qubits."""
-    amps = np.zeros(2**n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
-
-
-@dataclass(frozen=True)
-class Gate:
-    """A single circuit gate.
-
-    ``kind`` is one of ``rx``/``ry``/``rz`` (needs ``angle``), ``h``, or
-    ``cnot`` (needs ``control``).
-    """
-
-    kind: str
-    target: int
-    control: int | None = None
-    angle: float | None = None
-
-    def validate_for(self, n_qubits: int) -> None:
-        if self.kind not in GATE_KINDS:
-            raise InvalidGateError(f"unknown gate kind {self.kind!r}")
-        if not 0 <= self.target < n_qubits:
-            raise InvalidGateError(f"target {self.target} out of range for {n_qubits} qubits")
-        if self.kind == "cnot":
-            if self.control is None:
-                raise InvalidGateError("cnot requires a control qubit")
-            if not 0 <= self.control < n_qubits:
-                raise InvalidGateError(
-                    f"control {self.control} out of range for {n_qubits} qubits"
-                )
-            if self.control == self.target:
-                raise InvalidGateError("cnot control and target must differ")
-        elif self.control is not None:
-            raise InvalidGateError(f"{self.kind} gate takes no control qubit")
-        if self.kind in ROTATION_KINDS:
-            if self.angle is None or not np.isfinite(self.angle):
-                raise InvalidGateError(f"{self.kind} gate requires a finite angle")
-        elif self.angle is not None:
-            raise InvalidGateError(f"{self.kind} gate takes no angle")
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +63,9 @@ def _apply_rotation(amps: np.ndarray, n: int, kind: str, target: int, angle) -> 
         out0 -= s * a1
         np.multiply(s, a0, out=out1)
         out1 += c * a1
-    elif kind == "rz":
+    else:  # rz
         np.multiply(c - 1j * s, a0, out=out0)
         np.multiply(c + 1j * s, a1, out=out1)
-    else:  # pragma: no cover - guarded by callers
-        raise InvalidGateError(f"not a rotation gate: {kind!r}")
     return out.reshape(amps.shape)
 
 
@@ -153,15 +78,6 @@ def _generator_overlap(lam: np.ndarray, phi: np.ndarray, n: int, kind: str, targ
     if kind == "ry":
         return float(np.sum(l1 * p0 - l0 * p1).real)
     return float(np.sum(l0 * p0 - l1 * p1).imag)
-
-
-def _apply_h(amps: np.ndarray, n: int, target: int) -> np.ndarray:
-    _, a0, a1 = _halves(amps, n, target)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    out, out0, out1 = _halves(np.empty_like(amps), n, target)
-    out0[...] = (a0 + a1) * inv_sqrt2
-    out1[...] = (a0 - a1) * inv_sqrt2
-    return out.reshape(amps.shape)
 
 
 @lru_cache(maxsize=None)
@@ -186,32 +102,6 @@ def z_expectations(amps: np.ndarray) -> np.ndarray:
     """Per-qubit <Z> of states stacked along the last axis: ``(..., 2**n)`` -> ``(..., n)``."""
     probs = amps.real**2 + amps.imag**2
     return probs @ z_signs(amps.shape[-1].bit_length() - 1).T
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate, returning the unitarily evolved state.
-
-    Pure: the input state is never mutated.  Raises
-    :class:`~qforecast.errors.InvalidGateError` on bad qubit indices and
-    :class:`~qforecast.errors.NumericError` if the norm drifts beyond 1e-10
-    (cannot happen for valid gates; kept as a hard guard).
-    """
-    gate.validate_for(state.n_qubits)
-    amps = state.amplitudes[None, :]
-    if gate.kind in ROTATION_KINDS:
-        amps = _apply_rotation(amps, state.n_qubits, gate.kind, gate.target, gate.angle)
-    elif gate.kind == "h":
-        amps = _apply_h(amps, state.n_qubits, gate.target)
-    else:
-        amps = _apply_cnot(amps, state.n_qubits, gate.control, gate.target)
-    return StateVector(state.n_qubits, amps[0])
-
-
-def inverse_gate(gate: Gate) -> Gate:
-    """The inverse of ``gate`` (rotations negate their angle; H and CNOT are involutions)."""
-    if gate.kind in ROTATION_KINDS:
-        return Gate(gate.kind, gate.target, angle=-gate.angle)
-    return gate
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +136,10 @@ class VQCBlock:
             raise NumericError("theta angles must all be finite")
         self.thetas = thetas
 
-    @property
-    def n_params(self) -> int:
-        return self.thetas.size
-
     @classmethod
     def random(cls, n_qubits: int, n_layers: int, rng: np.random.Generator) -> "VQCBlock":
         thetas = rng.uniform(-np.pi, np.pi, size=(n_layers, n_qubits, 3))
         return cls(n_qubits, n_layers, thetas)
-
-    @classmethod
-    def zeros(cls, n_qubits: int, n_layers: int) -> "VQCBlock":
-        return cls(n_qubits, n_layers, np.zeros((n_layers, n_qubits, 3)))
 
 
 def encoding_angles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,12 +148,9 @@ def encoding_angles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arctan(x), np.arctan(x * x)
 
 
-def _check_inputs(block: VQCBlock, x: np.ndarray, batched: bool) -> np.ndarray:
+def _check_inputs(block: VQCBlock, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    ok = x.shape == (x.shape[0], block.n_qubits) if batched and x.ndim == 2 else (
-        not batched and x.shape == (block.n_qubits,)
-    )
-    if not ok:
+    if x.ndim != 2 or x.shape[1] != block.n_qubits:
         raise ShapeError(
             f"input must have {block.n_qubits} entries per circuit, got shape {x.shape}"
         )
@@ -432,14 +311,8 @@ def compiled_theta_gradients(blocks, unitaries: np.ndarray, gram: np.ndarray) ->
 
 def run_vqc_batch(block: VQCBlock, inputs: np.ndarray) -> np.ndarray:
     """Run the block on a (batch, n_qubits) input matrix; returns (batch, n_qubits) <Z> values."""
-    inputs = _check_inputs(block, inputs, batched=True)
+    inputs = _check_inputs(block, inputs)
     return z_expectations(_apply_gates(product_state(inputs), block.thetas))
-
-
-def run_vqc(block: VQCBlock, x: np.ndarray) -> np.ndarray:
-    """Per-qubit Pauli-Z expectations of the block applied to one input vector."""
-    x = _check_inputs(block, x, batched=False)
-    return run_vqc_batch(block, x[None, :])[0]
 
 
 def vqc_gradients_batch(block: VQCBlock, inputs: np.ndarray,
@@ -456,7 +329,7 @@ def vqc_gradients_batch(block: VQCBlock, inputs: np.ndarray,
     theta_grad : array with the shape of ``block.thetas`` (summed over batch).
     input_grad : (batch, n_qubits) gradient with respect to the raw inputs.
     """
-    inputs = _check_inputs(block, inputs, batched=True)
+    inputs = _check_inputs(block, inputs)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != inputs.shape:
         raise ShapeError(f"upstream must match inputs shape {inputs.shape}, got {upstream.shape}")
@@ -464,23 +337,3 @@ def vqc_gradients_batch(block: VQCBlock, inputs: np.ndarray,
     # lambda = O phi for the diagonal observable O = sum_q upstream_q Z_q
     grad, mu = _adjoint_sweep(phi, phi * (upstream @ z_signs(block.n_qubits)), block.thetas)
     return grad, encoding_gradient(inputs, mu)
-
-
-def vqc_gradient(block: VQCBlock, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of ``upstream . run_vqc(block, x)`` with respect to the thetas."""
-    x = _check_inputs(block, x, batched=False)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (block.n_qubits,):
-        raise ShapeError(f"upstream must have {block.n_qubits} entries, got {upstream.shape}")
-    theta_grad, _ = vqc_gradients_batch(block, x[None, :], upstream[None, :])
-    return theta_grad
-
-
-def vqc_input_gradient(block: VQCBlock, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of ``upstream . run_vqc(block, x)`` with respect to the input vector."""
-    x = _check_inputs(block, x, batched=False)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (block.n_qubits,):
-        raise ShapeError(f"upstream must have {block.n_qubits} entries, got {upstream.shape}")
-    _, input_grad = vqc_gradients_batch(block, x[None, :], upstream[None, :])
-    return input_grad[0]

@@ -26,9 +26,6 @@ def dense_rotation(kind, angle):
     raise ValueError(kind)
 
 
-DENSE_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
 def place_single(gate2x2, target, n):
     high = np.eye(2 ** (n - 1 - target), dtype=complex)
     return np.kron(np.kron(high, gate2x2), np.eye(2**target, dtype=complex))

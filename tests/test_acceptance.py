@@ -36,7 +36,13 @@ from qforecast.ensemble import evolve_weights, finalize_weights
 from qforecast.metaheuristics import hybrid_minimize, pso_minimize, qga_minimize
 from qforecast.metrics import mape_with_exclusions
 from qforecast.qlstm import HyperConfig, init_qlstm
-from qforecast.quantum import VQCBlock, run_vqc, vqc_gradient, zero_state, apply_gate
+from qforecast.quantum import (
+    VQCBlock,
+    compile_blocks,
+    product_state,
+    run_vqc_batch,
+    vqc_gradients_batch,
+)
 from qforecast.runner import (
     run_boq_ensemble,
     run_genhyb_ensemble,
@@ -46,7 +52,6 @@ from qforecast.runner import (
 )
 
 from oracles import central_difference, dense_vqc_expectations, loop_oracle
-from test_quantum import random_gate
 
 
 class Criterion:
@@ -85,30 +90,35 @@ def test_criterion_1_quantum_correctness():
             layers = int(rng.integers(1, 3))
             block = VQCBlock.random(n, layers, rng)
             x = rng.normal(size=n)
-            got = run_vqc(block, x)
+            got = run_vqc_batch(block, x[None])[0]
             want = dense_vqc_expectations(n, layers, block.thetas, x)
             np.testing.assert_allclose(got, want, atol=1e-9)
-        # norm conservation through random gate sequences
+        # the compiled blocks are unitary, so every output state keeps norm 1
         for _ in range(30):
             n = int(rng.integers(1, 6))
-            state = zero_state(n)
-            for _ in range(40):
-                state = apply_gate(state, random_gate(rng, n))
-            assert abs(float(np.sum(state.probabilities())) - 1.0) < 1e-10
-        # parameter shift vs central finite differences on 100 random circuits
+            layers = int(rng.integers(1, 4))
+            blocks = [VQCBlock.random(n, layers, rng) for _ in range(2)]
+            unitaries = compile_blocks(blocks)
+            for k in range(len(blocks)):
+                w_t = unitaries[:, k * 2**n:(k + 1) * 2**n]
+                assert np.abs(w_t @ w_t.conj().T - np.eye(2**n)).max() <= 1e-12
+            states = product_state(rng.normal(size=(8, n))) @ unitaries
+            norms = np.sum(np.abs(states.reshape(8, len(blocks), 2**n)) ** 2, axis=2)
+            np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-10)
+        # adjoint gradient vs central finite differences on 100 random circuits
         for _ in range(100):
             n = int(rng.integers(1, 4))
             layers = int(rng.integers(1, 3))
             block = VQCBlock.random(n, layers, rng)
             x = rng.normal(size=n)
             upstream = rng.normal(size=n)
-            shift_grad = vqc_gradient(block, x, upstream)
+            adjoint_grad, _ = vqc_gradients_batch(block, x[None], upstream[None])
 
             def value(thetas):
-                return float(upstream @ run_vqc(VQCBlock(n, layers, thetas), x))
+                return float(upstream @ run_vqc_batch(VQCBlock(n, layers, thetas), x[None])[0])
 
             fd_grad = central_difference(value, block.thetas, h=1e-5)
-            np.testing.assert_allclose(shift_grad, fd_grad, rtol=1e-4, atol=1e-8)
+            np.testing.assert_allclose(adjoint_grad, fd_grad, rtol=1e-4, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -403,8 +403,14 @@ TUNE_BAYES = ("tune", "--tuner", "bayes", "--budget", 4) + TUNE_SMALL
     (("tune", "--tuner", "qga", "--budget", 0) + TUNE_SMALL, "--budget must be >= 1"),
     (("tune", "--tuner", "bayes", "--budget", 0) + TUNE_SMALL, "--budget must be >= 2"),
     (("tune", "--tuner", "bayes", "--budget", 1) + TUNE_SMALL, "--budget must be >= 2"),
+    (("tune", "--tuner", "hybrid", "--budget", 50, "--probe-epochs", 1, "--max-qubits", 11,
+      "--max-layers", 1), "--max-qubits must be <= 10"),
+    (("tune", "--tuner", "hybrid", "--budget", 50, "--probe-epochs", 1, "--max-qubits", 1,
+      "--max-layers", 1), "--max-qubits must be >= 2"),
+    (("tune", "--tuner", "bayes", "--budget", 4, "--probe-epochs", 1, "--max-qubits", 2,
+      "--max-layers", 0), "--max-layers must be >= 1"),
 ], ids=["tune-k0", "tune-k-1", "boq-k0", "boq-k-1", "pso-budget0", "qga-budget0",
-        "bayes-budget0", "bayes-budget1"])
+        "bayes-budget0", "bayes-budget1", "max-qubits11", "max-qubits1", "max-layers0"])
 def test_counts_below_one_exit_before_writing(prepared_run, tmp_path, capsys, argv, flag):
     import shutil
 

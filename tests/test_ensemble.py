@@ -1,3 +1,4 @@
+import json
 import logging
 import os
 import subprocess
@@ -265,7 +266,8 @@ def test_weight_history_export():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("demo", ["adaptive_weights", "circuit_basics", "train_qlstm", "tuners"])
+@pytest.mark.parametrize("demo", ["adaptive_weights", "bayesian_optimization", "circuit_basics",
+                                  "full_pipeline", "train_qlstm", "tuners"])
 def test_demo_runs(tmp_path, demo):
     repo = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(repo / "src")}
@@ -276,8 +278,14 @@ def test_demo_runs(tmp_path, demo):
         lines = (tmp_path / "weight_history.tsv").read_text().strip().split("\n")
         assert lines[0].split("\t") == ["step", "w_0", "w_1", "eps_0", "eps_1"]
         assert len(lines) == 25
+    elif demo == "bayesian_optimization":
+        header = (tmp_path / "gp_curve.tsv").read_text().split("\n", 1)[0]
+        assert header.split("\t") == ["x", "posterior_mean", "posterior_sd", "ei"]
     elif demo == "circuit_basics":
         assert "max |adjoint - finite-difference|" in done.stdout
+    elif demo == "full_pipeline":
+        rows = json.loads((tmp_path / "demo_run" / "evaluate" / "metrics.json").read_text())
+        assert [row["model"] for row in rows] == ["qlstm-seq3", "qlstm-seq5", "genhyb-ensemble"]
     elif demo == "tuners":
         assert "QGA on OneMax(16): 16/16 ones" in done.stdout
     else:

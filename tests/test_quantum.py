@@ -3,22 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforecast.errors import InvalidGateError, ShapeError
+from qforecast.errors import ShapeError
 from qforecast.quantum import (
-    Gate,
-    StateVector,
     VQCBlock,
-    apply_gate,
-    inverse_gate,
-    run_vqc,
+    _apply_cnot,
+    compile_blocks,
+    compiled_theta_gradients,
+    product_state,
     run_vqc_batch,
-    vqc_gradient,
     vqc_gradients_batch,
-    vqc_input_gradient,
-    zero_state,
+    z_signs,
 )
 
-from oracles import central_difference, dense_vqc_expectations, parameter_shift_gradients
+from oracles import (
+    central_difference,
+    dense_angle_unitary,
+    dense_vqc_expectations,
+    parameter_shift_gradients,
+)
 
 
 def random_block(rng, max_qubits=4, max_layers=2):
@@ -27,74 +29,25 @@ def random_block(rng, max_qubits=4, max_layers=2):
     return VQCBlock.random(n, layers, rng)
 
 
-# ---------------------------------------------------------------------------
-# Gate application
-# ---------------------------------------------------------------------------
-
-
-def test_hadamard_on_zero():
-    state = apply_gate(zero_state(1), Gate("h", 0))
-    np.testing.assert_allclose(state.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
-
-
 def test_ry_pi_flips_qubit():
-    state = apply_gate(zero_state(1), Gate("ry", 0, angle=np.pi))
-    np.testing.assert_allclose(state.amplitudes, [0.0, 1.0], atol=1e-12)
+    # zero input encodes |0>; thetas [0, pi, 0] compile to a lone RY(pi): |0> -> |1>
+    psi = product_state(np.zeros((1, 1)))
+    np.testing.assert_allclose(psi, [[1.0, 0.0]], atol=1e-12)
+    unitary = compile_blocks([VQCBlock(1, 1, np.array([[[0.0, np.pi, 0.0]]]))])
+    np.testing.assert_allclose(psi @ unitary, [[0.0, 1.0]], atol=1e-12)
 
 
 def test_cnot_truth_table():
+    # CNOT(control 0, target 1) on the basis |q1 q0>: |00>->|00>, |01>->|11>,
+    # |10>->|10>, |11>->|01>; amplitude index j = q0 + 2 q1
+    out = _apply_cnot(np.eye(4, dtype=complex), 2, 0, 1)
+    np.testing.assert_array_equal(out, np.eye(4)[[0, 3, 2, 1]])
     # (|q0=1,q1=0> + |q0=0,q1=0>)/sqrt(2) --CNOT(c=0,t=1)--> (|11> + |00>)/sqrt(2)
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = amps[1] = 1 / np.sqrt(2)
-    state = StateVector(2, amps)
-    out = apply_gate(state, Gate("cnot", target=1, control=0))
-    expected = np.zeros(4, dtype=complex)
-    expected[0] = expected[3] = 1 / np.sqrt(2)
-    np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
-
-
-def test_invalid_gate_indices():
-    with pytest.raises(InvalidGateError):
-        apply_gate(zero_state(2), Gate("ry", 2, angle=0.1))
-    with pytest.raises(InvalidGateError):
-        apply_gate(zero_state(2), Gate("cnot", target=1, control=1))
-    with pytest.raises(InvalidGateError):
-        apply_gate(zero_state(2), Gate("cnot", target=0, control=5))
-
-
-def random_gate(rng, n):
-    kind = rng.choice(["rx", "ry", "rz", "h", "cnot"]) if n > 1 else rng.choice(["rx", "ry", "rz", "h"])
-    target = int(rng.integers(n))
-    if kind == "cnot":
-        control = int(rng.integers(n - 1))
-        if control >= target:
-            control += 1
-        return Gate("cnot", target=target, control=control)
-    if kind == "h":
-        return Gate("h", target)
-    return Gate(kind, target, angle=float(rng.uniform(-np.pi, np.pi)))
-
-
-def test_norm_conserved_over_random_sequences():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(1, 6))
-        state = apply_gate(zero_state(n), Gate("h", 0))
-        for _ in range(30):
-            state = apply_gate(state, random_gate(rng, n))
-        assert abs(np.sum(state.probabilities()) - 1.0) < 1e-10
-
-
-def test_gate_then_inverse_restores_state():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        n = int(rng.integers(1, 5))
-        state = zero_state(n)
-        for _ in range(5):
-            state = apply_gate(state, random_gate(rng, n))
-        gate = random_gate(rng, n)
-        back = apply_gate(apply_gate(state, gate), inverse_gate(gate))
-        np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-10)
+    amps = np.zeros((1, 4), dtype=complex)
+    amps[0, 0] = amps[0, 1] = 1 / np.sqrt(2)
+    expected = np.zeros((1, 4), dtype=complex)
+    expected[0, 0] = expected[0, 3] = 1 / np.sqrt(2)
+    np.testing.assert_allclose(_apply_cnot(amps, 2, 0, 1), expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +56,18 @@ def test_gate_then_inverse_restores_state():
 
 
 def test_all_zero_block_gives_unit_expectations():
-    block = VQCBlock.zeros(3, 2)
-    out = run_vqc(block, np.zeros(3))
+    block = VQCBlock(3, 2, np.zeros((2, 3, 3)))
+    out = run_vqc_batch(block, np.zeros((1, 3)))[0]
     np.testing.assert_allclose(out, np.ones(3), atol=1e-12)
 
 
 def test_single_ry_half_pi_expectation():
-    # thetas [rx, ry, rz] = [0, pi/2, 0] with zero input is a lone RY(pi/2)
-    block = VQCBlock(1, 1, np.array([[[0.0, np.pi / 2, 0.0]]]))
-    out = run_vqc(block, np.zeros(1))
-    assert abs(out[0] - np.cos(np.pi / 2)) < 1e-12
+    # thetas [rx, ry, rz] = [0, theta, 0] with zero input is a lone RY(theta):
+    # RY(pi/2) leaves <Z> = 0 and RY(pi) flips |0> to |1>, <Z> = -1
+    for theta, want in ((np.pi / 2, 0.0), (np.pi, -1.0)):
+        block = VQCBlock(1, 1, np.array([[[0.0, theta, 0.0]]]))
+        out = run_vqc_batch(block, np.zeros((1, 1)))[0]
+        assert abs(out[0] - want) < 1e-12
 
 
 def test_matches_dense_unitary_oracle():
@@ -120,7 +75,7 @@ def test_matches_dense_unitary_oracle():
     for _ in range(25):
         block = random_block(rng, max_qubits=4, max_layers=2)
         x = rng.normal(size=block.n_qubits)
-        got = run_vqc(block, x)
+        got = run_vqc_batch(block, x[None])[0]
         want = dense_vqc_expectations(block.n_qubits, block.n_layers, block.thetas, x)
         np.testing.assert_allclose(got, want, atol=1e-9)
         assert np.all(np.abs(got) <= 1.0 + 1e-12)
@@ -132,13 +87,13 @@ def test_batch_agrees_with_single_runs():
     xs = rng.normal(size=(7, 3))
     batch = run_vqc_batch(block, xs)
     for i, x in enumerate(xs):
-        np.testing.assert_allclose(batch[i], run_vqc(block, x), atol=1e-12)
+        np.testing.assert_allclose(batch[i], run_vqc_batch(block, x[None])[0], atol=1e-12)
 
 
 def test_input_dimension_mismatch():
-    block = VQCBlock.zeros(2, 1)
+    block = VQCBlock(2, 1, np.zeros((1, 2, 3)))
     with pytest.raises(ShapeError):
-        run_vqc(block, np.zeros(3))
+        run_vqc_batch(block, np.zeros(2))
     with pytest.raises(ShapeError):
         run_vqc_batch(block, np.zeros((4, 3)))
 
@@ -151,7 +106,7 @@ def test_input_dimension_mismatch():
 def test_zero_upstream_gives_zero_gradient():
     rng = np.random.default_rng(0)
     block = VQCBlock.random(2, 1, rng)
-    grad = vqc_gradient(block, rng.normal(size=2), np.zeros(2))
+    grad, _ = vqc_gradients_batch(block, rng.normal(size=(1, 2)), np.zeros((1, 2)))
     np.testing.assert_array_equal(grad, np.zeros_like(block.thetas))
 
 
@@ -159,7 +114,7 @@ def test_single_qubit_ry_analytic_gradient():
     # lone RY(theta): <Z> = cos(theta), d<Z>/dtheta = -sin(theta)
     for theta in (0.0, 0.3, -1.2, np.pi / 2):
         block = VQCBlock(1, 1, np.array([[[0.0, theta, 0.0]]]))
-        grad = vqc_gradient(block, np.zeros(1), np.ones(1))
+        grad, _ = vqc_gradients_batch(block, np.zeros((1, 1)), np.ones((1, 1)))
         assert abs(grad[0, 0, 1] - (-np.sin(theta))) < 1e-12
         assert abs(grad[0, 0, 0]) < 1e-12  # rx at zero has no first-order effect here
 
@@ -170,11 +125,11 @@ def test_parameter_shift_matches_finite_difference():
         block = random_block(rng, max_qubits=3, max_layers=2)
         x = rng.normal(size=block.n_qubits)
         upstream = rng.normal(size=block.n_qubits)
-        got = vqc_gradient(block, x, upstream)
+        got, _ = vqc_gradients_batch(block, x[None], upstream[None])
 
         def loss(thetas):
             probe = VQCBlock(block.n_qubits, block.n_layers, thetas)
-            return float(upstream @ run_vqc(probe, x))
+            return float(upstream @ run_vqc_batch(probe, x[None])[0])
 
         want = central_difference(loss, block.thetas, h=1e-5)
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-8)
@@ -186,10 +141,10 @@ def test_input_gradient_matches_finite_difference():
         block = random_block(rng, max_qubits=3, max_layers=2)
         x = rng.normal(size=block.n_qubits)
         upstream = rng.normal(size=block.n_qubits)
-        got = vqc_input_gradient(block, x, upstream)
+        got = vqc_gradients_batch(block, x[None], upstream[None])[1][0]
 
         def loss(xv):
-            return float(upstream @ run_vqc(block, xv))
+            return float(upstream @ run_vqc_batch(block, xv[None])[0])
 
         want = central_difference(loss, x, h=1e-6)
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-8)
@@ -201,10 +156,11 @@ def test_batched_gradient_sums_over_batch():
     xs = rng.normal(size=(5, 2))
     ups = rng.normal(size=(5, 2))
     theta_grad, input_grad = vqc_gradients_batch(block, xs, ups)
-    theta_sum = sum(vqc_gradient(block, xs[i], ups[i]) for i in range(5))
+    singles = [vqc_gradients_batch(block, xs[i:i + 1], ups[i:i + 1]) for i in range(5)]
+    theta_sum = sum(theta for theta, _ in singles)
     np.testing.assert_allclose(theta_grad, theta_sum, atol=1e-10)
-    for i in range(5):
-        np.testing.assert_allclose(input_grad[i], vqc_input_gradient(block, xs[i], ups[i]), atol=1e-10)
+    for i, (_, row_grad) in enumerate(singles):
+        np.testing.assert_allclose(input_grad[i], row_grad[0], atol=1e-10)
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -234,3 +190,34 @@ def test_adjoint_gradients_match_shift_and_dense_oracles(n, layers, batch, seed)
     ])
     np.testing.assert_allclose(theta_grad, fd_theta, rtol=1e-4, atol=1e-8)
     np.testing.assert_allclose(input_grad, fd_input, rtol=1e-4, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Compiled blocks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compiled_blocks_match_dense_unitary_and_adjoint(n, layers):
+    rng = np.random.default_rng(10 * n + layers)
+    blocks = [VQCBlock.random(n, layers, rng) for _ in range(2)]
+    dim = 2**n
+    unitaries = compile_blocks(blocks)
+    assert unitaries.shape == (dim, 2 * dim)
+    xs = rng.normal(size=(6, n))
+    ups = rng.normal(size=(2, 6, n))
+    psi = product_state(xs)
+    gram = np.empty_like(unitaries)
+    for k, blk in enumerate(blocks):
+        cols = slice(k * dim, (k + 1) * dim)
+        # zero encoding angles leave only the trainable part W of the block
+        want = dense_angle_unitary(n, layers, blk.thetas, np.zeros(n), np.zeros(n)).T
+        np.testing.assert_allclose(unitaries[:, cols], want, rtol=0, atol=1e-12)
+        phi = psi @ unitaries[:, cols]
+        gram[:, cols] = psi.conj().T @ (phi * (ups[k] @ z_signs(n)))
+    grads = compiled_theta_gradients(blocks, unitaries, gram)
+    for k, blk in enumerate(blocks):
+        want, _ = vqc_gradients_batch(blk, xs, ups[k])
+        scale = max(1.0, np.abs(want).max())
+        np.testing.assert_allclose(grads[k], want, rtol=0, atol=1e-12 * scale)
