@@ -2,19 +2,16 @@
 
 The surrogate is a Matern-5/2 kernel with per-dimension length scales over
 inputs normalized to the unit cube.  Its hyperparameters maximize the log
-marginal likelihood by multi-start bounded L-BFGS-B on the closed-form
-likelihood gradient (Rasmussen & Williams, GPML, 2006, eq. 5.9).
-Candidates are proposed by maximizing Expected Improvement over a Latin
-hypercube (McKay, Beckman & Conover, 1979) with local refinement.
+marginal likelihood on the closed-form likelihood gradient (Rasmussen &
+Williams, GPML, 2006, eq. 5.9), from several seeded starts.  Candidates are
+proposed by maximizing Expected Improvement over a Latin hypercube (McKay,
+Beckman & Conover, 1979), the best one refined on EI's closed-form gradient.
+Both searches run ``box_minimize``, a projected quasi-Newton method on the
+box, so the module needs numpy alone.
 
 ``bo_tune`` runs the loop per base model and keeps the K lowest-scoring
 distinct configurations; ``enumerate_ensembles`` scores every K^m tuple of
 those sets with the adaptive-weight combiner and returns the argmin.
-
-scipy is imported inside the functions that use it (``gp_fit``,
-``_normal_cdf``, ``acquire_next``): importing it takes most of a
-``qforecast`` process's start-up, and only the GP search needs it.  A bayes
-tune loads ``scipy.optimize`` and ``scipy.special`` alone.
 """
 
 from __future__ import annotations
@@ -40,6 +37,14 @@ from .qlstm import HyperConfig
 NOISE_FLOOR = 1e-6
 GP_RESTARTS = 12  # likelihood searches per fit: one fixed start plus random ones
 EI_CANDIDATES = 1024  # Latin-hypercube points scored before the local EI refinement
+# box_minimize's stopping rules, L-BFGS-B's defaults: projected-gradient and
+# relative-decrease tolerances, iteration and backtrack limits
+PG_TOL = 1e-5
+F_TOL = 1e7 * np.finfo(float).eps
+MAX_ITER = 15000
+MAX_BACKTRACKS = 20
+MAX_STEP = 1.0  # largest coordinate move of a first trial step (a log10 unit in the GP fit)
+ARMIJO = 1e-4  # sufficient-decrease fraction of the backtrack
 
 
 def _sq_diffs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -62,6 +67,54 @@ def latin_hypercube(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """n points in [0, 1)^d, one in each of the n equal strata of every axis."""
     strata = rng.permuted(np.tile(np.arange(n), (d, 1)), axis=1).T
     return (strata + rng.random((n, d))) / n
+
+
+def box_minimize(fun, x0, lo, hi) -> tuple[np.ndarray, float]:
+    """Minimize ``fun(x) -> (value, gradient)`` over the box lo <= x <= hi.
+
+    Projected quasi-Newton (Bertsekas, SIAM J. Control Optim. 20(2), 1982):
+    a variable on a bound whose gradient points out of the box is held
+    there, the others take the Newton step of a damped BFGS Hessian
+    (Nocedal & Wright, Numerical Optimization, 2006, procedure 18.2)
+    restricted to them, and an Armijo backtrack runs along the projected
+    path from a first trial move of at most MAX_STEP per coordinate.  A
+    failed backtrack restarts the Hessian from the identity, or ends the
+    search if it already was.  Returns the last point and its value; a
+    start whose value is not finite comes back unchanged.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f, g = fun(x)
+    eye = np.eye(len(x))
+    hess = eye
+    for _ in range(MAX_ITER):
+        if not np.isfinite(f) or np.max(np.abs(np.clip(x - g, lo, hi) - x)) <= PG_TOL:
+            break
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(hess[np.ix_(free, free)], -g[free])
+        t = min(1.0, MAX_STEP / np.max(np.abs(step)))
+        for _ in range(MAX_BACKTRACKS):
+            x_new = np.clip(x + t * step, lo, hi)
+            f_new, g_new = fun(x_new)
+            if f_new <= f + ARMIJO * (g @ (x_new - x)):
+                break
+            t *= 0.5
+        else:
+            if hess is eye:
+                break
+            hess = eye
+            continue
+        if f - f_new <= F_TOL * max(abs(f), abs(f_new), 1.0):
+            return x_new, float(f_new)
+        s, y = x_new - x, g_new - g
+        x, f, g = x_new, f_new, g_new
+        hs = hess @ s
+        shs = s @ hs
+        if s @ y < 0.2 * shs:  # Powell's damping keeps hess positive definite
+            theta = 0.8 * shs / (shs - s @ y)
+            y = theta * y + (1.0 - theta) * hs
+        hess = hess - np.outer(hs, hs) / shs + np.outer(y, y) / (s @ y)
+    return x, float(f)
 
 
 @dataclass
@@ -96,8 +149,9 @@ def _neg_lml(log_params, sq_diffs, y_centered):
     """-LML and its gradient over log10 (l_1..l_d, sf2, sn2).
 
     dLML/d ln theta = 1/2 tr((alpha alpha^T - K^-1) dK/d ln theta)
-    (GPML eq. 5.9).  A kernel matrix without a Cholesky factor gives +inf:
-    L-BFGS-B rejects that step and ends the search at its last finite point.
+    (GPML eq. 5.9).  A kernel matrix without a Cholesky factor gives +inf,
+    which ``box_minimize``'s backtrack never accepts: a search keeps its
+    last finite point, and a start of +inf ends its search at once.
     """
     n, d = sq_diffs.shape[1:]
     params = 10.0 ** log_params
@@ -148,8 +202,6 @@ def gp_fit(observations_x, observations_y, *, seed=0,
         return _finalize_fit(x, y, length_scales, float(signal_var),
                              max(float(noise_var), NOISE_FLOOR), mean)
 
-    from scipy import optimize
-
     # bounded likelihood search in log10 coordinates
     lo = np.concatenate([np.full(d, -2.0), [math.log10(max(y_var * 1e-3, 1e-12))], [-6.0]])
     hi = np.concatenate([np.full(d, 1.0), [math.log10(y_var * 10.0 + 1e-12)], [-1.0]])
@@ -160,10 +212,9 @@ def gp_fit(observations_x, observations_y, *, seed=0,
     starts += [rng.uniform(lo, hi) for _ in range(GP_RESTARTS - 1)]
     best_params, best_val = None, np.inf
     for start in starts:
-        res = optimize.minimize(_neg_lml, start, args=(sq_diffs, y_centered),
-                                method="L-BFGS-B", jac=True, bounds=list(zip(lo, hi)))
-        if res.fun < best_val:
-            best_val, best_params = res.fun, res.x
+        point, value = box_minimize(lambda p: _neg_lml(p, sq_diffs, y_centered), start, lo, hi)
+        if value < best_val:
+            best_val, best_params = value, point
     if best_params is None:
         raise ConfigurationError("no likelihood search found a positive-definite kernel matrix")
     params = 10.0 ** best_params  # as _neg_lml computed them, to the last bit
@@ -190,10 +241,11 @@ def gp_posterior(gp: GPSurrogate, query) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.maximum(var, 0.0)
 
 
-def _normal_cdf(z):
-    from scipy.special import erf
+_erf = np.frompyfunc(math.erf, 1, 1)
 
-    return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+
+def _normal_cdf(z):
+    return 0.5 * (1.0 + np.asarray(_erf(z / math.sqrt(2.0)), dtype=float))
 
 
 def _normal_pdf(z):
@@ -222,22 +274,40 @@ def expected_improvement(gp: GPSurrogate, query, best_so_far: float) -> np.ndarr
     return ei_from_moments(mean, var, best_so_far)
 
 
-def acquire_next(gp: GPSurrogate, best_so_far: float, *, seed=0) -> np.ndarray:
-    """Argmax of EI over ``EI_CANDIDATES`` Latin-hypercube points, refined locally."""
-    from scipy import optimize
+def _neg_ei(u, gp: GPSurrogate, best_so_far: float):
+    """-EI at one unit-cube point and its gradient.
 
+    dEI/dmean = -Phi(z) and dEI/dsd = phi(z), chained through the posterior:
+    dk*_i/du_j = -slope_i (u_j - x_ij) / l_j^2, dmean = dk* . alpha and
+    dsd = -(K^-1 k*) . dk* / sd.  Where sd = 0, EI = max(best - mean, 0).
+    """
+    diffs = u[None, :] - gp.x
+    k_star, slope = _matern52(diffs**2, gp.length_scales, gp.signal_var)
+    dk = -slope[:, None] * diffs / gp.length_scales**2
+    v = np.linalg.solve(gp.chol, k_star)
+    mean, var = gp.mean + k_star @ gp.alpha, gp.signal_var - v @ v
+    ei = float(ei_from_moments(mean, var, best_so_far))
+    d_mean = gp.alpha @ dk
+    if var <= 0.0:
+        return -ei, d_mean * (ei > 0.0)
+    sd = math.sqrt(var)
+    z = (best_so_far - mean) / sd
+    d_sd = -(np.linalg.solve(gp.chol.T, v) @ dk) / sd
+    return -ei, float(_normal_cdf(z)) * d_mean - float(_normal_pdf(z)) * d_sd
+
+
+def acquire_next(gp: GPSurrogate, best_so_far: float, *, seed=0) -> np.ndarray:
+    """Argmax of EI over ``EI_CANDIDATES`` Latin-hypercube points, refined
+    by ``box_minimize`` on -EI from the best of them."""
     d = gp.x.shape[1]
     candidates = latin_hypercube(EI_CANDIDATES, d, np.random.default_rng(seed))
     ei = expected_improvement(gp, candidates, best_so_far)
     best_idx = int(np.argmax(ei))
     best_point, best_ei = candidates[best_idx], ei[best_idx]
-    res = optimize.minimize(
-        lambda u: -float(expected_improvement(gp, np.clip(u, 0, 1)[None, :], best_so_far)[0]),
-        best_point, method="Nelder-Mead",
-        options={"maxiter": 60 * d, "xatol": 1e-4, "fatol": 1e-12},
-    )
-    if -res.fun > best_ei:
-        best_point = np.clip(res.x, 0.0, 1.0)
+    point, value = box_minimize(lambda u: _neg_ei(u, gp, best_so_far), best_point,
+                                np.zeros(d), np.ones(d))
+    if -value > best_ei:
+        best_point = point
     return np.asarray(best_point, dtype=float)
 
 

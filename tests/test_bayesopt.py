@@ -5,6 +5,7 @@ from qforecast.bayesopt import (
     EnsembleCandidate,
     GPSurrogate,
     KBestSet,
+    _neg_ei,
     acquire_next,
     bo_minimize_unit,
     bo_tune,
@@ -19,7 +20,12 @@ from qforecast.errors import ConfigurationError, NumericDivergenceError
 from qforecast.hyperspace import SearchSpace
 from qforecast.qlstm import HyperConfig
 
-from oracles import expected_improvement_oracle, gp_posterior_oracle, loop_oracle
+from oracles import (
+    central_difference,
+    expected_improvement_oracle,
+    gp_posterior_oracle,
+    loop_oracle,
+)
 
 SIN_X = np.array([[0.05], [0.3], [0.5], [0.75], [0.95]])
 SIN_Y = np.sin(6 * SIN_X[:, 0])
@@ -109,6 +115,44 @@ def test_ei_near_zero_at_observed_best(sin_gp):
     best_idx = int(np.argmin(SIN_Y))
     ei = expected_improvement(sin_gp, SIN_X[best_idx : best_idx + 1], sin_gp.best_observed)
     assert 0.0 <= ei[0] < 1e-3  # residual noise-floor variance only
+
+
+def test_ei_gradient_matches_central_differences():
+    rng = np.random.default_rng(7)
+    x = rng.random((8, 3))
+    gp = gp_fit(x, np.sin(3.0 * x).sum(axis=1), seed=3)
+    best = gp.best_observed
+
+    def neg_ei(u):
+        return -float(expected_improvement(gp, u[None, :], best)[0])
+
+    faces = rng.random((6, 3))
+    faces[np.arange(6), np.arange(6) % 3] = np.arange(6) % 2
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    # (point, difference step, tolerance); next to the best observed point
+    # the posterior sd falls to ~1e-3, and its variance is a difference of
+    # terms ~1e5 times larger, so the two routes agree to ~1e-5 there
+    cases = [(u, 1e-5, 1e-6) for u in [*rng.random((5, 3)), *faces]]
+    cases += [(gp.x[np.argmin(gp.y)] + dist * direction, 1e-3 * dist, 1e-5)
+              for dist in (1e-2, 1e-3, 1e-4)]
+    for u, h, tol in cases:
+        value, grad = _neg_ei(u, gp, best)
+        assert value == pytest.approx(neg_ei(u), rel=1e-12, abs=0.0)
+        want = central_difference(neg_ei, u, h)
+        np.testing.assert_allclose(grad, want, rtol=tol, atol=tol * np.max(np.abs(want)))
+
+
+def test_ei_gradient_is_finite_where_the_posterior_sd_is_zero():
+    # a signal variance of 2^40 swallows the noise floor: at an observed point
+    # the posterior variance is exactly 0
+    x = np.array([[0.2, 0.3], [0.9, 0.8]])
+    gp = gp_fit(x, np.array([1.0, 2.0]), hyperparams=(np.array([0.01, 0.01]), 2.0**40, 1e-6))
+    assert gp_posterior(gp, x[:1])[1][0] == 0.0
+    for best in (gp.best_observed, gp.best_observed + 1.0):
+        value, grad = _neg_ei(x[0], gp, best)
+        assert value == -expected_improvement(gp, x[:1], best)[0]
+        assert np.all(np.isfinite(grad))
 
 
 def test_acquire_next_returns_unit_point(sin_gp):

@@ -1,10 +1,11 @@
-"""The GP likelihood search against the gradient-free reference fit."""
+"""The GP likelihood search against the gradient-free reference fit, and the
+box-constrained minimizer it runs."""
 
 import numpy as np
 import pytest
 
 import qforecast.bayesopt as bayesopt
-from qforecast.bayesopt import _neg_lml, _sq_diffs, gp_fit, latin_hypercube
+from qforecast.bayesopt import _neg_lml, _sq_diffs, box_minimize, gp_fit, latin_hypercube
 from qforecast.errors import ConfigurationError
 
 from oracles import central_difference, lml_box, lml_oracle, nelder_mead_gp_fit
@@ -99,6 +100,45 @@ def test_likelihood_gradient_matches_central_differences(n, d):
         # relative to the gradient's scale: along a flat length scale a
         # component can sit below the differences' own rounding error
         np.testing.assert_allclose(grad, want, rtol=1e-6, atol=1e-6 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_box_minimize_reaches_the_projected_quadratic_minimum(seed):
+    # f = (x - x*)' A (x - x*) / 2 + g*' (x - x*) on the unit cube, with g* = 0
+    # on the free coordinates and pointing out of the box on the bounded
+    # ones, so x* (two coordinates on 0, one on 1) is the minimizer by the KKT
+    # conditions.  The stopping rules are absolute in the gradient, so the
+    # curvature (1e4..1e5) makes PG_TOL stand for well under 1e-8 in x.
+    rng = np.random.default_rng(seed)
+    d = 6
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    a = 1e4 * q @ np.diag(rng.uniform(1.0, 10.0, d)) @ q.T
+    want = rng.uniform(0.2, 0.8, d)
+    want[:2], want[2] = 0.0, 1.0
+    g_star = np.zeros(d)
+    g_star[:2] = 1e4 * rng.uniform(0.5, 2.0, 2)
+    g_star[2] = -1e4 * rng.uniform(0.5, 2.0)
+
+    def quadratic(x):
+        r = x - want
+        return 0.5 * r @ a @ r + g_star @ r, a @ r + g_star
+
+    point, value = box_minimize(quadratic, rng.random(d), np.zeros(d), np.ones(d))
+    np.testing.assert_allclose(point, want, rtol=0.0, atol=1e-8)
+    assert value == quadratic(point)[0]
+
+
+def test_box_minimize_returns_a_start_without_a_cholesky_factor():
+    # the first start of gp_fit on three equal points at scores of order 1e10
+    x = np.array([[0.4], [0.4], [0.4], [0.8]])
+    y = np.array([1.0, 2.0, 3.0, 0.5]) * 1e10
+    y_centered = y - y.mean()
+    lo, hi = lml_box(1, float(np.var(y_centered)))
+    start = np.array([np.log10(0.3), np.log10(np.var(y_centered)), -4.0])
+    point, value = box_minimize(lambda p: _neg_lml(p, _sq_diffs(x, x), y_centered),
+                                start, lo, hi)
+    np.testing.assert_array_equal(point, start)
+    assert value == np.inf
 
 
 def test_search_that_meets_a_singular_kernel_is_never_the_fit(monkeypatch):

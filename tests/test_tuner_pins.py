@@ -2,7 +2,8 @@
 
 Each case hashes everything a tuner run yields (trace rows, best point and
 value, histories, evaluation counts) as JSON, whose float repr round-trips
-exactly, so the digests hold only for bit-identical runs.
+exactly, so the digests hold only for bit-identical runs.  The BO case also
+pins the GP path's rounding: its Cholesky factors, solves and minimizer steps.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from qforecast.bayesopt import bo_minimize_unit
 from qforecast.benchmarks import RASTRIGIN_BOUNDS, SPHERE_BOUNDS, one_max, rastrigin, sphere
 from qforecast.hyperspace import SearchSpace
 from qforecast.metaheuristics import ObjectiveTracker, hybrid_minimize, pso_minimize, qga_minimize
@@ -97,6 +99,12 @@ def hybrid_search_space():
     return [hybrid_run(result, trace), [space.decode_bits(g) for g in genomes]]
 
 
+def bo_sphere():
+    lo, hi = SPHERE_BOUNDS
+    return bo_minimize_unit(lambda u: sphere(lo + (hi - lo) * u), 3, n_init=5,
+                            n_iterations=10, seed=6)
+
+
 CASES = {
     "pso": (pso_free,
         "0cbc38806001c4091bc59634874bd5aec32ecaf2b47fdf08f70f4707c44a3350"),
@@ -110,6 +118,8 @@ CASES = {
         "1b9c5be6863c1bec784708283eb5111cf5192d37df3da31db9a1f011b541467b"),
     "hybrid_1": (lambda: hybrid(1.0),
         "5ed1dc85ddbbedc0b93bbc05cff033b4f3764a3f22145fddb984fcdcf814e688"),
+    "bo_sphere": (bo_sphere,
+        "4e5f740c7067a9353ab376927d43fd696e786224d0192d32fa592d0f0acf5d55"),
     "hybrid_search_space": (hybrid_search_space,
         "db85853977bc689b58ec869c9463e288533be4494f33176e974a076a2688b17a"),
 }
