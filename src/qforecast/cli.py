@@ -43,7 +43,7 @@ from .errors import (
 )
 from .hyperspace import SearchSpace
 from .metaheuristics import ObjectiveTracker, hybrid_minimize, pso_minimize, qga_minimize
-from .metrics import forecast_to_tsv, format_metrics_table
+from .metrics import forecast_to_tsv, format_metrics_table, write_tsv
 from .qlstm import HyperConfig, save_checkpoint
 from .quantum import MAX_QUBITS
 from .runner import (
@@ -473,12 +473,13 @@ def cmd_forecast(options: dict) -> int:
     horizon = int(options["horizon"])
 
     with timer.time("one_step"):
-        one_step = forecast_to_tsv(evaluate_ensemble(dataset, models, weights, arch)[1])
+        one_step = evaluate_ensemble(dataset, models, weights, arch)[1]
     with timer.time("multi_step"):
         multi = forecast_to_tsv([forecast_horizon(dataset, models, weights, horizon,
                                                   model_tag=f"{arch}-ensemble")])
 
-    files = {"test_onestep.tsv": one_step, f"horizon{horizon}.tsv": multi}
+    files = {"test_onestep.tsv": lambda path: write_tsv(one_step, path),
+             f"horizon{horizon}.tsv": multi}
     publish(out_dir, "forecast", options, timer.times, files)
     print("wrote " + " and ".join(str(out_dir / name) for name in files))
     return 0

@@ -10,12 +10,22 @@ only -- and windows the standardized matrix into supervised next-hour
 sequences, which are read-only views of it.  A seeded synthetic generator
 provides desk-scale fixtures.
 
+A paper-length series holds the matrix and bounded temporaries only.
+:func:`prepare_dataset` imputes and standardizes its argument in place,
+:data:`SCALE_BLOCK_ROWS` rows at a time, and returns train/test views of it.
+:func:`fit_scaler` takes the quartiles one column at a time and the
+stage-one mean and std by row-block sums in numpy's own row order, so its
+statistics equal the whole-matrix ``mean(axis=0)`` / ``std(axis=0)`` bit for
+bit.
+
 Ingestion has two readers.  The bulk reader runs first: it checks blocks of
 whole lines (:data:`BULK_BLOCK_BYTES`) with numpy array operations and reads
 their cells with ``np.loadtxt``, and it refuses any file outside the common
 form of a line (see :func:`ingest_csv`).  The per-line checker is the
 fallback and the definition of a valid line: a refused file is read again
-by it, so every error names the line the per-line checker names.
+by it, so every error names the line the per-line checker names.  The bulk
+reader counts the body's lines first and copies each checked block into one
+preallocated matrix.
 """
 
 from __future__ import annotations
@@ -132,22 +142,32 @@ _HEAD_MAX = np.where(_HEAD == ord("0"), 9, 0)
 
 def _ingest_bulk(path) -> np.ndarray | None:
     """The file's matrix, read block by block with numpy array operations, or
-    None where any line falls outside the common form (see :func:`ingest_csv`)."""
-    cells, last = [], None
+    None where any line falls outside the common form (see :func:`ingest_csv`).
+
+    A first pass counts the body's lines, so each checked block is copied
+    straight into its rows of the one matrix returned."""
     with open(path, "rb") as fh:
         if fh.readline().removeprefix(_BOM).replace(b"\r\n", b"\n") != _HEADER_LINE:
             return None
+        body = fh.tell()
+        rows = sum(text.count(b"\n") for text in _line_blocks(fh))
+        if rows == 0:
+            return None
+        fh.seek(body)
+        matrix = np.empty((rows, len(FEATURES)))
+        filled, last = 0, None
         try:
             for text in _line_blocks(fh):
                 block, stamps = _bulk_block(text)
                 steps = np.diff(stamps, prepend=stamps[0] - 1 if last is None else last)
                 if (steps != 1).any():
                     return None
-                cells.append(block)
+                matrix[filled : filled + len(block)] = block
+                filled += len(block)
                 last = stamps[-1]
         except ValueError:
             return None
-    return np.concatenate(cells) if cells else None
+    return matrix
 
 
 def _line_blocks(fh):
@@ -249,10 +269,9 @@ def fit_medians(train_matrix: np.ndarray) -> np.ndarray:
 
 
 def impute_median(matrix: np.ndarray, medians: np.ndarray) -> np.ndarray:
-    """Replace every missing cell with its feature's (train-split) median."""
+    """A copy with every missing cell replaced by its feature's (train-split) median."""
     out = matrix.copy()
-    mask = np.isnan(out)
-    out[mask] = np.broadcast_to(medians, out.shape)[mask]
+    np.copyto(out, medians, where=np.isnan(out))
     return out
 
 
@@ -279,45 +298,88 @@ class ScalerState:
         return self.q3 - self.q1
 
 
+SCALE_BLOCK_ROWS = 4096  # rows per block of the scaler's sums and of in-place scaling
+
+
 def fit_scaler(train_matrix: np.ndarray) -> ScalerState:
-    if np.isnan(train_matrix).any():
-        raise ConfigurationError("impute before fitting the scaler")
-    q1, median, q3 = np.percentile(train_matrix, [25, 50, 75], axis=0)
+    """Fit both stages on ``train_matrix``, which is left as it is.
+
+    The quartiles are taken one column at a time.  The stage-one mean and
+    std are sums over row blocks (:func:`_column_sums`), bit for bit the
+    ``mean(axis=0)`` and ``std(axis=0)`` of the whole stage-one matrix, which
+    is never built."""
+    quartiles = np.empty((3, train_matrix.shape[1]))
+    for j in range(train_matrix.shape[1]):
+        col = np.array(train_matrix[:, j])  # a contiguous copy for the percentile to reorder
+        if np.isnan(col).any():
+            raise ConfigurationError("impute before fitting the scaler")
+        quartiles[:, j] = np.percentile(col, [25, 50, 75], overwrite_input=True)
+    q1, median, q3 = quartiles
     iqr = q3 - q1
     robust_skip = iqr == 0.0
     if robust_skip.any():
         names = [FEATURES[j] for j in np.where(robust_skip)[0]]
         warnings.warn(f"zero IQR for {names}; passing through unscaled", stacklevel=2)
-    stage1 = _scaled(train_matrix, median, iqr, robust_skip)
-    mean = stage1.mean(axis=0)
-    std = stage1.std(axis=0)
-    z_skip = std == 0.0
+    stage1 = _center_scale(median, iqr, robust_skip)
+    mean = _column_sums(train_matrix, [stage1], square=False) / len(train_matrix)
+    deviation = [stage1, (mean, 1.0)]  # stage one minus its mean
+    std = np.sqrt(_column_sums(train_matrix, deviation, square=True) / len(train_matrix))
     return ScalerState(
         median=median, q1=q1, q3=q3, mean=mean, std=std,
-        robust_skip=robust_skip, z_skip=z_skip, n_fit_rows=len(train_matrix),
+        robust_skip=robust_skip, z_skip=std == 0.0, n_fit_rows=len(train_matrix),
     )
 
 
-def _scaled(matrix: np.ndarray, center, scale, skip) -> np.ndarray:
-    """(x - center) / scale with ``skip`` features passed through, in one new array."""
-    out = matrix - center  # then in place: a large prepare peaks in this stage
-    out /= np.where(skip, 1.0, scale)
-    out[..., skip] = matrix[..., skip]
+def _center_scale(center, scale, skip) -> tuple[np.ndarray, np.ndarray]:
+    """One stage's (center, scale); a skipped feature gets (0, 1), so
+    (x - 0) / 1 passes it through exactly."""
+    return np.where(skip, 0.0, center), np.where(skip, 1.0, scale)
+
+
+def _apply(block: np.ndarray, stages, out: np.ndarray) -> np.ndarray:
+    """(x - center) / scale for each stage in turn, written to ``out``."""
+    for center, scale in stages:
+        np.subtract(block, center, out=out)
+        out /= scale
+        block = out
     return out
 
 
-def robust_scale(matrix: np.ndarray, scaler: ScalerState) -> np.ndarray:
-    """Stage one: (x - median) / IQR, zero-IQR features passed through."""
-    return _scaled(matrix, scaler.median, scaler.iqr, scaler.robust_skip)
+def _column_sums(matrix: np.ndarray, stages, square: bool) -> np.ndarray:
+    """Per-column sums of ``matrix`` after ``stages`` (and squared), in
+    ``np.sum(axis=0)``'s own row-by-row order: each row block is summed
+    behind the running total, held in row 0 of one reused scratch array."""
+    scratch = np.empty((min(SCALE_BLOCK_ROWS, len(matrix)) + 1, matrix.shape[1]))
+    total = np.zeros(matrix.shape[1])  # numpy's reduction starts from +0.0 too
+    for lo in range(0, len(matrix), SCALE_BLOCK_ROWS):
+        block = matrix[lo : lo + SCALE_BLOCK_ROWS]
+        rows = scratch[1 : 1 + len(block)]
+        _apply(block, stages, out=rows)
+        if square:
+            np.multiply(rows, rows, out=rows)
+        scratch[0] = total
+        np.sum(scratch[: 1 + len(block)], axis=0, out=total)
+    return total
 
 
-def zscore(stage1: np.ndarray, scaler: ScalerState) -> np.ndarray:
-    """Stage two: (x - mean) / std on the stage-one output."""
-    return _scaled(stage1, scaler.mean, scaler.std, scaler.z_skip)
+def _scale_in_place(matrix: np.ndarray, scaler: ScalerState) -> np.ndarray:
+    """Standardize ``matrix`` in place, row block by row block; returns which
+    columns hold only finite cells."""
+    stages = [_center_scale(scaler.median, scaler.iqr, scaler.robust_skip),
+              _center_scale(scaler.mean, scaler.std, scaler.z_skip)]
+    finite = np.ones(matrix.shape[1], dtype=bool)
+    for lo in range(0, len(matrix), SCALE_BLOCK_ROWS):
+        block = matrix[lo : lo + SCALE_BLOCK_ROWS]
+        _apply(block, stages, out=block)
+        finite &= np.isfinite(block).all(axis=0)
+    return finite
 
 
 def transform(matrix: np.ndarray, scaler: ScalerState) -> np.ndarray:
-    return zscore(robust_scale(matrix, scaler), scaler)
+    """Both stages, robust then Z-score, on a standardized copy of ``matrix``."""
+    out = np.array(matrix, dtype=float)
+    _scale_in_place(out, scaler)
+    return out
 
 
 def inverse_transform(standardized: np.ndarray, scaler: ScalerState) -> np.ndarray:
@@ -401,8 +463,13 @@ class Dataset:
 
 def prepare_dataset(matrix: np.ndarray, train_fraction: float = TRAIN_FRACTION) -> Dataset:
     """Chronological split, train-fitted imputation and two-stage scaling of
-    a ``(rows, 7)`` series.  A feature whose fitted statistics or standardized
-    cells overflow to a non-finite value is a :class:`DataError`."""
+    a ``(rows, 7)`` float series.
+
+    The series is imputed and standardized in place: its train and test
+    matrices are views of ``matrix``, so pass a copy to keep the raw cells.
+    Beside it, only single columns and row blocks are allocated.  A feature
+    whose fitted statistics or standardized cells overflow to a non-finite
+    value is a :class:`DataError`, and leaves ``matrix`` partly scaled."""
     rows = len(matrix)
     if rows == 0:
         raise ConfigurationError("no rows to prepare")
@@ -410,19 +477,19 @@ def prepare_dataset(matrix: np.ndarray, train_fraction: float = TRAIN_FRACTION) 
     if n_train < 2 or n_train >= rows:
         raise ConfigurationError(f"split produces degenerate train/test sizes ({n_train})")
     medians = fit_medians(matrix[:n_train])
-    full = impute_median(matrix, medians)
+    np.copyto(matrix, medians, where=np.isnan(matrix))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        scaler = fit_scaler(full[:n_train])
-        standardized = transform(full, scaler)
+        scaler = fit_scaler(matrix[:n_train])
         stats = np.vstack([scaler.median, scaler.q1, scaler.q3, scaler.iqr, scaler.mean, scaler.std])
-    overflowed = ~(np.isfinite(stats).all(axis=0) & np.isfinite(standardized).all(axis=0))
+        finite = _scale_in_place(matrix, scaler)
+    overflowed = ~(np.isfinite(stats).all(axis=0) & finite)
     if overflowed.any():
         names = [FEATURES[j] for j in np.flatnonzero(overflowed)]
         raise DataError(f"scaling overflows for {names}: a fitted statistic or a "
                         "standardized cell is not finite")
     return Dataset(
-        train_matrix=standardized[:n_train],
-        test_matrix=standardized[n_train:],
+        train_matrix=matrix[:n_train],
+        test_matrix=matrix[n_train:],
         scaler=scaler,
         n_rows=rows,
     )

@@ -141,14 +141,25 @@ def forecast_iterative(
 # ---------------------------------------------------------------------------
 
 
-def forecast_to_tsv(results: list[ForecastResult]) -> str:
-    """Delimited text (timestamp, y_true, y_pred, model) for any plotting tool."""
-    lines = ["timestamp\ty_true\ty_pred\tmodel"]
+def tsv_lines(results: list[ForecastResult]):
+    """Delimited lines (timestamp, y_true, y_pred, model), header first,
+    each without its newline."""
+    yield "timestamp\ty_true\ty_pred\tmodel"
     for res in results:
         for k, ts in enumerate(res.timestamps):
             truth = "" if res.y_true is None else format(res.y_true[k], ".10g")
-            lines.append(f"{ts}\t{truth}\t{res.y_pred[k]:.10g}\t{res.model}")
-    return "\n".join(lines) + "\n"
+            yield f"{ts}\t{truth}\t{res.y_pred[k]:.10g}\t{res.model}"
+
+
+def forecast_to_tsv(results: list[ForecastResult]) -> str:
+    """Delimited text for any plotting tool: :func:`tsv_lines`, one per line."""
+    return "".join(line + "\n" for line in tsv_lines(results))
+
+
+def write_tsv(results: list[ForecastResult], path) -> None:
+    """Write :func:`forecast_to_tsv`'s text to ``path`` line by line."""
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in tsv_lines(results))
 
 
 def format_metrics_table(rows: list[dict]) -> str:

@@ -390,9 +390,22 @@ def forward_sequence(params: QLSTMParams, window) -> float:
     return float(pred[0])
 
 
+PREDICT_BLOCK_ROWS = 4096  # windows per forward pass; a multiple of the BLAS row tile
+
+
 def predict_batch(params, windows) -> np.ndarray:
-    """Predictions for a stack of windows (works for both cell types)."""
-    preds, _ = params.forward_batch(np.asarray(windows, dtype=float))
+    """Predictions for a stack of windows (works for every model type), made
+    ``PREDICT_BLOCK_ROWS`` windows at a time so memory stays bounded.
+
+    Every block starts on a multiple of the BLAS row tile, and a lone last
+    window joins the block before it, since numpy multiplies a single row by
+    another BLAS routine whose rounding can differ.  So the result is bit for
+    bit one ``forward_batch`` over the whole stack."""
+    windows = _check_windows(windows, params.input_dim)
+    starts = [*range(0, max(len(windows) - 1, 1), PREDICT_BLOCK_ROWS), len(windows)]
+    preds = np.empty(len(windows))
+    for lo, hi in zip(starts, starts[1:]):
+        preds[lo:hi] = params.forward_batch(windows[lo:hi])[0]
     return preds
 
 
@@ -592,7 +605,7 @@ def train(model, config: HyperConfig, train_set, test_set, seed) -> TrainReport:
         epoch_train = float(np.sum(sq_errors)) / n
         if not np.isfinite(epoch_train):
             raise NumericDivergenceError(f"training loss diverged at epoch {epoch}")
-        test_preds, _ = model.forward_batch(x_test)
+        test_preds = predict_batch(model, x_test)
         epoch_test = float(np.mean((test_preds - y_test) ** 2))
         if not np.isfinite(epoch_test):
             raise NumericDivergenceError(f"test loss diverged at epoch {epoch}")

@@ -363,3 +363,31 @@ def loop_oracle(errors, lam, gamma, nu=None):
     final = np.array([wi / total for wi in w])
     shape = (n_steps, n_models)
     return final, np.array(history).reshape(shape), np.array(eps_history).reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# Two-stage scaler, written with whole-matrix temporaries and numpy's axis-0
+# reductions: quartiles by np.percentile(axis=0), the stage-one mean and std
+# by .mean(axis=0) / .std(axis=0).
+# ---------------------------------------------------------------------------
+
+
+def _stage_oracle(x, center, scale, skip):
+    """(x - center) / scale, with the ``skip`` features copied unchanged."""
+    return np.where(skip, x, (x - center) / np.where(skip, 1.0, scale))
+
+
+def scaler_oracle(train):
+    """The scaler's statistics as a dict of ScalerState field names."""
+    q1, median, q3 = np.percentile(train, [25, 50, 75], axis=0)
+    robust_skip = q3 - q1 == 0.0
+    stage1 = _stage_oracle(train, median, q3 - q1, robust_skip)
+    mean, std = stage1.mean(axis=0), stage1.std(axis=0)
+    return {"median": median, "q1": q1, "q3": q3, "mean": mean, "std": std,
+            "robust_skip": robust_skip, "z_skip": std == 0.0}
+
+
+def standardize_oracle(matrix, stats):
+    """Both stages of ``stats`` (a :func:`scaler_oracle` dict) on ``matrix``."""
+    stage1 = _stage_oracle(matrix, stats["median"], stats["q3"] - stats["q1"], stats["robust_skip"])
+    return _stage_oracle(stage1, stats["mean"], stats["std"], stats["z_skip"])

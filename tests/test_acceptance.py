@@ -310,7 +310,7 @@ def test_criterion_7_pipeline_exactness(tmp_path):
         n_train = split_point(len(parsed))
         assert n_train == 83895 and len(parsed) - n_train == 12537
 
-        dataset = prepare_dataset(parsed)
+        dataset = prepare_dataset(parsed.copy())
         assert len(dataset.train_matrix) == 83895
         assert len(dataset.test_matrix) == 12537
 

@@ -1,6 +1,8 @@
 import csv
 import datetime as dt
 import importlib.util
+import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +15,7 @@ from qforecast import data as data_module
 from qforecast.data import (
     CSV_COLUMNS,
     FEATURES,
+    SCALE_BLOCK_ROWS,
     SYNTH_START,
     fit_medians,
     fit_scaler,
@@ -22,16 +25,16 @@ from qforecast.data import (
     load_dataset,
     make_windows,
     prepare_dataset,
-    robust_scale,
     save_dataset,
     split_point,
     synth_series,
     transform,
     write_csv,
-    zscore,
     _parse_rows,
 )
 from qforecast.errors import ConfigurationError, DataError
+
+from oracles import scaler_oracle, standardize_oracle
 
 GOLDEN = """date,time,temperature,dew_point_temp,rel_humidity,wind_speed,visibility,pressure,precipitation
 2016-01-01,00,-3.5,-7.1,77,12,24.1,101.2,0.0
@@ -192,6 +195,11 @@ def csv_bodies(draw):
 @given(csv_bodies(), st.sampled_from([data_module.BULK_BLOCK_BYTES, 1, 50]))
 @example(GOLDEN.replace("-7.4", "1e400"), data_module.BULK_BLOCK_BYTES)  # a finite cell overflows
 @example(GOLDEN.replace("2016-01-01", "0000-01-01"), data_module.BULK_BLOCK_BYTES)  # numpy reads year 0
+@example(GOLDEN.rstrip("\n"), data_module.BULK_BLOCK_BYTES)  # no trailing newline
+@example(GOLDEN.replace("\n", "\r\n"), data_module.BULK_BLOCK_BYTES)  # CRLF line endings
+@example(GOLDEN[: GOLDEN.index("2016-01-01,01")], data_module.BULK_BLOCK_BYTES)  # one data row
+@example(GOLDEN, len(GOLDEN.split("\n", 1)[1]))  # a body exactly one block long
+@example(GOLDEN.replace(",0.2", ", 0.2"), 50)  # refused in the last of several blocks
 def test_bulk_reader_never_widens_what_is_accepted(tmp_path_factory, text, block_bytes):
     # every file gives the per-line checker's exact matrix or its exact error,
     # also where blocks end inside a line or split the file into many blocks
@@ -242,7 +250,7 @@ def test_split_counts():
 
 def test_chronological_split_order():
     series = synth_series(200, seed=1)
-    dataset = prepare_dataset(series)
+    dataset = prepare_dataset(series.copy())
     n_train = split_point(len(series))
     # the first n_train rows, in order, are the training split; the rest the test split
     np.testing.assert_allclose(inverse_transform(dataset.train_matrix, dataset.scaler),
@@ -294,9 +302,11 @@ def test_robust_scale_hand_example():
     data = np.array([[1.0], [2.0], [3.0], [4.0], [100.0]])
     scaler = fit_scaler(data)
     assert scaler.median[0] == 3.0 and scaler.q1[0] == 2.0 and scaler.q3[0] == 4.0
-    scaled = robust_scale(data, scaler)
-    assert scaled[2, 0] == 0.0
-    assert scaled[4, 0] == 48.5
+    # stage one maps the rows to -1, -0.5, 0, 0.5 and 48.5, whose mean is 9.5
+    assert scaler.mean[0] == 9.5
+    scaled = transform(data, scaler)
+    assert scaled[2, 0] == -9.5 / scaler.std[0]
+    assert scaled[4, 0] == (48.5 - 9.5) / scaler.std[0]
 
 
 def test_zscore_train_statistics():
@@ -327,9 +337,70 @@ def test_constant_feature_passes_through():
     np.testing.assert_allclose(back, train, atol=1e-9)
 
 
+def oracle_columns(rows, seed):
+    """A training matrix whose columns span the scaler's cases."""
+    rng = np.random.default_rng(seed)
+    train = rng.normal(3.0, 5.0, size=(rows, len(FEATURES)))
+    train[:, 1] += 1e6  # a large offset, where sums lose the most to rounding
+    train[: rows // 2, 2] = -0.0
+    train[:, 5] = -0.0  # zero IQR, constant after stage one, and summed to +0.0
+    train[:, 6] = np.where(rng.random(rows) < 0.1, rng.gamma(2.0, 0.8, rows), 0.0)  # zero IQR
+    return train
+
+
+@pytest.mark.parametrize("rows", [1, 2, SCALE_BLOCK_ROWS, SCALE_BLOCK_ROWS + 1,
+                                  3 * SCALE_BLOCK_ROWS + 5])
+def test_blocked_scaler_matches_whole_matrix_oracle(rows):
+    train = oracle_columns(rows, seed=rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scaler = fit_scaler(train)
+    expected = scaler_oracle(train)
+    if rows > 2:
+        assert scaler.robust_skip.tolist() == [False] * 5 + [True, True]
+        assert scaler.z_skip.tolist() == [False] * 5 + [True, False]
+    for name, value in expected.items():
+        assert getattr(scaler, name).tobytes() == value.tobytes(), name  # bit for bit
+    assert transform(train, scaler).tobytes() == standardize_oracle(train, expected).tobytes()
+
+
+def test_prepare_dataset_matches_whole_matrix_oracle():
+    matrix = oracle_columns(5 * SCALE_BLOCK_ROWS + 3, seed=12)
+    matrix[np.random.default_rng(13).random(matrix.shape) < 0.02] = np.nan
+    n_train = split_point(len(matrix))
+    filled = matrix.copy()
+    for j, median in enumerate(fit_medians(matrix[:n_train])):
+        filled[np.isnan(filled[:, j]), j] = median
+    expected = scaler_oracle(filled[:n_train])
+    standardized = standardize_oracle(filled, expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dataset = prepare_dataset(matrix)
+    # in place: the returned splits are views of the argument
+    assert np.shares_memory(dataset.train_matrix, matrix)
+    assert np.shares_memory(dataset.test_matrix, matrix)
+    assert matrix.tobytes() == standardized.tobytes()
+    for name, value in expected.items():
+        assert getattr(dataset.scaler, name).tobytes() == value.tobytes(), name
+
+
+def test_prepare_dataset_peaks_below_half_the_matrix():
+    # the paper-length series: only columns and row blocks are allocated beside it
+    matrix = synth_series(96432, seed=11, missing_fraction=0.01)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prepare_dataset(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.nbytes / 2
+
+
 def test_no_test_statistics_leak():
     matrix = synth_series(300, seed=2)
-    dataset = prepare_dataset(matrix)
+    dataset = prepare_dataset(matrix.copy())
     n_train = split_point(len(matrix))
     assert dataset.scaler.n_fit_rows == n_train
     # refitting on the training rows alone reproduces the stored statistics

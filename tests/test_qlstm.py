@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from qforecast.errors import (
 )
 from qforecast.qlstm import (
     GATE_NAMES,
+    PREDICT_BLOCK_ROWS,
     ClassicalLSTMParams,
     HyperConfig,
     PersistenceModel,
@@ -272,6 +275,46 @@ def test_zero_length_windows_are_shape_errors(kind):
         model.forward_batch(np.zeros((4, 0, 7)))
     with pytest.raises(ShapeError, match="sequence length 0"):
         forward_sequence(model, np.zeros((0, 7)))
+
+
+# ---------------------------------------------------------------------------
+# Blocked prediction
+# ---------------------------------------------------------------------------
+
+
+def prediction_models():
+    return {
+        "qlstm-n2": init_qlstm(small_config(n_qubits=2), input_dim=7, seed=3),
+        "qlstm-n3": init_qlstm(small_config(n_qubits=3, n_layers=2), input_dim=7, seed=4),
+        "lstm": init_classical_lstm(small_config(), input_dim=7, seed=5),
+        "persistence": PersistenceModel(input_dim=7),
+    }
+
+
+@pytest.mark.parametrize("kind", ["qlstm-n2", "qlstm-n3", "lstm", "persistence"])
+def test_blocked_prediction_is_one_whole_forward(kind):
+    model = prediction_models()[kind]
+    block = PREDICT_BLOCK_ROWS
+    windows = np.random.default_rng(6).normal(size=(2 * block + 1, 3, 7))
+    for count in (1, block - 1, block, block + 1, 2 * block + 1):
+        whole, _ = model.forward_batch(windows[:count])
+        assert predict_batch(model, windows[:count]).tobytes() == whole.tobytes()  # bit for bit
+
+
+def test_prediction_memory_is_bounded_by_one_block():
+    # the paper's test stack: 12 532 windows cost no more than one block,
+    # beside the predictions returned
+    model = prediction_models()["qlstm-n2"]
+    windows = np.random.default_rng(7).normal(size=(12532, 3, 7))
+    peaks = []
+    for count in (PREDICT_BLOCK_ROWS, len(windows)):
+        tracemalloc.start()
+        try:
+            predict_batch(model, windows[:count])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + windows[:, 0, 0].nbytes
 
 
 # ---------------------------------------------------------------------------
