@@ -50,13 +50,11 @@ from .runner import (
     REFERENCE_LEARNING_RATES,
     StageTimer,
     derive_seed,
-    ensemble_checkpoint_parts,
     evaluate_ensemble,
     forecast_horizon,
     load_ensemble_checkpoint,
     probe_objective,
-    run_boq_ensemble,
-    run_genhyb_ensemble,
+    run_ensemble,
     save_ensemble_checkpoint,
     train_base_model,
     write_manifest,
@@ -419,15 +417,11 @@ def cmd_ensemble(options: dict) -> int:
     seed = int(options["seed"])
 
     with timer.time("train_and_combine"):
-        if arch == "genhyb":
-            result = run_genhyb_ensemble(dataset, [ks.configs[0] for ks in ksets], seed,
-                                         **kwargs)
-        else:
-            result = run_boq_ensemble(dataset, ksets, seed, **kwargs)
+        result = run_ensemble(arch, dataset, ksets, seed, **kwargs)
 
     files = {
         "checkpoint.npz": lambda path: save_ensemble_checkpoint(
-            path, arch, result.weights, ensemble_checkpoint_parts(result)),
+            path, arch, result.weights, [b.triple for b in result.base_runs]),
         "weights.json": {
             "architecture": arch,
             "weights": [float(w) for w in result.weights],
@@ -513,10 +507,20 @@ def cmd_rerun(options: dict) -> int:
     manifest_path = Path(options["manifest"]).resolve()
     manifest, recorded = read_manifest(manifest_path)
     command = manifest.get("command")
-    handler = COMMANDS.get(command)
+    handler = COMMANDS.get(command) if isinstance(command, str) else None
     if handler is None:
         raise ConfigurationError(f"manifest command {command!r} is not re-runnable")
-    stored = dict(manifest.get("config", {}))
+    stored = manifest.get("config")
+    if not isinstance(stored, dict):
+        raise ConfigurationError(f"{manifest_path}: the stored config is not a JSON object")
+    # stored options are read as --config file values are, so a damaged
+    # manifest is a usage error rather than a traceback
+    for flag in command_flags(build_parser(), command):
+        if flag.dest not in stored:
+            raise ConfigurationError(f"{manifest_path}: the stored config has no "
+                                     f"{flag.dest!r} key")
+        stored[flag.dest] = config_value(flag, stored[flag.dest],
+                                         DEFAULTS[command].get(flag.dest))
     stored["force"] = True
     # preprocess writes into the run directory itself, every other command
     # into one subdirectory of it

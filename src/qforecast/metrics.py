@@ -3,9 +3,11 @@
 MAPE follows the percentage convention, 100/N * sum(|y - yhat| / |y|);
 targets with |y| below 1e-8 are excluded from the sum and counted in a
 reported exclusion tally (temperatures in Celsius do cross zero).  The
-24-hour forecast is iterative: each one-step prediction is fed back as the
-next window's temperature while the exogenous features persist from the
-last observed hour.
+24-hour forecast is iterative and takes the same ``(kind, config, model)``
+triples as the test-set evaluation in ``runner``: each step runs every model
+once on its trailing window (``forward_sequence``), and the weighted
+prediction is fed back as the next window's temperature while the exogenous
+features persist from the last observed hour.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .data import TEMPERATURE, ScalerState, destandardize_temperature
 from .errors import ConfigurationError, MetricUndefinedError, ShapeError
+from .qlstm import forward_sequence
 
 ZERO_TOLERANCE = 1e-8
 
@@ -41,10 +44,6 @@ def mape_with_exclusions(y_true, y_pred) -> tuple[float, int]:
     return value, excluded
 
 
-def mape(y_true, y_pred) -> float:
-    return mape_with_exclusions(y_true, y_pred)[0]
-
-
 def mse(y_true, y_pred) -> float:
     y_true, y_pred = _paired(y_true, y_pred)
     diff = y_true - y_pred
@@ -68,44 +67,32 @@ class ForecastResult:
             raise ShapeError("timestamps and y_pred must have equal lengths")
 
 
-@dataclass
-class SequencePredictor:
-    """A trained one-step model viewed as (sequence length, predict function)."""
-
-    sequence_length: int
-    predict: object  # callable (sequence_length, n_features) -> standardized temperature
-
-
 def forecast_iterative(
-    predictors: list[SequencePredictor],
+    models,
     weights,
     context: np.ndarray,
     scaler: ScalerState,
-    horizon: int = 24,
+    horizon: int,
     *,
     true_future=None,
-    teacher_forcing: bool = False,
     model_tag: str = "ensemble",
 ) -> ForecastResult:
-    """Roll a (possibly weighted multi-model) forecaster ``horizon`` steps ahead,
+    """Roll weighted ``(kind, config, model)`` triples ``horizon`` steps ahead,
     stamped 1..``horizon``.
 
     ``context`` is the standardized trailing history (at least the longest
-    window).  Predictions are written back into the temperature column of a
-    growing buffer; with ``teacher_forcing`` the true standardized value is
-    written back instead (requires ``true_future``).
+    window).  Each combined prediction is written back into the temperature
+    column of a growing buffer.
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     weights = np.asarray(weights, dtype=float)
-    if len(weights) != len(predictors):
-        raise ShapeError("one weight per predictor required")
-    max_seq = max(p.sequence_length for p in predictors)
+    if len(weights) != len(models):
+        raise ShapeError("one weight per model required")
+    max_seq = max(config.sequence_length for _, config, _ in models)
     context = np.asarray(context, dtype=float)
     if context.ndim != 2 or len(context) < max_seq:
         raise ShapeError(f"context must hold at least {max_seq} rows")
-    if teacher_forcing and true_future is None:
-        raise ConfigurationError("teacher forcing requires the true future values")
     if true_future is not None and len(true_future) < horizon:
         raise ShapeError("true_future shorter than the forecast horizon")
 
@@ -113,14 +100,11 @@ def forecast_iterative(
     preds_std = np.empty(horizon)
     for step in range(horizon):
         combined = 0.0
-        for w, predictor in zip(weights, predictors):
-            window = buffer[-predictor.sequence_length :]
-            combined += w * float(predictor.predict(window))
+        for w, (_, config, model) in zip(weights, models):
+            combined += w * forward_sequence(model, buffer[-config.sequence_length :])
         preds_std[step] = combined
         next_row = buffer[-1].copy()
-        next_row[TEMPERATURE] = (
-            float(true_future[step]) if teacher_forcing else combined
-        )
+        next_row[TEMPERATURE] = combined
         buffer = np.vstack([buffer, next_row])
 
     y_pred = destandardize_temperature(preds_std, scaler)

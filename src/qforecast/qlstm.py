@@ -356,33 +356,10 @@ def init_qlstm(config: HyperConfig, input_dim: int, seed) -> QLSTMParams:
     )
 
 
-def qlstm_step(params: QLSTMParams, x_t, h_prev, c_prev):
-    """Single cell step.
-
-    Returns ``(h_t, c_t, y_t)`` with shapes ``(hidden_units,)``,
-    ``(n_qubits,)`` (the cell state lives in qubit-count dimensions) and
-    ``(output_dim,)``.  Gate activations are sigmoids/tanh of circuit
-    readouts, so forget/input/output gates lie in (0, 1) and the candidate
-    update in (-1, 1).
-    """
-    x_t = np.asarray(x_t, dtype=float)
-    h_prev = np.asarray(h_prev, dtype=float)
-    c_prev = np.asarray(c_prev, dtype=float)
-    if x_t.shape != (params.input_dim,):
-        raise ShapeError(f"x_t must have {params.input_dim} entries, got {x_t.shape}")
-    if h_prev.shape != (params.hidden_units,):
-        raise ShapeError(f"h_prev must have {params.hidden_units} entries, got {h_prev.shape}")
-    if c_prev.shape != (params.n_qubits,):
-        raise ShapeError(f"c_prev must have {params.n_qubits} entries, got {c_prev.shape}")
-    for arr in (x_t, h_prev, c_prev):
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("cell step received non-finite values")
-    h, c, y, _ = params.step_batch(x_t[None], h_prev[None], c_prev[None], want_y=True)
-    return h[0], c[0], y[0]
-
-
-def forward_sequence(params: QLSTMParams, window) -> float:
-    """Run the cell over one window from zero state; returns the final prediction."""
+def forward_sequence(params, window) -> float:
+    """Run any model over one ``(seq, input_dim)`` window from zero state;
+    returns the final prediction.  The multi-step forecast makes its
+    one-window calls here."""
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[1] != params.input_dim:
         raise ShapeError(f"window must be (seq, {params.input_dim}), got {window.shape}")
@@ -618,13 +595,6 @@ def train(model, config: HyperConfig, train_set, test_set, seed) -> TrainReport:
         wall_seconds=time.perf_counter() - start,
         val_predictions=test_preds,
     )
-
-
-def classical_lstm_train(model, config, train_set, test_set, seed) -> TrainReport:
-    """Identical training contract for the classical baseline cell."""
-    if not isinstance(model, ClassicalLSTMParams):
-        raise ConfigurationError("classical_lstm_train expects a ClassicalLSTMParams model")
-    return train(model, config, train_set, test_set, seed)
 
 
 # ---------------------------------------------------------------------------

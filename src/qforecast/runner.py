@@ -1,9 +1,11 @@
 """End-to-end orchestration: base-model training, the ensemble recipes,
-held-out evaluation, and reproducible run artifacts.
+held-out evaluation, the multi-step forecast, and reproducible run artifacts.
 
-One path trains, enumerates, weights and evaluates every ensemble: BO-Q
-keeps the best of the K^m tuples of its K-best sets, and GenHyb is the
-K = 1 case, one tuned configuration per model.
+One call, :func:`run_ensemble`, trains, enumerates, weights and evaluates
+every ensemble: BO-Q keeps the best of the K^m tuples of its K-best sets,
+and GenHyb is the K = 1 case, one tuned configuration per model.  The
+evaluation, the forecast and the ensemble checkpoint all take the ensemble
+as the same ``(kind, config, model)`` triples.
 
 Every stochastic stage draws its seed from the single run seed through
 named sub-streams (``derive_seed``), and every (model index, configuration)
@@ -25,22 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayesopt import EnumerationResult, KBestSet, enumerate_ensembles
+from .bayesopt import EnumerationResult, enumerate_ensembles
 from .data import Dataset, destandardize_temperature, read_npz
 from .ensemble import EnsembleWeights, combine_predictions
 from .errors import ConfigurationError, DataError, NumericDivergenceError
-from .metrics import (
-    ForecastResult,
-    SequencePredictor,
-    forecast_iterative,
-    mape_with_exclusions,
-    mse,
-)
+from .metrics import ForecastResult, forecast_iterative, mape_with_exclusions, mse
 from .qlstm import (
     HyperConfig,
     TrainReport,
     checked_array,
-    forward_sequence,
     init_classical_lstm,
     init_qlstm,
     model_from_arrays,
@@ -179,51 +174,17 @@ def evaluate_ensemble(dataset: Dataset, models, weights, architecture: str) -> t
     return rows, forecasts
 
 
-def _train_all(dataset: Dataset, pairs, master_seed: int, memo: dict) -> list:
-    """Train each (model index, configuration) pair in order; a pair whose
-    training diverges yields its NumericDivergenceError in place of its run."""
-    outcomes = []
-    for model_index, config in pairs:
-        try:
-            outcomes.append(train_base_model(dataset, config, model_index, master_seed,
-                                             memo=memo))
-        except NumericDivergenceError as exc:
-            outcomes.append(exc)
-    return outcomes
+def run_ensemble(architecture: str, dataset: Dataset, ksets: list, master_seed: int, *,
+                 lam: float = 0.85, gamma: float = 0.85, nu: int | None = None,
+                 memo: dict | None = None) -> EnsembleRun:
+    """Train every distinct candidate of the K-best sets once, enumerate the
+    K^m configuration tuples, and evaluate the winner on the test set.
 
-
-def run_genhyb_ensemble(dataset: Dataset, configs, master_seed: int, *,
-                        lam: float = 0.85, gamma: float = 0.85, nu: int | None = None,
-                        memo: dict | None = None) -> EnsembleRun:
-    """Train one base model per configuration and combine them adaptively:
-    the K = 1 case of :func:`run_boq_ensemble`."""
-    ksets = [KBestSet(m, [config], [0.0]) for m, config in enumerate(configs)]
-    return _run_ensemble("genhyb", dataset, ksets, master_seed, lam=lam, gamma=gamma,
-                         nu=nu, memo=memo)
-
-
-def run_boq_ensemble(dataset: Dataset, ksets: list, master_seed: int, *,
-                     lam: float = 0.85, gamma: float = 0.85, nu: int | None = None,
-                     memo: dict | None = None) -> EnsembleRun:
-    """Enumerate every K^m configuration tuple and keep the winner.
-
-    The tuple objective is the adaptively-weighted forecast MSE on the
-    validation segment; the winning tuple's weights carry to the test set.
-    """
-    return _run_ensemble("bo-q", dataset, ksets, master_seed, lam=lam, gamma=gamma,
-                         nu=nu, memo=memo)
-
-
-def _run_ensemble(architecture: str, dataset: Dataset, ksets: list, master_seed: int, *,
-                  lam: float, gamma: float, nu: int | None,
-                  memo: dict | None) -> EnsembleRun:
-    """Train every distinct candidate once, enumerate the tuples, and evaluate
-    the winner on the test set.
-
-    Weight evolution runs over the shared validation segment (never the test
-    set); test metrics come from the winner's finalized simplex weights.  When
-    every tuple diverges, the first failing model's NumericDivergenceError
-    propagates.
+    The tuple objective is the adaptively-weighted forecast MSE on the shared
+    validation segment (never the test set); test metrics come from the
+    winner's finalized simplex weights.  A candidate whose training diverges
+    scores its tuples +inf; when every tuple diverges, the first failing
+    model's NumericDivergenceError propagates.
     """
     memo = {} if memo is None else memo
     seqs = []
@@ -235,8 +196,13 @@ def _run_ensemble(architecture: str, dataset: Dataset, ksets: list, master_seed:
     val_y = validation_targets(dataset, seqs)
 
     # every distinct candidate trains once, up front; the enumeration reads the outcomes
-    pairs = list(dict.fromkeys((m, cfg) for m, kset in enumerate(ksets) for cfg in kset.configs))
-    outcomes = dict(zip(pairs, _train_all(dataset, pairs, master_seed, memo)))
+    outcomes = {}
+    for m, cfg in dict.fromkeys((m, cfg) for m, kset in enumerate(ksets)
+                                for cfg in kset.configs):
+        try:
+            outcomes[m, cfg] = train_base_model(dataset, cfg, m, master_seed, memo=memo)
+        except NumericDivergenceError as exc:
+            outcomes[m, cfg] = exc
 
     def predict_fn(model_index: int, config: HyperConfig) -> np.ndarray:
         run = outcomes[(model_index, config)]
@@ -257,16 +223,9 @@ def forecast_horizon(dataset: Dataset, models, weights, horizon: int = 24,
                      *, model_tag: str = "ensemble") -> ForecastResult:
     """Iterative multi-step forecast of (kind, config, model) triples from the
     end of the training split."""
-    max_seq = max(config.sequence_length for _, config, _ in models)
-    context = dataset.train_matrix[-max_seq:]
     future = dataset.test_matrix[:horizon, 0] if len(dataset.test_matrix) >= horizon else None
-    predictors = [
-        SequencePredictor(config.sequence_length,
-                          (lambda m: lambda w: forward_sequence(m, w))(model))
-        for _, config, model in models
-    ]
-    return forecast_iterative(predictors, weights, context, dataset.scaler,
-                              horizon=horizon, true_future=future, model_tag=model_tag)
+    return forecast_iterative(models, weights, dataset.train_matrix, dataset.scaler, horizon,
+                              true_future=future, model_tag=model_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +248,6 @@ def save_ensemble_checkpoint(path, architecture: str, weights, models: list) -> 
         payload[f"model{i}_input_dim"] = np.array(model.input_dim)
         payload.update({f"model{i}_{key}": value for key, value in arrays.items()})
     np.savez(path, **payload)
-
-
-def ensemble_checkpoint_parts(run: EnsembleRun) -> list:
-    return [base.triple for base in run.base_runs]
 
 
 def load_ensemble_checkpoint(path):

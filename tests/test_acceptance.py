@@ -44,8 +44,7 @@ from qforecast.quantum import (
     vqc_gradients_batch,
 )
 from qforecast.runner import (
-    run_boq_ensemble,
-    run_genhyb_ensemble,
+    run_ensemble,
     train_base_model,
     probe_objective,
     validation_targets,
@@ -256,7 +255,8 @@ def test_criterion_6_end_to_end_desk_scale():
         cfg5b = HyperConfig(0.03, 1, 2, 4, 5, 32, 30)
         memo = {}
 
-        gen = run_genhyb_ensemble(dataset, [cfg3, cfg5], master_seed, memo=memo)
+        k1_sets = [KBestSet(0, [cfg3], [0.0]), KBestSet(1, [cfg5], [0.0])]
+        gen = run_ensemble("genhyb", dataset, k1_sets, master_seed, memo=memo)
         best_base = min(r["mape_pct"] for r in gen.metrics_rows[:-1])
         ensemble_mape = gen.metrics_rows[-1]["mape_pct"]
         assert ensemble_mape <= best_base + 0.1
@@ -269,7 +269,7 @@ def test_criterion_6_end_to_end_desk_scale():
             return KBestSet(model_index, [c for _, c in ranked], [s for s, _ in ranked])
 
         ksets = [kset(0, [cfg3, cfg3b]), kset(1, [cfg5, cfg5b])]
-        boq = run_boq_ensemble(dataset, ksets, master_seed, memo=memo)
+        boq = run_ensemble("bo-q", dataset, ksets, master_seed, memo=memo)
         assert boq.enumeration.n_tuples == 4  # K=2, m=2
         best_base = min(r["mape_pct"] for r in boq.metrics_rows[:-1])
         assert boq.metrics_rows[-1]["mape_pct"] <= best_base + 0.1

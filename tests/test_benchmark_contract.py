@@ -75,3 +75,22 @@ def test_perfbench_call_forms_run(dataset):
     assert h.shape == (batch, 4) and c.shape == (batch, 2) and y.shape[0] == batch
     preds, caches = model.forward_batch(val_part.inputs, need_cache=True)
     assert preds.shape == (batch,) and len(caches) == 3
+
+
+def test_traced_forecast_span_counts_every_model_call(dataset, monkeypatch):
+    # the tracer's metrics.model_call span wraps forward_sequence at the name
+    # forecast_iterative resolves, so each window of each model is one call
+    from qforecast import metrics
+    from qforecast.runner import forecast_horizon
+
+    calls = []
+    real = metrics.forward_sequence
+    monkeypatch.setattr(metrics, "forward_sequence",
+                        lambda *args: calls.append(1) or real(*args))
+    n_features = dataset.train_matrix.shape[1]
+    configs = [HyperConfig(0.05, 1, 2, 4, seq, 32, 1) for seq in (3, 5)]
+    models = [("qlstm", config, init_qlstm(config, n_features, seed=seq))
+              for seq, config in enumerate(configs)]
+    result = forecast_horizon(dataset, models, [0.5, 0.5], horizon=6)
+    assert len(result.y_pred) == 6
+    assert len(calls) == 6 * 2

@@ -626,6 +626,24 @@ def test_rerun_of_a_csv_preprocess_works_from_another_directory(tmp_path, monkey
     assert "dataset.npz: identical" in out and "DIFFERS" not in out
 
 
+@pytest.mark.parametrize("damage, named", [
+    (lambda manifest: manifest["config"].pop("train_fraction"), "'train_fraction'"),
+    (lambda manifest: manifest["config"].update(train_fraction="x"), "'train_fraction'"),
+    (lambda manifest: manifest.update(config=[manifest["config"]]), "not a JSON object"),
+    (lambda manifest: manifest.update(command=["preprocess"]), "not re-runnable"),
+], ids=["missing-key", "mistyped-key", "config-list", "command-list"])
+def test_rerun_of_a_damaged_manifest_is_usage_error(tmp_path, capsys, damage, named):
+    run_dir = tmp_path / "run"
+    assert run_cli("preprocess", "--run", run_dir, "--synth-hours", 120) == 0
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    damage(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("rerun", "--manifest", manifest_path) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_output_root_env_rebases_relative_runs(tmp_path, monkeypatch):
     monkeypatch.setenv("QFORECAST_OUT_ROOT", str(tmp_path))
     assert run_cli("preprocess", "--run", "nested/exp", "--synth-hours", 120) == 0

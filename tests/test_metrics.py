@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qforecast.data import (
+    TEMPERATURE,
     destandardize_temperature,
     make_windows,
     prepare_dataset,
@@ -10,15 +11,21 @@ from qforecast.data import (
 from qforecast.errors import ConfigurationError, MetricUndefinedError, ShapeError
 from qforecast.metrics import (
     ForecastResult,
-    SequencePredictor,
     forecast_iterative,
     forecast_to_tsv,
     format_metrics_table,
-    mape,
     mape_with_exclusions,
     mse,
 )
-from qforecast.qlstm import HyperConfig, forward_sequence, init_classical_lstm, train
+from qforecast.qlstm import (
+    HyperConfig,
+    PersistenceModel,
+    forward_sequence,
+    init_classical_lstm,
+    init_qlstm,
+    predict_batch,
+    train,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -28,12 +35,12 @@ from qforecast.qlstm import HyperConfig, forward_sequence, init_classical_lstm, 
 
 def test_perfect_predictions():
     y = np.array([3.0, -2.0, 8.0])
-    assert mape(y, y) == 0.0
+    assert mape_with_exclusions(y, y)[0] == 0.0
     assert mse(y, y) == 0.0
 
 
 def test_mape_hand_value():
-    assert mape([100.0], [110.0]) == pytest.approx(10.0, abs=1e-12)
+    assert mape_with_exclusions([100.0], [110.0])[0] == pytest.approx(10.0, abs=1e-12)
 
 
 def test_mape_matches_loop_oracle():
@@ -45,7 +52,7 @@ def test_mape_matches_loop_oracle():
     for a, b in zip(y, yh):
         total += abs(a - b) / abs(a)
     want = 100.0 * total / 1000
-    assert mape(y, yh) == pytest.approx(want, abs=1e-12)
+    assert mape_with_exclusions(y, yh)[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_mape_exclusions_counted():
@@ -58,16 +65,16 @@ def test_mape_exclusions_counted():
 
 def test_mape_all_excluded_is_undefined():
     with pytest.raises(MetricUndefinedError):
-        mape([0.0, 1e-10], [1.0, 1.0])
+        mape_with_exclusions([0.0, 1e-10], [1.0, 1.0])[0]
 
 
 def test_mape_scale_invariance():
     rng = np.random.default_rng(3)
     y = rng.uniform(1.0, 10.0, size=200)
     yh = y + rng.normal(size=200)
-    base = mape(y, yh)
+    base = mape_with_exclusions(y, yh)[0]
     for c in (0.5, 3.0, 117.0):
-        assert mape(c * y, c * yh) == pytest.approx(base, abs=1e-12)
+        assert mape_with_exclusions(c * y, c * yh)[0] == pytest.approx(base, abs=1e-12)
 
 
 def test_mse_hand_value():
@@ -99,7 +106,7 @@ def test_length_mismatch():
     with pytest.raises(ShapeError):
         mse([1.0], [1.0, 2.0])
     with pytest.raises(ShapeError):
-        mape([1.0], [1.0, 2.0])
+        mape_with_exclusions([1.0], [1.0, 2.0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +140,7 @@ def trained_fixture():
 def test_horizon_one_equals_single_forward(trained_fixture):
     dataset, cfg, model = trained_fixture
     context = dataset.test_matrix[: cfg.sequence_length, :1]
-    predictor = SequencePredictor(cfg.sequence_length, lambda w: forward_sequence(model, w))
-    result = forecast_iterative([predictor], [1.0], context, dataset.scaler, horizon=1)
+    result = forecast_iterative([("lstm", cfg, model)], [1.0], context, dataset.scaler, 1)
     direct = forward_sequence(model, context[-cfg.sequence_length :])
     want = destandardize_temperature(np.array([direct]), dataset.scaler)[0]
     assert result.y_pred[0] == pytest.approx(want, abs=1e-12)
@@ -145,34 +151,44 @@ def test_24h_forecast_on_periodic_fixture(trained_fixture):
     seq = cfg.sequence_length
     context = dataset.test_matrix[:seq, :1]
     future = dataset.test_matrix[seq : seq + 24, 0]
-    predictor = SequencePredictor(seq, lambda w: forward_sequence(model, w))
     result = forecast_iterative(
-        [predictor], [1.0], context, dataset.scaler, horizon=24, true_future=future
+        [("lstm", cfg, model)], [1.0], context, dataset.scaler, 24, true_future=future
     )
     assert result.horizon == "24h"
-    assert mape(result.y_true, result.y_pred) < 5.0
+    assert mape_with_exclusions(result.y_true, result.y_pred)[0] < 5.0
 
 
-def test_teacher_forcing_beats_autoregression(trained_fixture):
-    dataset, cfg, model = trained_fixture
-    seq = cfg.sequence_length
-    context = dataset.test_matrix[:seq, :1]
-    future = dataset.test_matrix[seq : seq + 24, 0]
-    predictor = SequencePredictor(seq, lambda w: forward_sequence(model, w))
-    free = forecast_iterative(
-        [predictor], [1.0], context, dataset.scaler, horizon=24, true_future=future
-    )
-    forced = forecast_iterative(
-        [predictor], [1.0], context, dataset.scaler, horizon=24,
-        true_future=future, teacher_forcing=True,
-    )
-    assert mape(forced.y_true, forced.y_pred) <= mape(free.y_true, free.y_pred)
+def test_multi_model_forecast_matches_feedback_loop():
+    dataset = prepare_dataset(synth_series(240, seed=8))
+    n_features = dataset.train_matrix.shape[1]
+    cfg3 = HyperConfig(0.05, 1, 2, 4, 3, 32, 1)
+    cfg5 = HyperConfig(0.05, 1, 2, 4, 5, 32, 1)
+    models = [("qlstm", cfg3, init_qlstm(cfg3, n_features, seed=1)),
+              ("lstm", cfg5, init_classical_lstm(cfg5, n_features, seed=2))]
+    weights = np.array([0.3, 0.7])
+    context = dataset.train_matrix[-8:]
+    result = forecast_iterative(models, weights, context, dataset.scaler, 6)
+
+    buffer = context.copy()
+    want = []
+    for _ in range(6):
+        combined = 0.0
+        for w, (_, cfg, model) in zip(weights, models):
+            window = buffer[-cfg.sequence_length :]
+            combined += w * predict_batch(model, window[None])[0]
+        want.append(combined)
+        row = buffer[-1].copy()
+        row[TEMPERATURE] = combined
+        buffer = np.vstack([buffer, row])
+    np.testing.assert_array_equal(result.y_pred,
+                                  destandardize_temperature(np.array(want), dataset.scaler))
 
 
 def test_bad_horizon():
-    predictor = SequencePredictor(2, lambda w: 0.0)
+    cfg = HyperConfig(0.05, 1, 2, 4, 2, 32, 1)
+    models = [("persistence", cfg, PersistenceModel(input_dim=7))]
     with pytest.raises(ConfigurationError):
-        forecast_iterative([predictor], [1.0], np.zeros((3, 7)), _dummy_scaler(), horizon=0)
+        forecast_iterative(models, [1.0], np.zeros((3, 7)), _dummy_scaler(), 0)
 
 
 def _dummy_scaler():

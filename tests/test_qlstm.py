@@ -20,13 +20,11 @@ from qforecast.qlstm import (
     PersistenceModel,
     QLSTMParams,
     TrainReport,
-    classical_lstm_train,
     forward_sequence,
     init_classical_lstm,
     init_qlstm,
     load_checkpoint,
     predict_batch,
-    qlstm_step,
     save_checkpoint,
     train,
 )
@@ -68,31 +66,23 @@ def test_zero_initialized_cell_value():
         blk.thetas[:] = 0.0
     for key in ("w_in", "b_in", "w_h", "b_h", "w_y", "b_y"):
         getattr(model, key)[:] = 0.0
-    h, c, y = qlstm_step(model, np.zeros(2), np.zeros(3), np.zeros(2))
+    h, c, y, _ = model.step_batch(np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 2)),
+                                  want_y=True)
     expected_c = sigmoid(1.0) * np.tanh(1.0)
-    np.testing.assert_allclose(c, np.full(2, expected_c), atol=1e-12)
-    np.testing.assert_allclose(h, np.zeros(3), atol=1e-12)
-    np.testing.assert_allclose(y, np.zeros(1), atol=1e-12)
+    np.testing.assert_allclose(c, np.full((1, 2), expected_c), atol=1e-12)
+    np.testing.assert_allclose(h, np.zeros((1, 3)), atol=1e-12)
+    np.testing.assert_allclose(y, np.zeros((1, 1)), atol=1e-12)
 
 
 def test_step_output_shapes():
     # h lives in hidden_units space, the cell state in n_qubits space
     cfg = small_config(n_qubits=4, hidden_units=5)
     model = init_qlstm(cfg, input_dim=7, seed=1)
-    h, c, y = qlstm_step(model, np.zeros(7), np.zeros(5), np.zeros(4))
-    assert h.shape == (5,)
-    assert c.shape == (4,)
-    assert y.shape == (1,)
-
-
-def test_step_shape_errors():
-    model = init_qlstm(small_config(), input_dim=2, seed=2)
-    with pytest.raises(ShapeError):
-        qlstm_step(model, np.zeros(3), np.zeros(3), np.zeros(2))
-    with pytest.raises(ShapeError):
-        qlstm_step(model, np.zeros(2), np.zeros(4), np.zeros(2))
-    with pytest.raises(ShapeError):
-        qlstm_step(model, np.zeros(2), np.zeros(3), np.zeros(3))
+    h, c, y, _ = model.step_batch(np.zeros((1, 7)), np.zeros((1, 5)), np.zeros((1, 4)),
+                                  want_y=True)
+    assert h.shape == (1, 5)
+    assert c.shape == (1, 4)
+    assert y.shape == (1, 1)
 
 
 def test_gate_ranges():
@@ -126,8 +116,8 @@ def test_sequence_length_one_is_single_step():
     model = init_qlstm(small_config(sequence_length=1), input_dim=3, seed=3)
     x = np.random.default_rng(0).normal(size=(1, 3))
     pred = forward_sequence(model, x)
-    _, _, y = qlstm_step(model, x[0], np.zeros(3), np.zeros(2))
-    assert pred == y[0]
+    _, _, y, _ = model.step_batch(x, np.zeros((1, 3)), np.zeros((1, 2)), want_y=True)
+    assert pred == y[0, 0]
 
 
 def test_forward_is_deterministic():
@@ -365,7 +355,7 @@ def test_sine_fixture_classical(sine_dataset):
     cfg = HyperConfig(0.05, 1, 2, 4, 3, 32, 30)
     train_part, val_part = sine_dataset.train_val_windows(cfg.sequence_length)
     model = init_classical_lstm(cfg, input_dim=sine_dataset.train_matrix.shape[1], seed=42)
-    report = classical_lstm_train(model, cfg, train_part, val_part, seed=42)
+    report = train(model, cfg, train_part, val_part, seed=42)
     assert report.final_val_loss < 0.1
 
 
@@ -375,7 +365,7 @@ def test_classical_zero_learning_rate():
     cfg = small_config(learning_rate=0.0)
     model = init_classical_lstm(cfg, input_dim=3, seed=9)
     before = {k: v.copy() for k, v in model.param_arrays().items()}
-    classical_lstm_train(model, cfg, train_set, test_set, seed=9)
+    train(model, cfg, train_set, test_set, seed=9)
     for key, value in model.param_arrays().items():
         np.testing.assert_array_equal(value, before[key])
 

@@ -3,17 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
+from qforecast.bayesopt import KBestSet
 from qforecast.data import prepare_dataset, synth_series
 from qforecast.errors import CheckpointVersionError
 from qforecast.qlstm import HyperConfig, PersistenceModel, predict_batch
 from qforecast.runner import (
     derive_seed,
-    ensemble_checkpoint_parts,
     forecast_horizon,
     load_ensemble_checkpoint,
     probe_objective,
-    run_boq_ensemble,
-    run_genhyb_ensemble,
+    run_ensemble,
     save_ensemble_checkpoint,
     train_base_model,
     validation_targets,
@@ -34,6 +33,11 @@ def small_config(seq=3, **overrides):
                 sequence_length=seq, batch_size=32, epochs=2)
     base.update(overrides)
     return HyperConfig(**base)
+
+
+def genhyb_sets(configs):
+    """One K = 1 set per configuration: the GenHyb ensemble."""
+    return [KBestSet(m, [config], [0.0]) for m, config in enumerate(configs)]
 
 
 @pytest.fixture
@@ -102,27 +106,23 @@ def test_validation_targets_align_across_window_lengths(small_dataset):
 
 
 def test_boq_reuses_shared_trainings(small_dataset):
-    from qforecast.bayesopt import KBestSet
-
     memo = {}
     ksets = [
         KBestSet(0, [small_config(3), small_config(3, learning_rate=0.03)], [0.0, 1.0]),
         KBestSet(1, [small_config(5), small_config(5, learning_rate=0.03)], [0.0, 1.0]),
     ]
-    run = run_boq_ensemble(small_dataset, ksets, 11, memo=memo)
+    run = run_ensemble("bo-q", small_dataset, ksets, 11, memo=memo)
     assert run.enumeration.n_tuples == 4
     assert len(memo) == 4  # one training per distinct (model, config) pair
     assert [r["model"] for r in run.metrics_rows][-1] == "bo-q-ensemble"
 
 
 def test_boq_diverged_candidate_scores_inf(small_dataset, trainings):
-    from qforecast.bayesopt import KBestSet
-
     ksets = [
         KBestSet(0, [small_config(3), small_config(3, learning_rate=1e300)], [0.0, 1.0]),
         KBestSet(1, [small_config(5), small_config(5, learning_rate=0.03)], [0.0, 1.0]),
     ]
-    run = run_boq_ensemble(small_dataset, ksets, 11)
+    run = run_ensemble("bo-q", small_dataset, ksets, 11)
     assert len(trainings) == 4  # once per distinct (model, config) pair
     objectives = run.enumeration.objectives
     assert objectives[2:] == [float("inf")] * 2 and max(objectives[:2]) < float("inf")
@@ -130,10 +130,10 @@ def test_boq_diverged_candidate_scores_inf(small_dataset, trainings):
 
 def test_ensemble_checkpoint_round_trip(tmp_path, small_dataset):
     configs = [small_config(3), small_config(5)]
-    run = run_genhyb_ensemble(small_dataset, configs, 13)
+    run = run_ensemble("genhyb", small_dataset, genhyb_sets(configs), 13)
     path = tmp_path / "ensemble.npz"
     save_ensemble_checkpoint(path, run.architecture, run.weights,
-                             ensemble_checkpoint_parts(run))
+                             [b.triple for b in run.base_runs])
     arch, weights, models = load_ensemble_checkpoint(path)
     assert arch == "genhyb"
     np.testing.assert_array_equal(weights, run.weights)
@@ -165,8 +165,8 @@ def test_persistence_checkpoint_round_trip(tmp_path):
 
 def test_forecast_horizon_shapes(small_dataset):
     configs = [small_config(3), small_config(5)]
-    run = run_genhyb_ensemble(small_dataset, configs, 17)
-    result = forecast_horizon(small_dataset, ensemble_checkpoint_parts(run), run.weights,
+    run = run_ensemble("genhyb", small_dataset, genhyb_sets(configs), 17)
+    result = forecast_horizon(small_dataset, [b.triple for b in run.base_runs], run.weights,
                               horizon=24)
     assert len(result.y_pred) == 24
     assert result.y_true is not None and len(result.y_true) == 24
