@@ -25,6 +25,9 @@ print("<Z_i> of |psi(x)>       :", np.round(z_expectations(psi)[0], 6),
       "= cos(arctan x_i)")
 
 # --- the trainable part of a block is one unitary W ------------------------
+# compile_blocks builds W a layer at a time: each layer is a CNOT ring (one
+# permutation of the 8 amplitudes) then one Kronecker product of per-qubit
+# RZ RY RX matrices
 block = VQCBlock.random(n_qubits=3, n_layers=2, rng=rng)
 w_t = compile_blocks([block])
 print("\ncompiled W^T shape      :", w_t.shape)
@@ -36,6 +39,9 @@ print("block readout <Z_i>     :", np.round(readout, 6))
 print("same through W^T        :", np.round(z_expectations(psi @ w_t)[0], 6))
 
 # --- adjoint gradient vs finite differences --------------------------------
+# vqc_gradients_batch sweeps back over W's layers and reads each angle's
+# gradient from a 2 x 2 environment of its qubit; its input gradient (the
+# second result) comes from the per-qubit encoding factors that built psi
 upstream = np.ones((1, 3))
 adjoint, _ = vqc_gradients_batch(block, x, upstream)
 

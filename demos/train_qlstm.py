@@ -5,8 +5,6 @@ Run:  python3 demos/train_qlstm.py
 
 import warnings
 
-import numpy as np
-
 from qforecast.data import prepare_dataset, synth_series
 from qforecast.qlstm import HyperConfig, init_classical_lstm, init_qlstm, train
 

@@ -10,10 +10,12 @@ The cell state itself lives in qubit-count dimensions.
 Gradients flow through the full unrolled sequence; circuit angles and
 circuit inputs get exact adjoint gradients, everything classical is
 analytic backprop.  A forward pass compiles the six blocks once into their
-unitaries, so a step is two closed-form product states and two matrix
-products.  A backward pass takes the input gradients of each step through
-the adjoint unitaries and sums each block's psi^H lambda over the steps; one
-adjoint sweep per compiled block then gives its angle gradient for the
+unitaries, all six a layer at a time, so a step is two closed-form product
+states and two matrix products.  A training forward also caches each step
+input's encoding factors.  A backward pass takes the input gradients of
+each step through the adjoint unitaries and those cached factors, and sums
+each block's psi^H lambda over the steps; one sweep back over the layers of
+the six compiled blocks at once then gives every angle gradient for the
 whole minibatch.
 
 Models are stored through one codec: ``model_to_arrays`` names a model's
@@ -48,6 +50,7 @@ from .quantum import (
     compiled_theta_gradients,
     encoding_gradient,
     product_state,
+    product_state_and_factors,
     z_expectations,
     z_signs,
 )
@@ -136,7 +139,11 @@ class TrainReport:
 
 
 def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    """0.5 (1 + tanh(x / 2)), worked in place in one new array."""
+    out = np.tanh(0.5 * x)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def _check_windows(windows, input_dim: int) -> np.ndarray:
@@ -149,12 +156,13 @@ def _check_windows(windows, input_dim: int) -> np.ndarray:
     return windows
 
 
-def _encoded(x) -> np.ndarray:
-    """The product states of a step's circuit inputs, which must be finite:
-    exploded parameters show up here first."""
-    if not np.all(np.isfinite(x)):
+def _encoded(x, need_cache: bool) -> tuple:
+    """``(psi, factors)``: the product states of a step's circuit inputs, which
+    must be finite (exploded parameters show up here first), and for a cached
+    step the encoding factors its input gradient reads, else None."""
+    if not np.isfinite(x).all():
         raise NumericError("circuit inputs must be finite")
-    return product_state(x)
+    return product_state_and_factors(x) if need_cache else (product_state(x), None)
 
 
 def _as_xy(dataset):
@@ -220,16 +228,16 @@ class QLSTMParams:
         dim = unitaries.shape[0]
         concat = np.concatenate([h_prev, x_t], axis=1)
         v = concat @ self.w_in.T + self.b_in
-        psi_v = _encoded(v)
+        psi_v, enc_v = _encoded(v, need_cache)
         phi_v = psi_v @ unitaries[:, : 4 * dim]  # the four gates that read v, side by side
         z_v = z_expectations(phi_v.reshape(len(v), 4, dim))
-        f = _sigmoid(z_v[:, 0])
-        i = _sigmoid(z_v[:, 1])
-        g = np.tanh(z_v[:, 2])
-        o = _sigmoid(z_v[:, 3])
+        gates = _sigmoid(z_v)  # forget, input, update, output; the update gate is a tanh
+        gates[:, 2] = np.tanh(z_v[:, 2])
+        f, i, g, o = gates.swapaxes(0, 1)
         c = f * c_prev + i * g
-        u = o * np.tanh(c)
-        psi_u = _encoded(u)
+        tc = np.tanh(c)
+        u = o * tc
+        psi_u, enc_u = _encoded(u, need_cache)
         phi_u = psi_u @ unitaries[:, 4 * dim : (6 if want_y else 5) * dim]
         z_u = z_expectations(phi_u.reshape(len(u), -1, dim))
         z5 = z_u[:, 0]
@@ -240,8 +248,9 @@ class QLSTMParams:
         if need_cache:
             cache = {
                 "unitaries": unitaries, "concat": concat, "v": v, "psi_v": psi_v,
-                "phi_v": phi_v, "f": f, "i": i, "g": g, "o": o, "c_prev": c_prev, "c": c,
-                "u": u, "psi_u": psi_u, "phi_u": phi_u, "z5": z5, "z6": z6,
+                "enc_v": enc_v, "phi_v": phi_v, "gates": gates, "f": f, "i": i, "g": g,
+                "o": o, "c_prev": c_prev, "c": c, "tc": tc, "u": u, "psi_u": psi_u, "enc_u": enc_u,
+                "phi_u": phi_u, "z5": z5, "z6": z6,
             }
         return h, c, y, cache
 
@@ -252,10 +261,12 @@ class QLSTMParams:
     def forward_batch(self, windows, need_cache: bool = False):
         """Run full sequences; returns final predictions (batch,) and caches.
 
-        The six blocks are compiled once for the call, so each step costs one
-        product state and one matrix product for ``v`` and the same for ``u``.
-        They are compiled again on every call, because Adam moves the angles
-        in place between calls.
+        The six blocks are compiled once for the call, together and a layer
+        at a time, so each step costs one product state and one matrix
+        product for ``v`` and the same for ``u``.  They are compiled again on
+        every call, because Adam moves the angles in place between calls.
+        With ``need_cache`` each step also keeps the encoding factors of
+        ``v`` and ``u`` for ``backward``; without it none are built.
         """
         windows = _check_windows(windows, self.input_dim)
         batch, seq = windows.shape[0], windows.shape[1]
@@ -276,64 +287,70 @@ class QLSTMParams:
     def backward(self, caches, dpred):
         """BPTT through cached steps; ``dpred`` is (batch,) loss gradient on y.
 
-        Each step forms every block's lambda = phi * (dz @ signs), turns it
-        into input gradients through mu = W^dagger lambda, and adds psi^H
-        lambda to the block's sum G; one adjoint sweep per compiled block
-        then gives its theta gradient from that sum.
+        Each step forms every block's lambda = phi * (dz @ signs) and turns it
+        into input gradients through mu = W^dagger lambda, reading the
+        encoding factors the forward step cached.  The sums over the steps
+        wait for the end: each block's G = sum psi^H lambda is one product of
+        the stacked rows, written into place, and one sweep back over the
+        layers of all six compiled blocks then gives their theta gradients.
         """
-        seq = len(caches)
-        grads = {k: np.zeros_like(v) for k, v in self.param_arrays().items()}
         final = caches[-1]
         unitaries = final["unitaries"]
-        dim = unitaries.shape[0]
-        signs = z_signs(self.n_qubits)
-        gram = np.zeros_like(unitaries)
+        dim, n, seq, batch = unitaries.shape[0], self.n_qubits, len(caches), len(dpred)
+        signs = z_signs(n)
+        # every step's lambda rows, newest step first; the u rows' readout
+        # half is filled by the last step alone
+        lam_v = np.empty((seq, batch, 4 * dim), dtype=np.complex128)
+        lam_u = np.empty((seq, batch, 2 * dim), dtype=np.complex128)
+        steps = []  # what each step adds to the classical sums, newest first
 
-        def circuit_backward(x, psi, phi, dz, first):
-            # dz (batch, blocks, n) for the blocks from `first` on that read x
+        def circuit_backward(x, enc, psi, phi, dz, lam, first):
+            # dz (batch, blocks, n) for the blocks from `first` on that read x;
+            # their lambda goes into lam
             cols = slice(first * dim, (first + dz.shape[1]) * dim)
-            lam = phi * (dz @ signs).reshape(len(x), -1)
-            gram[:, cols] += psi.conj().T @ lam
+            np.multiply(phi, (dz.reshape(-1, n) @ signs).reshape(len(x), -1), out=lam)
             # mu = sum_k W_k^dagger lam_k, as rows: conj(W^T lam^H)^T
-            return encoding_gradient(x, (unitaries[:, cols] @ lam.conj().T).conj().T)
+            return encoding_gradient(x, enc, psi, (unitaries[:, cols] @ lam.conj().T).conj().T)
 
         dy = dpred[:, None]
-        grads["w_y"] += dy.T @ final["z6"]
-        grads["b_y"] += dy.sum(axis=0)
         dz6 = dy @ self.w_y
-
-        batch = dpred.shape[0]
         dh = np.zeros((batch, self.hidden_units))
-        dc_carry = np.zeros((batch, self.n_qubits))
-        for t in range(seq - 1, -1, -1):
-            cache = caches[t]
+        dc_carry = np.zeros((batch, n))
+        for t, cache in enumerate(reversed(caches)):
             dz5 = dh @ self.w_h
-            grads["w_h"] += dh.T @ cache["z5"]
-            grads["b_h"] += dh.sum(axis=0)
-            dz_u = np.stack([dz5, dz6], axis=1) if t == seq - 1 else dz5[:, None]
-            du = circuit_backward(cache["u"], cache["psi_u"], cache["phi_u"], dz_u, first=4)
-            o, f, i, g = cache["o"], cache["f"], cache["i"], cache["g"]
-            tc = np.tanh(cache["c"])
-            dc = dc_carry + du * o * (1.0 - tc * tc)
-            do = du * tc
-            dz4 = do * o * (1.0 - o)
-            df = dc * cache["c_prev"]
-            dz1 = df * f * (1.0 - f)
-            di = dc * g
-            dz2 = di * i * (1.0 - i)
-            dg = dc * i
-            dz3 = dg * (1.0 - g * g)
-            dc_carry = dc * f
+            dz_u = np.array([dz5, dz6]).swapaxes(0, 1) if t == 0 else dz5[:, None]
+            du = circuit_backward(cache["u"], cache["enc_u"], cache["psi_u"], cache["phi_u"],
+                                  dz_u, lam_u[t, :, : dz_u.shape[1] * dim], first=4)
+            gates, g, tc = cache["gates"], cache["g"], cache["tc"]
+            dc = dc_carry + du * cache["o"] * (1.0 - tc * tc)
+            # the four gates' output gradients, then their pre-activation ones
+            dz_v = np.empty_like(gates)
+            np.multiply(dc, cache["c_prev"], out=dz_v[:, 0])
+            np.multiply(dc, g, out=dz_v[:, 1])
+            np.multiply(dc, cache["i"], out=dz_v[:, 2])
+            np.multiply(du, tc, out=dz_v[:, 3])
+            slope = gates * (1.0 - gates)
+            slope[:, 2] = 1.0 - g * g
+            dz_v *= slope
+            dc_carry = dc * cache["f"]
 
-            dv = circuit_backward(cache["v"], cache["psi_v"], cache["phi_v"],
-                                  np.stack([dz1, dz2, dz3, dz4], axis=1), first=0)
-            grads["w_in"] += dv.T @ cache["concat"]
-            grads["b_in"] += dv.sum(axis=0)
+            dv = circuit_backward(cache["v"], cache["enc_v"], cache["psi_v"], cache["phi_v"],
+                                  dz_v, lam_v[t], first=0)
+            steps.append((dh, cache["z5"], dv, cache["concat"]))
             dh = (dv @ self.w_in)[:, : self.hidden_units]
 
+        dh, z5, dv, concat = (np.concatenate(rows) for rows in zip(*steps))
+        psi_v, psi_u = (np.concatenate([cache[key] for cache in reversed(caches)]).conj().T
+                        for key in ("psi_v", "psi_u"))
+        # each block's G, written into place: no (2**n, 4 * 2**n) temporary
+        gram = np.empty_like(unitaries)
+        np.matmul(psi_v, lam_v.reshape(-1, 4 * dim), out=gram[:, : 4 * dim])
+        np.matmul(psi_u, lam_u[:, :, :dim].reshape(-1, dim), out=gram[:, 4 * dim : 5 * dim])
+        np.matmul(final["psi_u"].conj().T, lam_u[0, :, dim:], out=gram[:, 5 * dim :])
         theta_grads = compiled_theta_gradients(self.vqc, unitaries, gram)
-        for name, theta_grad in zip(GATE_NAMES, theta_grads):
-            grads[f"theta_{name}"] += theta_grad
+        grads = {f"theta_{name}": grad for name, grad in zip(GATE_NAMES, theta_grads)}
+        grads.update(w_in=dv.T @ concat, b_in=dv.sum(axis=0), w_h=dh.T @ z5, b_h=dh.sum(axis=0),
+                     w_y=dy.T @ final["z6"], b_y=dy.sum(axis=0))
         return grads
 
 
@@ -514,27 +531,33 @@ class PersistenceModel:
 
 
 class Adam:
-    """Adam with the conventional moment settings ``BETA1``, ``BETA2``, ``EPS``."""
+    """Adam with the conventional moment settings ``BETA1``, ``BETA2``, ``EPS``.
+
+    The moments of all parameter arrays live in one flat vector, so a step
+    is a few whole-vector operations and one in-place update per array;
+    each element's arithmetic is the same as array by array."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params: dict, learning_rate: float):
         self.params = params
         self.lr = learning_rate
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.bounds = np.cumsum([0] + [value.size for value in params.values()])
+        self.m = np.zeros(self.bounds[-1])
+        self.v = np.zeros(self.bounds[-1])
         self.t = 0
 
     def step(self, grads: dict) -> None:
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
-        for key in self.params:
-            grad = grads[key]
-            self.m[key] = b1 * self.m[key] + (1 - b1) * grad
-            self.v[key] = b2 * self.v[key] + (1 - b2) * grad * grad
-            m_hat = self.m[key] / (1 - b1**self.t)
-            v_hat = self.v[key] / (1 - b2**self.t)
-            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        grad = np.concatenate([grads[key].ravel() for key in self.params])
+        self.m = b1 * self.m + (1 - b1) * grad
+        self.v = b2 * self.v + (1 - b2) * grad * grad
+        m_hat = self.m / (1 - b1**self.t)
+        v_hat = self.v / (1 - b2**self.t)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        for param, lo, hi in zip(self.params.values(), self.bounds, self.bounds[1:]):
+            param -= update[lo:hi].reshape(param.shape)
 
 
 def train(model, config: HyperConfig, train_set, test_set, seed) -> TrainReport:

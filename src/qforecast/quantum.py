@@ -1,29 +1,26 @@
 """Exact statevector simulation of small variational quantum circuits.
 
-Pure-numpy simulator for the circuit blocks used inside the quantum LSTM
-cell: an angle-encoding layer, ring entanglement, trainable single-qubit
-rotations, and Pauli-Z expectation readout.  Every block computation is
-built from three pieces: the encoding as a closed-form product state, one
-function that applies the trainable gates to any stack of rows, and one
-adjoint reverse sweep over those gates, which gives exact gradients with
-respect to the rotation angles and the inputs.
+Pure-numpy simulator for the circuit blocks of the quantum LSTM cell: an
+angle-encoding layer, then layers of a CNOT ring and trainable RX, RY, RZ
+rotations, and a Pauli-Z readout.  The encoding is a closed-form product
+state of per-qubit factors; ``product_state_and_factors`` also hands back
+those factors and their partners RZ RY |1>, so a training step builds them
+once and ``encoding_gradient`` reads them.  Between optimizer steps the
+angles are fixed, so the trainable part of a block is one 2**n x 2**n
+unitary W = K_L P ... K_1 P: each layer's ring is one fixed permutation P
+and its rotations one Kronecker product K = (x)_q RZ RY RX.
+``compile_blocks`` builds W layer by layer for every block at once, so a
+batch's output states are one matrix product; ``compiled_theta_gradients``
+takes W's columns and their cotangents back through the layers and reads
+each angle's gradient from a 2 x 2 per-qubit environment (Evenbly & Vidal,
+PRB 79, 144108, 2009).
 
-Between optimizer steps the angles are fixed, so the trainable part of a
-block is one 2**n x 2**n unitary W.  ``compile_blocks`` builds W^T by
-applying the gates to the basis rows; a batch's output states are then one
-matrix product, and ``compiled_theta_gradients`` runs the sweep once over
-W^T's rows to give the angle gradients of every row and step that fed the
-block.
-
-Conventions
------------
-* Qubit 0 is the least-significant bit of the amplitude index.
-* Simulation is exact (no shot sampling), so all outputs are deterministic.
+Qubit 0 is the least-significant bit of the amplitude index.  Simulation is
+exact (no shot sampling), so all outputs are deterministic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,61 +30,8 @@ from .errors import NumericError, ShapeError
 
 MAX_QUBITS = 10
 
-ROTATION_KINDS = ("rx", "ry", "rz")
-
-
-# ---------------------------------------------------------------------------
-# Batched kernels.  All operate on arrays of shape (batch, 2**n) and return
-# new arrays; the batch axis lets one call simulate many circuits at once.
-# ---------------------------------------------------------------------------
-
-
-def _halves(amps: np.ndarray, n: int, target: int):
-    # each row viewed as (pre, 2, post), split on the target qubit's bit
-    a = amps.reshape(amps.shape[0], 2 ** (n - 1 - target), 2, 2**target)
-    return a, a[:, :, 0, :], a[:, :, 1, :]
-
-
-def _apply_rotation(amps: np.ndarray, n: int, kind: str, target: int, angle) -> np.ndarray:
-    _, a0, a1 = _halves(amps, n, target)
-    c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
-    # each half is written in place: one temporary per half, not three
-    out, out0, out1 = _halves(np.empty_like(amps), n, target)
-    if kind == "rx":
-        np.multiply(c, a0, out=out0)
-        out0 -= 1j * s * a1
-        np.multiply(-1j * s, a0, out=out1)
-        out1 += c * a1
-    elif kind == "ry":
-        np.multiply(c, a0, out=out0)
-        out0 -= s * a1
-        np.multiply(s, a0, out=out1)
-        out1 += c * a1
-    else:  # rz
-        np.multiply(c - 1j * s, a0, out=out0)
-        np.multiply(c + 1j * s, a1, out=out1)
-    return out.reshape(amps.shape)
-
-
-def _generator_overlap(lam: np.ndarray, phi: np.ndarray, n: int, kind: str, target: int) -> float:
-    """Im<lam|P phi> summed over rows, for the Pauli P with R(theta) = exp(-i theta P / 2)."""
-    _, l0, l1 = _halves(lam.conj(), n, target)
-    _, p0, p1 = _halves(phi, n, target)
-    if kind == "rx":
-        return float(np.sum(l0 * p1 + l1 * p0).imag)
-    if kind == "ry":
-        return float(np.sum(l1 * p0 - l0 * p1).real)
-    return float(np.sum(l0 * p0 - l1 * p1).imag)
-
-
-@lru_cache(maxsize=None)
-def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(2**n)
-    return idx ^ (((idx >> control) & 1) << target)
-
-
-def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    return amps[:, _cnot_perm(n, control, target)]
+# the most amplitudes a stack of states compiled or swept at once may hold
+_CHUNK_AMPLITUDES = 2**14
 
 
 @lru_cache(maxsize=None)
@@ -98,10 +42,15 @@ def z_signs(n: int) -> np.ndarray:
     return (1.0 - 2.0 * bits).astype(np.float64)
 
 
+@lru_cache(maxsize=None)
+def _sign_columns(n: int) -> np.ndarray:
+    """``z_signs(n).T`` as a C-ordered copy, the layout matmul reads fastest."""
+    return np.ascontiguousarray(z_signs(n).T)
+
+
 def z_expectations(amps: np.ndarray) -> np.ndarray:
     """Per-qubit <Z> of states stacked along the last axis: ``(..., 2**n)`` -> ``(..., n)``."""
-    probs = amps.real**2 + amps.imag**2
-    return probs @ z_signs(amps.shape[-1].bit_length() - 1).T
+    return np.abs(amps) ** 2 @ _sign_columns(amps.shape[-1].bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +91,6 @@ class VQCBlock:
         return cls(n_qubits, n_layers, thetas)
 
 
-def encoding_angles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map raw inputs to the (RY, RZ) encoding angles, elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.arctan(x), np.arctan(x * x)
-
-
 def _check_inputs(block: VQCBlock, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != block.n_qubits:
@@ -160,11 +103,9 @@ def _check_inputs(block: VQCBlock, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The three building blocks.  Encoding: RY(a) then RZ(b) on |0> is
-# (cos(a/2) e^{-ib/2}, sin(a/2) e^{ib/2}), so an encoded row is a product
-# state.  Gates: the trainable part W(theta) applied to any stack of rows.
-# Adjoint sweep (Jones & Gacon, arXiv:2009.02823): un-applying the gates to
-# output pairs (phi, lambda) gives the theta gradient and mu = W^dagger lambda.
+# The encoding: RY(a) then RZ(b) on |0> is (cos(a/2) e^{-ib/2},
+# sin(a/2) e^{ib/2}), so an encoded row is a product state, and its input
+# gradient needs only mu = W^dagger lambda.
 # ---------------------------------------------------------------------------
 
 
@@ -179,17 +120,18 @@ def _kron_rows(factors: np.ndarray) -> np.ndarray:
 def _encoding_factors(x: np.ndarray, derivatives: bool):
     """Each qubit's RZ(b) RY(a) |0> as ``(batch, n, 2)``; with ``derivatives``
     also RZ(b) RY(a) |1>, which is twice the first one's derivative in a."""
-    a, b = encoding_angles(x)
+    a, b = np.arctan(x), np.arctan(x * x)
     c, s = np.cos(0.5 * a), np.sin(0.5 * a)
     ph = np.exp(-0.5j * b)
+    ph_c = ph.conj()
     zero = np.empty(x.shape + (2,), dtype=np.complex128)
     np.multiply(c, ph, out=zero[..., 0])
-    np.multiply(s, ph.conj(), out=zero[..., 1])
+    np.multiply(s, ph_c, out=zero[..., 1])
     if not derivatives:
         return zero
     one = np.empty_like(zero)
     np.multiply(-s, ph, out=one[..., 0])
-    np.multiply(c, ph.conj(), out=one[..., 1])
+    np.multiply(c, ph_c, out=one[..., 1])
     return zero, one
 
 
@@ -198,74 +140,138 @@ def product_state(x: np.ndarray) -> np.ndarray:
     return _kron_rows(_encoding_factors(x, derivatives=False))
 
 
-def encoding_gradient(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """``d/dx 2 Re<mu|psi(x)>`` row by row, for ``mu = W^dagger lambda``.
+def product_state_and_factors(x: np.ndarray) -> tuple:
+    """``(psi, factors)``: :func:`product_state` of ``x`` and the per-qubit
+    factors ``(RZ RY |0>, RZ RY |1>)`` it was built from, which
+    :func:`encoding_gradient` reads, so training computes them once."""
+    factors = _encoding_factors(x, derivatives=True)
+    return _kron_rows(factors[0]), factors
+
+
+def encoding_gradient(x: np.ndarray, factors: tuple, psi: np.ndarray,
+                      mu: np.ndarray) -> np.ndarray:
+    """``d/dx 2 Re<mu|psi(x)>`` row by row, for ``mu = W^dagger lambda``, from
+    the ``product_state_and_factors(x)`` pair ``(psi, factors)``.
 
     With E = prod_q RZ(b_q) RY(a_q), psi = E|0> and d psi/d a_q = E|2^q> / 2,
     the product state with qubit q's factor swapped for RZ RY |1>; and
     d psi/d b_q = -i Z_q psi / 2.  The arctan chain rule then maps the angle
     gradients to the inputs.
     """
-    x = np.asarray(x, dtype=np.float64)
+    zero, one = factors
     n = x.shape[1]
-    zero, one = _encoding_factors(x, derivatives=True)
-    # state 0 is psi, state 1 + q is E|2^q>
-    variants = np.repeat(zero[:, None], n + 1, axis=1)
+    # variant q is E|2^q>
+    variants = zero[:, None].repeat(n, axis=1)
     q = np.arange(n)
-    variants[:, 1 + q, q] = one
-    states, mu_c = _kron_rows(variants), mu.conj()
-    grad_a = (states[:, 1:] @ mu_c[:, :, None])[:, :, 0].real
-    grad_b = (states[:, 0] * mu_c).imag @ z_signs(n).T
-    return grad_a / (1.0 + x * x) + grad_b * (2.0 * x) / (1.0 + x**4)
+    variants[:, q, q] = one
+    mu_c = mu.conj()
+    grad_a = (_kron_rows(variants) @ mu_c[:, :, None])[:, :, 0].real
+    grad_b = (psi * mu_c).imag @ _sign_columns(n)
+    x2 = x * x
+    return grad_a / (1.0 + x2) + grad_b * (2.0 * x) / (1.0 + x2 * x2)
+
+
+# ---------------------------------------------------------------------------
+# The trainable part, one layer at a time.  K is applied as two dense factors,
+# K = K_high (x) K_low over the upper and lower halves of the qubits, so a
+# layer of every block in a ``(blocks, 2**n, columns)`` stack of states is
+# one permutation and two matmuls.
+# ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _trainable_gates(n: int, n_layers: int) -> tuple:
-    """The block's trainable gates in circuit order, written down only here:
-    per layer a CNOT ring (control q, target q + 1 mod n) then RX, RY, RZ on
-    each qubit.  Each gate is ``(kind, qubit, index)``, where ``index`` is
-    ``(layer, qubit, k)`` of ``thetas[layer, qubit, k]`` (None for a CNOT)."""
-    gates = []
-    for layer in range(n_layers):
-        if n >= 2:
-            gates += [("cnot", q, None) for q in range(n)]
-        for q in range(n):
-            gates += [(kind, q, (layer, q, k)) for k, kind in enumerate(ROTATION_KINDS)]
-    return tuple(gates)
+def _ring(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CNOT ring (control q, target q + 1 mod n, for q = 0, ..., n - 1) as
+    an index map and its inverse: the ring moves amplitude ``ring[k]`` to k.
+    A lone qubit has no ring."""
+    idx = np.arange(2**n)
+    ring = idx
+    for q in range(n if n >= 2 else 0):
+        ring = ring[idx ^ (((idx >> q) & 1) << ((q + 1) % n))]
+    return ring, np.argsort(ring)
 
 
-def _apply_gates(rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """W(thetas) applied to every row of ``rows`` (each row is a state)."""
-    n_layers, n, _ = thetas.shape
-    for kind, q, index in _trainable_gates(n, n_layers):
-        if kind == "cnot":
-            rows = _apply_cnot(rows, n, q, (q + 1) % n)
-        else:
-            rows = _apply_rotation(rows, n, kind, q, thetas[index])
-    return rows
+def _rotations(thetas: np.ndarray) -> np.ndarray:
+    """Each qubit's RZ(t_z) RY(t_y) RX(t_x) as one matrix: ``(..., 3) -> (..., 2, 2)``.
 
-
-def _adjoint_sweep(phi: np.ndarray, lam: np.ndarray,
-                   thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse sweep over the trainable gates from the output pairs ``(phi_r, lam_r)``.
-
-    Returns the sum over rows of ``2 Re<lam_r| dW/dtheta W^dagger phi_r>``,
-    shaped like ``thetas``, and ``mu = W^dagger lam``.  At a rotation
-    R(theta) = exp(-i theta P / 2) both states are the ones just after it,
-    and as dR/dtheta = -i P R / 2 the row's term is Im<lam|P phi>.
+    The product is [[a, -b*], [b, a*]] with a = e^{-i t_z/2} (cy cx + i sy sx)
+    and b = e^{i t_z/2} (sy cx - i cy sx), where c_k, s_k = cos, sin(t_k / 2).
     """
-    n_layers, n, _ = thetas.shape
-    rows = phi.shape[0]
-    grad = np.empty_like(thetas)
-    # rows [:rows] hold phi and rows [rows:] lambda, so one kernel call moves both
-    pair = np.concatenate([phi, lam])
-    for kind, q, index in reversed(_trainable_gates(n, n_layers)):
-        if kind == "cnot":
-            pair = _apply_cnot(pair, n, q, (q + 1) % n)
-            continue
-        grad[index] = _generator_overlap(pair[rows:], pair[:rows], n, kind, q)
-        pair = _apply_rotation(pair, n, kind, q, -thetas[index])
-    return grad, pair[rows:]
+    c, s = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
+    cx, cy, sx, sy = c[..., 0], c[..., 1], s[..., 0], s[..., 1]
+    phase = np.exp(-0.5j * thetas[..., 2])
+    a = phase * (cy * cx + 1j * (sy * sx))
+    b = phase.conj() * (sy * cx - 1j * (cy * sx))
+    return np.stack([a, -b.conj(), b, a.conj()], axis=-1).reshape(thetas.shape[:-1] + (2, 2))
+
+
+def _kron(factors: np.ndarray) -> np.ndarray:
+    """``(blocks, k, 2, 2)`` per-qubit matrices to their ``(blocks, 2**k, 2**k)``
+    Kronecker product, qubit 0 least significant (k = 0 gives the identity)."""
+    out = np.ones((len(factors), 1, 1), dtype=np.complex128)
+    for u in factors.swapaxes(0, 1):
+        size = 2 * out.shape[1]
+        out = (u[:, :, None, :, None] * out[:, None, :, None, :]).reshape(len(u), size, size)
+    return out
+
+
+def _layer_factors(thetas: np.ndarray) -> list:
+    """``(K_low, K_high)`` of every layer of ``(blocks, layers, n, 3)`` angles:
+    K_low over qubits 0 .. ceil(n/2) - 1, K_high over the rest."""
+    split = (thetas.shape[2] + 1) // 2
+    return [(_kron(rot[:, :split]), _kron(rot[:, split:]))
+            for rot in _rotations(thetas).swapaxes(0, 1)]
+
+
+def _apply_layer(states: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """``(K_high (x) K_low) states`` for a ``(blocks, 2**n, columns)`` stack."""
+    blocks, dim, cols = states.shape
+    n_low, n_high = low.shape[-1], high.shape[-1]
+    states = low[:, None] @ states.reshape(blocks, n_high, n_low, cols)
+    return (high @ states.reshape(blocks, n_high, n_low * cols)).reshape(blocks, dim, cols)
+
+
+def _layer_gradients(phi: np.ndarray, lam_c: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """One layer's theta gradients, ``(blocks, n, 3)``, from the stacked states
+    ``phi`` just after it and the conjugates ``lam_c`` of their cotangents.
+
+    An angle of qubit q moves phi by H phi, H = dU/dtheta U^dagger for the
+    qubit's fused rotation U, so its gradient is 2 Re sum H * rho over the
+    qubit's environment rho[a, c]: conj(lam) phi summed over the columns and
+    the other qubits.  Each half's environment is one matmul, and each
+    qubit's a partial trace of its half's.
+    """
+    (blocks, dim, cols), n = phi.shape, thetas.shape[1]
+    split = (n + 1) // 2  # the qubits of K_low
+    n_low, n_high = 2**split, dim >> split
+    env_low = (lam_c.reshape(blocks, n_high, n_low, cols)
+               @ phi.reshape(blocks, n_high, n_low, cols).swapaxes(2, 3)).sum(axis=1)
+    env_high = (lam_c.reshape(blocks, n_high, n_low * cols)
+                @ phi.reshape(blocks, n_high, n_low * cols).swapaxes(1, 2))
+    rho = np.empty((blocks, n, 2, 2), dtype=np.complex128)
+    for q in range(n):
+        env, k, size = (env_low, q, split) if q < split else (env_high, q - split, n - split)
+        hi, lo = 2 ** (size - 1 - k), 2**k
+        # a qubit alone in its half has its half's environment
+        rho[:, q] = env if size == 1 else np.einsum(
+            "bhalhcl->bac", env.reshape(blocks, hi, 2, lo, hi, 2, lo))
+    # the closed forms H_z = -iZ/2, H_y = RZ (-iY/2) RZ^dagger and
+    # H_x = RZ RY (-iX/2) RY^dagger RZ^dagger, contracted with rho
+    diff = rho[..., 0, 0] - rho[..., 1, 1]
+    phase = np.exp(1j * thetas[..., 2])
+    up, down = rho[..., 0, 1] * phase.conj(), rho[..., 1, 0] * phase
+    grad = np.empty(thetas.shape)
+    grad[..., 0] = (np.cos(thetas[..., 1]) * (up + down) - np.sin(thetas[..., 1]) * diff).imag
+    grad[..., 1] = (down - up).real
+    grad[..., 2] = diff.imag
+    return grad
+
+
+def _column_chunks(n_blocks: int, dim: int) -> list:
+    """Slices of the 2**n columns, each an independent state, to take at once
+    for every block: up to ``_CHUNK_AMPLITUDES`` amplitudes, or one column."""
+    step = max(1, _CHUNK_AMPLITUDES // (n_blocks * dim))
+    return [slice(c, c + step) for c in range(0, dim, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,59 +287,74 @@ def compile_blocks(blocks) -> np.ndarray:
     by side.  It is built from the angles at the time of the call, so it is
     stale once any ``thetas`` change.
     """
-    dim = 2 ** blocks[0].n_qubits
-    basis = np.eye(dim, dtype=np.complex128)
-    out = np.empty((dim, len(blocks) * dim), dtype=np.complex128)
-    for k, blk in enumerate(blocks):
-        out[:, k * dim:(k + 1) * dim] = _apply_gates(basis, blk.thetas)
-    return out
+    thetas = np.stack([blk.thetas for blk in blocks])
+    dim, (ring, inverse) = 2 ** thetas.shape[2], _ring(thetas.shape[2])
+    (low, high), *later = _layer_factors(thetas)
+    out = np.empty((dim, len(blocks), dim), dtype=np.complex128)
+    for cols in _column_chunks(len(blocks), dim):
+        # the first ring takes basis column e_r to e_k, k = inverse[r], and the
+        # first rotations take that to column k of K_high (x) K_low
+        k_high, k_low = np.divmod(inverse[cols], low.shape[-1])
+        states = (high[:, :, None, k_high] * low[:, None, :, k_low]).reshape(len(blocks), dim, -1)
+        for layer in later:
+            states = _apply_layer(states[:, ring], *layer)
+        out[cols] = states.transpose(2, 0, 1)  # column r of W is row r of W^T
+    return out.reshape(dim, -1)
 
 
 def compiled_theta_gradients(blocks, unitaries: np.ndarray, gram: np.ndarray) -> list:
-    """Each block's theta gradient, from one sweep per block.
+    """Each block's theta gradient, from one sweep back over the layers.
 
     ``unitaries`` is :func:`compile_blocks` of ``blocks`` and ``gram`` holds,
     in the same column blocks, ``G_k = sum psi^H lambda_k`` over every row
-    and step that fed block k.  Row r of W_k^T is W_k applied to basis state
-    r, and sum_r e_r (row r of G_k)^H = sum psi lambda_k^H, so a sweep over
-    these rows gives what a sweep over every (psi, lambda) pair would.
+    and step that fed block k.  As sum_r e_r (row r of G_k)^H equals
+    sum psi lambda_k^H, the rows of W_k^T and G_k, as output states and
+    their cotangents, give what every (psi, lambda) pair would.
     """
-    dim = unitaries.shape[0]
-    return [_adjoint_sweep(unitaries[:, k * dim:(k + 1) * dim], gram[:, k * dim:(k + 1) * dim],
-                           blk.thetas)[0]
-            for k, blk in enumerate(blocks)]
+    thetas = np.stack([blk.thetas for blk in blocks])
+    n_blocks, dim, inverse = len(blocks), unitaries.shape[0], _ring(thetas.shape[2])[1]
+    factors = _layer_factors(thetas)
+    # K^dagger takes the states back through a layer, K^T their conjugated
+    # cotangents; the sweep stops at the first layer, so it never undoes it
+    undo = [None] + [[np.concatenate([f.conj().swapaxes(1, 2), f.swapaxes(1, 2)])
+                      for f in low_high] for low_high in factors[1:]]
+    grads = np.zeros(thetas.shape)
+    for cols in _column_chunks(n_blocks, dim):
+        pair = np.concatenate([unitaries.reshape(dim, n_blocks, dim)[cols].transpose(1, 2, 0),
+                               gram.reshape(dim, n_blocks, dim)[cols].transpose(1, 2, 0)])
+        np.conjugate(pair[n_blocks:], out=pair[n_blocks:])
+        for layer in reversed(range(len(factors))):
+            grads[:, layer] += _layer_gradients(pair[:n_blocks], pair[n_blocks:], thetas[:, layer])
+            if layer:
+                pair = _apply_layer(pair, *undo[layer])[:, inverse]
+    return list(grads)
 
 
 # ---------------------------------------------------------------------------
-# One block on a batch of raw inputs.
+# One block on a batch of raw inputs: the compiled path with one block.
 # ---------------------------------------------------------------------------
 
 
 def run_vqc_batch(block: VQCBlock, inputs: np.ndarray) -> np.ndarray:
     """Run the block on a (batch, n_qubits) input matrix; returns (batch, n_qubits) <Z> values."""
     inputs = _check_inputs(block, inputs)
-    return z_expectations(_apply_gates(product_state(inputs), block.thetas))
+    return z_expectations(product_state(inputs) @ compile_blocks([block]))
 
 
 def vqc_gradients_batch(block: VQCBlock, inputs: np.ndarray,
                         upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint gradients of ``sum_b upstream_b . output_b``.
-
-    Parameters
-    ----------
-    inputs : (batch, n_qubits) raw input matrix.
-    upstream : (batch, n_qubits) cotangent for each circuit's output.
-
-    Returns
-    -------
-    theta_grad : array with the shape of ``block.thetas`` (summed over batch).
-    input_grad : (batch, n_qubits) gradient with respect to the raw inputs.
-    """
+    """Gradients of ``sum_b upstream_b . output_b`` for ``(batch, n_qubits)``
+    inputs and upstream cotangents: the theta gradient, shaped like
+    ``block.thetas`` and summed over the batch, and the input gradient."""
     inputs = _check_inputs(block, inputs)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != inputs.shape:
         raise ShapeError(f"upstream must match inputs shape {inputs.shape}, got {upstream.shape}")
-    phi = _apply_gates(product_state(inputs), block.thetas)
+    unitary = compile_blocks([block])
+    psi, factors = product_state_and_factors(inputs)
+    phi = psi @ unitary
     # lambda = O phi for the diagonal observable O = sum_q upstream_q Z_q
-    grad, mu = _adjoint_sweep(phi, phi * (upstream @ z_signs(block.n_qubits)), block.thetas)
-    return grad, encoding_gradient(inputs, mu)
+    lam = phi * (upstream @ z_signs(block.n_qubits))
+    grad = compiled_theta_gradients([block], unitary, psi.conj().T @ lam)[0]
+    # mu = W^dagger lambda, as rows lambda conj(W)
+    return grad, encoding_gradient(inputs, factors, psi, lam @ unitary.conj().T)

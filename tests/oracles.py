@@ -4,9 +4,9 @@ Everything here is written the slow, obvious way (dense matrices, explicit
 loops) so the fast library paths can be checked against a second route.
 """
 
-import numpy as np
+from functools import lru_cache
 
-from qforecast.quantum import run_vqc_batch, vqc_gradients_batch
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # Dense-unitary circuit oracle.  Builds the full 2^n x 2^n matrix of every
@@ -26,17 +26,25 @@ def dense_rotation(kind, angle):
     raise ValueError(kind)
 
 
+def kron(a, b):
+    """Kronecker product of two matrices: block (i, j) is a[i, j] * b."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def place_single(gate2x2, target, n):
     high = np.eye(2 ** (n - 1 - target), dtype=complex)
-    return np.kron(np.kron(high, gate2x2), np.eye(2**target, dtype=complex))
+    return kron(kron(high, gate2x2), np.eye(2**target, dtype=complex))
 
 
+@lru_cache(maxsize=None)
 def dense_cnot(control, target, n):
     dim = 2**n
     mat = np.zeros((dim, dim), dtype=complex)
     for j in range(dim):
         k = j ^ (((j >> control) & 1) << target)
         mat[k, j] = 1.0
+    mat.flags.writeable = False  # cached: every caller gets this array
     return mat
 
 
@@ -89,38 +97,54 @@ def dense_vqc_expectations(n_qubits, n_layers, thetas, x):
 
 def parameter_shift_gradients(block, inputs, upstream):
     """(theta_grad, input_grad) of ``sum_b upstream_b . output_b``, as
-    ``qforecast.quantum.vqc_gradients_batch`` returns them."""
+    ``qforecast.quantum.vqc_gradients_batch`` returns them.
+
+    The dense unitary of a block is its trainable part times its encoding
+    layer, so each shifted theta builds the trainable part once for all rows
+    and each shifted input angle builds one row's encoded state.
+    """
     n, layers = block.n_qubits, block.n_layers
     inputs = np.asarray(inputs, dtype=float)
-    theta_grad = np.zeros_like(block.thetas)
-    input_grad = np.zeros_like(inputs)
+    zeros = np.zeros(n)
     shift = np.pi / 2
-    for b, (x, u) in enumerate(zip(inputs, upstream)):
 
-        def value(thetas, enc_ry, enc_rz):
-            psi = dense_angle_unitary(n, layers, thetas, enc_ry, enc_rz)[:, 0]
-            return float(u @ dense_z_readout(psi, n))
+    def trainable(thetas):
+        return dense_angle_unitary(n, layers, thetas, zeros, zeros)
 
-        enc = [np.arctan(x), np.arctan(x * x)]
-        for idx in np.ndindex(block.thetas.shape):
-            plus, minus = block.thetas.copy(), block.thetas.copy()
-            plus[idx] += shift
-            minus[idx] -= shift
-            theta_grad[idx] += (value(plus, *enc) - value(minus, *enc)) / 2
+    def encoded(enc_ry, enc_rz):
+        return dense_angle_unitary(n, 0, None, enc_ry, enc_rz)[:, 0]
+
+    def value(unitary, psi, u):
+        return float(u @ dense_z_readout(unitary @ psi, n))
+
+    encs = [[np.arctan(x), np.arctan(x * x)] for x in inputs]
+    states = [encoded(*enc) for enc in encs]
+    theta_grad = np.zeros_like(block.thetas)
+    for idx in np.ndindex(block.thetas.shape):
+        plus, minus = block.thetas.copy(), block.thetas.copy()
+        plus[idx] += shift
+        minus[idx] -= shift
+        w_plus, w_minus = trainable(plus), trainable(minus)
+        for psi, u in zip(states, upstream):
+            theta_grad[idx] += (value(w_plus, psi, u) - value(w_minus, psi, u)) / 2
+    unitary = trainable(block.thetas)
+    input_grad = np.zeros_like(inputs)
+    for b, (x, u, enc) in enumerate(zip(inputs, upstream, encs)):
         for slot, d_angle_dx in enumerate([1 / (1 + x * x), 2 * x / (1 + x**4)]):
             for q in range(n):
                 plus, minus = [a.copy() for a in enc], [a.copy() for a in enc]
                 plus[slot][q] += shift
                 minus[slot][q] -= shift
-                d_angle = (value(block.thetas, *plus) - value(block.thetas, *minus)) / 2
+                d_angle = (value(unitary, encoded(*plus), u)
+                           - value(unitary, encoded(*minus), u)) / 2
                 input_grad[b, q] += d_angle * d_angle_dx[q]
     return theta_grad, input_grad
 
 
 # ---------------------------------------------------------------------------
-# The quantum LSTM cell block by block: every step runs each circuit block
-# through ``run_vqc_batch`` and every backward step takes its gradients from
-# ``vqc_gradients_batch``, gate by gate on the step's own rows.
+# The quantum LSTM cell block by block: every step reads each circuit block
+# from its dense unitary, row by row, and every backward step takes the
+# block's gradients from ``parameter_shift_gradients``.
 # ---------------------------------------------------------------------------
 
 
@@ -128,22 +152,28 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+def dense_block_outputs(block, inputs):
+    """``(batch, n)`` <Z> readouts of a ``VQCBlock``, one dense unitary per input row."""
+    return np.array([dense_vqc_expectations(block.n_qubits, block.n_layers, block.thetas, x)
+                     for x in inputs])
+
+
 def cell_oracle_step(params, x_t, h_prev, c_prev, want_y):
     """One cell step of a ``QLSTMParams``; returns (h, c, y, cache)."""
     concat = np.concatenate([h_prev, x_t], axis=1)
     v = concat @ params.w_in.T + params.b_in
-    f = _sigmoid(run_vqc_batch(params.vqc[0], v))
-    i = _sigmoid(run_vqc_batch(params.vqc[1], v))
-    g = np.tanh(run_vqc_batch(params.vqc[2], v))
-    o = _sigmoid(run_vqc_batch(params.vqc[3], v))
+    f = _sigmoid(dense_block_outputs(params.vqc[0], v))
+    i = _sigmoid(dense_block_outputs(params.vqc[1], v))
+    g = np.tanh(dense_block_outputs(params.vqc[2], v))
+    o = _sigmoid(dense_block_outputs(params.vqc[3], v))
     c = f * c_prev + i * g
     tc = np.tanh(c)
     u = o * tc
-    z5 = run_vqc_batch(params.vqc[4], u)
+    z5 = dense_block_outputs(params.vqc[4], u)
     h = z5 @ params.w_h.T + params.b_h
     y = z6 = None
     if want_y:
-        z6 = run_vqc_batch(params.vqc[5], u)
+        z6 = dense_block_outputs(params.vqc[5], u)
         y = z6 @ params.w_y.T + params.b_y
     cache = {"concat": concat, "v": v, "f": f, "i": i, "g": g, "o": o,
              "c_prev": c_prev, "c": c, "tc": tc, "u": u, "z5": z5, "z6": z6}
@@ -179,14 +209,14 @@ def cell_oracle_backward(params, caches, dpred):
         cache = caches[t]
         du = np.zeros((batch, params.n_qubits))
         if t == seq - 1:
-            tg, ig = vqc_gradients_batch(params.vqc[5], cache["u"], dz6)
+            tg, ig = parameter_shift_gradients(params.vqc[5], cache["u"], dz6)
             grads["theta_readout"] += tg
             du += ig
         if np.any(dh):
             dz5 = dh @ params.w_h
             grads["w_h"] += dh.T @ cache["z5"]
             grads["b_h"] += dh.sum(axis=0)
-            tg, ig = vqc_gradients_batch(params.vqc[4], cache["u"], dz5)
+            tg, ig = parameter_shift_gradients(params.vqc[4], cache["u"], dz5)
             grads["theta_hidden"] += tg
             du += ig
         o, tc, f, i, g = cache["o"], cache["tc"], cache["f"], cache["i"], cache["g"]
@@ -208,7 +238,7 @@ def cell_oracle_backward(params, caches, dpred):
             (params.vqc[2], "theta_update", dz3),
             (params.vqc[3], "theta_output", dz4),
         ):
-            tg, ig = vqc_gradients_batch(blk, cache["v"], dz)
+            tg, ig = parameter_shift_gradients(blk, cache["v"], dz)
             grads[key] += tg
             dv += ig
         grads["w_in"] += dv.T @ cache["concat"]

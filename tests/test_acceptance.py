@@ -3,7 +3,6 @@ pass/fail line with its runtime (run with ``pytest -v -s`` to see them).
 """
 
 import itertools
-import json
 import time
 import warnings
 
@@ -16,7 +15,6 @@ from qforecast.benchmarks import one_max, rastrigin, sphere, RASTRIGIN_BOUNDS, S
 from qforecast.bayesopt import (
     KBestSet,
     bo_minimize_unit,
-    enumerate_ensembles,
     expected_improvement,
     gp_fit,
     gp_posterior,
@@ -34,7 +32,6 @@ from qforecast.data import (
 )
 from qforecast.ensemble import evolve_weights, finalize_weights
 from qforecast.metaheuristics import hybrid_minimize, pso_minimize, qga_minimize
-from qforecast.metrics import mape_with_exclusions
 from qforecast.qlstm import HyperConfig, init_qlstm
 from qforecast.quantum import (
     VQCBlock,

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from qforecast.bayesopt import (
-    EnsembleCandidate,
-    GPSurrogate,
     KBestSet,
     _neg_ei,
     acquire_next,

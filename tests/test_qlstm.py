@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforecast.data import make_windows, prepare_dataset, synth_series
+from qforecast.data import prepare_dataset, synth_series
 from qforecast.errors import (
     CheckpointVersionError,
     ConfigurationError,
@@ -13,13 +13,9 @@ from qforecast.errors import (
     ShapeError,
 )
 from qforecast.qlstm import (
-    GATE_NAMES,
     PREDICT_BLOCK_ROWS,
-    ClassicalLSTMParams,
     HyperConfig,
     PersistenceModel,
-    QLSTMParams,
-    TrainReport,
     forward_sequence,
     init_classical_lstm,
     init_qlstm,
@@ -28,7 +24,7 @@ from qforecast.qlstm import (
     save_checkpoint,
     train,
 )
-from qforecast.quantum import VQCBlock
+from qforecast.quantum import product_state_and_factors
 
 from oracles import cell_oracle_backward, cell_oracle_forward, dense_vqc_expectations
 
@@ -251,6 +247,25 @@ def test_forward_compiles_at_the_current_angles():
     after, _ = model.forward_batch(windows)
     assert not np.allclose(before, after)
     assert_matches_cell_oracle(model, windows, targets)
+
+
+def test_backward_reuses_the_cached_encoding_factors_exactly():
+    # a training forward caches each step input's encoding factors for
+    # backward; factors rebuilt from the cached inputs give the same
+    # gradients bit for bit
+    rng = np.random.default_rng(16)
+    model = init_qlstm(small_config(n_qubits=3, n_layers=2, sequence_length=4),
+                       input_dim=3, seed=17)
+    windows, targets = rng.normal(size=(6, 4, 3)), rng.normal(size=6)
+    preds, caches = model.forward_batch(windows, need_cache=True)
+    rebuilt = [dict(cache, enc_v=product_state_and_factors(cache["v"])[1],
+                    enc_u=product_state_and_factors(cache["u"])[1]) for cache in caches]
+    assert rebuilt[0]["enc_v"][1] is not caches[0]["enc_v"][1]
+    dpred = 2.0 * (preds - targets) / len(targets)
+    cached, fresh = model.backward(caches, dpred), model.backward(rebuilt, dpred)
+    assert cached.keys() == fresh.keys()
+    for key in cached:
+        assert cached[key].tobytes() == fresh[key].tobytes(), key
 
 
 @pytest.mark.parametrize("kind", ["qlstm", "lstm", "persistence"])

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qforecast import quantum
 from qforecast.errors import ShapeError
 from qforecast.quantum import (
     VQCBlock,
-    _apply_cnot,
+    _ring,
     compile_blocks,
     compiled_theta_gradients,
     product_state,
@@ -18,6 +19,7 @@ from qforecast.quantum import (
 from oracles import (
     central_difference,
     dense_angle_unitary,
+    dense_cnot,
     dense_vqc_expectations,
     parameter_shift_gradients,
 )
@@ -37,17 +39,16 @@ def test_ry_pi_flips_qubit():
     np.testing.assert_allclose(psi @ unitary, [[0.0, 1.0]], atol=1e-12)
 
 
-def test_cnot_truth_table():
-    # CNOT(control 0, target 1) on the basis |q1 q0>: |00>->|00>, |01>->|11>,
-    # |10>->|10>, |11>->|01>; amplitude index j = q0 + 2 q1
-    out = _apply_cnot(np.eye(4, dtype=complex), 2, 0, 1)
-    np.testing.assert_array_equal(out, np.eye(4)[[0, 3, 2, 1]])
-    # (|q0=1,q1=0> + |q0=0,q1=0>)/sqrt(2) --CNOT(c=0,t=1)--> (|11> + |00>)/sqrt(2)
-    amps = np.zeros((1, 4), dtype=complex)
-    amps[0, 0] = amps[0, 1] = 1 / np.sqrt(2)
-    expected = np.zeros((1, 4), dtype=complex)
-    expected[0, 0] = expected[0, 3] = 1 / np.sqrt(2)
-    np.testing.assert_allclose(_apply_cnot(amps, 2, 0, 1), expected, atol=1e-12)
+def test_cnot_ring_matches_dense_cnots():
+    for n in (2, 3, 4):
+        # the ring CNOT(0, 1), CNOT(1, 2), ..., CNOT(n - 1, 0) in circuit order
+        want = np.eye(2**n)
+        for q in range(n):
+            want = dense_cnot(q, (q + 1) % n, n) @ want
+        ring, inverse = _ring(n)
+        # after the ring, amplitude k holds what amplitude ring[k] held
+        np.testing.assert_array_equal(np.eye(2**n)[ring], want)
+        np.testing.assert_array_equal(ring[inverse], np.arange(2**n))
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +202,39 @@ def test_adjoint_gradients_match_shift_and_dense_oracles(n, layers, batch, seed)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_compiled_blocks_match_dense_unitary_and_adjoint(n, layers):
     rng = np.random.default_rng(10 * n + layers)
-    blocks = [VQCBlock.random(n, layers, rng) for _ in range(2)]
     dim = 2**n
+    # two blocks, and the cell's six
+    for count in (2, 6):
+        blocks = [VQCBlock.random(n, layers, rng) for _ in range(count)]
+        unitaries = compile_blocks(blocks)
+        assert unitaries.shape == (dim, count * dim)
+        xs = rng.normal(size=(6, n))
+        ups = rng.normal(size=(count, 6, n))
+        psi = product_state(xs)
+        gram = np.empty_like(unitaries)
+        for k, blk in enumerate(blocks):
+            cols = slice(k * dim, (k + 1) * dim)
+            # zero encoding angles leave only the trainable part W of the block
+            want = dense_angle_unitary(n, layers, blk.thetas, np.zeros(n), np.zeros(n)).T
+            np.testing.assert_allclose(unitaries[:, cols], want, rtol=0, atol=1e-12)
+            phi = psi @ unitaries[:, cols]
+            gram[:, cols] = psi.conj().T @ (phi * (ups[k] @ z_signs(n)))
+        grads = compiled_theta_gradients(blocks, unitaries, gram)
+        for k, blk in enumerate(blocks):
+            want, _ = parameter_shift_gradients(blk, xs, ups[k])
+            scale = max(1.0, np.abs(want).max())
+            np.testing.assert_allclose(grads[k], want, rtol=0, atol=1e-12 * scale)
+
+
+def test_column_chunks_give_the_same_unitaries_and_gradients(monkeypatch):
+    # at large n the columns are compiled and swept a few at a time; one
+    # column per chunk does the same at small n
+    rng = np.random.default_rng(5)
+    blocks = [VQCBlock.random(3, 2, rng) for _ in range(6)]
     unitaries = compile_blocks(blocks)
-    assert unitaries.shape == (dim, 2 * dim)
-    xs = rng.normal(size=(6, n))
-    ups = rng.normal(size=(2, 6, n))
-    psi = product_state(xs)
-    gram = np.empty_like(unitaries)
-    for k, blk in enumerate(blocks):
-        cols = slice(k * dim, (k + 1) * dim)
-        # zero encoding angles leave only the trainable part W of the block
-        want = dense_angle_unitary(n, layers, blk.thetas, np.zeros(n), np.zeros(n)).T
-        np.testing.assert_allclose(unitaries[:, cols], want, rtol=0, atol=1e-12)
-        phi = psi @ unitaries[:, cols]
-        gram[:, cols] = psi.conj().T @ (phi * (ups[k] @ z_signs(n)))
+    gram = rng.normal(size=unitaries.shape) + 1j * rng.normal(size=unitaries.shape)
     grads = compiled_theta_gradients(blocks, unitaries, gram)
-    for k, blk in enumerate(blocks):
-        want, _ = vqc_gradients_batch(blk, xs, ups[k])
-        scale = max(1.0, np.abs(want).max())
-        np.testing.assert_allclose(grads[k], want, rtol=0, atol=1e-12 * scale)
+    monkeypatch.setattr(quantum, "_CHUNK_AMPLITUDES", 1)
+    np.testing.assert_allclose(compile_blocks(blocks), unitaries, rtol=0, atol=1e-12)
+    for got, want in zip(compiled_theta_gradients(blocks, unitaries, gram), grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
