@@ -39,6 +39,7 @@ import zipfile
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .errors import CheckpointVersionError, ConfigurationError, DataError
 
@@ -497,8 +498,7 @@ def prepare_dataset(matrix: np.ndarray, train_fraction: float = TRAIN_FRACTION) 
 
 def save_dataset(path, dataset: Dataset) -> None:
     """Versioned binary cache with the scaler embedded."""
-    np.savez(
-        path,
+    write_npz(path, dict(
         version=np.array(CACHE_VERSION),
         train_matrix=dataset.train_matrix,
         test_matrix=dataset.test_matrix,
@@ -511,7 +511,25 @@ def save_dataset(path, dataset: Dataset) -> None:
         robust_skip=dataset.scaler.robust_skip,
         z_skip=dataset.scaler.z_skip,
         n_fit_rows=np.array(dataset.scaler.n_fit_rows),
-    )
+    ))
+
+
+def write_npz(path, arrays: dict) -> None:
+    """Write ``arrays`` as ``np.savez`` does, byte for byte, without its copy.
+
+    ``np.savez`` hands each contiguous array to ``nditer`` as one chunk and
+    writes ``chunk.tobytes()``, a copy of the whole array.  Here each member
+    is its ``.npy`` header and then the array's own buffer; only an array
+    that is neither C- nor Fortran-contiguous is copied, into C order.
+    """
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, value in arrays.items():
+            value = np.asanyarray(value)
+            header = npy_format.header_data_from_array_1_0(value)
+            data = value.T if header["fortran_order"] else np.ascontiguousarray(value)
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                npy_format.write_array_header_1_0(member, header)
+                member.write(data.reshape(-1).view(np.uint8))
 
 
 class NpzArrays(dict):

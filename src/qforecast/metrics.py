@@ -5,9 +5,10 @@ targets with |y| below 1e-8 are excluded from the sum and counted in a
 reported exclusion tally (temperatures in Celsius do cross zero).  The
 24-hour forecast is iterative and takes the same ``(kind, config, model)``
 triples as the test-set evaluation in ``runner``: each step runs every model
-once on its trailing window (``forward_sequence``), and the weighted
-prediction is fed back as the next window's temperature while the exogenous
-features persist from the last observed hour.
+once on its trailing window (``forward_sequence``, with the model's circuits
+compiled once for the whole forecast), and the weighted prediction is fed
+back as the next window's temperature while the exogenous features persist
+from the last observed hour.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .data import TEMPERATURE, ScalerState, destandardize_temperature
 from .errors import ConfigurationError, MetricUndefinedError, ShapeError
-from .qlstm import forward_sequence
+from .qlstm import compile_model, forward_sequence
 
 ZERO_TOLERANCE = 1e-8
 
@@ -82,7 +83,10 @@ def forecast_iterative(
 
     ``context`` is the standardized trailing history (at least the longest
     window).  Each combined prediction is written back into the temperature
-    column of a growing buffer.
+    column of the next row of a buffer.  Every model is compiled once
+    (:func:`~qforecast.qlstm.compile_model`), and each hour runs it through
+    ``forward_sequence`` with that compile: the angles do not move during a
+    forecast.
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
@@ -96,16 +100,19 @@ def forecast_iterative(
     if true_future is not None and len(true_future) < horizon:
         raise ShapeError("true_future shorter than the forecast horizon")
 
-    buffer = context[-max_seq:].copy()
+    compiled = [compile_model(model) for _, _, model in models]
+    buffer = np.empty((max_seq + horizon, context.shape[1]))
+    buffer[:max_seq] = context[-max_seq:]
     preds_std = np.empty(horizon)
     for step in range(horizon):
+        end = max_seq + step
         combined = 0.0
-        for w, (_, config, model) in zip(weights, models):
-            combined += w * forward_sequence(model, buffer[-config.sequence_length :])
+        for w, (_, config, model), unitaries in zip(weights, models, compiled):
+            combined += w * forward_sequence(model, buffer[end - config.sequence_length : end],
+                                             unitaries)
         preds_std[step] = combined
-        next_row = buffer[-1].copy()
-        next_row[TEMPERATURE] = combined
-        buffer = np.vstack([buffer, next_row])
+        buffer[end] = buffer[end - 1]
+        buffer[end, TEMPERATURE] = combined
 
     y_pred = destandardize_temperature(preds_std, scaler)
     y_true = None
@@ -126,24 +133,29 @@ def forecast_iterative(
 
 
 def tsv_lines(results: list[ForecastResult]):
-    """Delimited lines (timestamp, y_true, y_pred, model), header first,
-    each without its newline."""
-    yield "timestamp\ty_true\ty_pred\tmodel"
+    """Delimited lines (timestamp, y_true, y_pred, model), header first, each
+    with its newline.  A series is one bound ``str.format`` mapped over its
+    columns' ``tolist()``; the model tag is literal text in that template."""
+    yield "timestamp\ty_true\ty_pred\tmodel\n"
     for res in results:
-        for k, ts in enumerate(res.timestamps):
-            truth = "" if res.y_true is None else format(res.y_true[k], ".10g")
-            yield f"{ts}\t{truth}\t{res.y_pred[k]:.10g}\t{res.model}"
+        tag = res.model.replace("{", "{{").replace("}", "}}")
+        if res.y_true is None:
+            yield from map(f"{{}}\t\t{{:.10g}}\t{tag}\n".format, res.timestamps,
+                           res.y_pred.tolist())
+        else:
+            yield from map(f"{{}}\t{{:.10g}}\t{{:.10g}}\t{tag}\n".format, res.timestamps,
+                           res.y_true.tolist(), res.y_pred.tolist())
 
 
 def forecast_to_tsv(results: list[ForecastResult]) -> str:
-    """Delimited text for any plotting tool: :func:`tsv_lines`, one per line."""
-    return "".join(line + "\n" for line in tsv_lines(results))
+    """Delimited text for any plotting tool: :func:`tsv_lines` joined."""
+    return "".join(tsv_lines(results))
 
 
 def write_tsv(results: list[ForecastResult], path) -> None:
     """Write :func:`forecast_to_tsv`'s text to ``path`` line by line."""
     with open(path, "w") as fh:
-        fh.writelines(line + "\n" for line in tsv_lines(results))
+        fh.writelines(tsv_lines(results))
 
 
 def format_metrics_table(rows: list[dict]) -> str:

@@ -11,12 +11,15 @@ Gradients flow through the full unrolled sequence; circuit angles and
 circuit inputs get exact adjoint gradients, everything classical is
 analytic backprop.  A forward pass compiles the six blocks once into their
 unitaries, all six a layer at a time, so a step is two closed-form product
-states and two matrix products.  A training forward also caches each step
-input's encoding factors.  A backward pass takes the input gradients of
-each step through the adjoint unitaries and those cached factors, and sums
-each block's psi^H lambda over the steps; one sweep back over the layers of
-the six compiled blocks at once then gives every angle gradient for the
-whole minibatch.
+states and two matrix products.  Inference at fixed angles compiles once
+for a whole prediction or forecast (``compile_model``), and predicts in
+blocks whose row count follows from the circuit width.  A training forward
+also caches each step input's encoding factors and the layer factors of
+the compile.  A backward pass takes the input gradients of each step
+through the adjoint unitaries and those cached factors, and sums each
+block's psi^H lambda over the steps; one sweep back over the layers of the
+six compiled blocks at once then gives every angle gradient for the whole
+minibatch.
 
 Models are stored through one codec: ``model_to_arrays`` names a model's
 kind (``qlstm``, ``lstm`` or ``persistence``) and its parameter arrays, and
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TEMPERATURE, read_npz
+from .data import TEMPERATURE, read_npz, write_npz
 from .errors import (
     CheckpointVersionError,
     ConfigurationError,
@@ -49,6 +52,7 @@ from .quantum import (
     compile_blocks,
     compiled_theta_gradients,
     encoding_gradient,
+    layer_factors,
     product_state,
     product_state_and_factors,
     z_expectations,
@@ -258,20 +262,27 @@ class QLSTMParams:
         """One cell step over a batch; returns (h, c, y, cache)."""
         return self._step(compile_blocks(self.vqc), x_t, h_prev, c_prev, want_y, need_cache=True)
 
-    def forward_batch(self, windows, need_cache: bool = False):
+    def forward_batch(self, windows, need_cache: bool = False, unitaries=None):
         """Run full sequences; returns final predictions (batch,) and caches.
 
-        The six blocks are compiled once for the call, together and a layer
-        at a time, so each step costs one product state and one matrix
-        product for ``v`` and the same for ``u``.  They are compiled again on
-        every call, because Adam moves the angles in place between calls.
-        With ``need_cache`` each step also keeps the encoding factors of
-        ``v`` and ``u`` for ``backward``; without it none are built.
+        The six blocks are compiled together and a layer at a time, so each
+        step costs one product state and one matrix product for ``v`` and the
+        same for ``u``.  A caller that runs several forwards at fixed angles
+        (``predict_batch``, ``forecast_iterative``) compiles them once with
+        :func:`compile_model` and hands the result over as ``unitaries``.
+        Without it they are compiled here, at the angles of this call,
+        because Adam moves the angles in place between training calls.  With
+        ``need_cache`` each step also keeps the encoding factors of ``v`` and
+        ``u`` for ``backward``, and the last step the layer factors the
+        blocks were compiled from; without it none are kept.
         """
         windows = _check_windows(windows, self.input_dim)
         batch, seq = windows.shape[0], windows.shape[1]
-        # [W_f^T | W_i^T | W_g^T | W_o^T | W_hidden^T | W_readout^T]
-        unitaries = compile_blocks(self.vqc)
+        factors = None
+        if unitaries is None:
+            factors = layer_factors(self.vqc)
+            # [W_f^T | W_i^T | W_g^T | W_o^T | W_hidden^T | W_readout^T]
+            unitaries = compile_blocks(self.vqc, factors)
         h = np.zeros((batch, self.hidden_units))
         c = np.zeros((batch, self.n_qubits))
         caches = []
@@ -280,6 +291,8 @@ class QLSTMParams:
                                         want_y=(t == seq - 1), need_cache=need_cache)
             if need_cache:
                 caches.append(cache)
+        if need_cache:
+            caches[-1]["factors"] = factors
         return y[:, 0], caches
 
     # -- backward ------------------------------------------------------------
@@ -347,7 +360,7 @@ class QLSTMParams:
         np.matmul(psi_v, lam_v.reshape(-1, 4 * dim), out=gram[:, : 4 * dim])
         np.matmul(psi_u, lam_u[:, :, :dim].reshape(-1, dim), out=gram[:, 4 * dim : 5 * dim])
         np.matmul(final["psi_u"].conj().T, lam_u[0, :, dim:], out=gram[:, 5 * dim :])
-        theta_grads = compiled_theta_gradients(self.vqc, unitaries, gram)
+        theta_grads = compiled_theta_gradients(self.vqc, unitaries, gram, final.get("factors"))
         grads = {f"theta_{name}": grad for name, grad in zip(GATE_NAMES, theta_grads)}
         grads.update(w_in=dv.T @ concat, b_in=dv.sum(axis=0), w_h=dh.T @ z5, b_h=dh.sum(axis=0),
                      w_y=dy.T @ final["z6"], b_y=dy.sum(axis=0))
@@ -373,33 +386,61 @@ def init_qlstm(config: HyperConfig, input_dim: int, seed) -> QLSTMParams:
     )
 
 
-def forward_sequence(params, window) -> float:
+def compile_model(params):
+    """What ``forward_batch(..., unitaries=)`` reads for ``params``: a QLSTM's
+    six blocks compiled at their current angles, or None for a model
+    without circuits."""
+    return compile_blocks(params.vqc) if isinstance(params, QLSTMParams) else None
+
+
+def forward_sequence(params, window, unitaries=None) -> float:
     """Run any model over one ``(seq, input_dim)`` window from zero state;
     returns the final prediction.  The multi-step forecast makes its
-    one-window calls here."""
+    one-window calls here, each with the model's one :func:`compile_model`."""
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[1] != params.input_dim:
         raise ShapeError(f"window must be (seq, {params.input_dim}), got {window.shape}")
-    pred, _ = params.forward_batch(window[None])
+    pred, _ = params.forward_batch(window[None], unitaries=unitaries)
     return float(pred[0])
 
 
-PREDICT_BLOCK_ROWS = 4096  # windows per forward pass; a multiple of the BLAS row tile
+# predict_batch keeps its working memory, beside its input and output, within
+# PREDICT_BLOCK_BYTES for n <= 6.  A block of windows holds 6 x 2**n output
+# amplitudes per window at a step.  With the states that fed them, their
+# squared magnitudes, the classical rows and the compiled unitaries beside
+# them, that is budgeted at 128 bytes an amplitude (measured: 40 at most for
+# the block, and 70 with a (6, 3) compile).  A block takes as many windows as
+# fit, and no fewer than PREDICT_MIN_ROWS: below that each step's fixed numpy
+# calls outweigh its arithmetic (64-window blocks made a (6, 3) prediction
+# about 10% slower).  Every block size is then a power of two, so a multiple
+# of the BLAS row tile.  A model without circuits takes the n = 0 size.
+PREDICT_BLOCK_BYTES = 3 * 2**20  # 1 024 windows at n = 2, 128 from n = 5 on
+PREDICT_MIN_ROWS = 128
+
+
+def prediction_block_rows(params) -> int:
+    """Windows per forward pass of :func:`predict_batch` for ``params``."""
+    n = params.n_qubits if isinstance(params, QLSTMParams) else 0
+    return max(PREDICT_MIN_ROWS, PREDICT_BLOCK_BYTES // (128 * 6 * 2**n))
 
 
 def predict_batch(params, windows) -> np.ndarray:
     """Predictions for a stack of windows (works for every model type), made
-    ``PREDICT_BLOCK_ROWS`` windows at a time so memory stays bounded.
+    :func:`prediction_block_rows` windows at a time so memory stays bounded,
+    with the model compiled once for all of the blocks.
 
     Every block starts on a multiple of the BLAS row tile, and a lone last
     window joins the block before it, since numpy multiplies a single row by
     another BLAS routine whose rounding can differ.  So the result is bit for
     bit one ``forward_batch`` over the whole stack."""
     windows = _check_windows(windows, params.input_dim)
-    starts = [*range(0, max(len(windows) - 1, 1), PREDICT_BLOCK_ROWS), len(windows)]
+    if not len(windows):
+        return np.empty(0)
+    rows, unitaries = prediction_block_rows(params), compile_model(params)
+    starts = [*range(0, max(len(windows) - 1, 1), rows), len(windows)]
     preds = np.empty(len(windows))
     for lo, hi in zip(starts, starts[1:]):
-        preds[lo:hi] = params.forward_batch(windows[lo:hi])[0]
+        preds[lo:hi] = params.forward_batch(windows[lo:hi], unitaries=unitaries)[0]
     return preds
 
 
@@ -430,7 +471,8 @@ class ClassicalLSTMParams:
             "w_y": self.w_y, "b_y": self.b_y,
         }
 
-    def forward_batch(self, windows, need_cache: bool = False):
+    def forward_batch(self, windows, need_cache: bool = False, unitaries=None):
+        """Run full sequences; ``unitaries`` is :func:`compile_model`'s None."""
         windows = _check_windows(windows, self.input_dim)
         batch, seq = windows.shape[0], windows.shape[1]
         h = np.zeros((batch, self.hidden_units))
@@ -520,7 +562,8 @@ class PersistenceModel:
     def param_arrays(self) -> dict:
         return {}
 
-    def forward_batch(self, windows, need_cache: bool = False):
+    def forward_batch(self, windows, need_cache: bool = False, unitaries=None):
+        """The last temperature of each window; ``unitaries`` is :func:`compile_model`'s None."""
         windows = _check_windows(windows, self.input_dim)
         return windows[:, -1, TEMPERATURE].copy(), []
 
@@ -698,8 +741,7 @@ def save_checkpoint(path, model, config: HyperConfig) -> None:
     payload = {"version": np.array(CHECKPOINT_VERSION), "kind": np.array(kind), **arrays,
                "config_json": np.array(config.to_json()),
                "input_dim": np.array(model.input_dim)}
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
+    write_npz(path, payload)
 
 
 def load_checkpoint(path):

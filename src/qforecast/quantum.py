@@ -11,7 +11,8 @@ unitary W = K_L P ... K_1 P: each layer's ring is one fixed permutation P
 and its rotations one Kronecker product K = (x)_q RZ RY RX.
 ``compile_blocks`` builds W layer by layer for every block at once, so a
 batch's output states are one matrix product; ``compiled_theta_gradients``
-takes W's columns and their cotangents back through the layers and reads
+takes W's columns and their cotangents back through the same layers
+(``layer_factors``, built once for both) and reads
 each angle's gradient from a 2 x 2 per-qubit environment (Evenbly & Vidal,
 PRB 79, 144108, 2009).
 
@@ -49,8 +50,12 @@ def _sign_columns(n: int) -> np.ndarray:
 
 
 def z_expectations(amps: np.ndarray) -> np.ndarray:
-    """Per-qubit <Z> of states stacked along the last axis: ``(..., 2**n)`` -> ``(..., n)``."""
-    return np.abs(amps) ** 2 @ _sign_columns(amps.shape[-1].bit_length() - 1)
+    """Per-qubit <Z> of states stacked along the last axis: ``(..., 2**n)`` -> ``(..., n)``.
+
+    The magnitudes are squared in place, so the states get one real copy."""
+    probs = np.abs(amps)
+    probs *= probs
+    return probs @ _sign_columns(amps.shape[-1].bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +220,12 @@ def _kron(factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _layer_factors(thetas: np.ndarray) -> list:
-    """``(K_low, K_high)`` of every layer of ``(blocks, layers, n, 3)`` angles:
-    K_low over qubits 0 .. ceil(n/2) - 1, K_high over the rest."""
+def layer_factors(blocks) -> list:
+    """``(K_low, K_high)`` of every layer of blocks sharing ``n_qubits`` and
+    ``n_layers``: K_low over qubits 0 .. ceil(n/2) - 1, K_high over the rest.
+    :func:`compile_blocks` and :func:`compiled_theta_gradients` both read
+    them, so a training minibatch builds them once and hands them to both."""
+    thetas = np.stack([blk.thetas for blk in blocks])
     split = (thetas.shape[2] + 1) // 2
     return [(_kron(rot[:, :split]), _kron(rot[:, split:]))
             for rot in _rotations(thetas).swapaxes(0, 1)]
@@ -279,17 +287,18 @@ def _column_chunks(n_blocks: int, dim: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def compile_blocks(blocks) -> np.ndarray:
+def compile_blocks(blocks, factors=None) -> np.ndarray:
     """``[W_0^T | W_1^T | ...]``: the ``(2**n, len(blocks) * 2**n)`` unitaries
     of blocks sharing ``n_qubits`` and ``n_layers``, side by side.
 
     A product state ``psi`` times it gives every block's output state side
-    by side.  It is built from the angles at the time of the call, so it is
-    stale once any ``thetas`` change.
+    by side.  It is built from the angles at the time of the call, or from
+    ``factors``, their :func:`layer_factors`, so it is stale once any
+    ``thetas`` change.
     """
-    thetas = np.stack([blk.thetas for blk in blocks])
-    dim, (ring, inverse) = 2 ** thetas.shape[2], _ring(thetas.shape[2])
-    (low, high), *later = _layer_factors(thetas)
+    n = blocks[0].n_qubits
+    dim, (ring, inverse) = 2**n, _ring(n)
+    (low, high), *later = layer_factors(blocks) if factors is None else factors
     out = np.empty((dim, len(blocks), dim), dtype=np.complex128)
     for cols in _column_chunks(len(blocks), dim):
         # the first ring takes basis column e_r to e_k, k = inverse[r], and the
@@ -302,18 +311,22 @@ def compile_blocks(blocks) -> np.ndarray:
     return out.reshape(dim, -1)
 
 
-def compiled_theta_gradients(blocks, unitaries: np.ndarray, gram: np.ndarray) -> list:
+def compiled_theta_gradients(blocks, unitaries: np.ndarray, gram: np.ndarray,
+                             factors=None) -> list:
     """Each block's theta gradient, from one sweep back over the layers.
 
     ``unitaries`` is :func:`compile_blocks` of ``blocks`` and ``gram`` holds,
     in the same column blocks, ``G_k = sum psi^H lambda_k`` over every row
     and step that fed block k.  As sum_r e_r (row r of G_k)^H equals
     sum psi lambda_k^H, the rows of W_k^T and G_k, as output states and
-    their cotangents, give what every (psi, lambda) pair would.
+    their cotangents, give what every (psi, lambda) pair would.  ``factors``
+    is the :func:`layer_factors` the unitaries were compiled from, when the
+    caller kept them.
     """
     thetas = np.stack([blk.thetas for blk in blocks])
     n_blocks, dim, inverse = len(blocks), unitaries.shape[0], _ring(thetas.shape[2])[1]
-    factors = _layer_factors(thetas)
+    if factors is None:
+        factors = layer_factors(blocks)
     # K^dagger takes the states back through a layer, K^T their conjugated
     # cotangents; the sweep stops at the first layer, so it never undoes it
     undo = [None] + [[np.concatenate([f.conj().swapaxes(1, 2), f.swapaxes(1, 2)])

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .bayesopt import EnumerationResult, enumerate_ensembles
-from .data import Dataset, destandardize_temperature, read_npz
+from .data import Dataset, destandardize_temperature, read_npz, write_npz
 from .ensemble import EnsembleWeights, combine_predictions
 from .errors import ConfigurationError, DataError, NumericDivergenceError
 from .metrics import ForecastResult, forecast_iterative, mape_with_exclusions, mse
@@ -247,7 +247,7 @@ def save_ensemble_checkpoint(path, architecture: str, weights, models: list) -> 
         payload[f"model{i}_config"] = np.array(config.to_json())
         payload[f"model{i}_input_dim"] = np.array(model.input_dim)
         payload.update({f"model{i}_{key}": value for key, value in arrays.items()})
-    np.savez(path, **payload)
+    write_npz(path, payload)
 
 
 def load_ensemble_checkpoint(path):

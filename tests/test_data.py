@@ -30,6 +30,7 @@ from qforecast.data import (
     synth_series,
     transform,
     write_csv,
+    write_npz,
     _parse_rows,
 )
 from qforecast.errors import ConfigurationError, DataError
@@ -528,6 +529,27 @@ def test_synth_minimum_length():
 # ---------------------------------------------------------------------------
 # Cache round trip
 # ---------------------------------------------------------------------------
+
+
+def test_npz_writer_matches_savez_byte_for_byte(tmp_path):
+    # every kind of array the dataset cache and both checkpoints store, plus
+    # the layouts that are not C order
+    matrix = np.random.default_rng(3).normal(size=(40, 7))
+    arrays = {
+        "version": np.array(1),
+        "n_rows": np.array(96432, dtype=np.int64),
+        "train_matrix": matrix,
+        "empty": np.empty((0, 7)),
+        "robust_skip": np.array([True, False, True]),
+        "config_json": np.array('{"n_qubits": 2}'),
+        "kind": np.array("qlstm"),
+        "strided": matrix[::3, 1::2],
+        "fortran": np.asfortranarray(matrix[:5]),
+        "scalar": np.float64(0.25),
+    }
+    write_npz(tmp_path / "ours.npz", arrays)
+    np.savez(tmp_path / "numpy.npz", **arrays)
+    assert (tmp_path / "ours.npz").read_bytes() == (tmp_path / "numpy.npz").read_bytes()
 
 
 def test_dataset_cache_round_trip(tmp_path):

@@ -8,6 +8,7 @@ from qforecast.data import (
     prepare_dataset,
     synth_series,
 )
+from qforecast import qlstm
 from qforecast.errors import ConfigurationError, MetricUndefinedError, ShapeError
 from qforecast.metrics import (
     ForecastResult,
@@ -16,6 +17,7 @@ from qforecast.metrics import (
     format_metrics_table,
     mape_with_exclusions,
     mse,
+    write_tsv,
 )
 from qforecast.qlstm import (
     HyperConfig,
@@ -184,6 +186,23 @@ def test_multi_model_forecast_matches_feedback_loop():
                                   destandardize_temperature(np.array(want), dataset.scaler))
 
 
+def test_forecast_compiles_each_model_once(monkeypatch):
+    # the angles do not move during a forecast, so each model is compiled
+    # once for all of its hours
+    calls = []
+    real = qlstm.compile_blocks
+    monkeypatch.setattr(qlstm, "compile_blocks", lambda *args: calls.append(1) or real(*args))
+    dataset = prepare_dataset(synth_series(240, seed=8))
+    n_features = dataset.train_matrix.shape[1]
+    configs = [HyperConfig(0.05, 1, 2, 4, seq, 32, 1) for seq in (3, 5)]
+    models = [("qlstm", config, init_qlstm(config, n_features, seed=seq))
+              for seq, config in enumerate(configs)]
+    result = forecast_iterative(models, [0.5, 0.5], dataset.train_matrix[-8:],
+                                dataset.scaler, 6)
+    assert len(result.y_pred) == 6
+    assert len(calls) == 2
+
+
 def test_bad_horizon():
     cfg = HyperConfig(0.05, 1, 2, 4, 2, 32, 1)
     models = [("persistence", cfg, PersistenceModel(input_dim=7))]
@@ -217,6 +236,27 @@ def test_forecast_tsv_layout():
     lines = text.strip().split("\n")
     assert lines[0] == "timestamp\ty_true\ty_pred\tmodel"
     assert lines[1] == "1\t1\t1.5\tdemo"
+
+
+def test_tsv_edge_values_and_literal_model_tags(tmp_path):
+    extremes = np.array([-0.0, 5e-324, 1e-300, 1e300])
+    results = [
+        ForecastResult([1, 2, 3, 4], extremes, extremes[::-1].copy(), "a{0}%s}", "4-step"),
+        ForecastResult([7, 8], None, np.array([-0.0, 1e300]), "{", "2-step"),
+    ]
+    text = forecast_to_tsv(results)
+    assert text.split("\n") == [
+        "timestamp\ty_true\ty_pred\tmodel",
+        "1\t-0\t1e+300\ta{0}%s}",
+        "2\t4.940656458e-324\t1e-300\ta{0}%s}",
+        "3\t1e-300\t4.940656458e-324\ta{0}%s}",
+        "4\t1e+300\t-0\ta{0}%s}",
+        "7\t\t-0\t{",
+        "8\t\t1e+300\t{",
+        "",
+    ]
+    write_tsv(results, tmp_path / "out.tsv")
+    assert (tmp_path / "out.tsv").read_text() == text
 
 
 def test_metrics_table_row_order():

@@ -12,8 +12,10 @@ from qforecast.errors import (
     NumericDivergenceError,
     ShapeError,
 )
+from qforecast import qlstm
 from qforecast.qlstm import (
-    PREDICT_BLOCK_ROWS,
+    PREDICT_BLOCK_BYTES,
+    PREDICT_MIN_ROWS,
     HyperConfig,
     PersistenceModel,
     forward_sequence,
@@ -21,6 +23,7 @@ from qforecast.qlstm import (
     init_qlstm,
     load_checkpoint,
     predict_batch,
+    prediction_block_rows,
     save_checkpoint,
     train,
 )
@@ -299,27 +302,59 @@ def prediction_models():
 @pytest.mark.parametrize("kind", ["qlstm-n2", "qlstm-n3", "lstm", "persistence"])
 def test_blocked_prediction_is_one_whole_forward(kind):
     model = prediction_models()[kind]
-    block = PREDICT_BLOCK_ROWS
+    block = prediction_block_rows(model)
     windows = np.random.default_rng(6).normal(size=(2 * block + 1, 3, 7))
+    # the last count leaves a lone window, which joins the block before it
     for count in (1, block - 1, block, block + 1, 2 * block + 1):
         whole, _ = model.forward_batch(windows[:count])
         assert predict_batch(model, windows[:count]).tobytes() == whole.tobytes()  # bit for bit
 
 
+def test_block_rows_follow_the_circuit_width():
+    # rows x 6 x 2**n amplitudes at 128 bytes each fill the budget down to the
+    # floor; every size is a power of two, so blocks start on the BLAS row tile
+    for n in range(2, 11):
+        model = init_qlstm(small_config(n_qubits=n), input_dim=7, seed=n)
+        rows = prediction_block_rows(model)
+        assert rows == max(PREDICT_MIN_ROWS, 2 ** (12 - n))
+        assert rows == PREDICT_MIN_ROWS or rows * 6 * 2**n * 128 == PREDICT_BLOCK_BYTES
+        assert rows & (rows - 1) == 0 and rows % PREDICT_MIN_ROWS == 0
+    for kind in ("lstm", "persistence"):
+        assert prediction_block_rows(prediction_models()[kind]) == 4096
+
+
 def test_prediction_memory_is_bounded_by_one_block():
-    # the paper's test stack: 12 532 windows cost no more than one block,
-    # beside the predictions returned
-    model = prediction_models()["qlstm-n2"]
+    # the paper's test stack: 12 532 windows stay within the block budget,
+    # beside the predictions returned, whatever the circuit width
     windows = np.random.default_rng(7).normal(size=(12532, 3, 7))
-    peaks = []
-    for count in (PREDICT_BLOCK_ROWS, len(windows)):
+    for n, layers in ((2, 1), (4, 2), (6, 3)):
+        model = init_qlstm(small_config(n_qubits=n, n_layers=layers), input_dim=7, seed=n)
         tracemalloc.start()
         try:
-            predict_batch(model, windows[:count])
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            predict_batch(model, windows)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + windows[:, 0, 0].nbytes
+        assert peak <= PREDICT_BLOCK_BYTES + windows[:, 0, 0].nbytes, (n, peak)
+
+
+def test_prediction_compiles_the_model_once(monkeypatch):
+    calls = []
+    real = qlstm.compile_blocks
+    monkeypatch.setattr(qlstm, "compile_blocks", lambda *args: calls.append(1) or real(*args))
+    model = prediction_models()["qlstm-n2"]
+    windows = np.random.default_rng(8).normal(size=(9000, 3, 7))  # several blocks
+    preds = predict_batch(model, windows)
+    assert len(calls) == 1
+    model.forward_batch(windows[:5])  # a call without a compile still makes its own
+    assert len(calls) == 2
+    assert preds.tobytes() == model.forward_batch(windows)[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["qlstm-n2", "qlstm-n3", "lstm", "persistence"])
+def test_empty_window_stack_predicts_nothing(kind):
+    preds = predict_batch(prediction_models()[kind], np.zeros((0, 3, 7)))
+    assert preds.shape == (0,) and preds.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
