@@ -369,9 +369,10 @@ class KBestSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KBestSet":
+        """A ``to_dict`` set, every configuration validated."""
         return cls(
             model_index=int(d["model_index"]),
-            configs=[HyperConfig.from_dict(c) for c in d["configs"]],
+            configs=[HyperConfig.from_dict(c).validate() for c in d["configs"]],
             scores=[float(s) for s in d["scores"]],
         )
 
@@ -425,7 +426,6 @@ class EnsembleCandidate:
     configs: tuple
     objective: float
     weights: np.ndarray
-    predictions: np.ndarray
     state: EnsembleWeights  # the weight evolution that produced ``weights``
 
 
@@ -465,15 +465,14 @@ def enumerate_ensembles(ksets: list, predict_fn, targets, *, lam: float = 0.85,
             preds = np.vstack([predict_fn(m, config) for m, config in enumerate(combo)])
             state = weights_from_predictions(targets, preds, lam=lam, gamma=gamma, nu=nu)
             weights = finalize_weights(state)
-            combined = combine_predictions(weights, preds)
-            objective = mse(targets, combined)
+            objective = mse(targets, combine_predictions(weights, preds))
         except NumericDivergenceError as exc:
             first_error = first_error or exc
             objectives.append(float("inf"))
             continue
         objectives.append(objective)
         if best is None or objective < best.objective:
-            best = EnsembleCandidate(combo, objective, weights, combined, state)
+            best = EnsembleCandidate(combo, objective, weights, state)
     if best is None:
         raise first_error
     assert n_tuples == k ** len(ksets)

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .hyperspace import SearchSpace
 from .metaheuristics import ObjectiveTracker, hybrid_minimize, pso_minimize, qga_minimize
-from .metrics import forecast_to_tsv, format_metrics_table, write_tsv
+from .metrics import format_metrics_table, write_tsv
 from .qlstm import HyperConfig, save_checkpoint
 from .quantum import MAX_QUBITS
 from .runner import (
@@ -200,15 +200,7 @@ def dataset_path(run_dir: Path) -> Path:
 
 
 def model_config(options: dict, sequence_length: int) -> HyperConfig:
-    return HyperConfig(
-        learning_rate=float(options["learning_rate"]),
-        n_layers=int(options["n_layers"]),
-        n_qubits=int(options["n_qubits"]),
-        hidden_units=int(options["hidden_units"]),
-        sequence_length=int(sequence_length),
-        batch_size=int(options["batch_size"]),
-        epochs=int(options["epochs"]),
-    ).validate()
+    return HyperConfig.from_dict({**options, "sequence_length": sequence_length}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +358,10 @@ def _read_kbest(path: Path, model_index: int, seq: int) -> KBestSet:
         payload = json.loads(path.read_text())
         if path.name.startswith("best_config"):
             payload = {"configs": [payload["config"]], "scores": [payload["score"]]}
-        configs = [HyperConfig.from_dict(c).validate() for c in payload["configs"]]
-        if any(c.sequence_length != seq for c in configs):
+        kset = KBestSet.from_dict({**payload, "model_index": model_index})
+        if any(c.sequence_length != seq for c in kset.configs):
             raise DataError(f"a configuration is not for sequence length {seq}")
-        return KBestSet(model_index, configs, [float(x) for x in payload["scores"]])
+        return kset
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path} is not a valid tune artifact: {exc}") from exc
 
@@ -418,19 +410,20 @@ def cmd_ensemble(options: dict) -> int:
 
     with timer.time("train_and_combine"):
         result = run_ensemble(arch, dataset, ksets, seed, **kwargs)
+    winner = result.enumeration.best
 
     files = {
         "checkpoint.npz": lambda path: save_ensemble_checkpoint(
-            path, arch, result.weights, [b.triple for b in result.base_runs]),
+            path, arch, winner.weights, [b.triple for b in result.base_runs]),
         "weights.json": {
             "architecture": arch,
-            "weights": [float(w) for w in result.weights],
+            "weights": [float(w) for w in winner.weights],
             "lambda": float(options["lam"]),
             "gamma": float(options["gamma"]),
             "nu": nu,
             "configs": [b.config.to_dict() for b in result.base_runs],
         },
-        "weight_history.tsv": weight_history_tsv(result.weight_state),
+        "weight_history.tsv": weight_history_tsv(winner.state),
         "metrics.json": result.metrics_rows,
         "metrics.txt": format_metrics_table(result.metrics_rows),
     }
@@ -438,12 +431,12 @@ def cmd_ensemble(options: dict) -> int:
         files["enumeration.json"] = {
             "n_tuples": result.enumeration.n_tuples,
             "objectives": result.enumeration.objectives,
-            "best_objective": result.enumeration.best.objective,
-            "best_configs": [c.to_dict() for c in result.enumeration.best.configs],
+            "best_objective": winner.objective,
+            "best_configs": [c.to_dict() for c in winner.configs],
         }
     publish(out_dir, "ensemble", options, timer.times, files)
     print(files["metrics.txt"], end="")
-    print(f"combining weights: {[round(float(w), 5) for w in result.weights]}")
+    print(f"combining weights: {[round(float(w), 5) for w in winner.weights]}")
     return 0
 
 
@@ -469,11 +462,10 @@ def cmd_forecast(options: dict) -> int:
     with timer.time("one_step"):
         one_step = evaluate_ensemble(dataset, models, weights, arch)[1]
     with timer.time("multi_step"):
-        multi = forecast_to_tsv([forecast_horizon(dataset, models, weights, horizon,
-                                                  model_tag=f"{arch}-ensemble")])
+        multi = forecast_horizon(dataset, models, weights, horizon, model_tag=f"{arch}-ensemble")
 
     files = {"test_onestep.tsv": lambda path: write_tsv(one_step, path),
-             f"horizon{horizon}.tsv": multi}
+             f"horizon{horizon}.tsv": lambda path: write_tsv([multi], path)}
     publish(out_dir, "forecast", options, timer.times, files)
     print("wrote " + " and ".join(str(out_dir / name) for name in files))
     return 0

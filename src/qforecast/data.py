@@ -36,7 +36,7 @@ import io
 import math
 import warnings
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib import format as npy_format
@@ -503,14 +503,7 @@ def save_dataset(path, dataset: Dataset) -> None:
         train_matrix=dataset.train_matrix,
         test_matrix=dataset.test_matrix,
         n_rows=np.array(dataset.n_rows),
-        median=dataset.scaler.median,
-        q1=dataset.scaler.q1,
-        q3=dataset.scaler.q3,
-        mean=dataset.scaler.mean,
-        std=dataset.scaler.std,
-        robust_skip=dataset.scaler.robust_skip,
-        z_skip=dataset.scaler.z_skip,
-        n_fit_rows=np.array(dataset.scaler.n_fit_rows),
+        **{f.name: getattr(dataset.scaler, f.name) for f in fields(ScalerState)},
     ))
 
 
@@ -569,12 +562,8 @@ def read_npz(path, what: str, version: int) -> NpzArrays:
 
 def load_dataset(path) -> Dataset:
     data = read_npz(path, "dataset cache", CACHE_VERSION)
-    scaler = ScalerState(
-        median=data["median"], q1=data["q1"], q3=data["q3"],
-        mean=data["mean"], std=data["std"],
-        robust_skip=data["robust_skip"], z_skip=data["z_skip"],
-        n_fit_rows=data.integer("n_fit_rows"),
-    )
+    scaler = ScalerState(**{f.name: data.integer(f.name) if f.name == "n_fit_rows" else data[f.name]
+                            for f in fields(ScalerState)})
     return Dataset(
         train_matrix=data["train_matrix"],
         test_matrix=data["test_matrix"],

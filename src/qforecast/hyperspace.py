@@ -81,25 +81,13 @@ class SearchSpace:
         if vector.shape != (self.n_dims,):
             raise ConfigurationError(f"expected a {self.n_dims}-dimensional point")
         values = {d.name: d.decode(v) for d, v in zip(self.dimensions, vector)}
-        return HyperConfig(
-            learning_rate=values["learning_rate"],
-            n_layers=values["n_layers"],
-            n_qubits=values["n_qubits"],
-            hidden_units=values["hidden_units"],
-            sequence_length=self.sequence_length,
-            batch_size=values["batch_size"],
-            epochs=self.epochs,
-        ).validate()
+        return HyperConfig(**values, sequence_length=self.sequence_length,
+                           epochs=self.epochs).validate()
 
     def encode_config(self, config: HyperConfig) -> np.ndarray:
-        raw = {
-            "learning_rate": math.log10(config.learning_rate),
-            "n_layers": float(config.n_layers),
-            "n_qubits": float(config.n_qubits),
-            "hidden_units": float(config.hidden_units),
-            "batch_size": float(config.batch_size),
-        }
-        return np.array([min(max(raw[d.name], d.low), d.high) for d in self.dimensions])
+        values = [getattr(config, d.name) for d in self.dimensions]
+        return np.array([min(max(math.log10(v) if d.log10 else float(v), d.low), d.high)
+                         for d, v in zip(self.dimensions, values)])
 
     def decode_bits(self, bits) -> np.ndarray:
         """Gray-coded fixed-point decoding onto the box (MSB first per dimension).

@@ -147,13 +147,8 @@ def tsv_lines(results: list[ForecastResult]):
                            res.y_true.tolist(), res.y_pred.tolist())
 
 
-def forecast_to_tsv(results: list[ForecastResult]) -> str:
-    """Delimited text for any plotting tool: :func:`tsv_lines` joined."""
-    return "".join(tsv_lines(results))
-
-
 def write_tsv(results: list[ForecastResult], path) -> None:
-    """Write :func:`forecast_to_tsv`'s text to ``path`` line by line."""
+    """Write :func:`tsv_lines` to ``path``: delimited text for any plotting tool."""
     with open(path, "w") as fh:
         fh.writelines(tsv_lines(results))
 

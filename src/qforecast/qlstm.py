@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -96,27 +96,14 @@ class HyperConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "n_layers": self.n_layers,
-            "n_qubits": self.n_qubits,
-            "hidden_units": self.hidden_units,
-            "sequence_length": self.sequence_length,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "HyperConfig":
-        return cls(
-            learning_rate=float(d["learning_rate"]),
-            n_layers=int(d["n_layers"]),
-            n_qubits=int(d["n_qubits"]),
-            hidden_units=int(d["hidden_units"]),
-            sequence_length=int(d["sequence_length"]),
-            batch_size=int(d["batch_size"]),
-            epochs=int(d["epochs"]),
-        )
+        """The fields read from ``d`` (other keys are ignored): the learning
+        rate as a float, every other field as an int."""
+        return cls(**{f.name: (float if f.name == "learning_rate" else int)(d[f.name])
+                      for f in fields(cls)})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -137,9 +124,12 @@ class TrainReport:
 
     train_losses: list
     test_losses: list
-    final_val_loss: float
     wall_seconds: float
     val_predictions: np.ndarray
+
+    @property
+    def final_val_loss(self) -> float:
+        return self.test_losses[-1]
 
 
 def _sigmoid(x):
@@ -235,6 +225,8 @@ class QLSTMParams:
         psi_v, enc_v = _encoded(v, need_cache)
         phi_v = psi_v @ unitaries[:, : 4 * dim]  # the four gates that read v, side by side
         z_v = z_expectations(phi_v.reshape(len(v), 4, dim))
+        if not need_cache:  # the v states are dead from here on; free them before the u half
+            psi_v = phi_v = None
         gates = _sigmoid(z_v)  # forget, input, update, output; the update gate is a tanh
         gates[:, 2] = np.tanh(z_v[:, 2])
         f, i, g, o = gates.swapaxes(0, 1)
@@ -657,7 +649,6 @@ def train(model, config: HyperConfig, train_set, test_set, seed) -> TrainReport:
     return TrainReport(
         train_losses=train_losses,
         test_losses=test_losses,
-        final_val_loss=test_losses[-1],
         wall_seconds=time.perf_counter() - start,
         val_predictions=test_preds,
     )

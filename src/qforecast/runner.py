@@ -22,14 +22,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bayesopt import EnumerationResult, enumerate_ensembles
 from .data import Dataset, destandardize_temperature, read_npz, write_npz
-from .ensemble import EnsembleWeights, combine_predictions
+from .ensemble import combine_predictions
 from .errors import ConfigurationError, DataError, NumericDivergenceError
 from .metrics import ForecastResult, forecast_iterative, mape_with_exclusions, mse
 from .qlstm import (
@@ -70,7 +70,11 @@ class BaseModelRun:
     kind: str
     model: object
     report: TrainReport
-    val_predictions: np.ndarray  # aligned on the shared validation targets
+
+    @property
+    def val_predictions(self) -> np.ndarray:
+        """The report's predictions, aligned on the shared validation targets."""
+        return self.report.val_predictions
 
     @property
     def triple(self) -> tuple:
@@ -97,7 +101,7 @@ def train_base_model(dataset: Dataset, config: HyperConfig, model_index: int,
     else:
         raise ConfigurationError(f"unknown model kind {kind!r}")
     report = train(model, config, train_part, val_part, seed=seed)
-    run = BaseModelRun(model_index, config, kind, model, report, report.val_predictions)
+    run = BaseModelRun(model_index, config, kind, model, report)
     if memo is not None:
         memo[key] = run
     return run
@@ -120,7 +124,7 @@ def probe_objective(dataset: Dataset, sequence_length: int, model_index: int,
     memo: dict = {}
 
     def objective(config: HyperConfig) -> float:
-        probe = HyperConfig(**{**config.to_dict(), "epochs": probe_epochs})
+        probe = replace(config, epochs=probe_epochs)
         run = train_base_model(dataset, probe, model_index, master_seed, memo=memo)
         return run.report.final_val_loss
 
@@ -136,10 +140,8 @@ def probe_objective(dataset: Dataset, sequence_length: int, model_index: int,
 class EnsembleRun:
     architecture: str  # "genhyb" or "bo-q"
     base_runs: list
-    weight_state: EnsembleWeights
-    weights: np.ndarray
     metrics_rows: list
-    enumeration: EnumerationResult  # a single tuple for genhyb
+    enumeration: EnumerationResult  # a single tuple for genhyb; its best holds the weights
 
 
 def _test_predictions(dataset: Dataset, models) -> tuple[np.ndarray, np.ndarray]:
@@ -215,8 +217,7 @@ def run_ensemble(architecture: str, dataset: Dataset, ksets: list, master_seed: 
     base_runs = [outcomes[pair] for pair in enumerate(winner.configs)]
     rows, _ = evaluate_ensemble(dataset, [run.triple for run in base_runs],
                                 winner.weights, architecture)
-    return EnsembleRun(architecture, base_runs, winner.state, winner.weights, rows,
-                       enumeration)
+    return EnsembleRun(architecture, base_runs, rows, enumeration)
 
 
 def forecast_horizon(dataset: Dataset, models, weights, horizon: int = 24,

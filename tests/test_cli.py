@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qforecast.bayesopt import KBestSet
-from qforecast.cli import ARCH_CHOICES, main
+from qforecast.cli import ARCH_CHOICES, COMMANDS, DEFAULTS, build_parser, command_flags, main
 from qforecast.data import load_dataset, prepare_dataset, save_dataset, synth_series, write_csv
 from qforecast.qlstm import HyperConfig, PersistenceModel, init_classical_lstm, init_qlstm
 from qforecast.runner import save_ensemble_checkpoint
@@ -79,6 +79,18 @@ def test_config_file_sets_options(tmp_path):
     assert run_cli("preprocess", "--run", tmp_path / "r", "--synth-hours", 120,
                    "--config", config) == 0
     assert json.loads((tmp_path / "r" / "summary.json").read_text())["train_rows"] == 60
+
+
+def test_every_optional_flag_has_a_default():
+    """An unset flag without a DEFAULTS entry would be a KeyError traceback,
+    and rerun would refuse its manifest; a DEFAULTS key that is no flag
+    would be an option nothing can set."""
+    parser = build_parser()
+    assert set(DEFAULTS) == set(COMMANDS)
+    for command, defaults in DEFAULTS.items():
+        flags = command_flags(parser, command)
+        assert {f.dest for f in flags if not f.required} <= set(defaults), command
+        assert set(defaults) <= {f.dest for f in flags}, command
 
 
 def test_config_file_kind_force_and_inline_take_effect(prepared_run, tmp_path):

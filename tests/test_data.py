@@ -3,6 +3,8 @@ import datetime as dt
 import importlib.util
 import tracemalloc
 import warnings
+import zipfile
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +19,7 @@ from qforecast.data import (
     FEATURES,
     SCALE_BLOCK_ROWS,
     SYNTH_START,
+    ScalerState,
     fit_medians,
     fit_scaler,
     impute_median,
@@ -559,6 +562,15 @@ def test_dataset_cache_round_trip(tmp_path):
     back = load_dataset(path)
     np.testing.assert_array_equal(back.train_matrix, dataset.train_matrix)
     np.testing.assert_array_equal(back.test_matrix, dataset.test_matrix)
-    np.testing.assert_array_equal(back.scaler.median, dataset.scaler.median)
-    assert back.scaler.n_fit_rows == dataset.scaler.n_fit_rows
+    for field in fields(ScalerState):
+        ours, theirs = getattr(back.scaler, field.name), getattr(dataset.scaler, field.name)
+        assert type(ours) is type(theirs), field.name
+        assert np.asarray(ours).dtype == np.asarray(theirs).dtype, field.name
+        np.testing.assert_array_equal(ours, theirs)
     assert back.n_rows == dataset.n_rows
+    # the cache's member order, the scaler's fields last in their declared order
+    scaler_members = ["median", "q1", "q3", "mean", "std", "robust_skip", "z_skip", "n_fit_rows"]
+    assert [field.name for field in fields(ScalerState)] == scaler_members
+    with zipfile.ZipFile(path) as archive:
+        assert archive.namelist() == [f"{name}.npy" for name in (
+            "version", "train_matrix", "test_matrix", "n_rows", *scaler_members)]

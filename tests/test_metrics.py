@@ -13,10 +13,10 @@ from qforecast.errors import ConfigurationError, MetricUndefinedError, ShapeErro
 from qforecast.metrics import (
     ForecastResult,
     forecast_iterative,
-    forecast_to_tsv,
     format_metrics_table,
     mape_with_exclusions,
     mse,
+    tsv_lines,
     write_tsv,
 )
 from qforecast.qlstm import (
@@ -232,10 +232,8 @@ def test_forecast_tsv_layout():
         timestamps=[1, 2], y_true=np.array([1.0, 2.0]), y_pred=np.array([1.5, 2.5]),
         model="demo", horizon="2-step",
     )
-    text = forecast_to_tsv([res])
-    lines = text.strip().split("\n")
-    assert lines[0] == "timestamp\ty_true\ty_pred\tmodel"
-    assert lines[1] == "1\t1\t1.5\tdemo"
+    assert list(tsv_lines([res])) == ["timestamp\ty_true\ty_pred\tmodel\n",
+                                      "1\t1\t1.5\tdemo\n", "2\t2\t2.5\tdemo\n"]
 
 
 def test_tsv_edge_values_and_literal_model_tags(tmp_path):
@@ -244,8 +242,8 @@ def test_tsv_edge_values_and_literal_model_tags(tmp_path):
         ForecastResult([1, 2, 3, 4], extremes, extremes[::-1].copy(), "a{0}%s}", "4-step"),
         ForecastResult([7, 8], None, np.array([-0.0, 1e300]), "{", "2-step"),
     ]
-    text = forecast_to_tsv(results)
-    assert text.split("\n") == [
+    write_tsv(results, tmp_path / "out.tsv")
+    assert (tmp_path / "out.tsv").read_text().split("\n") == [
         "timestamp\ty_true\ty_pred\tmodel",
         "1\t-0\t1e+300\ta{0}%s}",
         "2\t4.940656458e-324\t1e-300\ta{0}%s}",
@@ -255,8 +253,6 @@ def test_tsv_edge_values_and_literal_model_tags(tmp_path):
         "8\t\t1e+300\t{",
         "",
     ]
-    write_tsv(results, tmp_path / "out.tsv")
-    assert (tmp_path / "out.tsv").read_text() == text
 
 
 def test_metrics_table_row_order():

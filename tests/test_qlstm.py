@@ -27,7 +27,8 @@ from qforecast.qlstm import (
     save_checkpoint,
     train,
 )
-from qforecast.quantum import product_state_and_factors
+from qforecast.quantum import MAX_QUBITS, product_state_and_factors
+from qforecast.runner import config_digest
 
 from oracles import cell_oracle_backward, cell_oracle_forward, dense_vqc_expectations
 
@@ -457,6 +458,47 @@ def test_window_length_mismatch_rejected():
     sets = (np.zeros((4, 3, 3)), np.zeros(4))
     with pytest.raises(ConfigurationError):
         train(model, cfg, sets, sets, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Configuration JSON (it names every stored model and seeds training through
+# runner.config_digest, so its text must not drift)
+# ---------------------------------------------------------------------------
+
+
+def test_config_json_text_is_pinned():
+    config = HyperConfig(0.05, 1, 2, 4, 3, 32, 1)
+    assert config.to_json() == (
+        '{"batch_size": 32, "epochs": 1, "hidden_units": 4, "learning_rate": 0.05, '
+        '"n_layers": 1, "n_qubits": 2, "sequence_length": 3}'
+    )
+    assert config_digest(config) == "0f2f64e45189e16a"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    learning_rate=st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, 5e-324, 0.1, 1.0])),
+    ints=st.tuples(*[st.integers(1, 10**6)] * 5),
+    n_qubits=st.integers(2, MAX_QUBITS),
+)
+def test_config_json_round_trip(learning_rate, ints, n_qubits):
+    n_layers, hidden_units, sequence_length, batch_size, epochs = ints
+    config = HyperConfig(learning_rate, n_layers, n_qubits, hidden_units, sequence_length,
+                         batch_size, epochs)
+    again = HyperConfig.from_json(config.to_json())
+    assert again == config
+    assert again.to_json() == config.to_json()
+
+
+def test_config_from_dict_casts_each_field():
+    config = HyperConfig.from_dict({"learning_rate": 1, "n_layers": 2.0, "n_qubits": 3.0,
+                                    "hidden_units": 4.0, "sequence_length": 5.0,
+                                    "batch_size": 6.0, "epochs": 7.0, "other": "ignored"})
+    assert type(config.learning_rate) is float
+    assert all(type(value) is int for key, value in config.to_dict().items()
+               if key != "learning_rate")
+    assert config == HyperConfig(1.0, 2, 3, 4, 5, 6, 7)
+    assert config.to_json() == HyperConfig(1.0, 2, 3, 4, 5, 6, 7).to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,11 @@ def test_ensemble_checkpoint_round_trip(tmp_path, small_dataset):
     configs = [small_config(3), small_config(5)]
     run = run_ensemble("genhyb", small_dataset, genhyb_sets(configs), 13)
     path = tmp_path / "ensemble.npz"
-    save_ensemble_checkpoint(path, run.architecture, run.weights,
+    save_ensemble_checkpoint(path, run.architecture, run.enumeration.best.weights,
                              [b.triple for b in run.base_runs])
     arch, weights, models = load_ensemble_checkpoint(path)
     assert arch == "genhyb"
-    np.testing.assert_array_equal(weights, run.weights)
+    np.testing.assert_array_equal(weights, run.enumeration.best.weights)
     test_part = small_dataset.test_windows(3)
     np.testing.assert_array_equal(
         predict_batch(models[0][2], test_part.inputs),
@@ -166,8 +166,8 @@ def test_persistence_checkpoint_round_trip(tmp_path):
 def test_forecast_horizon_shapes(small_dataset):
     configs = [small_config(3), small_config(5)]
     run = run_ensemble("genhyb", small_dataset, genhyb_sets(configs), 17)
-    result = forecast_horizon(small_dataset, [b.triple for b in run.base_runs], run.weights,
-                              horizon=24)
+    result = forecast_horizon(small_dataset, [b.triple for b in run.base_runs],
+                              run.enumeration.best.weights, horizon=24)
     assert len(result.y_pred) == 24
     assert result.y_true is not None and len(result.y_true) == 24
     assert result.horizon == "24h"
