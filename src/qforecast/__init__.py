@@ -14,27 +14,31 @@ triples forward hour by hour.
 
 __version__ = "0.1.0"
 
-from . import errors
-from .bayesopt import KBestSet, bo_tune, enumerate_ensembles, expected_improvement, gp_fit
-from .data import ingest_csv, make_windows, prepare_dataset, synth_series
-from .ensemble import combine_predictions, evolve_weights, finalize_weights
-from .hyperspace import SearchSpace
-from .metaheuristics import hybrid_minimize, pso_minimize, qga_minimize
-from .metrics import forecast_iterative, mape_with_exclusions, mse
-from .qlstm import HyperConfig, forward_sequence, init_classical_lstm, init_qlstm, train
-from .quantum import VQCBlock
-from .runner import run_ensemble
+import importlib
 
-__all__ = [
-    "errors",
-    "__version__",
-    "KBestSet", "bo_tune", "enumerate_ensembles", "expected_improvement", "gp_fit",
-    "ingest_csv", "make_windows", "prepare_dataset", "synth_series",
-    "combine_predictions", "evolve_weights", "finalize_weights",
-    "SearchSpace",
-    "hybrid_minimize", "pso_minimize", "qga_minimize",
-    "forecast_iterative", "mape_with_exclusions", "mse",
-    "HyperConfig", "forward_sequence", "init_classical_lstm", "init_qlstm", "train",
-    "VQCBlock",
-    "run_ensemble",
-]
+from . import errors
+
+# each module's exports, imported on first access (PEP 562): ``import
+# qforecast.cli`` and a command that needs only the data layer load no model
+_EXPORTS = {
+    "bayesopt": ("KBestSet", "bo_tune", "enumerate_ensembles", "expected_improvement", "gp_fit"),
+    "data": ("ingest_csv", "make_windows", "prepare_dataset", "synth_series"),
+    "ensemble": ("combine_predictions", "evolve_weights", "finalize_weights"),
+    "hyperspace": ("SearchSpace",),
+    "metaheuristics": ("hybrid_minimize", "pso_minimize", "qga_minimize"),
+    "metrics": ("forecast_iterative", "mape_with_exclusions", "mse"),
+    "qlstm": ("HyperConfig", "forward_sequence", "init_classical_lstm", "init_qlstm", "train"),
+    "quantum": ("VQCBlock",),
+    "runner": ("run_ensemble",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", "errors", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

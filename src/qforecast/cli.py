@@ -12,6 +12,9 @@ a command that fails leaves the run tree as it found it.
 Exit codes: 0 success, 2 usage/configuration, 3 data error, 4 numeric
 divergence.  The environment variable ``QFORECAST_OUT_ROOT`` rebases
 relative run directories.
+
+Each command imports the layers it runs inside its handler, so
+``preprocess`` and ``synth`` load the data layer and no model.
 """
 
 from __future__ import annotations
@@ -22,42 +25,13 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .bayesopt import KBestSet, bo_tune
-from .data import (
-    ingest_csv,
-    load_dataset,
-    prepare_dataset,
-    save_dataset,
-    synth_series,
-    write_csv,
-)
-from .ensemble import check_weight_params, weight_history_tsv
+from .bookkeeping import StageTimer, derive_seed, write_manifest
 from .errors import (
     CheckpointVersionError,
     ConfigurationError,
     DataError,
     NumericDivergenceError,
     QForecastError,
-)
-from .hyperspace import SearchSpace
-from .metaheuristics import ObjectiveTracker, hybrid_minimize, pso_minimize, qga_minimize
-from .metrics import format_metrics_table, write_tsv
-from .qlstm import HyperConfig, save_checkpoint
-from .quantum import MAX_QUBITS
-from .runner import (
-    REFERENCE_LEARNING_RATES,
-    StageTimer,
-    derive_seed,
-    evaluate_ensemble,
-    forecast_horizon,
-    load_ensemble_checkpoint,
-    probe_objective,
-    run_ensemble,
-    save_ensemble_checkpoint,
-    train_base_model,
-    write_manifest,
 )
 
 OUT_ROOT_ENV = "QFORECAST_OUT_ROOT"
@@ -199,7 +173,9 @@ def dataset_path(run_dir: Path) -> Path:
     return path
 
 
-def model_config(options: dict, sequence_length: int) -> HyperConfig:
+def model_config(options: dict, sequence_length: int):
+    from .qlstm import HyperConfig
+
     return HyperConfig.from_dict({**options, "sequence_length": sequence_length}).validate()
 
 
@@ -209,6 +185,8 @@ def model_config(options: dict, sequence_length: int) -> HyperConfig:
 
 
 def cmd_synth(options: dict) -> int:
+    from .data import synth_series, write_csv
+
     out = resolve_run_dir(options["out"])
     if out.is_dir():
         raise ConfigurationError(f"--out {out} is a directory")
@@ -223,6 +201,8 @@ def cmd_synth(options: dict) -> int:
 
 
 def cmd_preprocess(options: dict) -> int:
+    from .data import ingest_csv, prepare_dataset, save_dataset, synth_series
+
     run_dir = check_output(resolve_run_dir(options["run"]), options["force"])
     timer = StageTimer()
     seed = int(options["seed"])
@@ -258,6 +238,13 @@ def cmd_preprocess(options: dict) -> int:
 
 def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: dict):
     """One model's best configuration and score, and its files by name."""
+    import numpy as np
+
+    from .bayesopt import bo_tune
+    from .hyperspace import SearchSpace
+    from .metaheuristics import ObjectiveTracker, hybrid_minimize, pso_minimize, qga_minimize
+    from .runner import probe_objective
+
     seed = derive_seed(int(options["seed"]), "tune", tuner, model_index)
     space = SearchSpace.default(
         sequence_length=seq, epochs=int(options["epochs"]),
@@ -304,6 +291,10 @@ def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: di
 
 
 def cmd_tune(options: dict) -> int:
+    from .data import load_dataset
+    from .quantum import MAX_QUBITS
+    from .runner import REFERENCE_LEARNING_RATES
+
     tuner = options["tuner"]
     # the bayes tuner's GP needs two initial points
     check_counts(options, k=1, budget=2 if tuner == "bayes" else 1, max_qubits=2, max_layers=1)
@@ -328,6 +319,10 @@ def cmd_tune(options: dict) -> int:
 
 
 def cmd_train(options: dict) -> int:
+    from .data import load_dataset
+    from .qlstm import save_checkpoint
+    from .runner import train_base_model
+
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     kind = options["kind"]
@@ -350,10 +345,12 @@ def cmd_train(options: dict) -> int:
     return 0
 
 
-def _read_kbest(path: Path, model_index: int, seq: int) -> KBestSet:
+def _read_kbest(path: Path, model_index: int, seq: int):
     """A tune artifact as a K-best set: ``kbest_seq*.json`` from the bayes
     tuner, or ``best_config_seq*.json`` (one configuration) from the others.
     An unreadable or invalid file is a DataError, as a stored configuration is."""
+    from .bayesopt import KBestSet
+
     try:
         payload = json.loads(path.read_text())
         if path.name.startswith("best_config"):
@@ -369,6 +366,8 @@ def _read_kbest(path: Path, model_index: int, seq: int) -> KBestSet:
 def _kbest_sets(run_dir: Path, seqs: list, options: dict) -> list:
     """One K-best set per model: K = 1 for genhyb and for ``--inline``, the
     first ``--k`` configurations of a bayes tune for bo-q."""
+    from .bayesopt import KBestSet
+
     if options["inline"]:
         return [KBestSet(m, [model_config(options, seq)], [0.0]) for m, seq in enumerate(seqs)]
     if options["arch"] == "genhyb":
@@ -395,6 +394,11 @@ def _kbest_sets(run_dir: Path, seqs: list, options: dict) -> list:
 
 
 def cmd_ensemble(options: dict) -> int:
+    from .data import load_dataset
+    from .ensemble import check_weight_params, weight_history_tsv
+    from .metrics import format_metrics_table
+    from .runner import run_ensemble, save_ensemble_checkpoint
+
     nu = options.get("nu")
     nu = int(nu) if nu is not None else None
     kwargs = dict(lam=float(options["lam"]), gamma=float(options["gamma"]), nu=nu)
@@ -441,6 +445,8 @@ def cmd_ensemble(options: dict) -> int:
 
 
 def _load_ensemble_dir(run_dir: Path, arch: str | None):
+    from .runner import load_ensemble_checkpoint
+
     candidates = [arch] if arch else list(ARCH_CHOICES)
     for name in candidates:
         path = run_dir / f"ensemble-{name}" / "checkpoint.npz"
@@ -452,6 +458,10 @@ def _load_ensemble_dir(run_dir: Path, arch: str | None):
 
 
 def cmd_forecast(options: dict) -> int:
+    from .data import load_dataset
+    from .metrics import write_tsv
+    from .runner import evaluate_ensemble, forecast_horizon
+
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     arch, weights, models = _load_ensemble_dir(run_dir, options.get("arch"))
@@ -472,6 +482,10 @@ def cmd_forecast(options: dict) -> int:
 
 
 def cmd_evaluate(options: dict) -> int:
+    from .data import load_dataset
+    from .metrics import format_metrics_table
+    from .runner import evaluate_ensemble
+
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     arch, weights, models = _load_ensemble_dir(run_dir, options.get("arch"))

@@ -20,19 +20,21 @@ bit.
 
 Ingestion has two readers.  The bulk reader runs first: it checks blocks of
 whole lines (:data:`BULK_BLOCK_BYTES`) with numpy array operations and reads
-their cells with ``np.loadtxt``, and it refuses any file outside the common
-form of a line (see :func:`ingest_csv`).  The per-line checker is the
-fallback and the definition of a valid line: a refused file is read again
-by it, so every error names the line the per-line checker names.  The bulk
-reader counts the body's lines first and copies each checked block into one
-preallocated matrix.
+their plain-decimal cells (``-?digits[.digits]``, at most 15 digits) by
+integer arithmetic, and it refuses any file outside the common form of a
+line (see :func:`ingest_csv`).  The per-line checker is the fallback and the
+definition of a valid line: a refused file is read again by it, so every
+error names the line the per-line checker names.  The bulk reader counts
+the body's lines first and copies each checked block into one preallocated
+matrix.  The medians and quartiles are numpy's (:func:`_median`,
+:func:`_quartiles`), without the ``numpy.ma`` import that ``np.median`` and
+``np.percentile`` make.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import math
 import warnings
 import zipfile
@@ -109,15 +111,17 @@ def ingest_csv(path) -> np.ndarray:
     The bulk reader (:func:`_ingest_bulk`) runs first, with numpy, over
     blocks of whole lines of about :data:`BULK_BLOCK_BYTES`; CRLF line
     endings read as LF.  It takes only the common form of a line and
-    refuses the whole file otherwise: any byte outside ``[0-9,.:eE+-]`` and
-    the newline (so ``nan``, ``inf``, spaces, quotes and a lone CR), a cell
-    count other than nine, a date other than ``YYYY-MM-DD`` from year 1, an
-    hour other than two digits up to 23 (alone or before ``:``), a cell that
-    overflows, a line longer than the csv field limit, or any step between
-    timestamps other than one hour.  A refused file is read again by the
-    per-line checker, which alone defines a valid line and names the first
-    bad one; on every file the bulk reader takes, both give the same
-    matrix, bit for bit.
+    refuses the whole file otherwise: any byte outside ``[0-9,.:-]`` and
+    the newline (so exponents, ``+``, ``nan``, ``inf``, spaces, quotes and a
+    lone CR), a cell count other than nine, a date other than
+    ``YYYY-MM-DD`` from year 1, an hour other than two digits up to 23
+    (alone or before ``:``), a value cell other than empty or
+    ``-?digits[.digits]`` with one to 15 digits (see
+    :func:`_decimal_cells`), a line longer than the csv field limit, or any
+    step between timestamps other than one hour.  A refused file is read
+    again by the per-line checker, which alone defines a valid line and
+    names the first bad one; on every file the bulk reader takes, both give
+    the same matrix, bit for bit.
     """
     try:
         matrix = _ingest_bulk(path)
@@ -129,16 +133,30 @@ def ingest_csv(path) -> np.ndarray:
         raise DataError(f"{path}: cannot read: {exc}") from exc
 
 
-BULK_BLOCK_BYTES = 1 << 18  # the bulk reader takes whole lines in blocks of about this size
+# the bulk reader takes whole lines in blocks of about this size; a block's
+# temporaries are a few dozen bytes per cell, so this bounds them near 1 MiB
+BULK_BLOCK_BYTES = 1 << 16
 _BOM = b"\xef\xbb\xbf"
 _HEADER_LINE = (",".join(CSV_COLUMNS) + "\n").encode()
-_BULK_ALPHABET = np.zeros(256, dtype=bool)
-_BULK_ALPHABET[np.frombuffer(b"0123456789,.:eE+-\n", np.uint8)] = True
 # a line's fixed head "YYYY-MM-DD,HH,", with "0" standing for each digit; an
 # "HH:MM" time has ":" for the last byte.  Minus the head, a digit gives 0-9
 # and a matching literal 0, so each offset must be at most _HEAD_MAX.
 _HEAD = np.frombuffer(b"0000-00-00,00,", dtype=np.uint8)
 _HEAD_MAX = np.where(_HEAD == ord("0"), 9, 0)
+# the separators of a line: a comma after each of its first eight cells, then the newline
+_SEPARATORS = np.frombuffer(b",,,,,,,,\n", dtype=np.uint8)
+_PAD = b"\0" * 16  # before a block, so each cell's last 16 bytes lie inside it
+_MAX_DIGITS = 15  # a mantissa below 2**53, so mantissa / 10**k is correctly rounded
+_POW10 = np.array([10**k for k in range(_MAX_DIGITS + 1)], dtype=np.uint64)
+
+
+def _lanes(byte: int) -> int:
+    """``byte`` in each of the eight bytes of a 64-bit word."""
+    return byte * 0x0101010101010101
+
+
+# the top k bytes of a word, for k = 0..8
+_TOP = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)
 
 
 def _ingest_bulk(path) -> np.ndarray | None:
@@ -185,18 +203,24 @@ def _line_blocks(fh):
 def _bulk_block(text: bytes) -> tuple[np.ndarray, np.ndarray]:
     """One block's ``(lines, 7)`` cells and hour stamps; a block is whole
     lines, each ending in a newline.  ValueError refuses the block."""
-    text = text.replace(b"\r\n", b"\n")
+    if b"\r" in text:
+        text = text.replace(b"\r\n", b"\n")
+    text = _PAD + text
     buf = np.frombuffer(text, dtype=np.uint8)
-    if not _BULK_ALPHABET[buf].all():
-        raise ValueError("byte outside the bulk alphabet")
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    body = buf[len(_PAD):]
+    if (((body < ord(",")) & (body != ord("\n"))) | (body > ord(":")) | (body == ord("/"))).any():
+        raise ValueError("byte outside [0-9,.:-] and the newline")
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if seps.size % _SEPARATORS.size:
+        raise ValueError("cell count")
+    seps = seps.reshape(-1, _SEPARATORS.size)
+    if (buf[seps] != _SEPARATORS).any():
+        raise ValueError("cell count")
+    ends = seps[:, -1]
+    starts = np.concatenate(([len(_PAD)], ends[:-1] + 1))
     lengths = ends - starts
     if lengths.min() < _HEAD.size or lengths.max() > csv.field_size_limit():
         raise ValueError("line too short or too long")
-    commas = np.searchsorted(np.flatnonzero(buf == ord(",")), ends)
-    if (np.diff(commas, prepend=0) != len(CSV_COLUMNS) - 1).any():
-        raise ValueError("cell count")
     head = buf[starts[:, None] + np.arange(_HEAD.size)]
     head[head[:, -1] == ord(":"), -1] = ord(",")
     offsets = head - _HEAD  # uint8: a byte below its head byte wraps above 9
@@ -206,11 +230,72 @@ def _bulk_block(text: bytes) -> tuple[np.ndarray, np.ndarray]:
     if year.min() < 1 or hour.max() > 23:
         raise ValueError("year or hour out of range")
     days = np.ascontiguousarray(head[:, :10]).view("S10")[:, 0].astype("datetime64[D]")
-    filled = text.replace(b",,", b",nan,").replace(b",,", b",nan,").replace(b",\n", b",nan\n")
-    block = np.loadtxt(io.BytesIO(filled), delimiter=",", usecols=range(2, 9), ndmin=2)
-    if np.isinf(block).any():
-        raise ValueError("overflowing cell")
-    return block, days.astype(np.int64) * 24 + hour
+    return _decimal_cells(text, seps[:, 1:-1] + 1, seps[:, 2:]), days.astype(np.int64) * 24 + hour
+
+
+def _decimal_cells(text: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The value of each cell ``text[start:end]``, bit for bit what ``float()``
+    reads, and NaN for an empty cell.  ValueError refuses any cell other than
+    ``-?digits[.digits]`` (either digit run may be empty, not both) with at
+    most :data:`_MAX_DIGITS` digits; every cell lies 16 bytes or more into
+    ``text``, and its bytes are ``[0-9,.:-]``.
+
+    Past its sign, a cell's last 16 bytes are read as two 64-bit words, eight
+    digits each (Lemire, "Number Parsing at a Gigabyte per Second", 2021):
+    the bytes before the cell are zeroed, the dot reads as a 0 digit, and
+    three multiply-shift-mask steps combine the digits.  With the dot at
+    place p, the digits' integer is (V // 10^(p+1)) 10^p + V mod 10^p,
+    below 2^53, so dividing it by 10^p rounds once, exactly as ``float()``
+    does (Clinger, PLDI 1990).
+    """
+    words = np.ndarray((len(text) - 7,), dtype="<u8", buffer=text, strides=(1,))
+    negative = np.frombuffer(text, dtype=np.uint8)[starts] == ord("-")
+    size = ends - starts - negative  # bytes past the sign
+    low, dots, bad = _digit_word(words[ends - 8], np.minimum(size, 8))
+    mantissa = _eight_digits(low)
+    places = (dots * 0x0706050403020100) >> 56  # digits after the dot
+    n_dots = _byte_sum(dots)
+    if size.max() > 8:
+        high, high_dots, high_bad = _digit_word(words[ends - 16], np.clip(size - 8, 0, 8))
+        mantissa += _eight_digits(high) * 10**8
+        places += (high_dots * 0x0F0E0D0C0B0A0908) >> 56
+        n_dots += _byte_sum(high_dots)
+        bad |= high_bad
+    n_digits = size - n_dots
+    if (bad.any() or (n_dots > 1).any()
+            or ((ends > starts) & ((n_digits < 1) | (n_digits > _MAX_DIGITS))).any()):
+        raise ValueError("cell outside -?digits[.digits] with at most 15 digits")
+    np.multiply(mantissa, 10, out=mantissa, where=n_dots == 0)  # as if a dot ended the cell
+    scale = _POW10[places]
+    whole, fraction = np.divmod(mantissa, scale)
+    values = (whole // 10 * scale + fraction).astype(float)
+    values /= scale
+    np.negative(values, out=values, where=negative)
+    values[ends == starts] = np.nan
+    return values
+
+
+def _digit_word(word: np.ndarray, size: np.ndarray) -> tuple:
+    """Words whose top ``size`` bytes are a cell's: (the digits, one a byte,
+    with the dot as 0; a 1 in the dot's byte; nonzero where another byte is
+    not a digit)."""
+    word = (word ^ _lanes(ord("0"))) & _TOP[size]  # "0"-"9" read 0-9, "." 0x1E, "-" 0x1D, ":" 0x0A
+    dots = (word & ~(word << 4) & _lanes(0x10)) >> 4  # of those, only "." has bit 4 and not bit 0
+    word ^= dots * 0x1E
+    return word, dots, ((word + _lanes(0x76)) | word) & _lanes(0x80)  # bit 7 where a byte exceeds 9
+
+
+def _byte_sum(word: np.ndarray) -> np.ndarray:
+    """The sum of each word's eight bytes, each 0 or 1: the multiply gathers
+    them in the top byte, and eight cannot carry out of it."""
+    return ((word * _lanes(1)) >> 56).astype(np.int64)
+
+
+def _eight_digits(word: np.ndarray) -> np.ndarray:
+    """The integer of a word's eight digit bytes, its lowest byte the leading digit."""
+    word = word * 10 + (word >> 8)  # each even byte: a two-digit pair
+    return ((word & 0x000000FF000000FF) * (100 + (1000000 << 32))
+            + ((word >> 16) & 0x000000FF000000FF) * (1 + (10000 << 32))) >> 32
 
 
 def _parse_rows(reader, path) -> np.ndarray:
@@ -265,8 +350,36 @@ def fit_medians(train_matrix: np.ndarray) -> np.ndarray:
         present = col[~np.isnan(col)]
         if present.size == 0:
             raise ConfigurationError(f"feature {FEATURES[j]!r} has no present values to impute from")
-        medians[j] = np.median(present)
+        medians[j] = _median(present)
     return medians
+
+
+def _median(values: np.ndarray):
+    """``np.median(values)`` of a 1-D float array without NaN, bit for bit:
+    numpy's partition, its NaN check's last index included, and the mean of
+    the middle one or two values.  ``values`` is reordered in place."""
+    half = len(values) // 2
+    middle = [half - 1, half] if len(values) % 2 == 0 else [half]
+    values.partition([*middle, -1])
+    return np.mean(values[middle[0] : half + 1])
+
+
+def _quartiles(values: np.ndarray) -> list:
+    """``np.percentile(values, [25, 50, 75])`` of a 1-D float array without
+    NaN, bit for bit: the same partition and numpy's linear rule, where the
+    last index stands in above n - 1 (so at n = 1, gamma is 1).  ``values``
+    is reordered in place."""
+    n = len(values)
+    virtual = [(n - 1) * q for q in (0.25, 0.5, 0.75)]
+    below = [-1 if v >= n - 1 else math.floor(v) for v in virtual]
+    above = [-1 if v >= n - 1 else i + 1 for v, i in zip(virtual, below)]
+    values.partition(sorted({0, -1, *below, *above}))
+    quartiles = []
+    for v, i, j in zip(virtual, below, above):
+        low, high, gamma = values[i], values[j], v - i
+        step = high - low
+        quartiles.append(high - step * (1 - gamma) if gamma >= 0.5 else low + step * gamma)
+    return quartiles
 
 
 def impute_median(matrix: np.ndarray, medians: np.ndarray) -> np.ndarray:
@@ -311,10 +424,10 @@ def fit_scaler(train_matrix: np.ndarray) -> ScalerState:
     is never built."""
     quartiles = np.empty((3, train_matrix.shape[1]))
     for j in range(train_matrix.shape[1]):
-        col = np.array(train_matrix[:, j])  # a contiguous copy for the percentile to reorder
+        col = np.array(train_matrix[:, j])  # a contiguous copy for the partition to reorder
         if np.isnan(col).any():
             raise ConfigurationError("impute before fitting the scaler")
-        quartiles[:, j] = np.percentile(col, [25, 50, 75], overwrite_input=True)
+        quartiles[:, j] = _quartiles(col)
     q1, median, q3 = quartiles
     iqr = q3 - q1
     robust_skip = iqr == 0.0

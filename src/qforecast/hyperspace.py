@@ -84,11 +84,6 @@ class SearchSpace:
         return HyperConfig(**values, sequence_length=self.sequence_length,
                            epochs=self.epochs).validate()
 
-    def encode_config(self, config: HyperConfig) -> np.ndarray:
-        values = [getattr(config, d.name) for d in self.dimensions]
-        return np.array([min(max(math.log10(v) if d.log10 else float(v), d.low), d.high)
-                         for d, v in zip(self.dimensions, values)])
-
     def decode_bits(self, bits) -> np.ndarray:
         """Gray-coded fixed-point decoding onto the box (MSB first per dimension).
 

@@ -32,6 +32,7 @@ own header keys around those arrays.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -101,9 +102,21 @@ class HyperConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "HyperConfig":
         """The fields read from ``d`` (other keys are ignored): the learning
-        rate as a float, every other field as an int."""
-        return cls(**{f.name: (float if f.name == "learning_rate" else int)(d[f.name])
-                      for f in fields(cls)})
+        rate as a float, every other field as an int.  Each must be a number
+        and not a bool, and each count an integral one: a stored 2.7 or
+        ``true`` is refused, not truncated to 2 or read as 1."""
+        values = {}
+        for f in fields(cls):
+            value = d[f.name]
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{f.name} must be a number, got {value!r}")
+            if f.name == "learning_rate":
+                values[f.name] = float(value)
+            elif isinstance(value, numbers.Integral) or float(value).is_integer():
+                values[f.name] = int(value)
+            else:
+                raise ValueError(f"{f.name} must be an integral number, got {value!r}")
+        return cls(**values)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -14,20 +14,21 @@ inside the tuple enumeration, its brute-force cross-check, a repeated tuner
 probe, or a re-run from a manifest -- therefore yields bit-identical
 results, which also makes memoization across tuples and probes sound.
 
-Everything runs on one thread: base models train one after another.
+Everything runs on one thread: base models train one after another.  The
+run bookkeeping (seed streams, stage timing, manifests) lives in
+:mod:`qforecast.bookkeeping`, which loads no model; ``derive_seed`` and
+``write_manifest`` also resolve here, where ``perfbench/`` reads them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import time
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bayesopt import EnumerationResult, enumerate_ensembles
+from .bookkeeping import derive_seed, write_manifest as write_manifest
 from .data import Dataset, destandardize_temperature, read_npz, write_npz
 from .ensemble import combine_predictions
 from .errors import ConfigurationError, DataError, NumericDivergenceError
@@ -48,13 +49,6 @@ ENSEMBLE_CHECKPOINT_VERSION = 1
 
 # reference magnitudes from full-scale tuning runs, shown for sanity checks
 REFERENCE_LEARNING_RATES = {"genhyb": (0.0677, 0.0691), "bo-q": (0.0726, 0.0522)}
-
-
-def derive_seed(master_seed: int, *names) -> int:
-    """A stable named sub-stream seed (independent of process hashing)."""
-    text = json.dumps([int(master_seed), *map(str, names)])
-    digest = hashlib.sha256(text.encode()).digest()
-    return int.from_bytes(digest[:8], "big") % (2**63)
 
 
 def config_digest(config: HyperConfig) -> str:
@@ -268,51 +262,3 @@ def load_ensemble_checkpoint(path):
             kind, config, data.integer(prefix + "input_dim"), arrays)))
     weights = checked_array("weights", data["weights"], (len(models),))
     return str(data["architecture"]), weights, models
-
-
-# ---------------------------------------------------------------------------
-# Manifests
-# ---------------------------------------------------------------------------
-
-
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-@dataclass
-class StageTimer:
-    times: dict = field(default_factory=dict)
-
-    def time(self, name: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.times[name] = timer.times.get(name, 0.0) + time.perf_counter() - self.start
-
-        return _Ctx()
-
-
-def write_manifest(directory, command: str, resolved_config: dict, seed: int,
-                   wall_times: dict, artifact_paths: list) -> Path:
-    directory = Path(directory)
-    manifest = {
-        "command": command,
-        "config": resolved_config,
-        "seed": seed,
-        "wall_times_sec": {k: round(v, 3) for k, v in wall_times.items()},
-        "artifacts": [
-            {"path": str(Path(p).relative_to(directory)), "sha256": sha256_file(p)}
-            for p in artifact_paths
-        ],
-    }
-    path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path

@@ -8,6 +8,9 @@ tests read ``perfbench/`` without changing it and fail at once instead.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -78,14 +81,15 @@ def test_perfbench_call_forms_run(dataset):
 
 
 def test_traced_forecast_span_counts_every_model_call(dataset, monkeypatch):
-    # the tracer's metrics.model_call span wraps forward_sequence at the name
-    # forecast_iterative resolves, so each window of each model is one call
-    from qforecast import metrics
+    # the tracer's metrics.model_call span wraps qlstm.forward_sequence, which
+    # forecast_iterative looks up there at each call, so each window of each
+    # model is one call
+    from qforecast import qlstm
     from qforecast.runner import forecast_horizon
 
     calls = []
-    real = metrics.forward_sequence
-    monkeypatch.setattr(metrics, "forward_sequence",
+    real = qlstm.forward_sequence
+    monkeypatch.setattr(qlstm, "forward_sequence",
                         lambda *args: calls.append(1) or real(*args))
     n_features = dataset.train_matrix.shape[1]
     configs = [HyperConfig(0.05, 1, 2, 4, seq, 32, 1) for seq in (3, 5)]
@@ -94,3 +98,28 @@ def test_traced_forecast_span_counts_every_model_call(dataset, monkeypatch):
     result = forecast_horizon(dataset, models, [0.5, 0.5], horizon=6)
     assert len(result.y_pred) == 6
     assert len(calls) == 6 * 2
+
+
+def test_tracer_leaves_no_caller_holding_an_unwrapped_target():
+    # the tracer rewrites the globals of the qforecast modules loaded when it
+    # installs; a module loaded later that bound a target before it was
+    # wrapped would keep the original, and its span would read 0.  A fresh
+    # process sees the CLI's lazy imports as a traced run does.
+    probe = ("import importlib, pkgutil, sys\n"
+             "import qforecast, tracer\n"
+             "tracer.install(tracer.Recorder('probe'))\n"
+             "for info in pkgutil.iter_modules(qforecast.__path__):\n"
+             "    importlib.import_module('qforecast.' + info.name)\n"
+             "originals = {}\n"
+             "for span, (owner, attr, _) in tracer.TARGETS.items():\n"
+             "    originals[id(getattr(tracer._owner(owner), attr).__wrapped__)] = span\n"
+             "held = sorted((originals[id(value)], name, key)\n"
+             "              for name, module in list(sys.modules.items())\n"
+             "              if name.startswith('qforecast')\n"
+             "              for key, value in vars(module).items() if id(value) in originals)\n"
+             "assert not held, held\n")
+    root = PERFBENCH.parent
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=root,
+                          env={**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{PERFBENCH}"},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

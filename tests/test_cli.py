@@ -344,7 +344,13 @@ GOOD_CONFIG = HyperConfig(0.05, 1, 2, 2, 3, 16, 1).to_dict()
     ("tune-bayes/kbest_seq3.json",
      json.dumps({"model_index": 0, "configs": [{**GOOD_CONFIG, "sequence_length": 5}],
                  "scores": [0.1]})),
-], ids=["truncated", "missing-key", "list", "zero-qubits", "other-seq"])
+    ("tune-hybrid/best_config_seq3.json",
+     json.dumps({"config": {**GOOD_CONFIG, "n_qubits": 2.7}, "score": 0.1})),
+    ("tune-bayes/kbest_seq3.json",
+     json.dumps({"model_index": 0, "configs": [{**GOOD_CONFIG, "epochs": True}],
+                 "scores": [0.1]})),
+], ids=["truncated", "missing-key", "list", "zero-qubits", "other-seq", "fractional-count",
+        "bool-count"])
 def test_malformed_tune_artifact_is_data_error(prepared_run, tmp_path, capsys, name, content):
     import shutil
 
@@ -499,6 +505,19 @@ def test_checkpoint_version_mismatch_is_reported(tmp_path):
     save_dataset(run_dir / "dataset.npz", dataset)
     np.savez(run_dir / "ensemble-genhyb" / "checkpoint.npz", version=np.array(9))
     assert run_cli("evaluate", "--run", run_dir) == 3
+
+
+def test_stored_checkpoint_config_with_a_bool_rate_is_data_error(tmp_path, capsys):
+    run_dir = untrained_ensemble_run(tmp_path)
+    path = run_dir / "ensemble-genhyb" / "checkpoint.npz"
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    stored = json.loads(str(arrays["model0_config"]))
+    arrays["model0_config"] = np.array(json.dumps({**stored, "learning_rate": False}))
+    np.savez(path, **arrays)
+    assert run_cli("evaluate", "--run", run_dir) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "learning_rate" in err
 
 
 def untrained_ensemble_run(tmp_path):
@@ -762,3 +781,32 @@ def test_no_command_loads_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "run")],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+PREPROCESS_PROBE = """
+import sys
+
+from qforecast.cli import main
+
+assert main(["preprocess", "--run", sys.argv[1], "--csv", sys.argv[2]]) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_preprocess_loads_only_the_data_layer(tmp_path):
+    """``preprocess`` runs without the model stack and without numpy.ma,
+    which np.median and np.percentile would load."""
+    csv = tmp_path / "weather.csv"
+    write_csv(synth_series(200, seed=4, missing_fraction=0.05), csv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", PREPROCESS_PROBE, str(tmp_path / "run"),
+                           str(csv)], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "qforecast.data" in loaded
+    assert not loaded & {"numpy.ma", "qforecast.qlstm", "qforecast.bayesopt",
+                         "qforecast.quantum", "qforecast.runner"}
+

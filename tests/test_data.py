@@ -241,6 +241,66 @@ def test_overlong_cell_is_data_error(tmp_path):
         ingest_csv(write_text(tmp_path, text))
 
 
+def rows_csv(tmp_path, cells, name="cells.csv"):
+    """A file with one row per cell, the cell in every feature column."""
+    lines = [",".join(CSV_COLUMNS)] + [f"2016-01-01,{hour:02d}," + ",".join([cell] * 7)
+                                       for hour, cell in enumerate(cells)]
+    return write_text(tmp_path, "\n".join(lines) + "\n", name)
+
+
+EXACT_CELLS = ["-0.00", ".5", "5.", "-.5", "007.50", "12345678", "-87654321",
+               "123456789012345", "-98765.4321098765", "0.000001", ""]
+
+
+def test_plain_decimal_cells_read_as_float_does(tmp_path):
+    # integer arithmetic and one division by 10^k give float()'s double, the
+    # sign of -0.00 included; an empty cell is NaN
+    path = rows_csv(tmp_path, EXACT_CELLS)
+    bulk = data_module._ingest_bulk(path)
+    assert bulk is not None  # read in bulk, not by the per-line checker
+    expected = np.array([[float(cell) if cell else np.nan] * 7 for cell in EXACT_CELLS])
+    assert bulk.tobytes() == expected.tobytes()
+    assert_ingests_as_per_line(path)
+
+
+@pytest.mark.parametrize("cell", ["1e5", "+1.5", "1234567890123456", "-1234567890.123456",
+                                  "1.2.3", "--1", "1-", "5:0", "-", ".", "-."])
+def test_cells_outside_the_plain_decimal_form_leave_the_bulk_reader(tmp_path, cell):
+    # an exponent, a plus sign, a 16th digit or a malformed cell sends the file
+    # to the per-line checker, which reads it or names the bad line
+    path = rows_csv(tmp_path, ["1.5", cell, "2.5"])
+    assert data_module._ingest_bulk(path) is None
+    assert_ingests_as_per_line(path)
+
+
+def test_synth_written_paper_length_csv_is_read_in_bulk(tmp_path):
+    # write_csv's ".6f" cells run to 16 bytes, and all stay on the bulk path
+    path = tmp_path / "synth.csv"
+    write_csv(synth_series(96432, seed=8, missing_fraction=0.01), path)
+    expected = per_line(path)
+    with mock.patch.object(data_module, "_parse_rows", side_effect=AssertionError("per line")):
+        matrix = ingest_csv(path)
+    assert matrix.tobytes() == expected.tobytes()
+
+
+ORDER_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5]),
+                         st.floats(-1e300, 1e300), st.integers(-3, 3).map(float))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(ORDER_VALUES, min_size=1, max_size=40))
+@example([-0.0])  # n = 1: numpy's top-bound case, gamma 1
+@example([0.0, -0.0])
+@example([-0.0, -0.0, -0.0])
+@example([2.0, 2.0, 2.0, 2.0, 1.0])
+def test_order_statistics_match_numpy_bit_for_bit(values):
+    column = np.array(values)
+    assert (np.float64(data_module._median(column.copy())).tobytes()
+            == np.median(column).tobytes())
+    assert (np.array(data_module._quartiles(column.copy())).tobytes()
+            == np.percentile(column, [25, 50, 75]).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # Split arithmetic
 # ---------------------------------------------------------------------------

@@ -248,13 +248,6 @@ def test_unit_cube_round_trip():
     np.testing.assert_allclose(space.to_unit(vec), unit, atol=1e-12)
 
 
-def test_encode_decode_preserves_config():
-    space = SearchSpace.default(sequence_length=5, epochs=7)
-    config = space.decode_vector(space.from_unit(np.array([0.3, 0.6, 0.2, 0.9, 0.4])))
-    again = space.decode_vector(space.encode_config(config))
-    assert again == config
-
-
 def test_gray_fraction_endpoints():
     assert gray_fraction([0, 0, 0, 0]) == 0.0
     assert gray_fraction([1, 0, 0, 0]) == 1.0  # gray 1000 -> binary 1111

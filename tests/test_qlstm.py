@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from qforecast.data import prepare_dataset, synth_series
 from qforecast.errors import (
     CheckpointVersionError,
     ConfigurationError,
+    DataError,
     NumericDivergenceError,
     ShapeError,
 )
@@ -499,6 +501,27 @@ def test_config_from_dict_casts_each_field():
                if key != "learning_rate")
     assert config == HyperConfig(1.0, 2, 3, 4, 5, 6, 7)
     assert config.to_json() == HyperConfig(1.0, 2, 3, 4, 5, 6, 7).to_json()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_qubits", 2.7), ("epochs", True), ("batch_size", "16"), ("learning_rate", False),
+    ("learning_rate", "0.05"), ("hidden_units", float("nan")),
+])
+def test_config_from_dict_refuses_what_it_would_truncate(key, value):
+    # a count is an integral number and the rate a number; a bool is neither
+    stored = {**HyperConfig(0.05, 1, 2, 4, 3, 16, 1).to_dict(), key: value}
+    with pytest.raises((TypeError, ValueError)):
+        HyperConfig.from_dict(stored)
+    with pytest.raises(DataError):
+        HyperConfig.from_json(json.dumps(stored))
+
+
+def test_config_from_dict_takes_numpy_numbers():
+    stored = {**HyperConfig(0.05, 1, 2, 4, 3, 16, 1).to_dict(),
+              "n_qubits": np.int64(3), "learning_rate": np.float32(0.5)}
+    config = HyperConfig.from_dict(stored)
+    assert type(config.n_qubits) is int and config.n_qubits == 3
+    assert type(config.learning_rate) is float and config.learning_rate == 0.5
 
 
 # ---------------------------------------------------------------------------
