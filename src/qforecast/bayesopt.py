@@ -9,7 +9,8 @@ Beckman & Conover, 1979), the best one refined on EI's closed-form gradient.
 Both searches run ``box_minimize``, a projected quasi-Newton method on the
 box, so the module needs numpy alone.
 
-``bo_tune`` runs the loop per base model and keeps the K lowest-scoring
+The BO loop runs until its ``ObjectiveTracker``'s budget is spent.
+``bo_tune`` runs it per base model and keeps the K lowest-scoring
 distinct configurations; ``enumerate_ensembles`` scores every K^m tuple of
 those sets with the adaptive-weight combiner and returns the argmin.
 """
@@ -30,7 +31,7 @@ from .ensemble import (
 )
 from .errors import ConfigurationError, NumericDivergenceError, ShapeError
 from .hyperspace import SearchSpace
-from .metaheuristics import ObjectiveTracker, _ensure_tracker
+from .metaheuristics import ObjectiveTracker
 from .metrics import mse
 from .qlstm import HyperConfig
 
@@ -311,23 +312,26 @@ def acquire_next(gp: GPSurrogate, best_so_far: float, *, seed=0) -> np.ndarray:
     return np.asarray(best_point, dtype=float)
 
 
-def bo_minimize_unit(objective, d: int, *, n_init: int = 5, n_iterations: int = 15,
+def bo_minimize_unit(tracker: ObjectiveTracker, d: int, *, n_init: int = 5,
                      seed=0) -> tuple[np.ndarray, np.ndarray]:
     """BO loop on the unit cube; returns all evaluated (points, scores).
 
     Starts from a Latin-hypercube design of ``n_init`` points, then runs
-    ``n_iterations`` acquire-evaluate-refit rounds.
+    acquire-evaluate-refit rounds until the tracker's budget is spent.
     """
     if n_init < 2:
         raise ConfigurationError("n_init must be >= 2")
-    tracker = _ensure_tracker(objective, None, None)
+    if tracker.budget is None or tracker.remaining() < n_init:
+        raise ConfigurationError(f"the BO loop needs a budget of at least n_init = {n_init}")
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     lhs_seed, fit_seed, acq_seed = seed_seq.spawn(3)
     xs = list(latin_hypercube(n_init, d, np.random.default_rng(lhs_seed)))
     ys = [tracker(x, "bo", 0) for x in xs]
     fit_rng = np.random.default_rng(fit_seed)
     acq_rng = np.random.default_rng(acq_seed)
-    for it in range(1, n_iterations + 1):
+    it = 0
+    while tracker.remaining() > 0:
+        it += 1
         finite = [i for i, v in enumerate(ys) if np.isfinite(v)]
         if len(finite) >= 2:
             gp = gp_fit(np.array([xs[i] for i in finite]), np.array([ys[i] for i in finite]),
@@ -377,15 +381,15 @@ class KBestSet:
         )
 
 
-def bo_tune(objective, space: SearchSpace, *, n_init: int = 5, n_iterations: int = 15,
+def bo_tune(objective, space: SearchSpace, *, n_init: int = 5, budget: int = 20,
             k: int = 2, seed=0, model_index: int = 0,
             trace: list | None = None) -> KBestSet:
     """Tune one base model's configuration by Bayesian optimization.
 
     ``objective`` consumes a :class:`HyperConfig` and returns the score to
-    minimize.  Distinct unit-cube points can round to the same
-    configuration; each configuration keeps its best observed score, and
-    the K lowest-scoring distinct configurations are returned.
+    minimize; it runs ``budget`` times.  Distinct unit-cube points can round
+    to the same configuration; each configuration keeps its best observed
+    score, and the K lowest-scoring distinct configurations are returned.
     """
     if k < 1:
         raise ConfigurationError(f"K must be >= 1, got {k}")
@@ -394,11 +398,10 @@ def bo_tune(objective, space: SearchSpace, *, n_init: int = 5, n_iterations: int
         return objective(space.decode_vector(space.from_unit(u)))
 
     tracker = ObjectiveTracker(
-        unit_objective, trace=trace,
+        unit_objective, budget=budget, trace=trace,
         describe=lambda u: space.decode_vector(space.from_unit(u)).to_dict(),
     )
-    xs, ys = bo_minimize_unit(tracker, space.n_dims, n_init=n_init,
-                              n_iterations=n_iterations, seed=seed)
+    xs, ys = bo_minimize_unit(tracker, space.n_dims, n_init=n_init, seed=seed)
     by_config: dict[HyperConfig, float] = {}
     for u, score in zip(xs, ys):
         config = space.decode_vector(space.from_unit(u))

@@ -242,7 +242,8 @@ def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: di
 
     from .bayesopt import bo_tune
     from .hyperspace import SearchSpace
-    from .metaheuristics import ObjectiveTracker, hybrid_minimize, pso_minimize, qga_minimize
+    from .metaheuristics import (HYBRID_POP_SIZE, ObjectiveTracker, hybrid_minimize,
+                                 pso_minimize, qga_minimize)
     from .runner import probe_objective
 
     seed = derive_seed(int(options["seed"]), "tune", tuner, model_index)
@@ -258,8 +259,7 @@ def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: di
 
     if tuner == "bayes":
         n_init = min(5, max(2, budget - 1))
-        kset = bo_tune(objective, space, n_init=n_init,
-                       n_iterations=max(0, budget - n_init), k=int(options["k"]),
+        kset = bo_tune(objective, space, n_init=n_init, budget=budget, k=int(options["k"]),
                        seed=seed, model_index=model_index, trace=trace)
         best = {"config": kset.configs[0].to_dict(), "score": kset.scores[0]}
         files = {f"kbest_seq{seq}.json": kset.to_dict()}
@@ -269,16 +269,15 @@ def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: di
             describe=lambda v: space.decode_vector(v).to_dict(),
         )
         if tuner == "pso":
-            result = pso_minimize(tracker, space.bounds(), n_particles=20,
-                                  n_iterations=10**9, seed=seed)
+            result = pso_minimize(tracker, space.bounds(), seed=seed)
             best_vector = result.best_position
         elif tuner == "qga":
-            result = qga_minimize(tracker, space.total_bits, pop_size=20,
-                                  n_generations=max(1, budget // 20), seed=seed,
+            result = qga_minimize(tracker, space.total_bits,
+                                  n_generations=max(1, budget // HYBRID_POP_SIZE), seed=seed,
                                   decode=space.decode_bits)
             best_vector = np.asarray(result.best_decoded)
         else:  # hybrid
-            result = hybrid_minimize(tracker, space.bounds(), budget=budget, seed=seed,
+            result = hybrid_minimize(tracker, space.bounds(), seed=seed,
                                      decode_bits=space.decode_bits, n_bits=space.total_bits)
             best_vector = result.best_position
         config = space.decode_vector(best_vector)

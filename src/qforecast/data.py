@@ -339,6 +339,8 @@ def write_csv(matrix: np.ndarray, path) -> None:
 
 def split_point(n_rows: int, train_fraction: float = TRAIN_FRACTION) -> int:
     """Number of training rows: floor(train_fraction * n_rows)."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigurationError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     return int(math.floor(train_fraction * n_rows))
 
 
@@ -711,6 +713,10 @@ def synth_series(
     """
     if n_hours < 48:
         raise ConfigurationError(f"n_hours must be >= 48, got {n_hours}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ConfigurationError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     t = np.arange(n_hours, dtype=float)
     daily = np.sin(2 * np.pi * t / 24.0)

@@ -100,12 +100,6 @@ class SearchSpace:
         highs = np.array([d.high for d in self.dimensions])
         return lows + unit * (highs - lows)
 
-    def to_unit(self, vector) -> np.ndarray:
-        lows = np.array([d.low for d in self.dimensions])
-        highs = np.array([d.high for d in self.dimensions])
-        span = np.where(highs > lows, highs - lows, 1.0)  # pinned dims map to 0
-        return (np.asarray(vector, dtype=float) - lows) / span
-
 
 def gray_fraction(bits) -> float:
     """Decode a Gray-coded bit chunk to a fraction in [0, 1]."""

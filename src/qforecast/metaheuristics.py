@@ -20,9 +20,10 @@ arrays:
   swarm's initial positions; the remaining evaluation budget goes to the
   swarm.
 
-Every evaluation flows through a tracker that enforces the evaluation
-budget, maps non-finite objective values to +inf (flagged), and records one
-trace row per call.
+Every evaluation flows through an ``ObjectiveTracker``, the one holder of
+the evaluation budget and the trace: it maps non-finite objective values to
++inf (flagged) and records one trace row per call.  The swarm and the
+hybrid run until its budget is spent, so they refuse a tracker without one.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ SOCIAL = 1.49445
 TOWARD_BEST = 0.05 * np.pi  # rotation of a worse individual's bits toward the best's
 TOWARD_OWN = 0.01 * np.pi  # rotation of an at-least-as-fit individual toward its own bits
 P_MUTATION = 0.02
-HYBRID_POP_SIZE = 20
-HYBRID_PARTICLES = 20
+HYBRID_POP_SIZE = 20  # genetic population, in the hybrid and by default
+HYBRID_PARTICLES = 20  # swarm size, in the hybrid and by default
 HYBRID_BITS_PER_DIM = 12  # genome resolution per box dimension without a custom decoder
 HYBRID_SEEDS = 3  # distinct genetic-phase bests that seed the swarm
 
@@ -57,7 +58,7 @@ class BudgetExhausted(Exception):
 
 
 class ObjectiveTracker:
-    """Counts, traces, and sanitizes objective evaluations.
+    """Counts, caps, traces, and sanitizes objective evaluations.
 
     ``describe`` turns a query point into the value stored in the trace
     (the tuning pipelines put decoded configurations there).
@@ -72,9 +73,7 @@ class ObjectiveTracker:
         self.n_evals = 0
         self.n_non_finite = 0
 
-    def remaining(self) -> int | None:
-        if self.budget is None:
-            return None
+    def remaining(self) -> int:
         return self.budget - self.n_evals
 
     def __call__(self, x, phase: str, iteration: int) -> float:
@@ -91,12 +90,6 @@ class ObjectiveTracker:
                  "config": self.describe(x), "objective": value}
             )
         return value
-
-
-def _ensure_tracker(objective, budget, trace) -> ObjectiveTracker:
-    if isinstance(objective, ObjectiveTracker):
-        return objective
-    return ObjectiveTracker(objective, budget=budget, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -191,23 +184,23 @@ def pso_step(swarm: Swarm, tracker: ObjectiveTracker, bounds, rng,
     return swarm
 
 
-def pso_minimize(objective, bounds, *, n_particles: int = 20, n_iterations: int = 100,
-                 seed=0, init_positions=None, budget: int | None = None,
-                 trace: list | None = None) -> TunerResult:
+def pso_minimize(tracker: ObjectiveTracker, bounds, *, n_particles: int = HYBRID_PARTICLES,
+                 seed=0, init_positions=None) -> TunerResult:
     """Particle-swarm minimization over a box.
 
-    Stops after ``n_iterations`` sweeps or when the evaluation ``budget``
-    runs out, whichever comes first.
+    Sweeps the swarm until the tracker's evaluation budget is spent; a
+    sweep the budget cuts short adds no history entry.
     """
     if n_particles < 1:
         raise ConfigurationError("need at least one particle")
+    if tracker.budget is None:
+        raise ConfigurationError("the swarm needs a tracker with an evaluation budget")
     rng = _as_rng(seed)
-    tracker = _ensure_tracker(objective, budget, trace)
     swarm = init_swarm(tracker, bounds, n_particles, rng, init_positions=init_positions)
     history = [swarm.best_value]
-    for it in range(1, n_iterations + 1):
-        if tracker.remaining() is not None and tracker.remaining() <= 0:
-            break
+    it = 0
+    while tracker.remaining() > 0:
+        it += 1
         try:
             pso_step(swarm, tracker, bounds, rng, iteration=it)
         except BudgetExhausted:
@@ -259,19 +252,20 @@ class QGAResult:
     archive: list  # (value, decoded) per evaluation
 
 
-def qga_minimize(objective, n_bits: int, *, pop_size: int = 20, n_generations: int = 50,
-                 seed=0, decode=None) -> QGAResult:
+def qga_minimize(tracker: ObjectiveTracker, n_bits: int, *, pop_size: int = HYBRID_POP_SIZE,
+                 n_generations: int = 50, seed=0, decode=None) -> QGAResult:
     """Genetic minimization on qubit-amplitude chromosomes.
 
-    ``decode`` maps a measured bit array to the objective's argument (and to
-    the archive/result payload); without it the objective sees raw bits.
+    Stops after ``n_generations``, or at the first generation the tracker's
+    budget cuts short.  ``decode`` maps a measured bit array to the
+    objective's argument (and to the archive/result payload); without it
+    the objective sees raw bits.
     """
     if pop_size < 1:
         raise ConfigurationError("population must be non-empty")
     if n_bits < 1:
         raise ConfigurationError("genome needs at least one bit")
     rng = _as_rng(seed)
-    tracker = _ensure_tracker(objective, None, None)
     alpha = np.full((pop_size, n_bits), 1.0 / np.sqrt(2.0))
     beta = alpha.copy()
 
@@ -314,12 +308,11 @@ class HybridResult:
     n_evals: int
 
 
-def hybrid_minimize(objective, bounds, *, budget: int = 200, seed=0,
-                    qga_fraction: float = 0.4, trace: list | None = None,
+def hybrid_minimize(tracker: ObjectiveTracker, bounds, *, seed=0, qga_fraction: float = 0.4,
                     decode_bits=None, n_bits: int | None = None) -> HybridResult:
-    """Genetic phase then swarm phase under one evaluation budget.
+    """Genetic phase then swarm phase under the tracker's evaluation budget.
 
-    The first ``qga_fraction`` of the budget funds whole genetic
+    The first ``qga_fraction`` of the remaining budget funds whole genetic
     generations of ``HYBRID_POP_SIZE``; a swarm of ``HYBRID_PARTICLES``,
     seeded with the genetic phase's ``HYBRID_SEEDS`` distinct best points,
     consumes exactly the remainder.  ``decode_bits`` maps a genome of
@@ -329,10 +322,11 @@ def hybrid_minimize(objective, bounds, *, budget: int = 200, seed=0,
     """
     if not 0.0 <= qga_fraction <= 1.0:
         raise ConfigurationError("qga_fraction must lie in [0, 1]")
+    if tracker.budget is None:
+        raise ConfigurationError("the hybrid search needs a tracker with an evaluation budget")
     lows, highs = _check_bounds(bounds)
     d = len(lows)
     rng = _as_rng(seed)
-    tracker = _ensure_tracker(objective, budget, trace)
 
     if decode_bits is None:
         from .hyperspace import gray_decode
@@ -343,7 +337,7 @@ def hybrid_minimize(objective, bounds, *, budget: int = 200, seed=0,
     elif n_bits is None:
         raise ConfigurationError("a custom decode_bits needs an explicit n_bits")
 
-    qga_evals = int(round(qga_fraction * budget))
+    qga_evals = int(round(qga_fraction * tracker.remaining()))
     n_generations = qga_evals // HYBRID_POP_SIZE
     qga_result = None
     seeds = None
@@ -363,11 +357,9 @@ def hybrid_minimize(objective, bounds, *, budget: int = 200, seed=0,
                 break
 
     pso_result = None
-    if tracker.remaining() is None or tracker.remaining() > 0:
-        pso_result = pso_minimize(
-            tracker, bounds, n_particles=HYBRID_PARTICLES, n_iterations=10**9,
-            seed=rng, init_positions=seeds,
-        )
+    if tracker.remaining() > 0:
+        pso_result = pso_minimize(tracker, bounds, n_particles=HYBRID_PARTICLES, seed=rng,
+                                  init_positions=seeds)
 
     candidates = []
     if qga_result is not None and qga_result.best_decoded is not None:

@@ -31,7 +31,7 @@ from qforecast.data import (
     write_csv,
 )
 from qforecast.ensemble import evolve_weights, finalize_weights
-from qforecast.metaheuristics import hybrid_minimize, pso_minimize, qga_minimize
+from qforecast.metaheuristics import ObjectiveTracker, hybrid_minimize, pso_minimize, qga_minimize
 from qforecast.qlstm import HyperConfig, init_qlstm
 from qforecast.quantum import (
     VQCBlock,
@@ -157,11 +157,12 @@ def test_criterion_2_bptt_correctness():
 
 def test_criterion_3_optimizer_benchmarks():
     with Criterion(3, "swarm/genetic/hybrid benchmarks", 120.0):
-        pso = pso_minimize(sphere, [SPHERE_BOUNDS] * 4, n_particles=20,
-                           n_iterations=200, seed=42)
+        # 200 sweeps of 20 particles after the initial one
+        pso = pso_minimize(ObjectiveTracker(sphere, budget=20 * 201), [SPHERE_BOUNDS] * 4,
+                           n_particles=20, seed=42)
         assert pso.best_value < 1e-3
 
-        qga = qga_minimize(one_max, 16, pop_size=20, n_generations=50, seed=7)
+        qga = qga_minimize(ObjectiveTracker(one_max), 16, pop_size=20, n_generations=50, seed=7)
         assert qga.best_value == -16.0 and np.all(qga.best_bits == 1)
 
         budget = 4000
@@ -169,11 +170,12 @@ def test_criterion_3_optimizer_benchmarks():
         hybrid_finals, plain_finals = [], []
         for seed in range(10):
             hybrid_finals.append(
-                hybrid_minimize(rastrigin, bounds, budget=budget, seed=seed).best_value
+                hybrid_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds,
+                                seed=seed).best_value
             )
             plain_finals.append(
-                pso_minimize(rastrigin, bounds, n_particles=20, n_iterations=10**9,
-                             seed=seed, budget=budget).best_value
+                pso_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds, n_particles=20,
+                             seed=seed).best_value
             )
         assert np.median(hybrid_finals) <= np.median(plain_finals)
 
@@ -202,7 +204,8 @@ def test_criterion_4_gp_ei_correctness():
                                                                    gp.best_observed),
                                    atol=1e-8)
 
-        xs, ys = bo_minimize_unit(quadratic_1d(0.7), 1, n_init=5, n_iterations=15, seed=3)
+        xs, ys = bo_minimize_unit(ObjectiveTracker(quadratic_1d(0.7), budget=20), 1, n_init=5,
+                                  seed=3)
         assert len(ys) == 20
         assert abs(xs[int(np.argmin(ys))][0] - 0.7) <= 0.05
 

@@ -16,6 +16,7 @@ from qforecast.bayesopt import (
 from qforecast.benchmarks import quadratic_1d
 from qforecast.errors import ConfigurationError, NumericDivergenceError
 from qforecast.hyperspace import SearchSpace
+from qforecast.metaheuristics import ObjectiveTracker
 from qforecast.qlstm import HyperConfig
 
 from oracles import (
@@ -165,17 +166,26 @@ def test_acquire_next_returns_unit_point(sin_gp):
 
 
 def test_quadratic_minimum_found_in_twenty_evaluations():
-    xs, ys = bo_minimize_unit(quadratic_1d(0.7), 1, n_init=5, n_iterations=15, seed=3)
+    xs, ys = bo_minimize_unit(ObjectiveTracker(quadratic_1d(0.7), budget=20), 1, n_init=5, seed=3)
     assert len(ys) == 20
     best = xs[int(np.argmin(ys))][0]
     assert abs(best - 0.7) <= 0.05
 
 
 def test_bo_loop_deterministic():
-    a = bo_minimize_unit(quadratic_1d(0.3), 1, n_init=4, n_iterations=6, seed=9)
-    b = bo_minimize_unit(quadratic_1d(0.3), 1, n_init=4, n_iterations=6, seed=9)
+    a, b = (bo_minimize_unit(ObjectiveTracker(quadratic_1d(0.3), budget=10), 1, n_init=4, seed=9)
+            for _ in range(2))
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
+
+
+@pytest.mark.parametrize("budget", [None, 4])
+def test_bo_loop_refuses_a_budget_below_the_initial_design(budget):
+    def objective(u):
+        raise AssertionError("the objective must not run")
+
+    with pytest.raises(ConfigurationError, match="at least n_init = 5"):
+        bo_minimize_unit(ObjectiveTracker(objective, budget=budget), 1, n_init=5, seed=0)
 
 
 def _config_score(config: HyperConfig) -> float:
@@ -191,7 +201,7 @@ def _config_score(config: HyperConfig) -> float:
 def test_bo_tune_returns_k_lowest_observed():
     space = SearchSpace.default(sequence_length=3, epochs=2)
     trace = []
-    kset = bo_tune(_config_score, space, n_init=5, n_iterations=5, k=3, seed=2, trace=trace)
+    kset = bo_tune(_config_score, space, n_init=5, budget=10, k=3, seed=2, trace=trace)
     assert kset.k == 3
     assert kset.scores == sorted(kset.scores)
     # the returned scores are true observed scores: recompute directly
@@ -208,7 +218,7 @@ def test_bo_tune_returns_k_lowest_observed():
 
 def test_bo_tune_zero_iterations_returns_sorted_initial_design():
     space = SearchSpace.default(sequence_length=3, epochs=2)
-    kset = bo_tune(_config_score, space, n_init=4, n_iterations=0, k=4, seed=5)
+    kset = bo_tune(_config_score, space, n_init=4, budget=4, k=4, seed=5)
     assert kset.k == 4
     assert kset.scores == sorted(kset.scores)
 
@@ -216,7 +226,7 @@ def test_bo_tune_zero_iterations_returns_sorted_initial_design():
 def test_bo_tune_k_too_large():
     space = SearchSpace.default(sequence_length=3, epochs=2)
     with pytest.raises(ConfigurationError):
-        bo_tune(_config_score, space, n_init=3, n_iterations=0, k=10, seed=0)
+        bo_tune(_config_score, space, n_init=3, budget=3, k=10, seed=0)
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -226,7 +236,7 @@ def test_bo_tune_rejects_k_below_one_before_evaluating(k):
 
     space = SearchSpace.default(sequence_length=3, epochs=2)
     with pytest.raises(ConfigurationError, match="K must be >= 1"):
-        bo_tune(objective, space, n_init=3, n_iterations=0, k=k, seed=0)
+        bo_tune(objective, space, n_init=3, budget=3, k=k, seed=0)
 
 
 # ---------------------------------------------------------------------------

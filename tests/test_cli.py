@@ -149,6 +149,24 @@ def test_preprocess_without_source_is_usage_error(tmp_path):
     assert run_cli("preprocess", "--run", tmp_path / "none") == 2
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("synth", "--hours", 60, "--seed", -1), "seed must be >= 0"),
+    (("synth", "--hours", 60, "--noise", "nan"), "noise_sigma must be finite"),
+    (("synth", "--hours", 60, "--noise", "inf"), "noise_sigma must be finite"),
+    (("synth", "--hours", 60, "--noise", -0.5), "noise_sigma must be finite and >= 0"),
+    (("preprocess", "--synth-hours", 120, "--train-fraction", "nan"), "train_fraction"),
+    (("preprocess", "--synth-hours", 120, "--train-fraction", "inf"), "train_fraction"),
+], ids=["synth-seed-1", "synth-noise-nan", "synth-noise-inf", "synth-noise-neg",
+        "preprocess-fraction-nan", "preprocess-fraction-inf"])
+def test_out_of_range_data_inputs_exit_before_writing(tmp_path, capsys, argv, named):
+    command, *flags = argv
+    target = "--out" if command == "synth" else "--run"
+    assert run_cli(command, target, tmp_path / "out", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_csv_is_data_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("date,bad\n")

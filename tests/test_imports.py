@@ -1,5 +1,6 @@
-"""Every name imported in ``src/``, ``tests/`` and ``demos/`` is used, and
-every name the package exports resolves.
+"""Every name imported in ``src/``, ``tests/`` and ``demos/`` is used, no
+package module imports another's private names, and every name the package
+exports resolves.
 
 No linter ships with the project, so this reads each file with ``ast``: a
 name bound by an import must be referenced somewhere in the same file, be
@@ -51,6 +52,28 @@ def test_no_unused_imports():
         "print(os.path.sep, pi)\n"
     ) == ["js", "tau"]
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in FILES}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def private_imports(source: str) -> list:
+    """Names starting with ``_`` that ``source`` imports from a qforecast module."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or node.module.split(".")[0] == "qforecast")
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_no_private_cross_module_imports():
+    # the checker itself: relative and absolute private imports are found,
+    # private names of other packages pass
+    assert private_imports(
+        "from .metaheuristics import ObjectiveTracker, _ensure_tracker\n"
+        "from . import _helpers\n"
+        "from qforecast.data import _median\n"
+        "from os import _exit\n"
+    ) == ["_ensure_tracker", "_helpers", "_median"]
+    found = {str(path.relative_to(ROOT)): private_imports(path.read_text()) for path in FILES
+             if path.is_relative_to(ROOT / "src" / "qforecast")}
     assert {path: names for path, names in found.items() if names} == {}
 
 

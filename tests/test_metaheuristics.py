@@ -66,14 +66,16 @@ def test_particle_at_global_best_with_zero_velocity_stays():
 
 
 def test_sphere_benchmark_criterion():
-    result = pso_minimize(sphere, [SPHERE_BOUNDS] * 4, n_particles=20, n_iterations=200, seed=42)
+    # 200 sweeps of 20 particles after the initial one
+    result = pso_minimize(ObjectiveTracker(sphere, budget=20 * 201), [SPHERE_BOUNDS] * 4,
+                          n_particles=20, seed=42)
     assert result.best_value < 1e-3
 
 
 def test_gbest_monotone_and_in_bounds():
     trace = []
-    result = pso_minimize(rastrigin, [RASTRIGIN_BOUNDS] * 3, n_particles=10,
-                          n_iterations=40, seed=3, trace=trace)
+    result = pso_minimize(ObjectiveTracker(rastrigin, budget=10 * 41, trace=trace),
+                          [RASTRIGIN_BOUNDS] * 3, n_particles=10, seed=3)
     assert all(b <= a + 1e-15 for a, b in zip(result.history, result.history[1:]))
     for row in trace:
         assert all(RASTRIGIN_BOUNDS[0] <= v <= RASTRIGIN_BOUNDS[1] for v in row["config"])
@@ -86,25 +88,34 @@ def test_nan_objective_becomes_inf_and_is_flagged():
         calls["n"] += 1
         return float("nan") if calls["n"] % 3 == 0 else sphere(x)
 
-    result = pso_minimize(sometimes_nan, [SPHERE_BOUNDS] * 2, n_particles=6,
-                          n_iterations=5, seed=0)
+    result = pso_minimize(ObjectiveTracker(sometimes_nan, budget=6 * 6), [SPHERE_BOUNDS] * 2,
+                          n_particles=6, seed=0)
     assert result.n_non_finite > 0
     assert np.isfinite(result.best_value)
 
 
 def test_pso_deterministic():
-    a = pso_minimize(rastrigin, [RASTRIGIN_BOUNDS] * 3, n_particles=8, n_iterations=30, seed=9)
-    b = pso_minimize(rastrigin, [RASTRIGIN_BOUNDS] * 3, n_particles=8, n_iterations=30, seed=9)
+    a, b = (pso_minimize(ObjectiveTracker(rastrigin, budget=8 * 31), [RASTRIGIN_BOUNDS] * 3,
+                         n_particles=8, seed=9) for _ in range(2))
     assert a.best_value == b.best_value
     np.testing.assert_array_equal(a.best_position, b.best_position)
 
 
 def test_budget_caps_evaluations():
     trace = []
-    result = pso_minimize(sphere, [SPHERE_BOUNDS] * 2, n_particles=7, n_iterations=10**6,
-                          seed=2, budget=50, trace=trace)
+    result = pso_minimize(ObjectiveTracker(sphere, budget=50, trace=trace), [SPHERE_BOUNDS] * 2,
+                          n_particles=7, seed=2)
     assert result.n_evals == 50
     assert len(trace) == 50
+
+
+@pytest.mark.parametrize("search", [pso_minimize, hybrid_minimize])
+def test_unbudgeted_tracker_is_refused(search):
+    def objective(x):
+        raise AssertionError("the objective must not run")
+
+    with pytest.raises(ConfigurationError, match="evaluation budget"):
+        search(ObjectiveTracker(objective), [SPHERE_BOUNDS] * 2, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,26 +150,26 @@ def test_rotation_angles_steer_toward_best_or_own_bits():
 
 
 def test_qga_spends_pop_times_generations_evaluations():
-    result = qga_minimize(one_max, 8, pop_size=6, n_generations=5, seed=4)
+    result = qga_minimize(ObjectiveTracker(one_max), 8, pop_size=6, n_generations=5, seed=4)
     assert result.n_evals == 30
 
 
 def test_one_max_criterion():
-    result = qga_minimize(one_max, 16, pop_size=20, n_generations=50, seed=7)
+    result = qga_minimize(ObjectiveTracker(one_max), 16, pop_size=20, n_generations=50, seed=7)
     assert result.best_value == -16.0
     assert np.all(result.best_bits == 1)
 
 
 def test_qga_deterministic():
-    a = qga_minimize(one_max, 12, pop_size=10, n_generations=20, seed=11)
-    b = qga_minimize(one_max, 12, pop_size=10, n_generations=20, seed=11)
+    a, b = (qga_minimize(ObjectiveTracker(one_max), 12, pop_size=10, n_generations=20, seed=11)
+            for _ in range(2))
     assert a.best_value == b.best_value
     np.testing.assert_array_equal(a.best_bits, b.best_bits)
 
 
 def test_empty_population_rejected():
     with pytest.raises(ConfigurationError):
-        qga_minimize(one_max, 8, pop_size=0, n_generations=5, seed=0)
+        qga_minimize(ObjectiveTracker(one_max), 8, pop_size=0, n_generations=5, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +178,8 @@ def test_empty_population_rejected():
 
 
 def test_full_genetic_budget_returns_its_best_exactly():
-    result = hybrid_minimize(sphere, [SPHERE_BOUNDS] * 2, budget=200, seed=6, qga_fraction=1.0)
+    result = hybrid_minimize(ObjectiveTracker(sphere, budget=200), [SPHERE_BOUNDS] * 2, seed=6,
+                             qga_fraction=1.0)
     assert result.pso is None
     assert result.best_value == result.qga.best_value
     np.testing.assert_array_equal(result.best_position, np.asarray(result.qga.best_decoded))
@@ -175,10 +187,10 @@ def test_full_genetic_budget_returns_its_best_exactly():
 
 def test_zero_genetic_budget_equals_plain_swarm():
     budget = 300
-    hybrid = hybrid_minimize(rastrigin, [RASTRIGIN_BOUNDS] * 3, budget=budget,
+    hybrid = hybrid_minimize(ObjectiveTracker(rastrigin, budget=budget), [RASTRIGIN_BOUNDS] * 3,
                              seed=13, qga_fraction=0.0)
-    plain = pso_minimize(rastrigin, [RASTRIGIN_BOUNDS] * 3, n_particles=20,
-                         n_iterations=10**9, seed=13, budget=budget)
+    plain = pso_minimize(ObjectiveTracker(rastrigin, budget=budget), [RASTRIGIN_BOUNDS] * 3,
+                         n_particles=20, seed=13)
     assert hybrid.qga is None
     assert hybrid.best_value == plain.best_value
     np.testing.assert_array_equal(hybrid.best_position, plain.best_position)
@@ -186,11 +198,22 @@ def test_zero_genetic_budget_equals_plain_swarm():
 
 def test_hybrid_budget_is_exact():
     trace = []
-    result = hybrid_minimize(sphere, [SPHERE_BOUNDS] * 3, budget=137, seed=1, trace=trace)
+    result = hybrid_minimize(ObjectiveTracker(sphere, budget=137, trace=trace),
+                             [SPHERE_BOUNDS] * 3, seed=1)
     assert result.n_evals == 137
     assert len(trace) == 137
     phases = {row["phase"] for row in trace}
     assert phases == {"qga", "pso"}
+
+
+def test_hybrid_splits_the_tracker_budget():
+    # 0.4 * 60 evaluations fund one genetic generation of 20; the swarm gets the other 40
+    trace = []
+    result = hybrid_minimize(ObjectiveTracker(rastrigin, budget=60, trace=trace),
+                             [RASTRIGIN_BOUNDS] * 3, seed=1)
+    phases = [row["phase"] for row in trace]
+    assert (phases.count("qga"), phases.count("pso")) == (20, 40)
+    assert result.qga.n_evals == 20 and result.n_evals == 60
 
 
 def test_hybrid_not_worse_than_plain_on_rastrigin_medians():
@@ -198,17 +221,20 @@ def test_hybrid_not_worse_than_plain_on_rastrigin_medians():
     bounds = [RASTRIGIN_BOUNDS] * 4
     hybrid_finals, plain_finals = [], []
     for seed in range(10):
-        hybrid_finals.append(hybrid_minimize(rastrigin, bounds, budget=budget, seed=seed).best_value)
+        hybrid_finals.append(
+            hybrid_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds,
+                            seed=seed).best_value
+        )
         plain_finals.append(
-            pso_minimize(rastrigin, bounds, n_particles=20, n_iterations=10**9,
-                         seed=seed, budget=budget).best_value
+            pso_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds, n_particles=20,
+                         seed=seed).best_value
         )
     assert np.median(hybrid_finals) <= np.median(plain_finals)
 
 
 def test_hybrid_deterministic():
-    a = hybrid_minimize(rastrigin, [RASTRIGIN_BOUNDS] * 2, budget=400, seed=21)
-    b = hybrid_minimize(rastrigin, [RASTRIGIN_BOUNDS] * 2, budget=400, seed=21)
+    a, b = (hybrid_minimize(ObjectiveTracker(rastrigin, budget=400), [RASTRIGIN_BOUNDS] * 2,
+                            seed=21) for _ in range(2))
     assert a.best_value == b.best_value
     np.testing.assert_array_equal(a.best_position, b.best_position)
 
@@ -238,14 +264,6 @@ def test_integer_rounding_half_up():
     assert dim.decode(1.5) == 2
     assert dim.decode(2.49) == 2
     assert dim.decode(2.5) == 3
-
-
-def test_unit_cube_round_trip():
-    space = SearchSpace.default(sequence_length=5, epochs=7)
-    rng = np.random.default_rng(23)
-    unit = rng.random(space.n_dims)
-    vec = space.from_unit(unit)
-    np.testing.assert_allclose(space.to_unit(vec), unit, atol=1e-12)
 
 
 def test_gray_fraction_endpoints():

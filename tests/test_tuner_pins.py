@@ -52,8 +52,9 @@ def hybrid_run(result, trace):
 
 def pso_free():
     trace = []
-    result = pso_minimize(rastrigin, [RASTRIGIN_BOUNDS] * 3, n_particles=8, n_iterations=15,
-                          seed=9, trace=trace)
+    # the initial sweep and 15 more of 8 particles
+    result = pso_minimize(ObjectiveTracker(rastrigin, budget=8 * 16, trace=trace),
+                          [RASTRIGIN_BOUNDS] * 3, n_particles=8, seed=9)
     return swarm_run(result, trace)
 
 
@@ -62,8 +63,8 @@ def pso_budget():
     runs = []
     for budget in (50, 5):
         trace = []
-        result = pso_minimize(sphere, [SPHERE_BOUNDS] * 2, n_particles=7, n_iterations=10**6,
-                              seed=2, budget=budget, trace=trace)
+        result = pso_minimize(ObjectiveTracker(sphere, budget=budget, trace=trace),
+                              [SPHERE_BOUNDS] * 2, n_particles=7, seed=2)
         runs.append(swarm_run(result, trace))
     return runs
 
@@ -77,8 +78,8 @@ def qga():
 
 def hybrid(fraction):
     trace = []
-    result = hybrid_minimize(rastrigin, [RASTRIGIN_BOUNDS] * 3, budget=137, seed=1,
-                             qga_fraction=fraction, trace=trace)
+    result = hybrid_minimize(ObjectiveTracker(rastrigin, budget=137, trace=trace),
+                             [RASTRIGIN_BOUNDS] * 3, seed=1, qga_fraction=fraction)
     return hybrid_run(result, trace)
 
 
@@ -93,16 +94,16 @@ def hybrid_search_space():
     trace = []
     tracker = ObjectiveTracker(lambda v: score(space.decode_vector(v)), budget=60, trace=trace,
                                describe=lambda v: space.decode_vector(v).to_dict())
-    result = hybrid_minimize(tracker, space.bounds(), budget=60, seed=5,
-                             decode_bits=space.decode_bits, n_bits=space.total_bits)
+    result = hybrid_minimize(tracker, space.bounds(), seed=5, decode_bits=space.decode_bits,
+                             n_bits=space.total_bits)
     genomes = np.random.default_rng(3).integers(0, 2, size=(20, space.total_bits))
     return [hybrid_run(result, trace), [space.decode_bits(g) for g in genomes]]
 
 
 def bo_sphere():
     lo, hi = SPHERE_BOUNDS
-    return bo_minimize_unit(lambda u: sphere(lo + (hi - lo) * u), 3, n_init=5,
-                            n_iterations=10, seed=6)
+    return bo_minimize_unit(ObjectiveTracker(lambda u: sphere(lo + (hi - lo) * u), budget=15), 3,
+                            n_init=5, seed=6)
 
 
 CASES = {
