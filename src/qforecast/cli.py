@@ -395,7 +395,6 @@ def _kbest_sets(run_dir: Path, seqs: list, options: dict) -> list:
 def cmd_ensemble(options: dict) -> int:
     from .data import load_dataset
     from .ensemble import check_weight_params, weight_history_tsv
-    from .metrics import format_metrics_table
     from .runner import run_ensemble, save_ensemble_checkpoint
 
     nu = options.get("nu")
@@ -427,8 +426,6 @@ def cmd_ensemble(options: dict) -> int:
             "configs": [b.config.to_dict() for b in result.base_runs],
         },
         "weight_history.tsv": weight_history_tsv(winner.state),
-        "metrics.json": result.metrics_rows,
-        "metrics.txt": format_metrics_table(result.metrics_rows),
     }
     if arch == "bo-q":
         files["enumeration.json"] = {
@@ -438,7 +435,6 @@ def cmd_ensemble(options: dict) -> int:
             "best_configs": [c.to_dict() for c in winner.configs],
         }
     publish(out_dir, "ensemble", options, timer.times, files)
-    print(files["metrics.txt"], end="")
     print(f"combining weights: {[round(float(w), 5) for w in winner.weights]}")
     return 0
 
@@ -459,7 +455,7 @@ def _load_ensemble_dir(run_dir: Path, arch: str | None):
 def cmd_forecast(options: dict) -> int:
     from .data import load_dataset
     from .metrics import write_tsv
-    from .runner import evaluate_ensemble, forecast_horizon
+    from .runner import forecast_horizon
 
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
@@ -468,21 +464,19 @@ def cmd_forecast(options: dict) -> int:
     timer = StageTimer()
     horizon = int(options["horizon"])
 
-    with timer.time("one_step"):
-        one_step = evaluate_ensemble(dataset, models, weights, arch)[1]
     with timer.time("multi_step"):
         multi = forecast_horizon(dataset, models, weights, horizon, model_tag=f"{arch}-ensemble")
 
-    files = {"test_onestep.tsv": lambda path: write_tsv(one_step, path),
-             f"horizon{horizon}.tsv": lambda path: write_tsv([multi], path)}
-    publish(out_dir, "forecast", options, timer.times, files)
-    print("wrote " + " and ".join(str(out_dir / name) for name in files))
+    name = f"horizon{horizon}.tsv"
+    publish(out_dir, "forecast", options, timer.times,
+            {name: lambda path: write_tsv([multi], path)})
+    print(f"wrote {out_dir / name}")
     return 0
 
 
 def cmd_evaluate(options: dict) -> int:
     from .data import load_dataset
-    from .metrics import format_metrics_table
+    from .metrics import format_metrics_table, write_tsv
     from .runner import evaluate_ensemble
 
     run_dir = resolve_run_dir(options["run"])
@@ -492,10 +486,11 @@ def cmd_evaluate(options: dict) -> int:
     timer = StageTimer()
 
     with timer.time("evaluate"):
-        metric_rows, _ = evaluate_ensemble(dataset, models, weights, arch)
+        metric_rows, one_step = evaluate_ensemble(dataset, models, weights, arch)
     table = format_metrics_table(metric_rows)
     publish(out_dir, "evaluate", options, timer.times,
-            {"metrics.json": metric_rows, "metrics.txt": table})
+            {"metrics.json": metric_rows, "metrics.txt": table,
+             "test_onestep.tsv": lambda path: write_tsv(one_step, path)})
     print(table, end="")
     return 0
 
@@ -636,13 +631,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_common(p)
 
-    p = sub.add_parser("forecast", help="emit test one-step and multi-step forecasts")
+    p = sub.add_parser("forecast", help="emit the multi-step forecast (horizon{H}.tsv)")
     p.add_argument("--run", required=True)
     p.add_argument("--arch", choices=ARCH_CHOICES, default=None)
     p.add_argument("--horizon", type=int, default=None)
     _add_common(p)
 
-    p = sub.add_parser("evaluate", help="print/write the MAPE and MSE table")
+    p = sub.add_parser("evaluate", help="score the test split: the MAPE/MSE table and "
+                                        "test_onestep.tsv")
     p.add_argument("--run", required=True)
     p.add_argument("--arch", choices=ARCH_CHOICES, default=None)
     _add_common(p)

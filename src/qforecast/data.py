@@ -695,6 +695,7 @@ HOURS_PER_YEAR = 8766.0
 SYNTH_START = dt.datetime(2015, 1, 1, 0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused, not warned about
 def synth_series(
     n_hours: int,
     seed: int,
@@ -736,6 +737,9 @@ def synth_series(
     precipitation = np.where(rain_mask, rng.gamma(2.0, 0.8, size=n_hours), 0.0)
 
     matrix = np.column_stack([temp, dew, humidity, wind, visibility, pressure, precipitation])
+    # checked before the mask: an overflow's inf - inf would pass as a missing cell
+    if not np.isfinite(matrix).all():
+        raise ConfigurationError(f"noise_sigma {noise_sigma} overflows the synthetic series")
     if missing_fraction > 0.0:
         matrix[rng.random(matrix.shape) < missing_fraction] = np.nan
     return matrix

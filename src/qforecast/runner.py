@@ -1,9 +1,9 @@
 """End-to-end orchestration: base-model training, the ensemble recipes,
 held-out evaluation, the multi-step forecast, and reproducible run artifacts.
 
-One call, :func:`run_ensemble`, trains, enumerates, weights and evaluates
-every ensemble: BO-Q keeps the best of the K^m tuples of its K-best sets,
-and GenHyb is the K = 1 case, one tuned configuration per model.  The
+One call, :func:`run_ensemble`, trains, enumerates and weights every
+ensemble: BO-Q keeps the best of the K^m tuples of its K-best sets, and
+GenHyb is the K = 1 case, one tuned configuration per model.  The test-set
 evaluation, the forecast and the ensemble checkpoint all take the ensemble
 as the same ``(kind, config, model)`` triples.
 
@@ -134,7 +134,6 @@ def probe_objective(dataset: Dataset, sequence_length: int, model_index: int,
 class EnsembleRun:
     architecture: str  # "genhyb" or "bo-q"
     base_runs: list
-    metrics_rows: list
     enumeration: EnumerationResult  # a single tuple for genhyb; its best holds the weights
 
 
@@ -174,13 +173,13 @@ def run_ensemble(architecture: str, dataset: Dataset, ksets: list, master_seed: 
                  lam: float = 0.85, gamma: float = 0.85, nu: int | None = None,
                  memo: dict | None = None) -> EnsembleRun:
     """Train every distinct candidate of the K-best sets once, enumerate the
-    K^m configuration tuples, and evaluate the winner on the test set.
+    K^m configuration tuples, and keep the winner with its weights.
 
     The tuple objective is the adaptively-weighted forecast MSE on the shared
-    validation segment (never the test set); test metrics come from the
-    winner's finalized simplex weights.  A candidate whose training diverges
-    scores its tuples +inf; when every tuple diverges, the first failing
-    model's NumericDivergenceError propagates.
+    validation segment (never the test set); :func:`evaluate_ensemble` scores
+    the winner's finalized simplex weights on the test set.  A candidate whose
+    training diverges scores its tuples +inf; when every tuple diverges, the
+    first failing model's NumericDivergenceError propagates.
     """
     memo = {} if memo is None else memo
     seqs = []
@@ -209,9 +208,7 @@ def run_ensemble(architecture: str, dataset: Dataset, ksets: list, master_seed: 
     enumeration = enumerate_ensembles(ksets, predict_fn, val_y, lam=lam, gamma=gamma, nu=nu)
     winner = enumeration.best
     base_runs = [outcomes[pair] for pair in enumerate(winner.configs)]
-    rows, _ = evaluate_ensemble(dataset, [run.triple for run in base_runs],
-                                winner.weights, architecture)
-    return EnsembleRun(architecture, base_runs, rows, enumeration)
+    return EnsembleRun(architecture, base_runs, enumeration)
 
 
 def forecast_horizon(dataset: Dataset, models, weights, horizon: int = 24,

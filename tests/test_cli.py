@@ -156,8 +156,11 @@ def test_preprocess_without_source_is_usage_error(tmp_path):
     (("synth", "--hours", 60, "--noise", -0.5), "noise_sigma must be finite and >= 0"),
     (("preprocess", "--synth-hours", 120, "--train-fraction", "nan"), "train_fraction"),
     (("preprocess", "--synth-hours", 120, "--train-fraction", "inf"), "train_fraction"),
+    (("synth", "--hours", 60, "--noise", 1e308), "overflows the synthetic series"),
+    (("preprocess", "--synth-hours", 120, "--noise", 1e308), "overflows the synthetic series"),
 ], ids=["synth-seed-1", "synth-noise-nan", "synth-noise-inf", "synth-noise-neg",
-        "preprocess-fraction-nan", "preprocess-fraction-inf"])
+        "preprocess-fraction-nan", "preprocess-fraction-inf", "synth-noise-overflow",
+        "preprocess-noise-overflow"])
 def test_out_of_range_data_inputs_exit_before_writing(tmp_path, capsys, argv, named):
     command, *flags = argv
     target = "--out" if command == "synth" else "--run"
@@ -289,13 +292,20 @@ def genhyb_run(prepared_run):
     return prepared_run
 
 
+def evaluate_outputs(run_dir: Path, arch: str) -> Path:
+    """``evaluate --arch`` over ``run_dir``; returns its output directory."""
+    assert run_cli("evaluate", "--run", run_dir, "--arch", arch, "--force") == 0
+    return run_dir / "evaluate"
+
+
 def test_ensemble_artifacts(genhyb_run):
     out = genhyb_run / "ensemble-genhyb"
     weights = json.loads((out / "weights.json").read_text())
     assert abs(sum(weights["weights"]) - 1.0) < 1e-12
-    rows = json.loads((out / "metrics.json").read_text())
+    evaluated = evaluate_outputs(genhyb_run, "genhyb")
+    rows = json.loads((evaluated / "metrics.json").read_text())
     assert [r["model"] for r in rows] == ["qlstm-seq3", "qlstm-seq5", "genhyb-ensemble"]
-    table = (out / "metrics.txt").read_text().strip().split("\n")
+    table = (evaluated / "metrics.txt").read_text().strip().split("\n")
     assert table[2].startswith("qlstm-seq3")
     assert table[4].startswith("genhyb-ensemble")
     history = (out / "weight_history.tsv").read_text().strip().split("\n")
@@ -307,8 +317,8 @@ def test_boq_with_k1_matches_genhyb(genhyb_run):
         "ensemble", "--run", genhyb_run, "--arch", "bo-q", "--inline", "--epochs", 2,
     ) == 0
     gen, boq = genhyb_run / "ensemble-genhyb", genhyb_run / "ensemble-bo-q"
-    gen_rows = json.loads((gen / "metrics.json").read_text())
-    boq_rows = json.loads((boq / "metrics.json").read_text())
+    gen_rows = json.loads((evaluate_outputs(genhyb_run, "genhyb") / "metrics.json").read_text())
+    boq_rows = json.loads((evaluate_outputs(genhyb_run, "bo-q") / "metrics.json").read_text())
     assert [r.pop("model") for r in gen_rows] == ["qlstm-seq3", "qlstm-seq5", "genhyb-ensemble"]
     assert [r.pop("model") for r in boq_rows] == ["qlstm-seq3", "qlstm-seq5", "bo-q-ensemble"]
     assert gen_rows == boq_rows
@@ -478,7 +488,8 @@ def test_forecast_default_horizon_24(genhyb_run):
     assert run_cli("forecast", "--run", genhyb_run, "--arch", "genhyb") == 0
     lines = (genhyb_run / "forecast" / "horizon24.tsv").read_text().strip().split("\n")
     assert len(lines) == 25  # header + 24 steps
-    onestep = (genhyb_run / "forecast" / "test_onestep.tsv").read_text().strip().split("\n")
+    evaluated = evaluate_outputs(genhyb_run, "genhyb")
+    onestep = (evaluated / "test_onestep.tsv").read_text().strip().split("\n")
     assert onestep[0] == "timestamp\ty_true\ty_pred\tmodel"
 
 
@@ -488,6 +499,40 @@ def test_evaluate_prints_table(genhyb_run, capsys):
     assert "genhyb-ensemble" in out
     rows = json.loads((genhyb_run / "evaluate" / "metrics.json").read_text())
     assert [r["model"] for r in rows] == ["qlstm-seq3", "qlstm-seq5", "genhyb-ensemble"]
+
+
+def test_each_model_command_has_one_job(genhyb_run, tmp_path):
+    """ensemble, forecast and evaluate write disjoint artifacts; evaluate alone
+    predicts the test split, and its one-step series reproduce its MSE."""
+    import shutil
+
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    shutil.copy(genhyb_run / "dataset.npz", run_dir / "dataset.npz")
+    shutil.copytree(genhyb_run / "ensemble-genhyb", run_dir / "ensemble-genhyb")
+    assert run_cli("forecast", "--run", run_dir) == 0
+    assert run_cli("evaluate", "--run", run_dir) == 0
+    names = [{a["path"] for a in json.loads((run_dir / sub / "manifest.json").read_text())
+              ["artifacts"]} for sub in ("ensemble-genhyb", "forecast", "evaluate")]
+    assert sum(map(len, names)) == len(set().union(*names))  # pairwise disjoint
+    assert not [*genhyb_run.glob("ensemble-*/metrics.*"), *run_dir.glob("ensemble-*/metrics.*")]
+    assert {p.name for p in (run_dir / "forecast").iterdir()} == {"horizon24.tsv",
+                                                                 "manifest.json"}
+
+    rows = json.loads((run_dir / "evaluate" / "metrics.json").read_text())
+    lines = (run_dir / "evaluate" / "test_onestep.tsv").read_text().splitlines()[1:]
+    pairs = np.array([[float(c) for c in line.split("\t")[1:3]] for line in lines
+                      if line.endswith("\tgenhyb-ensemble")])
+    y, y_hat = pairs.T
+    diff = y - y_hat
+    # %.10g keeps 10 significant digits, so each printed v is off by at most
+    # 5e-10 |v| and diff by at most 5e-10 (|y| + |y_hat|); delta doubles that
+    # to cover the float sums here too.  An error e in diff moves diff^2 by at
+    # most 2 |diff| |e| + e^2.
+    delta = 1e-9 * (np.abs(y) + np.abs(y_hat))
+    tolerance = float(np.mean(2 * np.abs(diff) * delta + delta ** 2))
+    assert len(pairs) and rows[-1]["model"] == "genhyb-ensemble"
+    assert abs(float(np.mean(diff * diff)) - rows[-1]["mse"]) <= tolerance
 
 
 def test_evaluate_stub_checkpoint_is_perfect(tmp_path):
@@ -612,7 +657,7 @@ def test_missing_ensemble_is_actionable(prepared_run, capsys):
 def test_rerun_verifies_identical_outputs(genhyb_run, capsys):
     assert run_cli("rerun", "--manifest", genhyb_run / "ensemble-genhyb" / "manifest.json") == 0
     out = capsys.readouterr().out
-    assert "metrics.json: identical" in out
+    assert "weights.json: identical" in out
     assert "checkpoint.npz: identical" in out
     assert "DIFFERS" not in out
 

@@ -9,6 +9,7 @@ from qforecast.errors import CheckpointVersionError
 from qforecast.qlstm import HyperConfig, PersistenceModel, predict_batch
 from qforecast.runner import (
     derive_seed,
+    evaluate_ensemble,
     forecast_horizon,
     load_ensemble_checkpoint,
     probe_objective,
@@ -114,7 +115,9 @@ def test_boq_reuses_shared_trainings(small_dataset):
     run = run_ensemble("bo-q", small_dataset, ksets, 11, memo=memo)
     assert run.enumeration.n_tuples == 4
     assert len(memo) == 4  # one training per distinct (model, config) pair
-    assert [r["model"] for r in run.metrics_rows][-1] == "bo-q-ensemble"
+    rows, _ = evaluate_ensemble(small_dataset, [r.triple for r in run.base_runs],
+                                run.enumeration.best.weights, "bo-q")
+    assert [r["model"] for r in rows][-1] == "bo-q-ensemble"
 
 
 def test_boq_diverged_candidate_scores_inf(small_dataset, trainings):
