@@ -29,6 +29,15 @@ the body's lines first and copies each checked block into one preallocated
 matrix.  The medians and quartiles are numpy's (:func:`_median`,
 :func:`_quartiles`), without the ``numpy.ma`` import that ``np.median`` and
 ``np.percentile`` make.
+
+The dataset cache and both checkpoint kinds are npz files that one reader
+and one writer handle (:func:`read_npz`, :func:`write_npz`).  Reading checks
+every member, streaming it once through ``zipfile`` so its CRC-32 is
+verified, and then returns each array as a view of one copy-on-write
+(``mmap.ACCESS_COPY``) map of the file: a command pulls in only the pages it
+touches, and the arrays stay writable without changing the file.  Writing
+goes to a sibling temporary file that then replaces the target, so a file
+another array still maps is never rewritten in place.
 """
 
 from __future__ import annotations
@@ -36,6 +45,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import mmap
+import os
+import struct
 import warnings
 import zipfile
 from dataclasses import dataclass, fields
@@ -516,13 +528,21 @@ class WindowedDataset:
 
     inputs: np.ndarray  # (n, sequence_length, n_features)
     targets: np.ndarray  # (n,) standardized next-hour temperature
-    target_rows: np.ndarray  # (n,) row index of each target in the source matrix
+    first_target_row: int  # row of the first target in the source matrix; one row per window
 
     def __len__(self) -> int:
         return len(self.targets)
 
+    @property
+    def target_rows(self) -> np.ndarray:
+        """Row index of each target in the source matrix, made on demand."""
+        return np.arange(self.first_target_row, self.first_target_row + len(self))
+
     def __getitem__(self, part: slice) -> WindowedDataset:
-        return WindowedDataset(self.inputs[part], self.targets[part], self.target_rows[part])
+        """The windows of ``part``, a slice with step one."""
+        start = part.indices(len(self))[0]
+        return WindowedDataset(self.inputs[part], self.targets[part],
+                               self.first_target_row + start)
 
 
 def make_windows(matrix: np.ndarray, sequence_length: int) -> WindowedDataset:
@@ -544,7 +564,7 @@ def make_windows(matrix: np.ndarray, sequence_length: int) -> WindowedDataset:
     return WindowedDataset(
         inputs=spans[:, :, :sequence_length].transpose(0, 2, 1),
         targets=spans[:, TEMPERATURE, sequence_length],
-        target_rows=np.arange(sequence_length, rows),
+        first_target_row=sequence_length,
     )
 
 
@@ -623,21 +643,36 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 
 def write_npz(path, arrays: dict) -> None:
-    """Write ``arrays`` as ``np.savez`` does, byte for byte, without its copy.
+    """Write ``arrays`` as ``np.savez`` does, byte for byte, without its copy,
+    and atomically.
 
     ``np.savez`` hands each contiguous array to ``nditer`` as one chunk and
     writes ``chunk.tobytes()``, a copy of the whole array.  Here each member
     is its ``.npy`` header and then the array's own buffer; only an array
     that is neither C- nor Fortran-contiguous is copied, into C order.
+
+    The archive is written to a sibling temporary file, which then replaces
+    ``path`` (``os.replace``).  So a write that fails leaves the previous
+    file as it was and no temporary file, and arrays that :func:`read_npz`
+    mapped from the previous file keep their pages: truncating a mapped file
+    in place would make reading them a bus error.
     """
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as archive:
-        for name, value in arrays.items():
-            value = np.asanyarray(value)
-            header = npy_format.header_data_from_array_1_0(value)
-            data = value.T if header["fortran_order"] else np.ascontiguousarray(value)
-            with archive.open(name + ".npy", "w", force_zip64=True) as member:
-                npy_format.write_array_header_1_0(member, header)
-                member.write(data.reshape(-1).view(np.uint8))
+    path = os.fspath(path)
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with zipfile.ZipFile(temporary, "w", compression=zipfile.ZIP_STORED,
+                             allowZip64=True) as archive:
+            for name, value in arrays.items():
+                value = np.asanyarray(value)
+                header = npy_format.header_data_from_array_1_0(value)
+                data = value.T if header["fortran_order"] else np.ascontiguousarray(value)
+                with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                    npy_format.write_array_header_1_0(member, header)
+                    member.write(data.reshape(-1).view(np.uint8))
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
 
 
 class NpzArrays(dict):
@@ -657,22 +692,70 @@ class NpzArrays(dict):
         return int(value)
 
 
-def read_npz(path, what: str, version: int) -> NpzArrays:
-    """Read a versioned npz file (dataset cache or checkpoint) in full.
+CRC_READ_BYTES = 1 << 16  # each read of a member's CRC pass
+_NPY_HEADER_READERS = {(1, 0): npy_format.read_array_header_1_0,
+                       (2, 0): npy_format.read_array_header_2_0}
 
-    A truncated or corrupt container, a bad ``.npy`` header or a missing
-    array raises :class:`~qforecast.errors.DataError`; a version other than
+
+def read_npz(path, what: str, version: int) -> NpzArrays:
+    """Read a versioned npz file (dataset cache or checkpoint) as views of
+    one copy-on-write map of the file.
+
+    Each member must be a stored ``.npy`` with a version 1.0 or 2.0 header,
+    no object dtype (pickles are refused, as ``allow_pickle=False`` does),
+    and exactly the data bytes its shape and dtype call for.  It is read to
+    its end through ``zipfile`` in :data:`CRC_READ_BYTES` reads, so its
+    CRC-32 is checked without touching the map.  Then every array is a view
+    of one ``mmap.ACCESS_COPY`` map: only the pages a caller touches are
+    loaded, and writing to an array copies its page and never reaches the
+    file.  The arrays need not be aligned: the zip member layout that
+    ``np.savez`` writes places each data block where it falls.
+
+    A truncated or corrupt container, a bad member or a missing array
+    raises :class:`~qforecast.errors.DataError`; a version other than
     ``version`` raises :class:`~qforecast.errors.CheckpointVersionError`.
     """
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = NpzArrays(path, {name: archive[name] for name in archive.files})
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
+            mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+            arrays = NpzArrays(path, {info.filename[:-len(".npy")]:
+                                      _mapped_member(archive, info, mapping)
+                                      for info in archive.infolist()})
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise DataError(f"{path}: unreadable {what}: {exc}") from exc
     found = arrays.integer("version")
     if found != version:
         raise CheckpointVersionError(f"{what} version {found} unsupported (expected {version})")
     return arrays
+
+
+def _mapped_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, mapping: mmap.mmap):
+    """One checked ``.npy`` member of ``archive`` as a view of ``mapping``."""
+    name = info.filename
+    if info.compress_type != zipfile.ZIP_STORED or not name.endswith(".npy"):
+        raise ValueError(f"{name} is not a stored .npy member")
+    with archive.open(info) as member:
+        npy_version = npy_format.read_magic(member)
+        if npy_version not in _NPY_HEADER_READERS:
+            raise ValueError(f"{name}: unsupported .npy version {npy_version}")
+        shape, fortran_order, dtype = _NPY_HEADER_READERS[npy_version](member)
+        if dtype.hasobject:
+            raise ValueError(f"{name}: object arrays cannot be loaded without pickle")
+        header_bytes = member.tell()
+        data_bytes = math.prod(shape) * dtype.itemsize
+        if info.file_size - header_bytes != data_bytes:
+            raise ValueError(f"{name}: {info.file_size - header_bytes} data bytes, "
+                             f"its header describes {data_bytes}")
+        while member.read(CRC_READ_BYTES):  # zipfile checks the CRC-32 at the end
+            pass
+    # the data follows the member's local header, which zipfile checked on
+    # opening it: 30 bytes, then the name and the extra field, whose lengths
+    # sit at byte 26.  The zip64 extra field write_npz forces there makes that
+    # header longer than the central directory entry.
+    name_length, extra_length = struct.unpack_from("<HH", mapping, info.header_offset + 26)
+    offset = info.header_offset + 30 + name_length + extra_length + header_bytes
+    return np.ndarray(shape, dtype, buffer=mapping, offset=offset,
+                      order="F" if fortran_order else "C")
 
 
 def load_dataset(path) -> Dataset:

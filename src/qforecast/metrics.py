@@ -137,17 +137,20 @@ def forecast_iterative(
 
 def tsv_lines(results: list[ForecastResult]):
     """Delimited lines (timestamp, y_true, y_pred, model), header first, each
-    with its newline.  A series is one bound ``str.format`` mapped over its
-    columns' ``tolist()``; the model tag is literal text in that template."""
+    with its newline.  The timestamp and ``y_true`` cells are formatted once
+    for a run of series that share those two columns (the test-set series of
+    one evaluation do), so each series formats only its ``y_pred``: one bound
+    ``str.format``, with the model tag as literal text, mapped over the
+    shared cells and its ``tolist()``."""
     yield "timestamp\ty_true\ty_pred\tmodel\n"
+    shared, cells = (None, None), []
     for res in results:
+        if shared[0] is not res.timestamps or shared[1] is not res.y_true:
+            shared = (res.timestamps, res.y_true)
+            cells = (list(map("{}\t\t".format, res.timestamps)) if res.y_true is None else
+                     list(map("{}\t{:.10g}\t".format, res.timestamps, res.y_true.tolist())))
         tag = res.model.replace("{", "{{").replace("}", "}}")
-        if res.y_true is None:
-            yield from map(f"{{}}\t\t{{:.10g}}\t{tag}\n".format, res.timestamps,
-                           res.y_pred.tolist())
-        else:
-            yield from map(f"{{}}\t{{:.10g}}\t{{:.10g}}\t{tag}\n".format, res.timestamps,
-                           res.y_true.tolist(), res.y_pred.tolist())
+        yield from map(f"{{}}{{:.10g}}\t{tag}\n".format, cells, res.y_pred.tolist())
 
 
 def write_tsv(results: list[ForecastResult], path) -> None:

@@ -137,23 +137,25 @@ class EnsembleRun:
     enumeration: EnumerationResult  # a single tuple for genhyb; its best holds the weights
 
 
-def _test_predictions(dataset: Dataset, models) -> tuple[np.ndarray, np.ndarray]:
-    """Per-model test predictions restricted to the rows every model covers."""
-    preds, rows = [], []
+def _test_predictions(dataset: Dataset, models) -> tuple[np.ndarray, int]:
+    """Per-model test predictions restricted to the rows every model covers,
+    and the first of those rows."""
+    preds, firsts = [], []
     for _, config, model in models:  # one window stack alive at a time
         part = dataset.test_windows(config.sequence_length)
         preds.append(predict_batch(model, part.inputs))
-        rows.append(part.target_rows)
-    start = max(r[0] for r in rows)
-    aligned = [p[start - r[0]:] for p, r in zip(preds, rows)]
-    return np.vstack(aligned), rows[0][start - rows[0][0]:]
+        firsts.append(part.first_target_row)
+    start = max(firsts)
+    return np.vstack([p[start - first:] for p, first in zip(preds, firsts)]), start
 
 
 def evaluate_ensemble(dataset: Dataset, models, weights, architecture: str) -> tuple[list, list]:
     """Test-set one-step evaluation of (kind, config, model) triples and their
-    weighted combination: returns the metric rows and the forecast series."""
-    preds_std, common_rows = _test_predictions(dataset, models)
-    y_std = dataset.test_matrix[common_rows, 0]
+    weighted combination: returns the metric rows and the forecast series,
+    which share one timestamp list and one ``y_true`` array."""
+    preds_std, start = _test_predictions(dataset, models)
+    y_std = dataset.test_matrix[start:, 0]
+    timestamps = list(range(start, len(dataset.test_matrix)))
     y_c = destandardize_temperature(y_std, dataset.scaler)
     tags = [f"{kind}-seq{config.sequence_length}" for kind, config, _ in models]
     combined_std = combine_predictions(weights, preds_std)
@@ -164,8 +166,7 @@ def evaluate_ensemble(dataset: Dataset, models, weights, architecture: str) -> t
         mape_pct, excluded = mape_with_exclusions(y_c, pred_c)
         rows.append({"model": tag, "mape_pct": mape_pct, "mse": mse(y_c, pred_c),
                      "mse_standardized": mse(y_std, pred_std), "excluded": excluded})
-        forecasts.append(ForecastResult(list(map(int, common_rows)), y_c, pred_c,
-                                        tag, "test-one-step"))
+        forecasts.append(ForecastResult(timestamps, y_c, pred_c, tag, "test-one-step"))
     return rows, forecasts
 
 

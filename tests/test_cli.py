@@ -1,8 +1,10 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -614,6 +616,33 @@ def test_truncated_npz_is_data_error(tmp_path, capsys, command, artifact):
     assert run_cli(command, "--run", run_dir) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and len(err.strip().splitlines()) == 1
+
+
+def flip_last_data_byte(path: Path, member: str) -> None:
+    """Flip one bit of the last data byte of an npz member, not its CRC."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    data = bytearray(path.read_bytes())
+    name_length, extra_length = struct.unpack_from("<HH", data, info.header_offset + 26)
+    data[info.header_offset + 30 + name_length + extra_length + info.file_size - 1] ^= 1
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("argv", [
+    ("tune", "--tuner", "bayes", "--budget", 2, "--seq", 3),
+    ("ensemble", "--arch", "genhyb"),
+    ("forecast",),
+    ("evaluate",),
+], ids=["tune", "ensemble", "forecast", "evaluate"])
+def test_dataset_cache_with_a_flipped_data_byte_is_data_error(tmp_path, capsys, argv):
+    run_dir = untrained_ensemble_run(tmp_path)
+    flip_last_data_byte(run_dir / "dataset.npz", "train_matrix.npy")
+    before = tree_bytes(tmp_path)
+    command, *flags = argv
+    assert run_cli(command, "--run", run_dir, *flags) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Bad CRC-32 for file 'train_matrix.npy'" in err
+    assert tree_bytes(tmp_path) == before
 
 
 @pytest.mark.parametrize("key, value", [

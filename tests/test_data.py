@@ -1,6 +1,8 @@
 import csv
 import datetime as dt
 import importlib.util
+import io
+import mmap
 import tracemalloc
 import warnings
 import zipfile
@@ -28,6 +30,7 @@ from qforecast.data import (
     load_dataset,
     make_windows,
     prepare_dataset,
+    read_npz,
     save_dataset,
     split_point,
     synth_series,
@@ -36,6 +39,8 @@ from qforecast.data import (
     write_npz,
     _parse_rows,
 )
+from numpy.lib import format as npy_format
+
 from qforecast.errors import ConfigurationError, DataError
 
 from oracles import scaler_oracle, standardize_oracle
@@ -634,3 +639,70 @@ def test_dataset_cache_round_trip(tmp_path):
     with zipfile.ZipFile(path) as archive:
         assert archive.namelist() == [f"{name}.npy" for name in (
             "version", "train_matrix", "test_matrix", "n_rows", *scaler_members)]
+
+
+def test_saving_a_loaded_cache_onto_its_file_rewrites_it_byte_for_byte(tmp_path):
+    path = tmp_path / "cache.npz"
+    save_dataset(path, prepare_dataset(synth_series(200, seed=5)))
+    written = path.read_bytes()
+    save_dataset(path, load_dataset(path))  # its arrays map the file it replaces
+    assert path.read_bytes() == written
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_loaded_arrays_are_writable_views_of_one_file_map(tmp_path):
+    # a return to a copying reader would give arrays that own their data
+    path = tmp_path / "cache.npz"
+    save_dataset(path, prepare_dataset(synth_series(200, seed=5)))
+    written = path.read_bytes()
+    back = load_dataset(path)
+    arrays = [back.train_matrix, back.test_matrix,
+              *(getattr(back.scaler, f.name) for f in fields(ScalerState) if f.name != "n_fit_rows")]
+    for array in arrays:
+        assert not array.flags.owndata and isinstance(array.base, mmap.mmap)
+    assert len({id(array.base) for array in arrays}) == 1
+    back.train_matrix[:, 0] += 1.0  # copy on write: the file keeps its bytes
+    assert path.read_bytes() == written
+
+
+def test_failed_npz_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "cache.npz"
+    write_npz(path, {"version": np.array(1), "cells": np.arange(3.0)})
+    written = path.read_bytes()
+    with pytest.raises(TypeError):  # an object array has no bytes to write
+        write_npz(path, {"version": np.array(2), "cells": np.array([None], dtype=object)})
+    assert path.read_bytes() == written
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def npz_with_member(path, name: str, payload: bytes) -> None:
+    """An npz holding a version array and one raw member."""
+    with zipfile.ZipFile(path, "w") as archive:
+        buffer = io.BytesIO()
+        npy_format.write_array(buffer, np.array(1))
+        archive.writestr("version.npy", buffer.getvalue())
+        archive.writestr(name, payload)
+
+
+def short_npy() -> bytes:
+    buffer = io.BytesIO()
+    npy_format.write_array_header_1_0(buffer, {"descr": "<f8", "fortran_order": False,
+                                               "shape": (3,)})
+    return buffer.getvalue() + np.zeros(2).tobytes()
+
+
+@pytest.mark.parametrize("write, named", [
+    (lambda path: np.savez(path, version=np.array(1), cells=np.array([None], dtype=object)),
+     "object arrays"),
+    (lambda path: np.savez_compressed(path, version=np.array(1)), "not a stored .npy"),
+    (lambda path: npz_with_member(path, "notes.txt", b"text"), "not a stored .npy"),
+    (lambda path: npz_with_member(path, "cells.npy", short_npy()),
+     "16 data bytes, its header describes 24"),
+    (lambda path: npz_with_member(path, "cells.npy", b"\x93NUMPY\x03\x00" + bytes(8)),
+     "unsupported .npy version"),
+], ids=["object-dtype", "compressed", "not-npy", "short-data", "npy-version-3"])
+def test_npz_reader_refuses_a_member_it_cannot_map(tmp_path, write, named):
+    path = tmp_path / "x.npz"
+    write(path)
+    with pytest.raises(DataError, match=named):
+        read_npz(path, "checkpoint", 1)

@@ -1,6 +1,6 @@
 """Every name imported in ``src/``, ``tests/`` and ``demos/`` is used, no
-package module imports another's private names, and every name the package
-exports resolves.
+package module imports another's private names or reads an npz file past
+the mapped reader, and every name the package exports resolves.
 
 No linter ships with the project, so this reads each file with ``ast``: a
 name bound by an import must be referenced somewhere in the same file, be
@@ -75,6 +75,30 @@ def test_no_private_cross_module_imports():
     found = {str(path.relative_to(ROOT)): private_imports(path.read_text()) for path in FILES
              if path.is_relative_to(ROOT / "src" / "qforecast")}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def numpy_loads(source: str) -> list:
+    """Lines of ``source`` that call ``np.load``/``numpy.load`` or import it."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "load"
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                  or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                  and any(alias.name == "load" for alias in node.names))
+
+
+def test_npz_files_are_read_only_through_the_mapped_reader():
+    # ``data.read_npz`` checks every member and maps the file copy-on-write;
+    # ``np.load`` would copy each array to the heap.  The checker itself:
+    assert numpy_loads(
+        "import numpy as np\n"
+        "from numpy import load\n"
+        "np.load('a.npz')\n"
+        "json.load(fh)\n"
+        "f = numpy.load\n"
+    ) == [2, 3, 5]
+    found = {str(path.relative_to(ROOT)): numpy_loads(path.read_text()) for path in FILES
+             if path.is_relative_to(ROOT / "src")}
+    assert {path: lines for path, lines in found.items() if lines} == {}
 
 
 def test_every_export_resolves():
