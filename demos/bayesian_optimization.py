@@ -7,8 +7,13 @@ Writes gp_curve.tsv (grid, posterior mean/sd, EI) for plotting.
 import numpy as np
 
 from qforecast.bayesopt import bo_minimize_unit, expected_improvement, gp_fit, gp_posterior
-from qforecast.benchmarks import quadratic_1d
 from qforecast.metaheuristics import ObjectiveTracker
+
+
+def parabola(u) -> float:
+    """(x - 0.7)^2 at the one coordinate of ``u``: its minimum is at 0.7."""
+    return float((u[0] - 0.7) ** 2)
+
 
 # --- fit a surrogate to five noisy sine observations ------------------------
 x = np.array([[0.05], [0.3], [0.5], [0.75], [0.95]])
@@ -28,7 +33,7 @@ print("wrote gp_curve.tsv (posterior and acquisition surface over [0, 1])")
 
 # --- run the full loop on a quadratic ----------------------------------------
 # the tracker's budget of 20 evaluations: 5 initial points, then 15 BO rounds
-xs, ys = bo_minimize_unit(ObjectiveTracker(quadratic_1d(0.7), budget=20), 1, n_init=5, seed=3)
+xs, ys = bo_minimize_unit(ObjectiveTracker(parabola, budget=20), 1, n_init=5, seed=3)
 order = np.argsort(ys)
 print(f"\nBO on (x - 0.7)^2 with 20 evaluations:")
 print(f"  best point {xs[order[0]][0]:.4f} with value {ys[order[0]]:.2e}")

@@ -9,9 +9,9 @@ content hashes of everything it produced.  A command computes everything
 first and writes its outputs only once it has succeeded (:func:`publish`), so
 a command that fails leaves the run tree as it found it.
 
-Exit codes: 0 success, 2 usage/configuration, 3 data error, 4 numeric
-divergence.  The environment variable ``QFORECAST_OUT_ROOT`` rebases
-relative run directories.
+Exit codes: 0 success, 2 usage/configuration (a size too large to allocate
+included), 3 data error, 4 numeric divergence.  The environment variable
+``QFORECAST_OUT_ROOT`` rebases relative run directories.
 
 Each command imports the layers it runs inside its handler, so
 ``preprocess`` and ``synth`` load the data layer and no model.
@@ -46,6 +46,7 @@ MODEL_DEFAULTS = {
 }
 
 TUNER_CHOICES = ("pso", "qga", "hybrid", "bayes")
+MAX_HORIZON = 8766  # the longest forecast --horizon: a year of hours, each fed back into the next
 ARCH_CHOICES = ("genhyb", "bo-q")
 
 
@@ -457,12 +458,14 @@ def cmd_forecast(options: dict) -> int:
     from .metrics import write_tsv
     from .runner import forecast_horizon
 
+    horizon = int(options["horizon"])
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ConfigurationError(f"--horizon must lie in [1, {MAX_HORIZON}], got {horizon}")
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     arch, weights, models = _load_ensemble_dir(run_dir, options.get("arch"))
     out_dir = check_output(run_dir / "forecast", options["force"])
     timer = StageTimer()
-    horizon = int(options["horizon"])
 
     with timer.time("multi_step"):
         multi = forecast_horizon(dataset, models, weights, horizon, model_tag=f"{arch}-ensemble")
@@ -681,6 +684,9 @@ def main(argv=None) -> int:
         return 4
     except QForecastError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size flag too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

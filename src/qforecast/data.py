@@ -11,8 +11,10 @@ sequences, which are read-only views of it.  A seeded synthetic generator
 provides desk-scale fixtures.
 
 A paper-length series holds the matrix and bounded temporaries only.
-:func:`prepare_dataset` imputes and standardizes its argument in place,
-:data:`SCALE_BLOCK_ROWS` rows at a time, and returns train/test views of it.
+:func:`prepare_dataset` imputes its argument in place, standardizes it with
+:func:`scale_in_place`, :data:`SCALE_BLOCK_ROWS` rows at a time, and returns
+train/test views of it.  :func:`scale_in_place` is the one scaling routine;
+a caller that keeps its raw cells scales a copy.
 :func:`fit_scaler` takes the quartiles one column at a time and the
 stage-one mean and std by row-block sums in numpy's own row order, so its
 statistics equal the whole-matrix ``mean(axis=0)`` / ``std(axis=0)`` bit for
@@ -396,13 +398,6 @@ def _quartiles(values: np.ndarray) -> list:
     return quartiles
 
 
-def impute_median(matrix: np.ndarray, medians: np.ndarray) -> np.ndarray:
-    """A copy with every missing cell replaced by its feature's (train-split) median."""
-    out = matrix.copy()
-    np.copyto(out, medians, where=np.isnan(out))
-    return out
-
-
 @dataclass
 class ScalerState:
     """Robust (median/IQR) then Z-score statistics, fitted on training rows only.
@@ -490,9 +485,9 @@ def _column_sums(matrix: np.ndarray, stages, square: bool) -> np.ndarray:
     return total
 
 
-def _scale_in_place(matrix: np.ndarray, scaler: ScalerState) -> np.ndarray:
-    """Standardize ``matrix`` in place, row block by row block; returns which
-    columns hold only finite cells."""
+def scale_in_place(matrix: np.ndarray, scaler: ScalerState) -> np.ndarray:
+    """Apply both stages, robust then Z-score, to ``matrix`` in place, row
+    block by row block; returns which columns hold only finite cells."""
     stages = [_center_scale(scaler.median, scaler.iqr, scaler.robust_skip),
               _center_scale(scaler.mean, scaler.std, scaler.z_skip)]
     finite = np.ones(matrix.shape[1], dtype=bool)
@@ -503,20 +498,8 @@ def _scale_in_place(matrix: np.ndarray, scaler: ScalerState) -> np.ndarray:
     return finite
 
 
-def transform(matrix: np.ndarray, scaler: ScalerState) -> np.ndarray:
-    """Both stages, robust then Z-score, on a standardized copy of ``matrix``."""
-    out = np.array(matrix, dtype=float)
-    _scale_in_place(out, scaler)
-    return out
-
-
-def inverse_transform(standardized: np.ndarray, scaler: ScalerState) -> np.ndarray:
-    stage1 = np.where(scaler.z_skip, standardized, standardized * scaler.std + scaler.mean)
-    return np.where(scaler.robust_skip, stage1, stage1 * scaler.iqr + scaler.median)
-
-
 def destandardize_temperature(values: np.ndarray, scaler: ScalerState) -> np.ndarray:
-    """Inverse transform for the temperature column alone."""
+    """The inverse of :func:`scale_in_place` for the temperature column alone."""
     j = TEMPERATURE
     stage1 = values if scaler.z_skip[j] else values * scaler.std[j] + scaler.mean[j]
     return stage1 if scaler.robust_skip[j] else stage1 * scaler.iqr[j] + scaler.median[j]
@@ -532,11 +515,6 @@ class WindowedDataset:
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    @property
-    def target_rows(self) -> np.ndarray:
-        """Row index of each target in the source matrix, made on demand."""
-        return np.arange(self.first_target_row, self.first_target_row + len(self))
 
     def __getitem__(self, part: slice) -> WindowedDataset:
         """The windows of ``part``, a slice with step one."""
@@ -617,7 +595,7 @@ def prepare_dataset(matrix: np.ndarray, train_fraction: float = TRAIN_FRACTION) 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         scaler = fit_scaler(matrix[:n_train])
         stats = np.vstack([scaler.median, scaler.q1, scaler.q3, scaler.iqr, scaler.mean, scaler.std])
-        finite = _scale_in_place(matrix, scaler)
+        finite = scale_in_place(matrix, scaler)
     overflowed = ~(np.isfinite(stats).all(axis=0) & finite)
     if overflowed.any():
         names = [FEATURES[j] for j in np.flatnonzero(overflowed)]

@@ -106,7 +106,12 @@ def evolve_weights(errors, lam: float = DEFAULT_LAMBDA, gamma: float = DEFAULT_G
     inv = 1.0 / eps
     delta = inv / inv.sum(axis=1, keepdims=True)
     steps = np.vstack([np.full((1, n_models), 1.0 / n_models), lam * delta])
-    history = np.cumsum(steps, axis=0)
+    with np.errstate(over="ignore"):  # an overflow is refused, not warned about
+        history = np.cumsum(steps, axis=0)
+    # the increments are non-negative, so an overflow shows in the last row
+    if not np.isfinite(history[-1]).all():
+        raise ConfigurationError(f"lambda={lam} overflows the accumulated weights "
+                                 f"over {n_steps} steps")
     return EnsembleWeights(weights=history[-1].copy(), history=history[1:], eps_history=eps)
 
 

@@ -15,10 +15,10 @@ arrays:
   turns each disagreeing bit toward the generation best's bit by
   ``TOWARD_BEST``, or, for an individual at least as fit, toward its own
   bit by ``TOWARD_OWN``; each bit's amplitudes then swap with probability
-  ``P_MUTATION``.
-* ``hybrid_minimize`` -- the genetic phase's best decoded points seed the
-  swarm's initial positions; the remaining evaluation budget goes to the
-  swarm.
+  ``P_MUTATION``.  The caller's decoder maps measured bits to a point.
+* ``hybrid_minimize`` -- the genetic phase's best points, decoded by the
+  caller's decoder, seed the swarm's initial positions; the remaining
+  evaluation budget goes to the swarm.
 
 Every evaluation flows through an ``ObjectiveTracker``, the one holder of
 the evaluation budget and the trace: it maps non-finite objective values to
@@ -28,7 +28,6 @@ hybrid run until its budget is spent, so they refuse a tracker without one.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,6 @@ TOWARD_OWN = 0.01 * np.pi  # rotation of an at-least-as-fit individual toward it
 P_MUTATION = 0.02
 HYBRID_POP_SIZE = 20  # genetic population, in the hybrid and by default
 HYBRID_PARTICLES = 20  # swarm size, in the hybrid and by default
-HYBRID_BITS_PER_DIM = 12  # genome resolution per box dimension without a custom decoder
 HYBRID_SEEDS = 3  # distinct genetic-phase bests that seed the swarm
 
 
@@ -252,14 +250,13 @@ class QGAResult:
     archive: list  # (value, decoded) per evaluation
 
 
-def qga_minimize(tracker: ObjectiveTracker, n_bits: int, *, pop_size: int = HYBRID_POP_SIZE,
-                 n_generations: int = 50, seed=0, decode=None) -> QGAResult:
+def qga_minimize(tracker: ObjectiveTracker, n_bits: int, *, decode,
+                 pop_size: int = HYBRID_POP_SIZE, n_generations: int = 50, seed=0) -> QGAResult:
     """Genetic minimization on qubit-amplitude chromosomes.
 
     Stops after ``n_generations``, or at the first generation the tracker's
     budget cuts short.  ``decode`` maps a measured bit array to the
-    objective's argument (and to the archive/result payload); without it
-    the objective sees raw bits.
+    objective's argument (and to the archive/result payload).
     """
     if pop_size < 1:
         raise ConfigurationError("population must be non-empty")
@@ -276,7 +273,7 @@ def qga_minimize(tracker: ObjectiveTracker, n_bits: int, *, pop_size: int = HYBR
         measured = (rng.random((pop_size, n_bits)) < beta**2).astype(int)
         values = []
         for bits in measured:
-            decoded = decode(bits) if decode is not None else bits.copy()
+            decoded = decode(bits)
             try:
                 value = tracker(decoded, "qga", gen)
             except BudgetExhausted:
@@ -308,34 +305,22 @@ class HybridResult:
     n_evals: int
 
 
-def hybrid_minimize(tracker: ObjectiveTracker, bounds, *, seed=0, qga_fraction: float = 0.4,
-                    decode_bits=None, n_bits: int | None = None) -> HybridResult:
+def hybrid_minimize(tracker: ObjectiveTracker, bounds, *, decode_bits, n_bits: int, seed=0,
+                    qga_fraction: float = 0.4) -> HybridResult:
     """Genetic phase then swarm phase under the tracker's evaluation budget.
 
     The first ``qga_fraction`` of the remaining budget funds whole genetic
     generations of ``HYBRID_POP_SIZE``; a swarm of ``HYBRID_PARTICLES``,
     seeded with the genetic phase's ``HYBRID_SEEDS`` distinct best points,
-    consumes exactly the remainder.  ``decode_bits`` maps a genome of
-    ``n_bits`` onto the box; without it each dimension gets
-    ``HYBRID_BITS_PER_DIM`` Gray-coded bits.  Returns the better of the two
-    phases.
+    consumes exactly the remainder.  The caller's ``decode_bits`` maps a
+    genome of ``n_bits`` onto the box.  Returns the better of the two phases.
     """
     if not 0.0 <= qga_fraction <= 1.0:
         raise ConfigurationError("qga_fraction must lie in [0, 1]")
     if tracker.budget is None:
         raise ConfigurationError("the hybrid search needs a tracker with an evaluation budget")
-    lows, highs = _check_bounds(bounds)
-    d = len(lows)
+    _check_bounds(bounds)
     rng = _as_rng(seed)
-
-    if decode_bits is None:
-        from .hyperspace import gray_decode
-
-        n_bits = d * HYBRID_BITS_PER_DIM
-        decode_bits = functools.partial(gray_decode, lows=lows, highs=highs,
-                                        widths=[HYBRID_BITS_PER_DIM] * d)
-    elif n_bits is None:
-        raise ConfigurationError("a custom decode_bits needs an explicit n_bits")
 
     qga_evals = int(round(qga_fraction * tracker.remaining()))
     n_generations = qga_evals // HYBRID_POP_SIZE

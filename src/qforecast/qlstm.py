@@ -22,7 +22,7 @@ six compiled blocks at once then gives every angle gradient for the whole
 minibatch.
 
 Models are stored through one codec: ``model_to_arrays`` names a model's
-kind (``qlstm``, ``lstm`` or ``persistence``) and its parameter arrays, and
+kind (``qlstm`` or ``lstm``) and its parameter arrays, and
 ``model_from_arrays`` rebuilds it after checking every array's shape against
 the configuration and that every value is finite.  The single-model
 checkpoint here and the ensemble checkpoint in ``runner`` only add their
@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import TEMPERATURE, read_npz, write_npz
+from .data import read_npz, write_npz
 from .errors import (
     CheckpointVersionError,
     ConfigurationError,
@@ -172,13 +172,6 @@ def _encoded(x, need_cache: bool) -> tuple:
     return product_state_and_factors(x) if need_cache else (product_state(x), None)
 
 
-def _as_xy(dataset):
-    if hasattr(dataset, "inputs") and hasattr(dataset, "targets"):
-        return np.asarray(dataset.inputs, float), np.asarray(dataset.targets, float)
-    x, y = dataset
-    return np.asarray(x, float), np.asarray(y, float)
-
-
 # ---------------------------------------------------------------------------
 # Quantum LSTM
 # ---------------------------------------------------------------------------
@@ -264,7 +257,8 @@ class QLSTMParams:
         return h, c, y, cache
 
     def step_batch(self, x_t, h_prev, c_prev, *, want_y: bool):
-        """One cell step over a batch; returns (h, c, y, cache)."""
+        """One cell step over a batch; returns (h, c, y, cache).  No command
+        calls it; ``perfbench/layers.py`` times it."""
         return self._step(compile_blocks(self.vqc), x_t, h_prev, c_prev, want_y, need_cache=True)
 
     def forward_batch(self, windows, need_cache: bool = False, unitaries=None):
@@ -558,21 +552,6 @@ def init_classical_lstm(config: HyperConfig, input_dim: int, seed):
     )
 
 
-@dataclass
-class PersistenceModel:
-    """Trivial baseline: predict the last observed (standardized) temperature."""
-
-    input_dim: int
-
-    def param_arrays(self) -> dict:
-        return {}
-
-    def forward_batch(self, windows, need_cache: bool = False, unitaries=None):
-        """The last temperature of each window; ``unitaries`` is :func:`compile_model`'s None."""
-        windows = _check_windows(windows, self.input_dim)
-        return windows[:, -1, TEMPERATURE].copy(), []
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -609,7 +588,8 @@ class Adam:
 
 
 def train(model, config: HyperConfig, train_set, test_set, seed) -> TrainReport:
-    """Minimize MSE by minibatch Adam over ``config.epochs`` epochs.
+    """Minimize MSE by minibatch Adam over ``config.epochs`` epochs on the
+    windows of ``train_set``, scored on ``test_set`` (``WindowedDataset``s).
 
     Deterministic for a fixed seed: batch shuffling is the only source of
     randomness.  A non-finite loss raises
@@ -617,8 +597,8 @@ def train(model, config: HyperConfig, train_set, test_set, seed) -> TrainReport:
     epoch in the message.
     """
     config.validate()
-    x_train, y_train = _as_xy(train_set)
-    x_test, y_test = _as_xy(test_set)
+    x_train, y_train = train_set.inputs, train_set.targets
+    x_test, y_test = test_set.inputs, test_set.targets
     if len(x_train) == 0 or len(x_test) == 0:
         raise ConfigurationError("train and test sets must be non-empty")
     if x_train.shape[1] != config.sequence_length:
@@ -703,8 +683,6 @@ MODEL_KINDS = {
     "lstm": (ClassicalLSTMParams, _lstm_layout,
              lambda arrays, config, input_dim: ClassicalLSTMParams(
                  **arrays, hidden_units=config.hidden_units, input_dim=input_dim)),
-    "persistence": (PersistenceModel, lambda config, input_dim, output_dim: {},
-                    lambda arrays, config, input_dim: PersistenceModel(input_dim=input_dim)),
 }
 
 
@@ -749,7 +727,8 @@ def save_checkpoint(path, model, config: HyperConfig) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back; returns ``(model, config)``."""
+    """Read a checkpoint back; returns ``(model, config)``.  No command calls
+    it, but it is the one reader of the ``checkpoint.npz`` ``train`` publishes."""
     data = read_npz(path, "checkpoint", CHECKPOINT_VERSION)
     config = HyperConfig.from_json(data["config_json"])
     model = model_from_arrays(str(data["kind"]), config, data.integer("input_dim"), data)

@@ -97,6 +97,8 @@ class VQCBlock:
 
 
 def _check_inputs(block: VQCBlock, x: np.ndarray) -> np.ndarray:
+    """``x`` as a finite ``(batch, n_qubits)`` float matrix, else ShapeError
+    or NumericError; kept, as the one-block wrappers it checks for, for ``perfbench/``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != block.n_qubits:
         raise ShapeError(
@@ -349,7 +351,8 @@ def compiled_theta_gradients(blocks, unitaries: np.ndarray, gram: np.ndarray,
 
 
 def run_vqc_batch(block: VQCBlock, inputs: np.ndarray) -> np.ndarray:
-    """Run the block on a (batch, n_qubits) input matrix; returns (batch, n_qubits) <Z> values."""
+    """Run the block on a (batch, n_qubits) input matrix; returns (batch, n_qubits) <Z> values.
+    No command calls it; ``perfbench/layers.py`` and ``tracer.py`` do."""
     inputs = _check_inputs(block, inputs)
     return z_expectations(product_state(inputs) @ compile_blocks([block]))
 
@@ -358,7 +361,8 @@ def vqc_gradients_batch(block: VQCBlock, inputs: np.ndarray,
                         upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of ``sum_b upstream_b . output_b`` for ``(batch, n_qubits)``
     inputs and upstream cotangents: the theta gradient, shaped like
-    ``block.thetas`` and summed over the batch, and the input gradient."""
+    ``block.thetas`` and summed over the batch, and the input gradient.
+    No command calls it; ``perfbench/layers.py`` and ``tracer.py`` do."""
     inputs = _check_inputs(block, inputs)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != inputs.shape:

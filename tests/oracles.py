@@ -421,3 +421,10 @@ def standardize_oracle(matrix, stats):
     """Both stages of ``stats`` (a :func:`scaler_oracle` dict) on ``matrix``."""
     stage1 = _stage_oracle(matrix, stats["median"], stats["q3"] - stats["q1"], stats["robust_skip"])
     return _stage_oracle(stage1, stats["mean"], stats["std"], stats["z_skip"])
+
+
+def inverse_transform(standardized, scaler):
+    """Undo both stages of a fitted ``ScalerState``: Z-score, then robust,
+    with each stage's skipped features passed through."""
+    stage1 = np.where(scaler.z_skip, standardized, standardized * scaler.std + scaler.mean)
+    return np.where(scaler.robust_skip, stage1, stage1 * scaler.iqr + scaler.median)

@@ -11,7 +11,6 @@ import pytest
 
 warnings.filterwarnings("ignore", message="zero IQR")
 
-from qforecast.benchmarks import one_max, rastrigin, sphere, RASTRIGIN_BOUNDS, SPHERE_BOUNDS
 from qforecast.bayesopt import (
     KBestSet,
     bo_minimize_unit,
@@ -19,15 +18,13 @@ from qforecast.bayesopt import (
     gp_fit,
     gp_posterior,
 )
-from qforecast.benchmarks import quadratic_1d
 from qforecast.cli import main as cli_main
 from qforecast.data import (
     ingest_csv,
     prepare_dataset,
+    scale_in_place,
     split_point,
     synth_series,
-    transform,
-    inverse_transform,
     write_csv,
 )
 from qforecast.ensemble import evolve_weights, finalize_weights
@@ -48,7 +45,9 @@ from qforecast.runner import (
     validation_targets,
 )
 
-from oracles import central_difference, dense_vqc_expectations, loop_oracle
+from objectives import (RASTRIGIN_BOUNDS, SPHERE_BOUNDS, gray_genome, one_max, quadratic_1d,
+                        rastrigin, sphere)
+from oracles import central_difference, dense_vqc_expectations, inverse_transform, loop_oracle
 
 
 class Criterion:
@@ -163,7 +162,8 @@ def test_criterion_3_optimizer_benchmarks():
                            n_particles=20, seed=42)
         assert pso.best_value < 1e-3
 
-        qga = qga_minimize(ObjectiveTracker(one_max), 16, pop_size=20, n_generations=50, seed=7)
+        qga = qga_minimize(ObjectiveTracker(one_max), 16, pop_size=20, n_generations=50, seed=7,
+                           decode=np.copy)
         assert qga.best_value == -16.0 and np.all(qga.best_bits == 1)
 
         budget = 4000
@@ -172,7 +172,7 @@ def test_criterion_3_optimizer_benchmarks():
         for seed in range(10):
             hybrid_finals.append(
                 hybrid_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds,
-                                seed=seed).best_value
+                                seed=seed, **gray_genome(bounds)).best_value
             )
             plain_finals.append(
                 pso_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds, n_particles=20,
@@ -325,12 +325,14 @@ def test_criterion_7_pipeline_exactness(tmp_path):
         assert len(dataset.test_matrix) == 12537
 
         # scaling round-trip on the training rows
-        from qforecast.data import fit_medians, impute_median, fit_scaler
+        from qforecast.data import fit_medians, fit_scaler
 
-        medians = fit_medians(parsed[:n_train])
-        full = impute_median(parsed, medians)
+        full = parsed.copy()
+        np.copyto(full, fit_medians(parsed[:n_train]), where=np.isnan(full))
         scaler = fit_scaler(full[:n_train])
-        round_trip = inverse_transform(transform(full[:n_train], scaler), scaler)
+        standardized = full[:n_train].copy()
+        scale_in_place(standardized, scaler)
+        round_trip = inverse_transform(standardized, scaler)
         np.testing.assert_allclose(round_trip, full[:n_train], atol=1e-9)
 
         # provenance: stored statistics come from the training rows alone

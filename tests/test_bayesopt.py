@@ -13,12 +13,12 @@ from qforecast.bayesopt import (
     gp_fit,
     gp_posterior,
 )
-from qforecast.benchmarks import quadratic_1d
 from qforecast.errors import ConfigurationError, NumericDivergenceError
 from qforecast.hyperspace import SearchSpace
 from qforecast.metaheuristics import ObjectiveTracker
 from qforecast.qlstm import HyperConfig
 
+from objectives import quadratic_1d
 from oracles import (
     central_difference,
     expected_improvement_oracle,

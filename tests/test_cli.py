@@ -13,7 +13,7 @@ import pytest
 from qforecast.bayesopt import KBestSet
 from qforecast.cli import ARCH_CHOICES, COMMANDS, DEFAULTS, build_parser, command_flags, main
 from qforecast.data import load_dataset, prepare_dataset, save_dataset, synth_series, write_csv
-from qforecast.qlstm import HyperConfig, PersistenceModel, init_classical_lstm, init_qlstm
+from qforecast.qlstm import HyperConfig, init_classical_lstm, init_qlstm
 from qforecast.runner import save_ensemble_checkpoint
 
 warnings.filterwarnings("ignore", message="zero IQR")
@@ -438,6 +438,21 @@ def test_out_of_range_weight_params_exit_before_training(prepared_run, tmp_path,
     assert not (run_dir / "ensemble-genhyb").exists()
 
 
+def test_lambda_that_overflows_the_weights_exits_2(prepared_run, tmp_path, capsys):
+    # lambda is finite, so it passes the parameter check; its running sum of
+    # increments overflows only once training has produced the errors
+    import shutil
+
+    run_dir = tmp_path / "overflow"
+    run_dir.mkdir()
+    shutil.copy(prepared_run / "dataset.npz", run_dir / "dataset.npz")
+    assert run_cli("ensemble", "--run", run_dir, "--arch", "genhyb", "--inline",
+                   "--epochs", 1, "--seq", 3, "--lambda", 1e308) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lambda=1e+308 overflows" in err
+    assert not (run_dir / "ensemble-genhyb").exists()
+
+
 TUNE_SMALL = ("--probe-epochs", 1, "--max-qubits", 2, "--max-layers", 1)
 TUNE_BAYES = ("tune", "--tuner", "bayes", "--budget", 4) + TUNE_SMALL
 
@@ -538,7 +553,8 @@ def test_each_model_command_has_one_job(genhyb_run, tmp_path):
 
 
 def test_evaluate_stub_checkpoint_is_perfect(tmp_path):
-    # persistence on a constant series predicts the truth exactly
+    # on a constant series, an lstm whose readout ignores its state and
+    # returns the standardized temperature predicts the truth exactly
     series = synth_series(300, seed=0, noise_sigma=0.0, daily_amplitude=0.0,
                           annual_amplitude=0.0, base_temperature=8.0)
     with warnings.catch_warnings():
@@ -548,11 +564,12 @@ def test_evaluate_stub_checkpoint_is_perfect(tmp_path):
     run_dir.mkdir()
     save_dataset(run_dir / "dataset.npz", dataset)
     config = HyperConfig(0.05, 1, 2, 2, 3, 16, 1)
+    stub = init_classical_lstm(config, dataset.train_matrix.shape[1], seed=0)
+    stub.w_y[:] = 0.0
+    stub.b_y[:] = dataset.train_matrix[0, 0]
     (run_dir / "ensemble-genhyb").mkdir()
-    save_ensemble_checkpoint(
-        run_dir / "ensemble-genhyb" / "checkpoint.npz", "genhyb", [1.0],
-        [("persistence", config, PersistenceModel(input_dim=dataset.train_matrix.shape[1]))],
-    )
+    save_ensemble_checkpoint(run_dir / "ensemble-genhyb" / "checkpoint.npz", "genhyb", [1.0],
+                             [("lstm", config, stub)])
     assert run_cli("evaluate", "--run", run_dir) == 0
     rows = json.loads((run_dir / "evaluate" / "metrics.json").read_text())
     for row in rows:
@@ -790,9 +807,15 @@ def tree_bytes(root: Path) -> dict:
     ("forecast", ("forecast", "--run", "{run}", "--horizon", 0, "--force")),
     ("empty", ("synth", "--hours", 10, "--out", "{run}/new/x.csv")),
     ("dataset", ("synth", "--hours", 60, "--out", "{run}", "--force")),
+    # sizes too large to allocate
+    ("dataset", ("train", "--run", "{run}", "--hidden", 10**15)),
+    ("dataset", ("train", "--run", "{run}", "--layers", 10**15)),
+    ("ensemble", ("forecast", "--run", "{run}", "--horizon", 10**12)),
+    ("ensemble", ("forecast", "--run", "{run}", "--horizon", 10**20)),
 ], ids=["preprocess-no-test-rows", "tune-k-above-budget", "forced-tune-k-above-budget",
         "forecast-horizon0", "forced-forecast-horizon0", "synth-too-short",
-        "forced-synth-onto-directory"])
+        "forced-synth-onto-directory", "train-hidden-1e15", "train-layers-1e15",
+        "forecast-horizon-1e12", "forecast-horizon-1e20"])
 def test_failed_command_leaves_the_run_tree_unchanged(prepared_run, tmp_path, capsys,
                                                       setup, argv):
     import shutil

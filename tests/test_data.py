@@ -24,17 +24,15 @@ from qforecast.data import (
     ScalerState,
     fit_medians,
     fit_scaler,
-    impute_median,
     ingest_csv,
-    inverse_transform,
     load_dataset,
     make_windows,
     prepare_dataset,
     read_npz,
     save_dataset,
+    scale_in_place,
     split_point,
     synth_series,
-    transform,
     write_csv,
     write_npz,
     _parse_rows,
@@ -43,13 +41,20 @@ from numpy.lib import format as npy_format
 
 from qforecast.errors import ConfigurationError, DataError
 
-from oracles import scaler_oracle, standardize_oracle
+from oracles import inverse_transform, scaler_oracle, standardize_oracle
 
 GOLDEN = """date,time,temperature,dew_point_temp,rel_humidity,wind_speed,visibility,pressure,precipitation
 2016-01-01,00,-3.5,-7.1,77,12,24.1,101.2,0.0
 2016-01-01,01,-3.9,-7.4,78,11,24.1,101.3,0.0
 2016-01-01,02,-4.2,-7.8,80,9,23.0,101.3,0.2
 """
+
+
+def scaled_copy(matrix, scaler):
+    """Both scaling stages on a copy of ``matrix``."""
+    out = np.array(matrix, dtype=float)
+    scale_in_place(out, scaler)
+    return out
 
 
 def write_text(tmp_path, text, name="fixture.csv"):
@@ -333,27 +338,18 @@ def test_chronological_split_order():
 # ---------------------------------------------------------------------------
 
 
-def test_impute_uses_train_median():
-    col = np.array([[1.0], [np.nan], [3.0]])
-    medians = np.array([2.0])
-    np.testing.assert_array_equal(impute_median(col, medians)[:, 0], [1.0, 2.0, 3.0])
-
-
-def test_impute_without_missing_is_identity():
-    matrix = np.arange(12, dtype=float).reshape(4, 3)
-    out = impute_median(matrix, np.zeros(3))
-    np.testing.assert_array_equal(out, matrix)
-
-
 def test_masked_cells_all_become_train_medians():
     matrix = synth_series(400, seed=9, missing_fraction=0.05)
     n_train = split_point(len(matrix))
     medians = fit_medians(matrix[:n_train])
-    filled = impute_median(matrix, medians)
     mask = np.isnan(matrix)
+    dataset = prepare_dataset(matrix.copy())
+    # scaling works cell by cell, so a filled cell holds its median's scaled value
+    filled = np.concatenate([dataset.train_matrix, dataset.test_matrix])
+    scaled_medians = scaled_copy(medians[None], dataset.scaler)[0]
     assert mask.any()
     for j in range(matrix.shape[1]):
-        assert np.all(filled[mask[:, j], j] == medians[j])
+        assert np.all(filled[mask[:, j], j] == scaled_medians[j])
 
 
 def test_entirely_missing_feature_is_configuration_error():
@@ -373,7 +369,7 @@ def test_robust_scale_hand_example():
     assert scaler.median[0] == 3.0 and scaler.q1[0] == 2.0 and scaler.q3[0] == 4.0
     # stage one maps the rows to -1, -0.5, 0, 0.5 and 48.5, whose mean is 9.5
     assert scaler.mean[0] == 9.5
-    scaled = transform(data, scaler)
+    scaled = scaled_copy(data, scaler)
     assert scaled[2, 0] == -9.5 / scaler.std[0]
     assert scaled[4, 0] == (48.5 - 9.5) / scaler.std[0]
 
@@ -382,7 +378,7 @@ def test_zscore_train_statistics():
     rng = np.random.default_rng(0)
     train = rng.normal(3.0, 5.0, size=(500, len(FEATURES)))
     scaler = fit_scaler(train)
-    standardized = transform(train, scaler)
+    standardized = scaled_copy(train, scaler)
     np.testing.assert_allclose(standardized.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(standardized.std(axis=0), 1.0, atol=1e-10)
 
@@ -391,7 +387,7 @@ def test_round_trip_within_tolerance():
     rng = np.random.default_rng(4)
     train = rng.normal(size=(300, len(FEATURES))) * rng.uniform(0.5, 40, size=len(FEATURES))
     scaler = fit_scaler(train)
-    back = inverse_transform(transform(train, scaler), scaler)
+    back = inverse_transform(scaled_copy(train, scaler), scaler)
     np.testing.assert_allclose(back, train, atol=1e-9)
 
 
@@ -400,7 +396,7 @@ def test_constant_feature_passes_through():
     with pytest.warns(UserWarning, match="IQR"):
         scaler = fit_scaler(train)
     assert scaler.robust_skip[1] and scaler.z_skip[1]
-    out = transform(train, scaler)
+    out = scaled_copy(train, scaler)
     np.testing.assert_array_equal(out[:, 1], train[:, 1])
     back = inverse_transform(out, scaler)
     np.testing.assert_allclose(back, train, atol=1e-9)
@@ -430,7 +426,7 @@ def test_blocked_scaler_matches_whole_matrix_oracle(rows):
         assert scaler.z_skip.tolist() == [False] * 5 + [True, False]
     for name, value in expected.items():
         assert getattr(scaler, name).tobytes() == value.tobytes(), name  # bit for bit
-    assert transform(train, scaler).tobytes() == standardize_oracle(train, expected).tobytes()
+    assert scaled_copy(train, scaler).tobytes() == standardize_oracle(train, expected).tobytes()
 
 
 def test_prepare_dataset_matches_whole_matrix_oracle():
@@ -473,12 +469,12 @@ def test_no_test_statistics_leak():
     n_train = split_point(len(matrix))
     assert dataset.scaler.n_fit_rows == n_train
     # refitting on the training rows alone reproduces the stored statistics
-    medians = fit_medians(matrix[:n_train])
-    refit = fit_scaler(impute_median(matrix[:n_train], medians))
+    # (the series has no missing cell, so there is nothing to impute)
+    refit = fit_scaler(matrix[:n_train])
     np.testing.assert_array_equal(refit.median, dataset.scaler.median)
     np.testing.assert_array_equal(refit.mean, dataset.scaler.mean)
     # fitting on all rows would give different statistics
-    full_fit = fit_scaler(impute_median(matrix, medians))
+    full_fit = fit_scaler(matrix)
     assert not np.allclose(full_fit.mean, dataset.scaler.mean)
 
 
@@ -487,12 +483,17 @@ def test_no_test_statistics_leak():
 # ---------------------------------------------------------------------------
 
 
+def source_rows(part):
+    """Row index of each target of ``part`` in its source matrix."""
+    return np.arange(part.first_target_row, part.first_target_row + len(part))
+
+
 def test_window_counting_and_alignment():
     matrix = np.arange(10.0)[:, None] * np.ones((1, len(FEATURES)))
     windows = make_windows(matrix, 3)
     assert len(windows) == 7
     assert windows.targets[0] == matrix[3, 0]
-    assert windows.target_rows[0] == 3
+    assert source_rows(windows)[0] == 3
 
 
 def test_window_boundary_error():
@@ -526,8 +527,8 @@ def test_train_val_partition():
     train_part, val_part = dataset.train_val_windows(3)
     rows = len(dataset.train_matrix)
     val_rows = int(np.floor(0.1 * rows))
-    assert np.all(val_part.target_rows >= rows - val_rows)
-    assert np.all(train_part.target_rows < rows - val_rows)
+    assert np.all(source_rows(val_part) >= rows - val_rows)
+    assert np.all(source_rows(train_part) < rows - val_rows)
     assert len(train_part) + len(val_part) == rows - 3
 
 
@@ -545,7 +546,7 @@ def test_train_val_slice_matches_target_row_partition(m):
     for part, mask in ((train_part, ~is_val), (val_part, is_val)):
         np.testing.assert_array_equal(part.inputs, inputs[mask])
         np.testing.assert_array_equal(part.targets, targets[mask])
-        np.testing.assert_array_equal(part.target_rows, target_rows[mask])
+        np.testing.assert_array_equal(source_rows(part), target_rows[mask])
 
 
 def test_windows_are_read_only_views():

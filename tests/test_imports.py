@@ -1,6 +1,7 @@
 """Every name imported in ``src/``, ``tests/`` and ``demos/`` is used, no
 package module imports another's private names or reads an npz file past
-the mapped reader, and every name the package exports resolves.
+the mapped reader, every name the package exports resolves, and every
+function, class and public method of the package has a caller.
 
 No linter ships with the project, so this reads each file with ``ast``: a
 name bound by an import must be referenced somewhere in the same file, be
@@ -12,6 +13,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,3 +116,71 @@ def test_every_export_resolves():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
+
+
+# names no command reaches that stay on purpose, with the reason
+UNCALLED_KEEP = {
+    "qlstm.load_checkpoint": "the one reader of the checkpoint.npz that `train` publishes",
+}
+
+
+def references(tree) -> Counter:
+    """How often each name is read in ``tree``, as a bare name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def definitions(tree):
+    """``(qualified name, node)`` of each module-level function and class of
+    ``tree``, dunder hooks aside, and of each public method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def uncalled(sources: dict, bound: set) -> list:
+    """``module.name`` of each definition in ``sources`` (module name ->
+    source) that no module reads outside the definition itself and that is
+    not in ``bound``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = sum((references(tree) for tree in trees.values()), Counter())
+    return [f"{module}.{qualified}" for module, tree in trees.items()
+            for qualified, node in definitions(tree)
+            if read[node.name] == references(node)[node.name] and node.name not in bound]
+
+
+def perfbench_bindings() -> set:
+    """The qforecast names ``perfbench/`` binds: what it imports from the
+    package, the attributes of its traced targets, and the methods it calls."""
+    from test_benchmark_contract import PERFBENCH, load_tracer, qforecast_imports
+
+    bound = {name for _, _, name in qforecast_imports()}
+    bound |= {attr for _, attr, _ in load_tracer().TARGETS.values()}
+    for path in PERFBENCH.glob("*.py"):
+        bound |= {node.func.attr for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    return bound
+
+
+def test_every_library_name_has_a_caller():
+    # the checker itself: a name read only by its own body, a dead method and
+    # a dead private helper are found; a name another module reads, a method
+    # read as an attribute, a bound name and a dunder hook are not
+    assert uncalled({
+        "a": "def used(): pass\n"
+             "def recursive(n): return recursive(n - 1)\n"
+             "def _helper(): pass\n"
+             "def __getattr__(name): pass\n"
+             "class Box:\n"
+             "    def size(self): return 1\n"
+             "    def dead(self): pass\n"
+             "    def timed(self): pass\n",
+        "b": "from a import used, Box\nused()\nBox().size()\n",
+    }, bound={"timed"}) == ["a.recursive", "a._helper", "a.Box.dead"]
+    package = ROOT / "src" / "qforecast"
+    found = uncalled({path.stem: path.read_text() for path in sorted(package.glob("*.py"))},
+                     perfbench_bindings())
+    assert sorted(found) == sorted(UNCALLED_KEEP)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qforecast.benchmarks import one_max, rastrigin, sphere, RASTRIGIN_BOUNDS, SPHERE_BOUNDS
 from qforecast.errors import ConfigurationError
 from qforecast.hyperspace import SearchSpace, gray_fraction
 from qforecast.metaheuristics import (
@@ -20,6 +19,8 @@ from qforecast.metaheuristics import (
     rotation_angles,
     swap_mutate,
 )
+
+from objectives import RASTRIGIN_BOUNDS, SPHERE_BOUNDS, gray_genome, one_max, rastrigin, sphere
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +115,10 @@ def test_unbudgeted_tracker_is_refused(search):
     def objective(x):
         raise AssertionError("the objective must not run")
 
+    bounds = [SPHERE_BOUNDS] * 2
+    decoder = gray_genome(bounds) if search is hybrid_minimize else {}
     with pytest.raises(ConfigurationError, match="evaluation budget"):
-        search(ObjectiveTracker(objective), [SPHERE_BOUNDS] * 2, seed=0)
+        search(ObjectiveTracker(objective), bounds, seed=0, **decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +153,21 @@ def test_rotation_angles_steer_toward_best_or_own_bits():
 
 
 def test_qga_spends_pop_times_generations_evaluations():
-    result = qga_minimize(ObjectiveTracker(one_max), 8, pop_size=6, n_generations=5, seed=4)
+    result = qga_minimize(ObjectiveTracker(one_max), 8, pop_size=6, n_generations=5, seed=4,
+                          decode=np.copy)
     assert result.n_evals == 30
 
 
 def test_one_max_criterion():
-    result = qga_minimize(ObjectiveTracker(one_max), 16, pop_size=20, n_generations=50, seed=7)
+    result = qga_minimize(ObjectiveTracker(one_max), 16, pop_size=20, n_generations=50, seed=7,
+                          decode=np.copy)
     assert result.best_value == -16.0
     assert np.all(result.best_bits == 1)
 
 
 def test_qga_deterministic():
-    a, b = (qga_minimize(ObjectiveTracker(one_max), 12, pop_size=10, n_generations=20, seed=11)
+    a, b = (qga_minimize(ObjectiveTracker(one_max), 12, pop_size=10, n_generations=20, seed=11,
+                         decode=np.copy)
             for _ in range(2))
     assert a.best_value == b.best_value
     np.testing.assert_array_equal(a.best_bits, b.best_bits)
@@ -169,7 +175,8 @@ def test_qga_deterministic():
 
 def test_empty_population_rejected():
     with pytest.raises(ConfigurationError):
-        qga_minimize(ObjectiveTracker(one_max), 8, pop_size=0, n_generations=5, seed=0)
+        qga_minimize(ObjectiveTracker(one_max), 8, pop_size=0, n_generations=5, seed=0,
+                     decode=np.copy)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +185,9 @@ def test_empty_population_rejected():
 
 
 def test_full_genetic_budget_returns_its_best_exactly():
-    result = hybrid_minimize(ObjectiveTracker(sphere, budget=200), [SPHERE_BOUNDS] * 2, seed=6,
-                             qga_fraction=1.0)
+    bounds = [SPHERE_BOUNDS] * 2
+    result = hybrid_minimize(ObjectiveTracker(sphere, budget=200), bounds, seed=6,
+                             qga_fraction=1.0, **gray_genome(bounds))
     assert result.pso is None
     assert result.best_value == result.qga.best_value
     np.testing.assert_array_equal(result.best_position, np.asarray(result.qga.best_decoded))
@@ -187,8 +195,9 @@ def test_full_genetic_budget_returns_its_best_exactly():
 
 def test_zero_genetic_budget_equals_plain_swarm():
     budget = 300
-    hybrid = hybrid_minimize(ObjectiveTracker(rastrigin, budget=budget), [RASTRIGIN_BOUNDS] * 3,
-                             seed=13, qga_fraction=0.0)
+    bounds = [RASTRIGIN_BOUNDS] * 3
+    hybrid = hybrid_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds,
+                             seed=13, qga_fraction=0.0, **gray_genome(bounds))
     plain = pso_minimize(ObjectiveTracker(rastrigin, budget=budget), [RASTRIGIN_BOUNDS] * 3,
                          n_particles=20, seed=13)
     assert hybrid.qga is None
@@ -198,8 +207,9 @@ def test_zero_genetic_budget_equals_plain_swarm():
 
 def test_hybrid_budget_is_exact():
     trace = []
-    result = hybrid_minimize(ObjectiveTracker(sphere, budget=137, trace=trace),
-                             [SPHERE_BOUNDS] * 3, seed=1)
+    bounds = [SPHERE_BOUNDS] * 3
+    result = hybrid_minimize(ObjectiveTracker(sphere, budget=137, trace=trace), bounds,
+                             seed=1, **gray_genome(bounds))
     assert result.n_evals == 137
     assert len(trace) == 137
     phases = {row["phase"] for row in trace}
@@ -209,8 +219,9 @@ def test_hybrid_budget_is_exact():
 def test_hybrid_splits_the_tracker_budget():
     # 0.4 * 60 evaluations fund one genetic generation of 20; the swarm gets the other 40
     trace = []
-    result = hybrid_minimize(ObjectiveTracker(rastrigin, budget=60, trace=trace),
-                             [RASTRIGIN_BOUNDS] * 3, seed=1)
+    bounds = [RASTRIGIN_BOUNDS] * 3
+    result = hybrid_minimize(ObjectiveTracker(rastrigin, budget=60, trace=trace), bounds,
+                             seed=1, **gray_genome(bounds))
     phases = [row["phase"] for row in trace]
     assert (phases.count("qga"), phases.count("pso")) == (20, 40)
     assert result.qga.n_evals == 20 and result.n_evals == 60
@@ -223,7 +234,7 @@ def test_hybrid_not_worse_than_plain_on_rastrigin_medians():
     for seed in range(10):
         hybrid_finals.append(
             hybrid_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds,
-                            seed=seed).best_value
+                            seed=seed, **gray_genome(bounds)).best_value
         )
         plain_finals.append(
             pso_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds, n_particles=20,
@@ -233,8 +244,9 @@ def test_hybrid_not_worse_than_plain_on_rastrigin_medians():
 
 
 def test_hybrid_deterministic():
-    a, b = (hybrid_minimize(ObjectiveTracker(rastrigin, budget=400), [RASTRIGIN_BOUNDS] * 2,
-                            seed=21) for _ in range(2))
+    bounds = [RASTRIGIN_BOUNDS] * 2
+    a, b = (hybrid_minimize(ObjectiveTracker(rastrigin, budget=400), bounds, seed=21,
+                            **gray_genome(bounds)) for _ in range(2))
     assert a.best_value == b.best_value
     np.testing.assert_array_equal(a.best_position, b.best_position)
 

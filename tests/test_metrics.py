@@ -21,7 +21,6 @@ from qforecast.metrics import (
 )
 from qforecast.qlstm import (
     HyperConfig,
-    PersistenceModel,
     forward_sequence,
     init_classical_lstm,
     init_qlstm,
@@ -132,10 +131,8 @@ def trained_fixture():
     cfg = HyperConfig(0.02, 1, 2, 8, 5, 32, 60)
     windows = make_windows(dataset.train_matrix[:, :1], cfg.sequence_length)
     split = int(0.9 * len(windows))
-    train_part = (windows.inputs[:split], windows.targets[:split])
-    val_part = (windows.inputs[split:], windows.targets[split:])
     model = init_classical_lstm(cfg, input_dim=1, seed=77)
-    train(model, cfg, train_part, val_part, seed=77)
+    train(model, cfg, windows[:split], windows[split:], seed=77)
     return dataset, cfg, model
 
 
@@ -205,7 +202,7 @@ def test_forecast_compiles_each_model_once(monkeypatch):
 
 def test_bad_horizon():
     cfg = HyperConfig(0.05, 1, 2, 4, 2, 32, 1)
-    models = [("persistence", cfg, PersistenceModel(input_dim=7))]
+    models = [("lstm", cfg, init_classical_lstm(cfg, input_dim=7, seed=0))]
     with pytest.raises(ConfigurationError):
         forecast_iterative(models, [1.0], np.zeros((3, 7)), _dummy_scaler(), 0)
 

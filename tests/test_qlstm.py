@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforecast.data import prepare_dataset, synth_series
+from qforecast.data import WindowedDataset, prepare_dataset, synth_series
 from qforecast.errors import (
     CheckpointVersionError,
     ConfigurationError,
@@ -19,7 +19,6 @@ from qforecast.qlstm import (
     PREDICT_BLOCK_BYTES,
     PREDICT_MIN_ROWS,
     HyperConfig,
-    PersistenceModel,
     forward_sequence,
     init_classical_lstm,
     init_qlstm,
@@ -274,13 +273,12 @@ def test_backward_reuses_the_cached_encoding_factors_exactly():
         assert cached[key].tobytes() == fresh[key].tobytes(), key
 
 
-@pytest.mark.parametrize("kind", ["qlstm", "lstm", "persistence"])
+@pytest.mark.parametrize("kind", ["qlstm", "lstm"])
 def test_zero_length_windows_are_shape_errors(kind):
     cfg = small_config()
     model = {
         "qlstm": lambda: init_qlstm(cfg, input_dim=7, seed=1),
         "lstm": lambda: init_classical_lstm(cfg, input_dim=7, seed=1),
-        "persistence": lambda: PersistenceModel(input_dim=7),
     }[kind]()
     with pytest.raises(ShapeError, match="sequence length 0"):
         model.forward_batch(np.zeros((4, 0, 7)))
@@ -298,11 +296,10 @@ def prediction_models():
         "qlstm-n2": init_qlstm(small_config(n_qubits=2), input_dim=7, seed=3),
         "qlstm-n3": init_qlstm(small_config(n_qubits=3, n_layers=2), input_dim=7, seed=4),
         "lstm": init_classical_lstm(small_config(), input_dim=7, seed=5),
-        "persistence": PersistenceModel(input_dim=7),
     }
 
 
-@pytest.mark.parametrize("kind", ["qlstm-n2", "qlstm-n3", "lstm", "persistence"])
+@pytest.mark.parametrize("kind", ["qlstm-n2", "qlstm-n3", "lstm"])
 def test_blocked_prediction_is_one_whole_forward(kind):
     model = prediction_models()[kind]
     block = prediction_block_rows(model)
@@ -322,8 +319,7 @@ def test_block_rows_follow_the_circuit_width():
         assert rows == max(PREDICT_MIN_ROWS, 2 ** (12 - n))
         assert rows == PREDICT_MIN_ROWS or rows * 6 * 2**n * 128 == PREDICT_BLOCK_BYTES
         assert rows & (rows - 1) == 0 and rows % PREDICT_MIN_ROWS == 0
-    for kind in ("lstm", "persistence"):
-        assert prediction_block_rows(prediction_models()[kind]) == 4096
+    assert prediction_block_rows(prediction_models()["lstm"]) == 4096
 
 
 def test_prediction_memory_is_bounded_by_one_block():
@@ -354,7 +350,7 @@ def test_prediction_compiles_the_model_once(monkeypatch):
     assert preds.tobytes() == model.forward_batch(windows)[0].tobytes()
 
 
-@pytest.mark.parametrize("kind", ["qlstm-n2", "qlstm-n3", "lstm", "persistence"])
+@pytest.mark.parametrize("kind", ["qlstm-n2", "qlstm-n3", "lstm"])
 def test_empty_window_stack_predicts_nothing(kind):
     preds = predict_batch(prediction_models()[kind], np.zeros((0, 3, 7)))
     assert preds.shape == (0,) and preds.dtype == np.float64
@@ -365,10 +361,15 @@ def test_empty_window_stack_predicts_nothing(kind):
 # ---------------------------------------------------------------------------
 
 
+def window_set(x, y):
+    """``(x, y)`` as the windowed set ``train`` reads."""
+    return WindowedDataset(x, y, first_target_row=x.shape[1])
+
+
 def _toy_sets(rng, n=40, seq=3, dim=3):
     x = rng.normal(size=(n, seq, dim))
     y = rng.normal(size=n)
-    return (x[: n // 2], y[: n // 2]), (x[n // 2 :], y[n // 2 :])
+    return window_set(x[: n // 2], y[: n // 2]), window_set(x[n // 2 :], y[n // 2 :])
 
 
 def test_zero_learning_rate_changes_nothing():
@@ -391,7 +392,7 @@ def test_constant_target_monotone_decrease():
     y = np.full(60, 0.7)
     cfg = small_config(epochs=5, learning_rate=0.01, batch_size=60)
     model = init_qlstm(cfg, input_dim=3, seed=17)
-    report = train(model, cfg, (x, y), (x, y), seed=17)
+    report = train(model, cfg, window_set(x, y), window_set(x, y), seed=17)
     assert all(np.diff(report.train_losses) < 0)
 
 
@@ -436,8 +437,8 @@ def test_training_is_bit_deterministic():
 def test_empty_dataset_rejected():
     cfg = small_config()
     model = init_qlstm(cfg, input_dim=3, seed=1)
-    empty = (np.zeros((0, 3, 3)), np.zeros(0))
-    good = (np.zeros((4, 3, 3)), np.zeros(4))
+    empty = window_set(np.zeros((0, 3, 3)), np.zeros(0))
+    good = window_set(np.zeros((4, 3, 3)), np.zeros(4))
     with pytest.raises(ConfigurationError):
         train(model, cfg, empty, good, seed=0)
     with pytest.raises(ConfigurationError):
@@ -457,7 +458,7 @@ def test_divergence_is_reported_not_crashed():
 def test_window_length_mismatch_rejected():
     cfg = small_config(sequence_length=5)
     model = init_qlstm(cfg, input_dim=3, seed=1)
-    sets = (np.zeros((4, 3, 3)), np.zeros(4))
+    sets = window_set(np.zeros((4, 3, 3)), np.zeros(4))
     with pytest.raises(ConfigurationError):
         train(model, cfg, sets, sets, seed=0)
 

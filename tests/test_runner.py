@@ -6,7 +6,7 @@ import pytest
 from qforecast.bayesopt import KBestSet
 from qforecast.data import prepare_dataset, synth_series
 from qforecast.errors import CheckpointVersionError
-from qforecast.qlstm import HyperConfig, PersistenceModel, predict_batch
+from qforecast.qlstm import HyperConfig, init_classical_lstm, predict_batch
 from qforecast.runner import (
     derive_seed,
     evaluate_ensemble,
@@ -154,16 +154,19 @@ def test_ensemble_checkpoint_version_guard(tmp_path):
         load_ensemble_checkpoint(path)
 
 
-def test_persistence_checkpoint_round_trip(tmp_path):
+def test_constant_lstm_checkpoint_round_trip(tmp_path):
+    # the exact predictor the CLI tests use: an lstm whose readout ignores its state
     cfg = small_config()
+    stub = init_classical_lstm(cfg, input_dim=7, seed=0)
+    stub.w_y[:] = 0.0
+    stub.b_y[:] = 0.25
     path = tmp_path / "stub.npz"
-    save_ensemble_checkpoint(path, "genhyb", [1.0],
-                             [("persistence", cfg, PersistenceModel(input_dim=7))])
+    save_ensemble_checkpoint(path, "genhyb", [1.0], [("lstm", cfg, stub)])
     _, _, models = load_ensemble_checkpoint(path)
     kind, _, model = models[0]
-    assert kind == "persistence"
+    assert kind == "lstm"
     windows = np.random.default_rng(0).normal(size=(4, 3, 7))
-    np.testing.assert_array_equal(predict_batch(model, windows), windows[:, -1, 0])
+    np.testing.assert_array_equal(predict_batch(model, windows), np.full(4, 0.25))
 
 
 def test_forecast_horizon_shapes(small_dataset):

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from qforecast.bayesopt import bo_minimize_unit
-from qforecast.benchmarks import RASTRIGIN_BOUNDS, SPHERE_BOUNDS, one_max, rastrigin, sphere
 from qforecast.hyperspace import SearchSpace
 from qforecast.metaheuristics import ObjectiveTracker, hybrid_minimize, pso_minimize, qga_minimize
+
+from objectives import RASTRIGIN_BOUNDS, SPHERE_BOUNDS, gray_genome, one_max, rastrigin, sphere
 
 
 def plain(value):
@@ -73,13 +74,14 @@ def qga():
     trace = []
     tracker = ObjectiveTracker(one_max, trace=trace)
     return [trace, genetic_run(qga_minimize(tracker, 12, pop_size=10, n_generations=20,
-                                            seed=11))]
+                                            seed=11, decode=np.copy))]
 
 
 def hybrid(fraction):
     trace = []
-    result = hybrid_minimize(ObjectiveTracker(rastrigin, budget=137, trace=trace),
-                             [RASTRIGIN_BOUNDS] * 3, seed=1, qga_fraction=fraction)
+    bounds = [RASTRIGIN_BOUNDS] * 3
+    result = hybrid_minimize(ObjectiveTracker(rastrigin, budget=137, trace=trace), bounds,
+                             seed=1, qga_fraction=fraction, **gray_genome(bounds))
     return hybrid_run(result, trace)
 
 
