@@ -6,6 +6,7 @@ Run:  python3 demos/adaptive_weights.py
 import numpy as np
 
 from qforecast.ensemble import (
+    WeightParams,
     combine_predictions,
     evolve_weights,
     finalize_weights,
@@ -19,7 +20,8 @@ rng = np.random.default_rng(5)
 steps = 24
 e0 = np.concatenate([np.full(12, 1.2), np.full(12, 0.2)]) + 0.05 * rng.random(steps)
 e1 = np.concatenate([np.full(12, 0.3), np.full(12, 1.0)]) + 0.05 * rng.random(steps)
-state = evolve_weights(np.vstack([e0, e1]), lam=0.85, gamma=0.85)
+params = WeightParams(lam=0.85, gamma=0.85)  # the paper's step size and forgetting factor
+state = evolve_weights(np.vstack([e0, e1]), params)
 
 print("step  w0      w1      (accumulated, before final normalization)")
 for k, w in enumerate(state.history, start=1):
@@ -36,7 +38,7 @@ print("wrote weight_history.tsv")
 # --- combining real prediction series ---------------------------------------
 truth = np.sin(np.linspace(0, 6, 40))
 preds = np.vstack([truth + 0.3 * rng.normal(size=40), truth + 0.6 * rng.normal(size=40)])
-w = finalize_weights(weights_from_predictions(truth, preds))
+w = finalize_weights(weights_from_predictions(truth, preds, params))
 combo = combine_predictions(w, preds)
 for name, series in (("model-0", preds[0]), ("model-1", preds[1]), ("ensemble", combo)):
     print(f"{name:9s} MSE {float(np.mean((series - truth) ** 2)):.4f}")

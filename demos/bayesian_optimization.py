@@ -33,7 +33,8 @@ print("wrote gp_curve.tsv (posterior and acquisition surface over [0, 1])")
 
 # --- run the full loop on a quadratic ----------------------------------------
 # the tracker's budget of 20 evaluations: 5 initial points, then 15 BO rounds
-xs, ys = bo_minimize_unit(ObjectiveTracker(parabola, budget=20), 1, n_init=5, seed=3)
+xs, ys = bo_minimize_unit(ObjectiveTracker(parabola, budget=20, trace=None, describe=None), 1,
+                          n_init=5, seed=3)
 order = np.argsort(ys)
 print(f"\nBO on (x - 0.7)^2 with 20 evaluations:")
 print(f"  best point {xs[order[0]][0]:.4f} with value {ys[order[0]]:.2e}")

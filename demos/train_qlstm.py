@@ -10,8 +10,8 @@ from qforecast.qlstm import HyperConfig, init_classical_lstm, init_qlstm, train
 
 warnings.filterwarnings("ignore", message="zero IQR")
 
-series = synth_series(900, seed=1)  # (900, 7) hourly matrix
-dataset = prepare_dataset(series)
+series = synth_series(900, seed=1, noise_sigma=0.1)  # (900, 7) hourly matrix
+dataset = prepare_dataset(series, train_fraction=0.87)
 print(f"{len(series)} hourly rows -> {len(dataset.train_matrix)} train / "
       f"{len(dataset.test_matrix)} test (standardized, 7 features)")
 

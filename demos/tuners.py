@@ -30,15 +30,16 @@ def one_max(bits) -> float:
 
 # --- particle swarm on the 4-D sphere --------------------------------------
 # the tracker holds the budget: an initial sweep and 200 more of 20 particles
-result = pso_minimize(ObjectiveTracker(sphere, budget=20 * 201), [BOUNDS] * 4,
-                      n_particles=20, seed=42)
+result = pso_minimize(ObjectiveTracker(sphere, budget=20 * 201, trace=None, describe=None),
+                      [BOUNDS] * 4, n_particles=20, seed=42, init_positions=None)
 print(f"PSO on sphere(4): best {result.best_value:.3e} after {result.n_evals} evaluations")
 
 # --- genetic search on 16-bit OneMax ----------------------------------------
-# the objective reads the measured bits themselves, so each is decoded to a copy
-result = qga_minimize(ObjectiveTracker(one_max), 16, pop_size=20, n_generations=50, seed=7,
-                      decode=np.copy)
-print(f"QGA on OneMax(16): {int(-result.best_value)}/16 ones -> {result.best_bits}")
+# the objective reads the measured bits themselves, so each is decoded to a copy;
+# the budget covers all 50 generations of 20
+result = qga_minimize(ObjectiveTracker(one_max, budget=20 * 50, trace=None, describe=None), 16,
+                      pop_size=20, n_generations=50, seed=7, decode=np.copy)
+print(f"QGA on OneMax(16): {int(-result.best_value)}/16 ones -> {result.best_decoded}")
 
 # --- hybrid vs plain swarm on 4-D rastrigin at equal budget -----------------
 # the genetic phase decodes each dimension from 12 Gray-coded bits, as the
@@ -50,12 +51,12 @@ decode_bits = functools.partial(gray_decode, lows=[BOUNDS[0]] * 4, highs=[BOUNDS
 hybrid_finals, plain_finals = [], []
 for seed in range(10):
     hybrid_finals.append(
-        hybrid_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds, seed=seed,
-                        decode_bits=decode_bits, n_bits=48).best_value
+        hybrid_minimize(ObjectiveTracker(rastrigin, budget=budget, trace=None, describe=None),
+                        bounds, seed=seed, decode_bits=decode_bits, n_bits=48).best_value
     )
     plain_finals.append(
-        pso_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds, n_particles=20,
-                     seed=seed).best_value
+        pso_minimize(ObjectiveTracker(rastrigin, budget=budget, trace=None, describe=None),
+                     bounds, n_particles=20, seed=seed, init_positions=None).best_value
     )
 print(f"rastrigin(4), {budget} evaluations, 10 seeds:")
 print(f"  hybrid medians {np.median(hybrid_finals):.4f}  "

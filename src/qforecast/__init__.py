@@ -23,7 +23,7 @@ from . import errors
 _EXPORTS = {
     "bayesopt": ("KBestSet", "bo_tune", "enumerate_ensembles", "expected_improvement", "gp_fit"),
     "data": ("ingest_csv", "make_windows", "prepare_dataset", "synth_series"),
-    "ensemble": ("combine_predictions", "evolve_weights", "finalize_weights"),
+    "ensemble": ("WeightParams", "combine_predictions", "evolve_weights", "finalize_weights"),
     "hyperspace": ("SearchSpace",),
     "metaheuristics": ("hybrid_minimize", "pso_minimize", "qga_minimize"),
     "metrics": ("forecast_iterative", "mape_with_exclusions", "mse"),

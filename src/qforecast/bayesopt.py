@@ -25,6 +25,7 @@ import numpy as np
 
 from .ensemble import (
     EnsembleWeights,
+    WeightParams,
     combine_predictions,
     finalize_weights,
     weights_from_predictions,
@@ -174,7 +175,7 @@ def _neg_lml(log_params, sq_diffs, y_centered):
     return -float(lml), -0.5 * math.log(10.0) * grad
 
 
-def gp_fit(observations_x, observations_y, *, seed=0,
+def gp_fit(observations_x, observations_y, *, seed,
            hyperparams: tuple | None = None) -> GPSurrogate:
     """Fit the surrogate to observed (point, score) pairs.
 
@@ -297,7 +298,7 @@ def _neg_ei(u, gp: GPSurrogate, best_so_far: float):
     return -ei, float(_normal_cdf(z)) * d_mean - float(_normal_pdf(z)) * d_sd
 
 
-def acquire_next(gp: GPSurrogate, best_so_far: float, *, seed=0) -> np.ndarray:
+def acquire_next(gp: GPSurrogate, best_so_far: float, *, seed) -> np.ndarray:
     """Argmax of EI over ``EI_CANDIDATES`` Latin-hypercube points, refined
     by ``box_minimize`` on -EI from the best of them."""
     d = gp.x.shape[1]
@@ -312,8 +313,8 @@ def acquire_next(gp: GPSurrogate, best_so_far: float, *, seed=0) -> np.ndarray:
     return np.asarray(best_point, dtype=float)
 
 
-def bo_minimize_unit(tracker: ObjectiveTracker, d: int, *, n_init: int = 5,
-                     seed=0) -> tuple[np.ndarray, np.ndarray]:
+def bo_minimize_unit(tracker: ObjectiveTracker, d: int, *, n_init: int,
+                     seed) -> tuple[np.ndarray, np.ndarray]:
     """BO loop on the unit cube; returns all evaluated (points, scores).
 
     Starts from a Latin-hypercube design of ``n_init`` points, then runs
@@ -321,7 +322,7 @@ def bo_minimize_unit(tracker: ObjectiveTracker, d: int, *, n_init: int = 5,
     """
     if n_init < 2:
         raise ConfigurationError("n_init must be >= 2")
-    if tracker.budget is None or tracker.remaining() < n_init:
+    if tracker.remaining() < n_init:
         raise ConfigurationError(f"the BO loop needs a budget of at least n_init = {n_init}")
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     lhs_seed, fit_seed, acq_seed = seed_seq.spawn(3)
@@ -381,9 +382,8 @@ class KBestSet:
         )
 
 
-def bo_tune(objective, space: SearchSpace, *, n_init: int = 5, budget: int = 20,
-            k: int = 2, seed=0, model_index: int = 0,
-            trace: list | None = None) -> KBestSet:
+def bo_tune(objective, space: SearchSpace, *, n_init: int, budget: int, k: int, seed,
+            model_index: int, trace: list | None) -> KBestSet:
     """Tune one base model's configuration by Bayesian optimization.
 
     ``objective`` consumes a :class:`HyperConfig` and returns the score to
@@ -439,8 +439,8 @@ class EnumerationResult:
     objectives: list
 
 
-def enumerate_ensembles(ksets: list, predict_fn, targets, *, lam: float = 0.85,
-                        gamma: float = 0.85, nu: int | None = None) -> EnumerationResult:
+def enumerate_ensembles(ksets: list, predict_fn, targets,
+                        params: WeightParams = WeightParams()) -> EnumerationResult:
     """Evaluate every K^m tuple of per-model configurations.
 
     ``predict_fn(model_index, config)`` returns that model's predictions on
@@ -466,7 +466,7 @@ def enumerate_ensembles(ksets: list, predict_fn, targets, *, lam: float = 0.85,
         n_tuples += 1
         try:
             preds = np.vstack([predict_fn(m, config) for m, config in enumerate(combo)])
-            state = weights_from_predictions(targets, preds, lam=lam, gamma=gamma, nu=nu)
+            state = weights_from_predictions(targets, preds, params)
             weights = finalize_weights(state)
             objective = mse(targets, combine_predictions(weights, preds))
         except NumericDivergenceError as exc:

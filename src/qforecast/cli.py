@@ -14,7 +14,9 @@ included), 3 data error, 4 numeric divergence.  The environment variable
 ``QFORECAST_OUT_ROOT`` rebases relative run directories.
 
 Each command imports the layers it runs inside its handler, so
-``preprocess`` and ``synth`` load the data layer and no model.
+``preprocess`` and ``synth`` load the data layer and no model; the
+ensemble's weight settings default to :class:`~qforecast.ensemble.WeightParams`'s,
+read only by the commands that need them (:func:`command_defaults`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ MODEL_DEFAULTS = {
     "batch_size": 32,
 }
 
-TUNER_CHOICES = ("pso", "qga", "hybrid", "bayes")
+TUNER_CHOICES = ("hybrid", "bayes")
 MAX_HORIZON = 8766  # the longest forecast --horizon: a year of hours, each fed back into the next
 ARCH_CHOICES = ("genhyb", "bo-q")
 
@@ -239,12 +241,9 @@ def cmd_preprocess(options: dict) -> int:
 
 def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: dict):
     """One model's best configuration and score, and its files by name."""
-    import numpy as np
-
     from .bayesopt import bo_tune
     from .hyperspace import SearchSpace
-    from .metaheuristics import (HYBRID_POP_SIZE, ObjectiveTracker, hybrid_minimize,
-                                 pso_minimize, qga_minimize)
+    from .metaheuristics import ObjectiveTracker, hybrid_minimize
     from .runner import probe_objective
 
     seed = derive_seed(int(options["seed"]), "tune", tuner, model_index)
@@ -264,24 +263,14 @@ def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: di
                        seed=seed, model_index=model_index, trace=trace)
         best = {"config": kset.configs[0].to_dict(), "score": kset.scores[0]}
         files = {f"kbest_seq{seq}.json": kset.to_dict()}
-    else:
+    else:  # hybrid
         tracker = ObjectiveTracker(
             lambda v: objective(space.decode_vector(v)), budget=budget, trace=trace,
             describe=lambda v: space.decode_vector(v).to_dict(),
         )
-        if tuner == "pso":
-            result = pso_minimize(tracker, space.bounds(), seed=seed)
-            best_vector = result.best_position
-        elif tuner == "qga":
-            result = qga_minimize(tracker, space.total_bits,
-                                  n_generations=max(1, budget // HYBRID_POP_SIZE), seed=seed,
-                                  decode=space.decode_bits)
-            best_vector = np.asarray(result.best_decoded)
-        else:  # hybrid
-            result = hybrid_minimize(tracker, space.bounds(), seed=seed,
-                                     decode_bits=space.decode_bits, n_bits=space.total_bits)
-            best_vector = result.best_position
-        config = space.decode_vector(best_vector)
+        result = hybrid_minimize(tracker, space.bounds(), seed=seed,
+                                 decode_bits=space.decode_bits, n_bits=space.total_bits)
+        config = space.decode_vector(result.best_position)
         best = {"config": config.to_dict(), "score": float(result.best_value)}
         files = {f"best_config_seq{seq}.json": best}
 
@@ -297,10 +286,14 @@ def cmd_tune(options: dict) -> int:
 
     tuner = options["tuner"]
     # the bayes tuner's GP needs two initial points
-    check_counts(options, k=1, budget=2 if tuner == "bayes" else 1, max_qubits=2, max_layers=1)
+    check_counts(options, k=1, budget=2 if tuner == "bayes" else 1, probe_epochs=1,
+                 max_qubits=2, max_layers=1)
     if int(options["max_qubits"]) > MAX_QUBITS:
         raise ConfigurationError(f"--max-qubits must be <= {MAX_QUBITS}, "
                                  f"got {options['max_qubits']}")
+    # each model's files are named by its sequence length
+    if len(set(options["seq"])) != len(options["seq"]):
+        raise ConfigurationError(f"--seq values must be distinct, got {options['seq']}")
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
     out_dir = check_output(run_dir / f"tune-{tuner}", options["force"])
@@ -310,7 +303,7 @@ def cmd_tune(options: dict) -> int:
         with timer.time(f"model{model_index}"):
             best, model_files = _tune_one_model(tuner, dataset, int(seq), model_index, options)
         files.update(model_files)
-        ref = REFERENCE_LEARNING_RATES.get("genhyb" if tuner != "bayes" else "bo-q")
+        ref = REFERENCE_LEARNING_RATES["genhyb" if tuner == "hybrid" else "bo-q"]
         print(f"model {model_index} (seq {seq}): best score {best['score']:.6f} "
               f"lr {best['config']['learning_rate']:.4f} "
               f"(reference full-scale lr magnitudes: {ref})")
@@ -347,7 +340,7 @@ def cmd_train(options: dict) -> int:
 
 def _read_kbest(path: Path, model_index: int, seq: int):
     """A tune artifact as a K-best set: ``kbest_seq*.json`` from the bayes
-    tuner, or ``best_config_seq*.json`` (one configuration) from the others.
+    tuner, or ``best_config_seq*.json`` (one configuration) from the hybrid.
     An unreadable or invalid file is a DataError, as a stored configuration is."""
     from .bayesopt import KBestSet
 
@@ -364,24 +357,24 @@ def _read_kbest(path: Path, model_index: int, seq: int):
 
 
 def _kbest_sets(run_dir: Path, seqs: list, options: dict) -> list:
-    """One K-best set per model: K = 1 for genhyb and for ``--inline``, the
-    first ``--k`` configurations of a bayes tune for bo-q."""
+    """One K-best set per model: K = 1 for ``--inline``, and for genhyb the
+    configuration of a hybrid tune (``tune-hybrid/``); the first ``--k``
+    configurations of a bayes tune (``tune-bayes/``) for bo-q."""
     from .bayesopt import KBestSet
 
     if options["inline"]:
         return [KBestSet(m, [model_config(options, seq)], [0.0]) for m, seq in enumerate(seqs)]
     if options["arch"] == "genhyb":
-        k, name, tuners = 1, "best_config_seq{}.json", ("hybrid", "pso", "qga")
+        k, name, tuner = 1, "best_config_seq{}.json", "hybrid"
     else:
-        k, name, tuners = int(options["k"]), "kbest_seq{}.json", ("bayes",)
+        k, name, tuner = int(options["k"]), "kbest_seq{}.json", "bayes"
     ksets = []
     for model_index, seq in enumerate(seqs):
-        paths = [run_dir / f"tune-{tuner}" / name.format(seq) for tuner in tuners]
-        path = next((path for path in paths if path.exists()), None)
-        if path is None:
+        path = run_dir / f"tune-{tuner}" / name.format(seq)
+        if not path.exists():
             raise ConfigurationError(
                 f"no tuned configuration for sequence length {seq}; run `qforecast tune "
-                f"--run {run_dir} --tuner {tuners[0]}` first or pass --inline to use the "
+                f"--run {run_dir} --tuner {tuner}` first or pass --inline to use the "
                 f"flag-provided configuration"
             )
         kset = _read_kbest(path, model_index, seq)
@@ -395,13 +388,10 @@ def _kbest_sets(run_dir: Path, seqs: list, options: dict) -> list:
 
 def cmd_ensemble(options: dict) -> int:
     from .data import load_dataset
-    from .ensemble import check_weight_params, weight_history_tsv
+    from .ensemble import WeightParams, weight_history_tsv
     from .runner import run_ensemble, save_ensemble_checkpoint
 
-    nu = options.get("nu")
-    nu = int(nu) if nu is not None else None
-    kwargs = dict(lam=float(options["lam"]), gamma=float(options["gamma"]), nu=nu)
-    check_weight_params(kwargs["lam"], kwargs["gamma"], nu)
+    params = WeightParams(options["lam"], options["gamma"], options["nu"])
     check_counts(options, k=1)
     run_dir = resolve_run_dir(options["run"])
     dataset = load_dataset(dataset_path(run_dir))
@@ -412,7 +402,7 @@ def cmd_ensemble(options: dict) -> int:
     seed = int(options["seed"])
 
     with timer.time("train_and_combine"):
-        result = run_ensemble(arch, dataset, ksets, seed, **kwargs)
+        result = run_ensemble(dataset, ksets, seed, params)
     winner = result.enumeration.best
 
     files = {
@@ -421,9 +411,9 @@ def cmd_ensemble(options: dict) -> int:
         "weights.json": {
             "architecture": arch,
             "weights": [float(w) for w in winner.weights],
-            "lambda": float(options["lam"]),
-            "gamma": float(options["gamma"]),
-            "nu": nu,
+            "lambda": params.lam,
+            "gamma": params.gamma,
+            "nu": params.nu,
             "configs": [b.config.to_dict() for b in result.base_runs],
         },
         "weight_history.tsv": weight_history_tsv(winner.state),
@@ -523,7 +513,7 @@ def cmd_rerun(options: dict) -> int:
             raise ConfigurationError(f"{manifest_path}: the stored config has no "
                                      f"{flag.dest!r} key")
         stored[flag.dest] = config_value(flag, stored[flag.dest],
-                                         DEFAULTS[command].get(flag.dest))
+                                         command_defaults(command).get(flag.dest))
     stored["force"] = True
     # preprocess writes into the run directory itself, every other command
     # into one subdirectory of it
@@ -602,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
     _add_common(p)
 
-    p = sub.add_parser("tune", help="hyperparameter search (pso | qga | hybrid | bayes)")
+    p = sub.add_parser("tune", help="hyperparameter search (hybrid | bayes)")
     p.add_argument("--run", required=True)
     p.add_argument("--tuner", choices=TUNER_CHOICES, required=True)
     p.add_argument("--budget", type=int, default=None, help="objective evaluations per model")
@@ -660,11 +650,22 @@ DEFAULTS = {
     "tune": {"budget": 40, "k": 2, "probe_epochs": 5, "seq": [3, 5], "seed": 0,
              "max_qubits": 6, "max_layers": 3, "force": False, **MODEL_DEFAULTS},
     "train": {"kind": "qlstm", "seq": 3, "seed": 0, "force": False, **MODEL_DEFAULTS},
-    "ensemble": {"seq": [3, 5], "k": 2, "lam": 0.85, "gamma": 0.85, "nu": None,
-                 "inline": False, "seed": 0, "force": False, **MODEL_DEFAULTS},
+    "ensemble": {"seq": [3, 5], "k": 2, "inline": False, "seed": 0, "force": False,
+                 **MODEL_DEFAULTS},
     "forecast": {"horizon": 24, "arch": None, "seed": 0, "force": False},
     "evaluate": {"arch": None, "seed": 0, "force": False},
 }
+
+
+def command_defaults(command: str) -> dict:
+    """A command's option defaults: its ``DEFAULTS`` entry, and for
+    ``ensemble`` the lambda, gamma and nu of ``WeightParams()``, imported
+    here so that every other command leaves the ensemble layer unloaded."""
+    if command != "ensemble":
+        return DEFAULTS[command]
+    from .ensemble import WeightParams
+
+    return {**DEFAULTS[command], **vars(WeightParams())}
 
 
 def main(argv=None) -> int:
@@ -673,8 +674,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "rerun":
             return cmd_rerun({"manifest": args.manifest, "run": args.run})
-        options = merge_options(DEFAULTS[args.command], load_config_file(args.config), args,
-                                command_flags(parser, args.command))
+        options = merge_options(command_defaults(args.command), load_config_file(args.config),
+                                args, command_flags(parser, args.command))
         return COMMANDS[args.command](options)
     except (DataError, CheckpointVersionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -82,7 +82,6 @@ CSV_COLUMNS = (
     "precipitation",
 )
 
-TRAIN_FRACTION = 0.87
 VAL_FRACTION = 0.1  # trailing share of the training rows held out for validation
 CACHE_VERSION = 1
 
@@ -351,7 +350,7 @@ def write_csv(matrix: np.ndarray, path) -> None:
             writer.writerow([ts.date().isoformat(), f"{ts.hour:02d}"] + cells)
 
 
-def split_point(n_rows: int, train_fraction: float = TRAIN_FRACTION) -> int:
+def split_point(n_rows: int, train_fraction: float) -> int:
     """Number of training rows: floor(train_fraction * n_rows)."""
     if not 0.0 < train_fraction < 1.0:
         raise ConfigurationError(f"train_fraction must lie in (0, 1), got {train_fraction}")
@@ -575,7 +574,7 @@ class Dataset:
         return make_windows(self.test_matrix, sequence_length)
 
 
-def prepare_dataset(matrix: np.ndarray, train_fraction: float = TRAIN_FRACTION) -> Dataset:
+def prepare_dataset(matrix: np.ndarray, train_fraction: float) -> Dataset:
     """Chronological split, train-fitted imputation and two-stage scaling of
     a ``(rows, 7)`` float series.
 
@@ -761,7 +760,7 @@ def synth_series(
     n_hours: int,
     seed: int,
     *,
-    noise_sigma: float = 0.1,
+    noise_sigma: float,
     daily_amplitude: float = 8.0,
     annual_amplitude: float = 6.0,
     base_temperature: float = 8.0,

@@ -14,6 +14,10 @@ and the running weights move by w_m <- w_m + lambda * delta_m(k).  After the
 last step the accumulated weights are normalized onto the probability
 simplex.  A forgetting factor gamma < 1 makes recent errors count more.
 
+The three settings travel as one :class:`WeightParams`, which checks them
+when it is built; its defaults, lambda = gamma = 0.85 over the full history,
+are the paper's.
+
 ``evolve_weights`` computes every step in one pass: the full-history memory
 is the recursion eps_m(k) = gamma * eps_m(k-1) + e_m(k), a window of ``nu``
 is one convolution per model with the taps gamma^0..gamma^(nu-1), and the
@@ -31,8 +35,6 @@ from .errors import ConfigurationError, NumericError, ShapeError
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_LAMBDA = 0.85
-DEFAULT_GAMMA = 0.85
 ERROR_FLOOR = 1e-12
 
 
@@ -49,15 +51,22 @@ def _check_errors(errors: np.ndarray) -> np.ndarray:
     return errors
 
 
-def check_weight_params(lam: float, gamma: float, nu: int | None) -> None:
-    """Reject a step size, forgetting factor or window outside its range:
-    lambda finite and >= 0, 0 <= gamma <= 1, nu None or an integer >= 1."""
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ConfigurationError(f"lambda={lam} must be finite and >= 0")
-    if not 0 <= gamma <= 1:
-        raise ConfigurationError(f"gamma={gamma} must satisfy 0 <= gamma <= 1")
-    if nu is not None and not (isinstance(nu, (int, np.integer)) and nu >= 1):
-        raise ConfigurationError(f"window nu={nu} must be None or an integer >= 1")
+@dataclass(frozen=True)
+class WeightParams:
+    """The step size lambda, finite and >= 0; the forgetting factor gamma,
+    0 <= gamma <= 1; and the window nu, None (every step) or an integer >= 1."""
+
+    lam: float = 0.85
+    gamma: float = 0.85
+    nu: int | None = None
+
+    def __post_init__(self):
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigurationError(f"lambda={self.lam} must be finite and >= 0")
+        if not 0 <= self.gamma <= 1:
+            raise ConfigurationError(f"gamma={self.gamma} must satisfy 0 <= gamma <= 1")
+        if self.nu is not None and not (isinstance(self.nu, (int, np.integer)) and self.nu >= 1):
+            raise ConfigurationError(f"window nu={self.nu} must be None or an integer >= 1")
 
 
 @dataclass
@@ -77,10 +86,9 @@ class EnsembleWeights:
         return len(self.history)
 
 
-def evolve_weights(errors, lam: float = DEFAULT_LAMBDA, gamma: float = DEFAULT_GAMMA,
-                   nu: int | None = None) -> EnsembleWeights:
+def evolve_weights(errors, params: WeightParams = WeightParams()) -> EnsembleWeights:
     """Run the update over every step of an (n_models, n_steps) error series."""
-    check_weight_params(lam, gamma, nu)
+    lam, gamma, nu = params.lam, params.gamma, params.nu
     errors = _check_errors(errors)
     n_models, n_steps = errors.shape
     eps = np.empty((n_steps, n_models))
@@ -138,15 +146,14 @@ def combine_predictions(simplex_weights, predictions) -> np.ndarray:
     return simplex_weights @ predictions
 
 
-def weights_from_predictions(y_true, per_model_preds, lam: float = DEFAULT_LAMBDA,
-                             gamma: float = DEFAULT_GAMMA, nu: int | None = None) -> EnsembleWeights:
+def weights_from_predictions(y_true, per_model_preds, params: WeightParams) -> EnsembleWeights:
     """Evolve weights from raw predictions via absolute errors |y - yhat|."""
     y_true = np.asarray(y_true, dtype=float)
     per_model_preds = np.asarray(per_model_preds, dtype=float)
     if per_model_preds.ndim != 2 or per_model_preds.shape[1] != y_true.shape[0]:
         raise ShapeError("per_model_preds must be (n_models, len(y_true))")
     errors = np.abs(per_model_preds - y_true[None, :])
-    return evolve_weights(errors, lam=lam, gamma=gamma, nu=nu)
+    return evolve_weights(errors, params)
 
 
 def weight_history_tsv(weights: EnsembleWeights) -> str:

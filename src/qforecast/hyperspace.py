@@ -26,9 +26,9 @@ class Dimension:
     name: str
     low: float  # box coordinate (log10 domain when log10=True)
     high: float
+    bits: int  # genome bits of the binary codec
     integer: bool = False
     log10: bool = False
-    bits: int = 8
 
     def decode(self, coord: float) -> float | int:
         coord = min(max(coord, self.low), self.high)
@@ -38,10 +38,8 @@ class Dimension:
         return float(value)
 
 
-def default_dimensions(
-    qubit_bounds: tuple[int, int] = (2, 6),
-    layer_bounds: tuple[int, int] = (1, 3),
-) -> tuple[Dimension, ...]:
+def default_dimensions(qubit_bounds: tuple[int, int],
+                       layer_bounds: tuple[int, int]) -> tuple[Dimension, ...]:
     return (
         Dimension("learning_rate", math.log10(LR_BOUNDS[0]), math.log10(LR_BOUNDS[1]),
                   log10=True, bits=10),
@@ -61,8 +59,9 @@ class SearchSpace:
     epochs: int
 
     @classmethod
-    def default(cls, sequence_length: int, epochs: int, **bounds) -> "SearchSpace":
-        return cls(default_dimensions(**bounds), sequence_length, epochs)
+    def default(cls, sequence_length: int, epochs: int, *, qubit_bounds: tuple[int, int],
+                layer_bounds: tuple[int, int]) -> "SearchSpace":
+        return cls(default_dimensions(qubit_bounds, layer_bounds), sequence_length, epochs)
 
     @property
     def n_dims(self) -> int:

@@ -22,8 +22,8 @@ arrays:
 
 Every evaluation flows through an ``ObjectiveTracker``, the one holder of
 the evaluation budget and the trace: it maps non-finite objective values to
-+inf (flagged) and records one trace row per call.  The swarm and the
-hybrid run until its budget is spent, so they refuse a tracker without one.
++inf (flagged) and records one trace row per call.  Every tracker has a
+budget, and the swarm and the hybrid run until it is spent.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ SOCIAL = 1.49445
 TOWARD_BEST = 0.05 * np.pi  # rotation of a worse individual's bits toward the best's
 TOWARD_OWN = 0.01 * np.pi  # rotation of an at-least-as-fit individual toward its own bits
 P_MUTATION = 0.02
-HYBRID_POP_SIZE = 20  # genetic population, in the hybrid and by default
-HYBRID_PARTICLES = 20  # swarm size, in the hybrid and by default
+HYBRID_POP_SIZE = 20  # genetic population of the hybrid
+HYBRID_PARTICLES = 20  # swarm size of the hybrid
 HYBRID_SEEDS = 3  # distinct genetic-phase bests that seed the swarm
 
 
@@ -58,16 +58,16 @@ class BudgetExhausted(Exception):
 class ObjectiveTracker:
     """Counts, caps, traces, and sanitizes objective evaluations.
 
-    ``describe`` turns a query point into the value stored in the trace
-    (the tuning pipelines put decoded configurations there).
+    ``describe`` turns a query point into the value stored in ``trace``
+    (the tuning pipelines put decoded configurations there); with ``trace``
+    None nothing is recorded.
     """
 
-    def __init__(self, objective, budget: int | None = None, trace: list | None = None,
-                 describe=None):
+    def __init__(self, objective, budget: int, trace: list | None, describe):
         self.objective = objective
         self.budget = budget
         self.trace = trace
-        self.describe = describe or (lambda x: np.asarray(x, dtype=float).tolist())
+        self.describe = describe
         self.n_evals = 0
         self.n_non_finite = 0
 
@@ -75,7 +75,7 @@ class ObjectiveTracker:
         return self.budget - self.n_evals
 
     def __call__(self, x, phase: str, iteration: int) -> float:
-        if self.budget is not None and self.n_evals >= self.budget:
+        if self.n_evals >= self.budget:
             raise BudgetExhausted
         self.n_evals += 1
         value = float(self.objective(x))
@@ -138,8 +138,9 @@ def _evaluate(swarm: Swarm, tracker: ObjectiveTracker, iteration: int) -> None:
 
 
 def init_swarm(tracker: ObjectiveTracker, bounds, n_particles: int, rng,
-               init_positions=None) -> Swarm:
-    """Seeded swarm; the first particles can start at supplied positions."""
+               init_positions) -> Swarm:
+    """Seeded swarm; the first particles start at ``init_positions`` (None
+    for none)."""
     lows, highs = _check_bounds(bounds)
     d = len(lows)
     seeded = [] if init_positions is None else [np.clip(np.asarray(p, float), lows, highs)
@@ -163,7 +164,7 @@ def init_swarm(tracker: ObjectiveTracker, bounds, n_particles: int, rng,
 
 
 def pso_step(swarm: Swarm, tracker: ObjectiveTracker, bounds, rng,
-             iteration: int = 0) -> Swarm:
+             iteration: int) -> Swarm:
     """One velocity/position/evaluation sweep; the swarm best never worsens.
 
     ``r[i, 0]`` and ``r[i, 1]`` are particle i's r1 and r2.
@@ -182,8 +183,8 @@ def pso_step(swarm: Swarm, tracker: ObjectiveTracker, bounds, rng,
     return swarm
 
 
-def pso_minimize(tracker: ObjectiveTracker, bounds, *, n_particles: int = HYBRID_PARTICLES,
-                 seed=0, init_positions=None) -> TunerResult:
+def pso_minimize(tracker: ObjectiveTracker, bounds, *, n_particles: int, seed,
+                 init_positions) -> TunerResult:
     """Particle-swarm minimization over a box.
 
     Sweeps the swarm until the tracker's evaluation budget is spent; a
@@ -191,8 +192,6 @@ def pso_minimize(tracker: ObjectiveTracker, bounds, *, n_particles: int = HYBRID
     """
     if n_particles < 1:
         raise ConfigurationError("need at least one particle")
-    if tracker.budget is None:
-        raise ConfigurationError("the swarm needs a tracker with an evaluation budget")
     rng = _as_rng(seed)
     swarm = init_swarm(tracker, bounds, n_particles, rng, init_positions=init_positions)
     history = [swarm.best_value]
@@ -242,7 +241,6 @@ def rotation_angles(bits, values) -> np.ndarray:
 
 @dataclass
 class QGAResult:
-    best_bits: np.ndarray
     best_value: float
     best_decoded: object
     history: list
@@ -251,7 +249,7 @@ class QGAResult:
 
 
 def qga_minimize(tracker: ObjectiveTracker, n_bits: int, *, decode,
-                 pop_size: int = HYBRID_POP_SIZE, n_generations: int = 50, seed=0) -> QGAResult:
+                 pop_size: int, n_generations: int, seed) -> QGAResult:
     """Genetic minimization on qubit-amplitude chromosomes.
 
     Stops after ``n_generations``, or at the first generation the tracker's
@@ -266,7 +264,7 @@ def qga_minimize(tracker: ObjectiveTracker, n_bits: int, *, decode,
     alpha = np.full((pop_size, n_bits), 1.0 / np.sqrt(2.0))
     beta = alpha.copy()
 
-    best_bits, best_value, best_decoded = None, np.inf, None
+    best_value, best_decoded = np.inf, None
     history = []
     archive = []
     for gen in range(n_generations):
@@ -281,13 +279,13 @@ def qga_minimize(tracker: ObjectiveTracker, n_bits: int, *, decode,
             values.append(value)
             archive.append((value, decoded))
             if value < best_value:
-                best_bits, best_value, best_decoded = bits.copy(), value, decoded
+                best_value, best_decoded = value, decoded
         if len(values) < pop_size:
             break
         alpha, beta = rotate(alpha, beta, rotation_angles(measured, values))
         alpha, beta = swap_mutate(alpha, beta, rng.random((pop_size, n_bits)) < P_MUTATION)
         history.append(best_value)
-    return QGAResult(best_bits, float(best_value), best_decoded, history,
+    return QGAResult(float(best_value), best_decoded, history,
                      tracker.n_evals, archive)
 
 
@@ -300,12 +298,10 @@ def qga_minimize(tracker: ObjectiveTracker, n_bits: int, *, decode,
 class HybridResult:
     best_position: np.ndarray
     best_value: float
-    qga: QGAResult | None
-    pso: TunerResult | None
     n_evals: int
 
 
-def hybrid_minimize(tracker: ObjectiveTracker, bounds, *, decode_bits, n_bits: int, seed=0,
+def hybrid_minimize(tracker: ObjectiveTracker, bounds, *, decode_bits, n_bits: int, seed,
                     qga_fraction: float = 0.4) -> HybridResult:
     """Genetic phase then swarm phase under the tracker's evaluation budget.
 
@@ -317,8 +313,6 @@ def hybrid_minimize(tracker: ObjectiveTracker, bounds, *, decode_bits, n_bits: i
     """
     if not 0.0 <= qga_fraction <= 1.0:
         raise ConfigurationError("qga_fraction must lie in [0, 1]")
-    if tracker.budget is None:
-        raise ConfigurationError("the hybrid search needs a tracker with an evaluation budget")
     _check_bounds(bounds)
     rng = _as_rng(seed)
 
@@ -354,5 +348,4 @@ def hybrid_minimize(tracker: ObjectiveTracker, bounds, *, decode_bits, n_bits: i
     if not candidates:
         raise ConfigurationError("budget too small: no evaluation completed")
     best_value, best_position = min(candidates, key=lambda pair: pair[0])
-    return HybridResult(best_position, float(best_value), qga_result, pso_result,
-                        tracker.n_evals)
+    return HybridResult(best_position, float(best_value), tracker.n_evals)

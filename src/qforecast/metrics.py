@@ -60,7 +60,6 @@ class ForecastResult:
     y_true: np.ndarray | None  # Celsius; None when truth is unavailable
     y_pred: np.ndarray  # Celsius
     model: str
-    horizon: str  # "test-one-step" or "24h"
 
     def __post_init__(self):
         if self.y_true is not None and len(self.y_true) != len(self.y_pred):
@@ -76,8 +75,8 @@ def forecast_iterative(
     scaler: ScalerState,
     horizon: int,
     *,
-    true_future=None,
-    model_tag: str = "ensemble",
+    true_future,
+    model_tag: str,
 ) -> ForecastResult:
     """Roll weighted ``(kind, config, model)`` triples ``horizon`` steps ahead,
     stamped 1..``horizon``.
@@ -126,7 +125,6 @@ def forecast_iterative(
         y_true=y_true,
         y_pred=y_pred,
         model=model_tag,
-        horizon="24h" if horizon == 24 else f"{horizon}-step",
     )
 
 

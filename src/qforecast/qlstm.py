@@ -392,7 +392,7 @@ def compile_model(params):
     return compile_blocks(params.vqc) if isinstance(params, QLSTMParams) else None
 
 
-def forward_sequence(params, window, unitaries=None) -> float:
+def forward_sequence(params, window, unitaries) -> float:
     """Run any model over one ``(seq, input_dim)`` window from zero state;
     returns the final prediction.  The multi-step forecast makes its
     one-window calls here, each with the model's one :func:`compile_model`."""

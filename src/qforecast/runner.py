@@ -30,7 +30,7 @@ import numpy as np
 from .bayesopt import EnumerationResult, enumerate_ensembles
 from .bookkeeping import derive_seed, write_manifest as write_manifest
 from .data import Dataset, destandardize_temperature, read_npz, write_npz
-from .ensemble import combine_predictions
+from .ensemble import WeightParams, combine_predictions
 from .errors import ConfigurationError, DataError, NumericDivergenceError
 from .metrics import ForecastResult, forecast_iterative, mape_with_exclusions, mse
 from .qlstm import (
@@ -108,7 +108,7 @@ def validation_targets(dataset: Dataset, sequence_lengths) -> np.ndarray:
 
 
 def probe_objective(dataset: Dataset, sequence_length: int, model_index: int,
-                    master_seed: int, *, probe_epochs: int = 5):
+                    master_seed: int, *, probe_epochs: int):
     """Objective for the tuners: validation MSE of a short probe training run.
 
     Each distinct probe configuration trains once: a tuner that revisits a
@@ -132,7 +132,6 @@ def probe_objective(dataset: Dataset, sequence_length: int, model_index: int,
 
 @dataclass
 class EnsembleRun:
-    architecture: str  # "genhyb" or "bo-q"
     base_runs: list
     enumeration: EnumerationResult  # a single tuple for genhyb; its best holds the weights
 
@@ -166,21 +165,21 @@ def evaluate_ensemble(dataset: Dataset, models, weights, architecture: str) -> t
         mape_pct, excluded = mape_with_exclusions(y_c, pred_c)
         rows.append({"model": tag, "mape_pct": mape_pct, "mse": mse(y_c, pred_c),
                      "mse_standardized": mse(y_std, pred_std), "excluded": excluded})
-        forecasts.append(ForecastResult(timestamps, y_c, pred_c, tag, "test-one-step"))
+        forecasts.append(ForecastResult(timestamps, y_c, pred_c, tag))
     return rows, forecasts
 
 
-def run_ensemble(architecture: str, dataset: Dataset, ksets: list, master_seed: int, *,
-                 lam: float = 0.85, gamma: float = 0.85, nu: int | None = None,
+def run_ensemble(dataset: Dataset, ksets: list, master_seed: int, params: WeightParams, *,
                  memo: dict | None = None) -> EnsembleRun:
     """Train every distinct candidate of the K-best sets once, enumerate the
     K^m configuration tuples, and keep the winner with its weights.
 
-    The tuple objective is the adaptively-weighted forecast MSE on the shared
-    validation segment (never the test set); :func:`evaluate_ensemble` scores
-    the winner's finalized simplex weights on the test set.  A candidate whose
-    training diverges scores its tuples +inf; when every tuple diverges, the
-    first failing model's NumericDivergenceError propagates.
+    The tuple objective is the forecast MSE, weighted adaptively as ``params``
+    sets, on the shared validation segment (never the test set);
+    :func:`evaluate_ensemble` scores the winner's finalized simplex weights on
+    the test set.  A candidate whose training diverges scores its tuples +inf;
+    when every tuple diverges, the first failing model's NumericDivergenceError
+    propagates.
     """
     memo = {} if memo is None else memo
     seqs = []
@@ -206,14 +205,14 @@ def run_ensemble(architecture: str, dataset: Dataset, ksets: list, master_seed: 
             raise run  # the enumeration scores the tuple +inf
         return run.val_predictions
 
-    enumeration = enumerate_ensembles(ksets, predict_fn, val_y, lam=lam, gamma=gamma, nu=nu)
+    enumeration = enumerate_ensembles(ksets, predict_fn, val_y, params)
     winner = enumeration.best
     base_runs = [outcomes[pair] for pair in enumerate(winner.configs)]
-    return EnsembleRun(architecture, base_runs, enumeration)
+    return EnsembleRun(base_runs, enumeration)
 
 
-def forecast_horizon(dataset: Dataset, models, weights, horizon: int = 24,
-                     *, model_tag: str = "ensemble") -> ForecastResult:
+def forecast_horizon(dataset: Dataset, models, weights, horizon: int,
+                     *, model_tag: str) -> ForecastResult:
     """Iterative multi-step forecast of (kind, config, model) triples from the
     end of the training split."""
     future = dataset.test_matrix[:horizon, 0] if len(dataset.test_matrix) >= horizon else None

@@ -3,7 +3,8 @@
 Sphere and rastrigin reach 0 at the origin; one_max counts down from 0 at
 the all-ones bitstring.  ``gray_genome`` gives the genetic and hybrid
 searches a decoder onto a box, as the tune command gives them
-``SearchSpace.decode_bits``.
+``SearchSpace.decode_bits``, and ``make_tracker`` wraps an objective in the
+tracker every search takes.
 """
 
 import functools
@@ -11,6 +12,7 @@ import functools
 import numpy as np
 
 from qforecast.hyperspace import gray_decode
+from qforecast.metaheuristics import ObjectiveTracker
 
 SPHERE_BOUNDS = (-5.12, 5.12)
 RASTRIGIN_BOUNDS = (-5.12, 5.12)
@@ -48,3 +50,14 @@ def gray_genome(bounds, bits_per_dim: int = 12) -> dict:
     widths = [bits_per_dim] * len(bounds)
     return {"decode_bits": functools.partial(gray_decode, lows=lows, highs=highs, widths=widths),
             "n_bits": sum(widths)}
+
+
+def point_list(x) -> list:
+    """A query point as the list of floats a trace row stores."""
+    return np.asarray(x, dtype=float).tolist()
+
+
+def make_tracker(objective, budget: int, trace: list | None = None) -> ObjectiveTracker:
+    """A tracker of ``budget`` evaluations; its trace rows, if ``trace`` is
+    a list, store each query point as :func:`point_list` gives it."""
+    return ObjectiveTracker(objective, budget=budget, trace=trace, describe=point_list)

@@ -27,8 +27,8 @@ from qforecast.data import (
     synth_series,
     write_csv,
 )
-from qforecast.ensemble import evolve_weights, finalize_weights
-from qforecast.metaheuristics import ObjectiveTracker, hybrid_minimize, pso_minimize, qga_minimize
+from qforecast.ensemble import WeightParams, evolve_weights, finalize_weights
+from qforecast.metaheuristics import hybrid_minimize, pso_minimize, qga_minimize
 from qforecast.qlstm import HyperConfig, init_qlstm
 from qforecast.quantum import (
     VQCBlock,
@@ -45,8 +45,8 @@ from qforecast.runner import (
     validation_targets,
 )
 
-from objectives import (RASTRIGIN_BOUNDS, SPHERE_BOUNDS, gray_genome, one_max, quadratic_1d,
-                        rastrigin, sphere)
+from objectives import (RASTRIGIN_BOUNDS, SPHERE_BOUNDS, gray_genome, make_tracker, one_max,
+                        quadratic_1d, rastrigin, sphere)
 from oracles import central_difference, dense_vqc_expectations, inverse_transform, loop_oracle
 
 
@@ -158,25 +158,26 @@ def test_criterion_2_bptt_correctness():
 def test_criterion_3_optimizer_benchmarks():
     with Criterion(3, "swarm/genetic/hybrid benchmarks", 120.0):
         # 200 sweeps of 20 particles after the initial one
-        pso = pso_minimize(ObjectiveTracker(sphere, budget=20 * 201), [SPHERE_BOUNDS] * 4,
-                           n_particles=20, seed=42)
+        pso = pso_minimize(make_tracker(sphere, budget=20 * 201), [SPHERE_BOUNDS] * 4,
+                           n_particles=20, seed=42, init_positions=None)
         assert pso.best_value < 1e-3
 
-        qga = qga_minimize(ObjectiveTracker(one_max), 16, pop_size=20, n_generations=50, seed=7,
-                           decode=np.copy)
-        assert qga.best_value == -16.0 and np.all(qga.best_bits == 1)
+        # decode=np.copy: the best decoded point is the best measured bits
+        qga = qga_minimize(make_tracker(one_max, budget=20 * 50), 16, pop_size=20,
+                           n_generations=50, seed=7, decode=np.copy)
+        assert qga.best_value == -16.0 and np.all(qga.best_decoded == 1)
 
         budget = 4000
         bounds = [RASTRIGIN_BOUNDS] * 4
         hybrid_finals, plain_finals = [], []
         for seed in range(10):
             hybrid_finals.append(
-                hybrid_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds,
+                hybrid_minimize(make_tracker(rastrigin, budget=budget), bounds,
                                 seed=seed, **gray_genome(bounds)).best_value
             )
             plain_finals.append(
-                pso_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds, n_particles=20,
-                             seed=seed).best_value
+                pso_minimize(make_tracker(rastrigin, budget=budget), bounds, n_particles=20,
+                             seed=seed, init_positions=None).best_value
             )
         assert np.median(hybrid_finals) <= np.median(plain_finals)
 
@@ -193,7 +194,7 @@ def test_criterion_4_gp_ei_correctness():
         x = np.array([[0.05], [0.3], [0.5], [0.75], [0.95]])
         y = np.sin(6 * x[:, 0])
         hyper = (np.array([0.2]), 1.3, 1e-6)
-        gp = gp_fit(x, y, hyperparams=hyper)
+        gp = gp_fit(x, y, seed=0, hyperparams=hyper)
         grid = np.linspace(0, 1, 20)[:, None]
         mean, var = gp_posterior(gp, grid)
         want_mean, want_var = gp_posterior_oracle(x, y, grid, hyper[0], hyper[1],
@@ -205,7 +206,7 @@ def test_criterion_4_gp_ei_correctness():
                                                                    gp.best_observed),
                                    atol=1e-8)
 
-        xs, ys = bo_minimize_unit(ObjectiveTracker(quadratic_1d(0.7), budget=20), 1, n_init=5,
+        xs, ys = bo_minimize_unit(make_tracker(quadratic_1d(0.7), budget=20), 1, n_init=5,
                                   seed=3)
         assert len(ys) == 20
         assert abs(xs[int(np.argmin(ys))][0] - 0.7) <= 0.05
@@ -224,7 +225,7 @@ def test_criterion_5_ensemble_math():
             n_models = int(rng.integers(2, 5))
             steps = int(rng.integers(1, 25))
             errors = rng.uniform(0.01, 4.0, size=(n_models, steps))
-            got = finalize_weights(evolve_weights(errors, lam=0.85, gamma=0.85))
+            got = finalize_weights(evolve_weights(errors, WeightParams(lam=0.85, gamma=0.85)))
             want, _, _ = loop_oracle(errors, lam=0.85, gamma=0.85)
             np.testing.assert_allclose(got, want, atol=1e-12)
         # simplex constraint over 1000 random error histories
@@ -246,17 +247,18 @@ def test_criterion_5_ensemble_math():
 # ---------------------------------------------------------------------------
 
 
-def winner_test_rows(dataset, run):
+def winner_test_rows(dataset, run, architecture):
     """The test-set metric rows of an ensemble run's winner."""
     rows, _ = evaluate_ensemble(dataset, [r.triple for r in run.base_runs],
-                                run.enumeration.best.weights, run.architecture)
+                                run.enumeration.best.weights, architecture)
     return rows
 
 
 def test_criterion_6_end_to_end_desk_scale():
     with Criterion(6, "desk-scale ensembles beat their base models", 900.0):
         master_seed = 2024
-        dataset = prepare_dataset(synth_series(2000, seed=404))
+        dataset = prepare_dataset(synth_series(2000, seed=404, noise_sigma=0.1),
+                                  train_fraction=0.87)
         cfg3 = HyperConfig(0.05, 1, 2, 4, 3, 32, 30)
         cfg5 = HyperConfig(0.05, 1, 2, 4, 5, 32, 30)
         cfg3b = HyperConfig(0.03, 1, 2, 4, 3, 32, 30)
@@ -264,8 +266,8 @@ def test_criterion_6_end_to_end_desk_scale():
         memo = {}
 
         k1_sets = [KBestSet(0, [cfg3], [0.0]), KBestSet(1, [cfg5], [0.0])]
-        gen = run_ensemble("genhyb", dataset, k1_sets, master_seed, memo=memo)
-        gen_rows = winner_test_rows(dataset, gen)
+        gen = run_ensemble(dataset, k1_sets, master_seed, WeightParams(), memo=memo)
+        gen_rows = winner_test_rows(dataset, gen, "genhyb")
         best_base = min(r["mape_pct"] for r in gen_rows[:-1])
         ensemble_mape = gen_rows[-1]["mape_pct"]
         assert ensemble_mape <= best_base + 0.1
@@ -278,9 +280,9 @@ def test_criterion_6_end_to_end_desk_scale():
             return KBestSet(model_index, [c for _, c in ranked], [s for s, _ in ranked])
 
         ksets = [kset(0, [cfg3, cfg3b]), kset(1, [cfg5, cfg5b])]
-        boq = run_ensemble("bo-q", dataset, ksets, master_seed, memo=memo)
+        boq = run_ensemble(dataset, ksets, master_seed, WeightParams(), memo=memo)
         assert boq.enumeration.n_tuples == 4  # K=2, m=2
-        boq_rows = winner_test_rows(dataset, boq)
+        boq_rows = winner_test_rows(dataset, boq, "bo-q")
         best_base = min(r["mape_pct"] for r in boq_rows[:-1])
         assert boq_rows[-1]["mape_pct"] <= best_base + 0.1
 
@@ -299,7 +301,7 @@ def test_criterion_6_end_to_end_desk_scale():
                 train_base_model(dataset, c0, 0, master_seed, memo=oracle_memo).val_predictions,
                 train_base_model(dataset, c1, 1, master_seed, memo=oracle_memo).val_predictions,
             ])
-            w = finalize_weights(weights_from_predictions(val_y, preds))
+            w = finalize_weights(weights_from_predictions(val_y, preds, WeightParams()))
             best_objective = min(best_objective, mse(val_y, combine_predictions(w, preds)))
         assert boq.enumeration.best.objective == best_objective
 
@@ -311,16 +313,16 @@ def test_criterion_6_end_to_end_desk_scale():
 
 def test_criterion_7_pipeline_exactness(tmp_path):
     with Criterion(7, "full-size split counts, scaling round-trip, no leakage", 120.0):
-        assert split_point(96432) == 83895
-        series = synth_series(96432, seed=7, missing_fraction=0.01)
+        assert split_point(96432, 0.87) == 83895
+        series = synth_series(96432, seed=7, missing_fraction=0.01, noise_sigma=0.1)
         csv_path = tmp_path / "full.csv"
         write_csv(series, csv_path)
         parsed = ingest_csv(csv_path)
         assert parsed.shape == (96432, 7)
-        n_train = split_point(len(parsed))
+        n_train = split_point(len(parsed), 0.87)
         assert n_train == 83895 and len(parsed) - n_train == 12537
 
-        dataset = prepare_dataset(parsed.copy())
+        dataset = prepare_dataset(parsed.copy(), train_fraction=0.87)
         assert len(dataset.train_matrix) == 83895
         assert len(dataset.test_matrix) == 12537
 

@@ -13,12 +13,12 @@ from qforecast.bayesopt import (
     gp_fit,
     gp_posterior,
 )
+from qforecast.ensemble import WeightParams
 from qforecast.errors import ConfigurationError, NumericDivergenceError
 from qforecast.hyperspace import SearchSpace
-from qforecast.metaheuristics import ObjectiveTracker
 from qforecast.qlstm import HyperConfig
 
-from objectives import quadratic_1d
+from objectives import make_tracker, quadratic_1d
 from oracles import (
     central_difference,
     expected_improvement_oracle,
@@ -33,7 +33,7 @@ SIN_HYPER = (np.array([0.2]), 1.3, 1e-6)
 
 @pytest.fixture(scope="module")
 def sin_gp():
-    return gp_fit(SIN_X, SIN_Y, hyperparams=SIN_HYPER)
+    return gp_fit(SIN_X, SIN_Y, seed=0, hyperparams=SIN_HYPER)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_fit_handles_duplicate_points():
 
 def test_fit_needs_two_points():
     with pytest.raises(ConfigurationError):
-        gp_fit(np.array([[0.5]]), np.array([1.0]))
+        gp_fit(np.array([[0.5]]), np.array([1.0]), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,8 @@ def test_ei_gradient_is_finite_where_the_posterior_sd_is_zero():
     # a signal variance of 2^40 swallows the noise floor: at an observed point
     # the posterior variance is exactly 0
     x = np.array([[0.2, 0.3], [0.9, 0.8]])
-    gp = gp_fit(x, np.array([1.0, 2.0]), hyperparams=(np.array([0.01, 0.01]), 2.0**40, 1e-6))
+    gp = gp_fit(x, np.array([1.0, 2.0]), seed=0,
+                hyperparams=(np.array([0.01, 0.01]), 2.0**40, 1e-6))
     assert gp_posterior(gp, x[:1])[1][0] == 0.0
     for best in (gp.best_observed, gp.best_observed + 1.0):
         value, grad = _neg_ei(x[0], gp, best)
@@ -166,26 +167,26 @@ def test_acquire_next_returns_unit_point(sin_gp):
 
 
 def test_quadratic_minimum_found_in_twenty_evaluations():
-    xs, ys = bo_minimize_unit(ObjectiveTracker(quadratic_1d(0.7), budget=20), 1, n_init=5, seed=3)
+    xs, ys = bo_minimize_unit(make_tracker(quadratic_1d(0.7), budget=20), 1, n_init=5, seed=3)
     assert len(ys) == 20
     best = xs[int(np.argmin(ys))][0]
     assert abs(best - 0.7) <= 0.05
 
 
 def test_bo_loop_deterministic():
-    a, b = (bo_minimize_unit(ObjectiveTracker(quadratic_1d(0.3), budget=10), 1, n_init=4, seed=9)
+    a, b = (bo_minimize_unit(make_tracker(quadratic_1d(0.3), budget=10), 1, n_init=4, seed=9)
             for _ in range(2))
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 
 
-@pytest.mark.parametrize("budget", [None, 4])
+@pytest.mark.parametrize("budget", [4])
 def test_bo_loop_refuses_a_budget_below_the_initial_design(budget):
     def objective(u):
         raise AssertionError("the objective must not run")
 
     with pytest.raises(ConfigurationError, match="at least n_init = 5"):
-        bo_minimize_unit(ObjectiveTracker(objective, budget=budget), 1, n_init=5, seed=0)
+        bo_minimize_unit(make_tracker(objective, budget=budget), 1, n_init=5, seed=0)
 
 
 def _config_score(config: HyperConfig) -> float:
@@ -199,9 +200,11 @@ def _config_score(config: HyperConfig) -> float:
 
 
 def test_bo_tune_returns_k_lowest_observed():
-    space = SearchSpace.default(sequence_length=3, epochs=2)
+    space = SearchSpace.default(sequence_length=3, epochs=2, qubit_bounds=(2, 6),
+                                layer_bounds=(1, 3))
     trace = []
-    kset = bo_tune(_config_score, space, n_init=5, budget=10, k=3, seed=2, trace=trace)
+    kset = bo_tune(_config_score, space, n_init=5, budget=10, k=3, seed=2, model_index=0,
+                   trace=trace)
     assert kset.k == 3
     assert kset.scores == sorted(kset.scores)
     # the returned scores are true observed scores: recompute directly
@@ -217,16 +220,20 @@ def test_bo_tune_returns_k_lowest_observed():
 
 
 def test_bo_tune_zero_iterations_returns_sorted_initial_design():
-    space = SearchSpace.default(sequence_length=3, epochs=2)
-    kset = bo_tune(_config_score, space, n_init=4, budget=4, k=4, seed=5)
+    space = SearchSpace.default(sequence_length=3, epochs=2, qubit_bounds=(2, 6),
+                                layer_bounds=(1, 3))
+    kset = bo_tune(_config_score, space, n_init=4, budget=4, k=4, seed=5, model_index=0,
+                   trace=None)
     assert kset.k == 4
     assert kset.scores == sorted(kset.scores)
 
 
 def test_bo_tune_k_too_large():
-    space = SearchSpace.default(sequence_length=3, epochs=2)
+    space = SearchSpace.default(sequence_length=3, epochs=2, qubit_bounds=(2, 6),
+                                layer_bounds=(1, 3))
     with pytest.raises(ConfigurationError):
-        bo_tune(_config_score, space, n_init=3, budget=3, k=10, seed=0)
+        bo_tune(_config_score, space, n_init=3, budget=3, k=10, seed=0, model_index=0,
+                trace=None)
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -234,9 +241,10 @@ def test_bo_tune_rejects_k_below_one_before_evaluating(k):
     def objective(config):
         raise AssertionError("the objective must not run")
 
-    space = SearchSpace.default(sequence_length=3, epochs=2)
+    space = SearchSpace.default(sequence_length=3, epochs=2, qubit_bounds=(2, 6),
+                                layer_bounds=(1, 3))
     with pytest.raises(ConfigurationError, match="K must be >= 1"):
-        bo_tune(objective, space, n_init=3, budget=3, k=k, seed=0)
+        bo_tune(objective, space, n_init=3, budget=3, k=k, seed=0, model_index=0, trace=None)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +340,7 @@ def test_enumeration_matches_independent_brute_force():
     for c0 in ksets[0].configs:
         for c1 in ksets[1].configs:
             preds = np.vstack([predict(0, c0), predict(1, c1)])
-            w = finalize_weights(weights_from_predictions(targets, preds))
+            w = finalize_weights(weights_from_predictions(targets, preds, WeightParams()))
             obj = float(np.mean((combine_predictions(w, preds) - targets) ** 2))
             if obj < best_obj:
                 best_obj, best_combo = obj, (c0, c1)
@@ -349,7 +357,7 @@ def test_windowed_enumeration_matches_loop_oracle():
         KBestSet(1, [_mk_config(0.01, 5), _mk_config(0.03, 5)], [1.5, 2.5]),
     ]
     predict = _fake_predictor(targets, rng)
-    result = enumerate_ensembles(ksets, predict, targets, lam=0.85, gamma=0.85, nu=3)
+    result = enumerate_ensembles(ksets, predict, targets, WeightParams(0.85, 0.85, 3))
     assert result.n_tuples == 4
     objectives = []
     for c0 in ksets[0].configs:

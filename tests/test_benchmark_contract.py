@@ -1,7 +1,10 @@
 """The library names and call forms the benchmark in ``perfbench/`` relies on.
 
 The traced benchmark resolves its targets with ``getattr`` at run time, so a
-renamed function or a dropped keyword breaks only a ``--trace 1`` run.  These
+renamed function breaks a ``--trace 1`` run; a dropped default breaks any run
+that calls without it: ``enumerate_ensembles`` without a ``WeightParams``
+breaks the untraced ``paper_scale_combine`` run (``combine.py``), and
+``evolve_weights`` without one the layer timings (``layers.py``).  These
 tests read ``perfbench/`` without changing it and fail at once instead.
 """
 
@@ -17,8 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qforecast.bayesopt import acquire_next, gp_fit
+from qforecast.bayesopt import KBestSet, acquire_next, enumerate_ensembles, gp_fit
 from qforecast.data import prepare_dataset, synth_series
+from qforecast.ensemble import WeightParams, evolve_weights
 from qforecast.qlstm import HyperConfig, init_qlstm
 from qforecast.runner import validation_targets
 
@@ -58,7 +62,7 @@ def test_every_name_perfbench_imports_exists():
 def dataset():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return prepare_dataset(synth_series(240, seed=3))
+        return prepare_dataset(synth_series(240, seed=3, noise_sigma=0.1), train_fraction=0.87)
 
 
 def test_perfbench_call_forms_run(dataset):
@@ -79,6 +83,22 @@ def test_perfbench_call_forms_run(dataset):
     preds, caches = model.forward_batch(val_part.inputs, need_cache=True)
     assert preds.shape == (batch,) and len(caches) == 3
 
+    # the bare forms of layers.py and combine.py take the paper's weight settings
+    paper = WeightParams(0.85, 0.85, None)
+    errors = np.abs(rng.normal(size=(2, 40)))
+    bare, explicit = evolve_weights(errors), evolve_weights(errors, paper)
+    for field in ("weights", "history", "eps_history"):
+        np.testing.assert_array_equal(getattr(bare, field), getattr(explicit, field))
+    targets = rng.normal(size=40)
+    ksets = [KBestSet(m, [HyperConfig(0.05, 1, 2, h, 3 + 2 * m, 32, 1) for h in (4, 6)],
+                      [0.0, 0.0]) for m in range(2)]
+    predictions = {(m, c): targets + 0.3 * rng.normal(size=40)
+                   for kset in ksets for m, c in [(kset.model_index, c) for c in kset.configs]}
+    bare = enumerate_ensembles(ksets, lambda m, c: predictions[m, c], targets)
+    explicit = enumerate_ensembles(ksets, lambda m, c: predictions[m, c], targets, paper)
+    assert bare.objectives == explicit.objectives and bare.best.configs == explicit.best.configs
+    np.testing.assert_array_equal(bare.best.weights, explicit.best.weights)
+
 
 def test_traced_forecast_span_counts_every_model_call(dataset, monkeypatch):
     # the tracer's metrics.model_call span wraps qlstm.forward_sequence, which
@@ -95,7 +115,7 @@ def test_traced_forecast_span_counts_every_model_call(dataset, monkeypatch):
     configs = [HyperConfig(0.05, 1, 2, 4, seq, 32, 1) for seq in (3, 5)]
     models = [("qlstm", config, init_qlstm(config, n_features, seed=seq))
               for seq, config in enumerate(configs)]
-    result = forecast_horizon(dataset, models, [0.5, 0.5], horizon=6)
+    result = forecast_horizon(dataset, models, [0.5, 0.5], horizon=6, model_tag="ensemble")
     assert len(result.y_pred) == 6
     assert len(calls) == 6 * 2
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from qforecast.bayesopt import KBestSet
-from qforecast.cli import ARCH_CHOICES, COMMANDS, DEFAULTS, build_parser, command_flags, main
+from qforecast.cli import (ARCH_CHOICES, COMMANDS, DEFAULTS, build_parser, command_defaults,
+                           command_flags, main)
 from qforecast.data import load_dataset, prepare_dataset, save_dataset, synth_series, write_csv
 from qforecast.qlstm import HyperConfig, init_classical_lstm, init_qlstm
 from qforecast.runner import save_ensemble_checkpoint
@@ -89,7 +90,8 @@ def test_every_optional_flag_has_a_default():
     would be an option nothing can set."""
     parser = build_parser()
     assert set(DEFAULTS) == set(COMMANDS)
-    for command, defaults in DEFAULTS.items():
+    for command in DEFAULTS:
+        defaults = command_defaults(command)
         flags = command_flags(parser, command)
         assert {f.dest for f in flags if not f.required} <= set(defaults), command
         assert set(defaults) <= {f.dest for f in flags}, command
@@ -191,7 +193,7 @@ def test_unreadable_csv_is_data_error(tmp_path, capsys, content):
 
 def test_overflowing_scaling_is_data_error(tmp_path, capsys):
     # finite cells whose IQR overflows: no summary with Infinity, no NaN cache
-    series = synth_series(120, seed=0)
+    series = synth_series(120, seed=0, noise_sigma=0.1)
     series[::2, 0], series[1::2, 0] = 1e308, -1e308
     path = tmp_path / "weather.csv"
     write_csv(series, path)
@@ -247,10 +249,12 @@ def test_forced_tune_leaves_no_stale_artifacts(prepared_run, tmp_path):
 
 
 def test_unknown_tuner_is_usage_error(prepared_run):
-    # argparse handles invalid choices itself and exits with code 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli("tune", "--run", prepared_run, "--tuner", "nosuch")
-    assert exc.value.code == 2
+    # argparse handles invalid choices itself and exits with code 2; the
+    # hybrid search's two phases are no tuners of their own
+    for tuner in ("nosuch", "pso", "qga"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("tune", "--run", prepared_run, "--tuner", tuner)
+        assert exc.value.code == 2
 
 
 def test_ensemble_has_no_jobs_flag(prepared_run):
@@ -462,8 +466,7 @@ TUNE_BAYES = ("tune", "--tuner", "bayes", "--budget", 4) + TUNE_SMALL
     (TUNE_BAYES + ("--k", -1), "--k must be >= 1"),
     (("ensemble", "--arch", "bo-q", "--k", 0), "--k must be >= 1"),
     (("ensemble", "--arch", "bo-q", "--k", -1), "--k must be >= 1"),
-    (("tune", "--tuner", "pso", "--budget", 0) + TUNE_SMALL, "--budget must be >= 1"),
-    (("tune", "--tuner", "qga", "--budget", 0) + TUNE_SMALL, "--budget must be >= 1"),
+    (("tune", "--tuner", "hybrid", "--budget", 0) + TUNE_SMALL, "--budget must be >= 1"),
     (("tune", "--tuner", "bayes", "--budget", 0) + TUNE_SMALL, "--budget must be >= 2"),
     (("tune", "--tuner", "bayes", "--budget", 1) + TUNE_SMALL, "--budget must be >= 2"),
     (("tune", "--tuner", "hybrid", "--budget", 50, "--probe-epochs", 1, "--max-qubits", 11,
@@ -472,8 +475,14 @@ TUNE_BAYES = ("tune", "--tuner", "bayes", "--budget", 4) + TUNE_SMALL
       "--max-layers", 1), "--max-qubits must be >= 2"),
     (("tune", "--tuner", "bayes", "--budget", 4, "--probe-epochs", 1, "--max-qubits", 2,
       "--max-layers", 0), "--max-layers must be >= 1"),
-], ids=["tune-k0", "tune-k-1", "boq-k0", "boq-k-1", "pso-budget0", "qga-budget0",
-        "bayes-budget0", "bayes-budget1", "max-qubits11", "max-qubits1", "max-layers0"])
+    (("tune", "--tuner", "hybrid", "--budget", 4, "--probe-epochs", 0, "--max-qubits", 2,
+      "--max-layers", 1), "--probe-epochs must be >= 1"),
+    # two models of one sequence length would write the same tune files
+    (("tune", "--tuner", "hybrid", "--budget", 4) + TUNE_SMALL + ("--seq", 3, 3),
+     "--seq values must be distinct"),
+], ids=["tune-k0", "tune-k-1", "boq-k0", "boq-k-1", "hybrid-budget0", "bayes-budget0",
+        "bayes-budget1", "max-qubits11", "max-qubits1", "max-layers0", "probe-epochs0",
+        "seq-repeated"])
 def test_counts_below_one_exit_before_writing(prepared_run, tmp_path, capsys, argv, flag):
     import shutil
 
@@ -559,7 +568,7 @@ def test_evaluate_stub_checkpoint_is_perfect(tmp_path):
                           annual_amplitude=0.0, base_temperature=8.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dataset = prepare_dataset(series)
+        dataset = prepare_dataset(series, train_fraction=0.87)
     run_dir = tmp_path / "stub"
     run_dir.mkdir()
     save_dataset(run_dir / "dataset.npz", dataset)
@@ -578,10 +587,10 @@ def test_evaluate_stub_checkpoint_is_perfect(tmp_path):
 
 
 def test_checkpoint_version_mismatch_is_reported(tmp_path):
-    series = synth_series(120, seed=1)
+    series = synth_series(120, seed=1, noise_sigma=0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dataset = prepare_dataset(series)
+        dataset = prepare_dataset(series, train_fraction=0.87)
     run_dir = tmp_path / "ver"
     (run_dir / "ensemble-genhyb").mkdir(parents=True)
     save_dataset(run_dir / "dataset.npz", dataset)
@@ -607,7 +616,7 @@ def untrained_ensemble_run(tmp_path):
     checkpoint (a quantum and a classical cell)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dataset = prepare_dataset(synth_series(120, seed=2))
+        dataset = prepare_dataset(synth_series(120, seed=2, noise_sigma=0.1), train_fraction=0.87)
     run_dir = tmp_path / "untrained"
     (run_dir / "ensemble-genhyb").mkdir(parents=True)
     save_dataset(run_dir / "dataset.npz", dataset)
@@ -909,10 +918,12 @@ print(" ".join(sorted(sys.modules)))
 
 
 def test_preprocess_loads_only_the_data_layer(tmp_path):
-    """``preprocess`` runs without the model stack and without numpy.ma,
-    which np.median and np.percentile would load."""
+    """``preprocess`` runs without the model stack, the ensemble layer and
+    the logging it imports included, and without numpy.ma, which np.median
+    and np.percentile would load.  It is the paper-length run's largest
+    process, so each of these would raise that run's peak memory."""
     csv = tmp_path / "weather.csv"
-    write_csv(synth_series(200, seed=4, missing_fraction=0.05), csv)
+    write_csv(synth_series(200, seed=4, missing_fraction=0.05, noise_sigma=0.1), csv)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -923,5 +934,6 @@ def test_preprocess_loads_only_the_data_layer(tmp_path):
     loaded = set(proc.stdout.split())
     assert "qforecast.data" in loaded
     assert not loaded & {"numpy.ma", "qforecast.qlstm", "qforecast.bayesopt",
-                         "qforecast.quantum", "qforecast.runner"}
+                         "qforecast.quantum", "qforecast.runner", "qforecast.ensemble",
+                         "logging"}
 

@@ -115,7 +115,7 @@ def test_header_mismatch(tmp_path):
 
 
 def test_csv_round_trip(tmp_path):
-    series = synth_series(72, seed=3, missing_fraction=0.1)
+    series = synth_series(72, seed=3, missing_fraction=0.1, noise_sigma=0.1)
     path = tmp_path / "round.csv"
     write_csv(series, path)
     back = ingest_csv(path)
@@ -286,7 +286,7 @@ def test_cells_outside_the_plain_decimal_form_leave_the_bulk_reader(tmp_path, ce
 def test_synth_written_paper_length_csv_is_read_in_bulk(tmp_path):
     # write_csv's ".6f" cells run to 16 bytes, and all stay on the bulk path
     path = tmp_path / "synth.csv"
-    write_csv(synth_series(96432, seed=8, missing_fraction=0.01), path)
+    write_csv(synth_series(96432, seed=8, missing_fraction=0.01, noise_sigma=0.1), path)
     expected = per_line(path)
     with mock.patch.object(data_module, "_parse_rows", side_effect=AssertionError("per line")):
         matrix = ingest_csv(path)
@@ -317,15 +317,15 @@ def test_order_statistics_match_numpy_bit_for_bit(values):
 
 
 def test_split_counts():
-    assert split_point(96432) == 83895
-    assert 96432 - split_point(96432) == 12537
-    assert split_point(100) == 87
+    assert split_point(96432, 0.87) == 83895
+    assert 96432 - split_point(96432, 0.87) == 12537
+    assert split_point(100, 0.87) == 87
 
 
 def test_chronological_split_order():
-    series = synth_series(200, seed=1)
-    dataset = prepare_dataset(series.copy())
-    n_train = split_point(len(series))
+    series = synth_series(200, seed=1, noise_sigma=0.1)
+    dataset = prepare_dataset(series.copy(), train_fraction=0.87)
+    n_train = split_point(len(series), 0.87)
     # the first n_train rows, in order, are the training split; the rest the test split
     np.testing.assert_allclose(inverse_transform(dataset.train_matrix, dataset.scaler),
                                series[:n_train], atol=1e-9)
@@ -339,11 +339,11 @@ def test_chronological_split_order():
 
 
 def test_masked_cells_all_become_train_medians():
-    matrix = synth_series(400, seed=9, missing_fraction=0.05)
-    n_train = split_point(len(matrix))
+    matrix = synth_series(400, seed=9, missing_fraction=0.05, noise_sigma=0.1)
+    n_train = split_point(len(matrix), 0.87)
     medians = fit_medians(matrix[:n_train])
     mask = np.isnan(matrix)
-    dataset = prepare_dataset(matrix.copy())
+    dataset = prepare_dataset(matrix.copy(), train_fraction=0.87)
     # scaling works cell by cell, so a filled cell holds its median's scaled value
     filled = np.concatenate([dataset.train_matrix, dataset.test_matrix])
     scaled_medians = scaled_copy(medians[None], dataset.scaler)[0]
@@ -432,7 +432,7 @@ def test_blocked_scaler_matches_whole_matrix_oracle(rows):
 def test_prepare_dataset_matches_whole_matrix_oracle():
     matrix = oracle_columns(5 * SCALE_BLOCK_ROWS + 3, seed=12)
     matrix[np.random.default_rng(13).random(matrix.shape) < 0.02] = np.nan
-    n_train = split_point(len(matrix))
+    n_train = split_point(len(matrix), 0.87)
     filled = matrix.copy()
     for j, median in enumerate(fit_medians(matrix[:n_train])):
         filled[np.isnan(filled[:, j]), j] = median
@@ -440,7 +440,7 @@ def test_prepare_dataset_matches_whole_matrix_oracle():
     standardized = standardize_oracle(filled, expected)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dataset = prepare_dataset(matrix)
+        dataset = prepare_dataset(matrix, train_fraction=0.87)
     # in place: the returned splits are views of the argument
     assert np.shares_memory(dataset.train_matrix, matrix)
     assert np.shares_memory(dataset.test_matrix, matrix)
@@ -451,12 +451,12 @@ def test_prepare_dataset_matches_whole_matrix_oracle():
 
 def test_prepare_dataset_peaks_below_half_the_matrix():
     # the paper-length series: only columns and row blocks are allocated beside it
-    matrix = synth_series(96432, seed=11, missing_fraction=0.01)
+    matrix = synth_series(96432, seed=11, missing_fraction=0.01, noise_sigma=0.1)
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            prepare_dataset(matrix)
+            prepare_dataset(matrix, train_fraction=0.87)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -464,9 +464,9 @@ def test_prepare_dataset_peaks_below_half_the_matrix():
 
 
 def test_no_test_statistics_leak():
-    matrix = synth_series(300, seed=2)
-    dataset = prepare_dataset(matrix.copy())
-    n_train = split_point(len(matrix))
+    matrix = synth_series(300, seed=2, noise_sigma=0.1)
+    dataset = prepare_dataset(matrix.copy(), train_fraction=0.87)
+    n_train = split_point(len(matrix), 0.87)
     assert dataset.scaler.n_fit_rows == n_train
     # refitting on the training rows alone reproduces the stored statistics
     # (the series has no missing cell, so there is nothing to impute)
@@ -523,7 +523,7 @@ def test_windows_reconstruct_series():
 
 
 def test_train_val_partition():
-    dataset = prepare_dataset(synth_series(500, seed=6))
+    dataset = prepare_dataset(synth_series(500, seed=6, noise_sigma=0.1), train_fraction=0.87)
     train_part, val_part = dataset.train_val_windows(3)
     rows = len(dataset.train_matrix)
     val_rows = int(np.floor(0.1 * rows))
@@ -534,7 +534,7 @@ def test_train_val_partition():
 
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_train_val_slice_matches_target_row_partition(m):
-    dataset = prepare_dataset(synth_series(500, seed=6))
+    dataset = prepare_dataset(synth_series(500, seed=6, noise_sigma=0.1), train_fraction=0.87)
     train_part, val_part = dataset.train_val_windows(m)
     # the partition by target row, built with boolean masks over copied windows
     rows = len(dataset.train_matrix)
@@ -550,7 +550,7 @@ def test_train_val_slice_matches_target_row_partition(m):
 
 
 def test_windows_are_read_only_views():
-    dataset = prepare_dataset(synth_series(300, seed=4))
+    dataset = prepare_dataset(synth_series(300, seed=4, noise_sigma=0.1), train_fraction=0.87)
     train_part, val_part = dataset.train_val_windows(3)
     parts = [(make_windows(dataset.train_matrix, 3), dataset.train_matrix),
              (train_part, dataset.train_matrix), (val_part, dataset.train_matrix),
@@ -569,11 +569,11 @@ def test_windows_are_read_only_views():
 
 
 def test_synth_deterministic():
-    a = synth_series(120, seed=77)
-    b = synth_series(120, seed=77)
+    a = synth_series(120, seed=77, noise_sigma=0.1)
+    b = synth_series(120, seed=77, noise_sigma=0.1)
     assert a.shape == (120, len(FEATURES))
     np.testing.assert_array_equal(a, b)
-    c = synth_series(120, seed=78)
+    c = synth_series(120, seed=78, noise_sigma=0.1)
     assert not np.array_equal(a, c)
 
 
@@ -592,7 +592,7 @@ def test_synth_lag24_autocorrelation():
 
 def test_synth_minimum_length():
     with pytest.raises(ConfigurationError):
-        synth_series(24, seed=0)
+        synth_series(24, seed=0, noise_sigma=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +622,7 @@ def test_npz_writer_matches_savez_byte_for_byte(tmp_path):
 
 
 def test_dataset_cache_round_trip(tmp_path):
-    dataset = prepare_dataset(synth_series(200, seed=5))
+    dataset = prepare_dataset(synth_series(200, seed=5, noise_sigma=0.1), train_fraction=0.87)
     path = tmp_path / "cache.npz"
     save_dataset(path, dataset)
     back = load_dataset(path)
@@ -644,7 +644,8 @@ def test_dataset_cache_round_trip(tmp_path):
 
 def test_saving_a_loaded_cache_onto_its_file_rewrites_it_byte_for_byte(tmp_path):
     path = tmp_path / "cache.npz"
-    save_dataset(path, prepare_dataset(synth_series(200, seed=5)))
+    save_dataset(path, prepare_dataset(synth_series(200, seed=5, noise_sigma=0.1),
+                                       train_fraction=0.87))
     written = path.read_bytes()
     save_dataset(path, load_dataset(path))  # its arrays map the file it replaces
     assert path.read_bytes() == written
@@ -654,7 +655,8 @@ def test_saving_a_loaded_cache_onto_its_file_rewrites_it_byte_for_byte(tmp_path)
 def test_loaded_arrays_are_writable_views_of_one_file_map(tmp_path):
     # a return to a copying reader would give arrays that own their data
     path = tmp_path / "cache.npz"
-    save_dataset(path, prepare_dataset(synth_series(200, seed=5)))
+    save_dataset(path, prepare_dataset(synth_series(200, seed=5, noise_sigma=0.1),
+                                       train_fraction=0.87))
     written = path.read_bytes()
     back = load_dataset(path)
     arrays = [back.train_matrix, back.test_matrix,

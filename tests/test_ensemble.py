@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qforecast.ensemble import (
+    WeightParams,
     combine_predictions,
     evolve_weights,
     finalize_weights,
@@ -24,7 +25,7 @@ from oracles import loop_oracle
 
 def assert_matches_oracle(errors, lam, gamma, nu=None):
     """Final weights, per-step weights and per-step eps agree with the loop."""
-    state = evolve_weights(errors, lam=lam, gamma=gamma, nu=nu)
+    state = evolve_weights(errors, WeightParams(lam, gamma, nu))
     final, history, eps_history = loop_oracle(errors, lam=lam, gamma=gamma, nu=nu)
     np.testing.assert_allclose(finalize_weights(state), final, rtol=1e-12, atol=0)
     np.testing.assert_allclose(state.history, history, rtol=1e-12, atol=0)
@@ -38,20 +39,20 @@ def assert_matches_oracle(errors, lam, gamma, nu=None):
 
 def test_gamma_one_is_plain_sum():
     errors = np.array([[1.0, 2.0, 3.0, 4.0]])
-    eps = evolve_weights(errors, gamma=1.0).eps_history[:, 0]
+    eps = evolve_weights(errors, WeightParams(gamma=1.0)).eps_history[:, 0]
     np.testing.assert_allclose(eps, [1.0, 3.0, 6.0, 10.0], rtol=0, atol=1e-14)
 
 
 def test_two_term_hand_expansion():
     errors = np.array([[1.0, 1.0]])
-    eps = evolve_weights(errors, gamma=0.85, nu=2).eps_history[:, 0]
+    eps = evolve_weights(errors, WeightParams(gamma=0.85, nu=2)).eps_history[:, 0]
     np.testing.assert_allclose(eps, [1.0, 1.85], rtol=0, atol=1e-14)
 
 
 def test_smoothed_error_matches_naive_loop():
     rng = np.random.default_rng(0)
     errors = rng.uniform(0.0, 3.0, size=(2, 10))
-    eps = evolve_weights(errors, gamma=0.85).eps_history
+    eps = evolve_weights(errors, WeightParams(gamma=0.85)).eps_history
     for k in range(1, 11):
         for m in range(2):
             naive = sum(0.85 ** (k - t) * errors[m, t - 1] for t in range(1, k + 1))
@@ -70,10 +71,9 @@ def test_zero_error_is_floored(caplog):
 
 
 def test_window_bounds_checked():
-    errors = np.ones((1, 5))
     for nu in (0, -1, 2.5):
         with pytest.raises(ConfigurationError):
-            evolve_weights(errors, nu=nu)
+            WeightParams(nu=nu)
 
 
 @pytest.mark.parametrize("lam, gamma", [
@@ -82,18 +82,18 @@ def test_window_bounds_checked():
 ])
 def test_out_of_range_weight_params_raise(lam, gamma):
     with pytest.raises(ConfigurationError):
-        evolve_weights(np.ones((2, 4)), lam=lam, gamma=gamma)
+        WeightParams(lam, gamma)
 
 
 def test_window_covers_the_steps_that_exist():
     # at k <= nu the window is t = 1..k, so the first steps equal full history
     rng = np.random.default_rng(4)
     errors = rng.uniform(0.05, 4.0, size=(3, 12))
-    full = evolve_weights(errors, gamma=0.85)
-    windowed = evolve_weights(errors, gamma=0.85, nu=5)
+    full = evolve_weights(errors, WeightParams(gamma=0.85))
+    windowed = evolve_weights(errors, WeightParams(gamma=0.85, nu=5))
     np.testing.assert_allclose(windowed.eps_history[:5], full.eps_history[:5], rtol=1e-12, atol=0)
     for nu in (12, 13, 40):
-        windowed = evolve_weights(errors, gamma=0.85, nu=nu)
+        windowed = evolve_weights(errors, WeightParams(gamma=0.85, nu=nu))
         np.testing.assert_allclose(windowed.eps_history, full.eps_history, rtol=1e-12, atol=0)
         np.testing.assert_allclose(windowed.history, full.history, rtol=1e-12, atol=0)
 
@@ -116,7 +116,7 @@ def test_identical_errors_give_symmetric_increments():
 def test_hand_computed_inverse_error_shares():
     # eps = [1, 2] at step 1 -> delta = [2/3, 1/3]
     errors = np.array([[1.0], [2.0]])
-    state = evolve_weights(errors, lam=1.0)
+    state = evolve_weights(errors, WeightParams(lam=1.0))
     np.testing.assert_allclose(state.history[0], [0.5 + 2 / 3, 0.5 + 1 / 3], atol=1e-15)
     np.testing.assert_array_equal(state.weights, state.history[-1])
 
@@ -169,14 +169,15 @@ def test_monotone_sensitivity():
 
 def test_recency_never_helps_large_errors():
     rng = np.random.default_rng(9)
+    params = WeightParams(gamma=0.85)
     for _ in range(30):
         series = rng.uniform(0.1, 3.0, size=8)
         other = rng.uniform(0.1, 3.0, size=8)
         worst_last = np.sort(series)  # largest error most recent
         for perm_seed in range(5):
             perm = np.random.default_rng(perm_seed).permutation(series)
-            eps_perm = evolve_weights(np.vstack([perm, other]), gamma=0.85).eps_history[-1]
-            eps_sorted = evolve_weights(np.vstack([worst_last, other]), gamma=0.85).eps_history[-1]
+            eps_perm = evolve_weights(np.vstack([perm, other]), params).eps_history[-1]
+            eps_sorted = evolve_weights(np.vstack([worst_last, other]), params).eps_history[-1]
             delta_perm = (1 / eps_perm[0]) / (1 / eps_perm).sum()
             delta_sorted = (1 / eps_sorted[0]) / (1 / eps_sorted).sum()
             assert delta_sorted <= delta_perm + 1e-12
@@ -185,7 +186,7 @@ def test_recency_never_helps_large_errors():
 def test_lambda_zero_keeps_initial_weights():
     rng = np.random.default_rng(2)
     errors = rng.uniform(0.1, 2.0, size=(3, 10))
-    state = evolve_weights(errors, lam=0.0)
+    state = evolve_weights(errors, WeightParams(lam=0.0))
     np.testing.assert_allclose(finalize_weights(state), np.full(3, 1 / 3), atol=1e-15)
 
 
@@ -247,7 +248,7 @@ def test_ensemble_mse_never_exceeds_worst_model():
 def test_weights_from_predictions_uses_absolute_errors():
     y = np.array([0.0, 1.0, 2.0])
     preds = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]])  # model 0 perfect
-    state = weights_from_predictions(y, preds)
+    state = weights_from_predictions(y, preds, WeightParams())
     final = finalize_weights(state)
     assert final[0] > final[1]
 

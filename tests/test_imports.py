@@ -184,3 +184,125 @@ def test_every_library_name_has_a_caller():
     found = uncalled({path.stem: path.read_text() for path in sorted(package.glob("*.py"))},
                      perfbench_bindings())
     assert sorted(found) == sorted(UNCALLED_KEEP)
+
+
+# dataclass fields nothing reads by attribute that stay on purpose, with the reason
+UNREAD_FIELD_KEEP = {
+    "data.ScalerState.n_fit_rows": "written into dataset.npz through fields()",
+    "bayesopt.GPSurrogate.noise_var": "the fitted noise the likelihood-oracle tests compare",
+}
+
+
+def is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list)
+
+
+def dataclass_fields(node) -> list:
+    """``(name, has default)`` of each field a ``@dataclass`` class declares."""
+    return [(item.target.id, item.value is not None) for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def signatures(tree):
+    """``(qualified name, called name, parameters, defaulted)`` of each
+    function, method and dataclass constructor of ``tree``: the parameters
+    that a call fills by position, in order (a method's ``self`` or ``cls``
+    aside; the package has no static method), and the names of those with a
+    default, keyword-only ones included.  ``__init__`` and a dataclass are
+    called by their class name."""
+    def walk(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                if is_dataclass(node):
+                    names = dataclass_fields(node)
+                    yield (node.name, node.name, [n for n, _ in names],
+                           [n for n, default in names if default])
+                yield from walk(node.body, node)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None]
+                if owner is not None:
+                    positional = positional[1:]
+                called = owner.name if node.name == "__init__" and owner else node.name
+                qualified = f"{owner.name}.{node.name}" if owner else node.name
+                yield qualified, called, positional, defaulted
+                yield from walk(node.body, None)
+
+    yield from walk(tree.body, None)
+
+
+def calls(tree):
+    """``(called name, positional count, keywords or None for ``**kwargs``)``
+    of each call in ``tree``.  The count stops at a ``*args``, whose length
+    is not known, so a parameter after it counts as left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            count = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+                         len(node.args))
+            keywords = {k.arg for k in node.keywords}
+            yield name, count, None if None in keywords else keywords
+
+
+def unomitted_defaults(sources: dict, callers: list) -> list:
+    """``module.name(parameter)`` of each keyword default in ``sources``
+    (module name -> source) that every call in ``callers`` (sources) to a
+    function of that name passes, by position, by keyword or through
+    ``**kwargs``: a default that only other code uses."""
+    found = []
+    all_calls = [call for source in callers for call in calls(ast.parse(source))]
+    for module, source in sources.items():
+        for qualified, called, positional, defaulted in signatures(ast.parse(source)):
+            for param in defaulted:
+                slot = positional.index(param) if param in positional else None
+                omitted = any(keywords is not None and param not in keywords
+                              and (slot is None or count <= slot)
+                              for name, count, keywords in all_calls if name == called)
+                if not omitted:
+                    found.append(f"{module}.{qualified}({param})")
+    return found
+
+
+def unread_fields(sources: dict, readers: list) -> list:
+    """``module.Class.field`` of each dataclass field in ``sources`` that no
+    source in ``readers`` reads as an attribute."""
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}.{node.name}.{name}" for module, source in sources.items()
+            for node in ast.walk(ast.parse(source)) if is_dataclass(node)
+            for name, _ in dataclass_fields(node) if name not in read]
+
+
+def test_every_default_and_every_field_has_a_library_user():
+    # the checkers themselves: a default every caller passes, by position,
+    # by keyword or through ``**kwargs``, is found, as is a dataclass field
+    # default every constructor call passes; a default some call leaves out,
+    # after a ``*args`` included, is not.  A field read nowhere is found,
+    # one read anywhere is not.
+    assert unomitted_defaults({"a": (
+        "def f(x, y=1, *, z=2): pass\n"
+        "def g(x=0): pass\n"
+        "def h(a, b, c=0): pass\n"
+        "class C:\n"
+        "    def __init__(self, a, b=1): pass\n"
+        "    def m(self, c=3): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    p: int\n"
+        "    q: int = 0\n")}, [
+        "f(0, 1, z=2)\nf(0, y=1, **opts)\ng()\nh(*pair)\nC(1)\nC(1, b=2).m(c=4)\nD(1, 2)\n"
+    ]) == ["a.f(y)", "a.f(z)", "a.C.m(c)", "a.D(q)"]
+    assert unread_fields({"a": "@dataclass\nclass R:\n    x: int\n    y: int\n"
+                               "class S:\n    z: int\n"},
+                         ["r = R(1, 2)\nr.x\nr.y = 3\n"]) == ["a.R.y"]
+
+    package = ROOT / "src" / "qforecast"
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    callers = list(sources.values()) + [path.read_text() for path in
+                                        sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unomitted_defaults(sources, callers) == []
+    assert sorted(unread_fields(sources, callers)) == sorted(UNREAD_FIELD_KEEP)

@@ -9,7 +9,6 @@ from qforecast.metaheuristics import (
     SOCIAL,
     TOWARD_BEST,
     TOWARD_OWN,
-    ObjectiveTracker,
     hybrid_minimize,
     init_swarm,
     pso_minimize,
@@ -20,7 +19,15 @@ from qforecast.metaheuristics import (
     swap_mutate,
 )
 
-from objectives import RASTRIGIN_BOUNDS, SPHERE_BOUNDS, gray_genome, one_max, rastrigin, sphere
+from objectives import (
+    RASTRIGIN_BOUNDS,
+    SPHERE_BOUNDS,
+    gray_genome,
+    make_tracker,
+    one_max,
+    rastrigin,
+    sphere,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -30,16 +37,16 @@ from objectives import RASTRIGIN_BOUNDS, SPHERE_BOUNDS, gray_genome, one_max, ra
 
 def test_pso_step_matches_hand_computed_update():
     rng = np.random.default_rng(0)
-    tracker = ObjectiveTracker(sphere)
+    tracker = make_tracker(sphere, budget=5 + 5)  # the initial sweep and one step
     bounds = [(-100.0, 100.0)] * 3
-    swarm = init_swarm(tracker, bounds, 5, rng)
+    swarm = init_swarm(tracker, bounds, 5, rng, init_positions=None)
     swarm.velocity = rng.normal(scale=60.0, size=(5, 3))  # some particles leave the box
     swarm.pbest = rng.uniform(-100.0, 100.0, size=(5, 3))
     x, v, pbest, gbest = (swarm.position.copy(), swarm.velocity.copy(), swarm.pbest.copy(),
                           swarm.best_position.copy())
     twin = np.random.default_rng()
     twin.bit_generator.state = rng.bit_generator.state
-    pso_step(swarm, tracker, bounds, rng)
+    pso_step(swarm, tracker, bounds, rng, iteration=0)
     clamped = 0
     for i in range(5):
         r1, r2 = twin.uniform(size=3), twin.uniform(size=3)
@@ -55,7 +62,7 @@ def test_pso_step_matches_hand_computed_update():
 
 def test_particle_at_global_best_with_zero_velocity_stays():
     rng = np.random.default_rng(1)
-    tracker = ObjectiveTracker(sphere)
+    tracker = make_tracker(sphere, budget=1 + 10)  # the initial sweep and ten steps
     bounds = [SPHERE_BOUNDS] * 2
     start = np.array([0.5, -0.5])
     swarm = init_swarm(tracker, bounds, 1, rng, init_positions=[start])
@@ -68,15 +75,15 @@ def test_particle_at_global_best_with_zero_velocity_stays():
 
 def test_sphere_benchmark_criterion():
     # 200 sweeps of 20 particles after the initial one
-    result = pso_minimize(ObjectiveTracker(sphere, budget=20 * 201), [SPHERE_BOUNDS] * 4,
-                          n_particles=20, seed=42)
+    result = pso_minimize(make_tracker(sphere, budget=20 * 201), [SPHERE_BOUNDS] * 4,
+                          n_particles=20, seed=42, init_positions=None)
     assert result.best_value < 1e-3
 
 
 def test_gbest_monotone_and_in_bounds():
     trace = []
-    result = pso_minimize(ObjectiveTracker(rastrigin, budget=10 * 41, trace=trace),
-                          [RASTRIGIN_BOUNDS] * 3, n_particles=10, seed=3)
+    result = pso_minimize(make_tracker(rastrigin, budget=10 * 41, trace=trace),
+                          [RASTRIGIN_BOUNDS] * 3, n_particles=10, seed=3, init_positions=None)
     assert all(b <= a + 1e-15 for a, b in zip(result.history, result.history[1:]))
     for row in trace:
         assert all(RASTRIGIN_BOUNDS[0] <= v <= RASTRIGIN_BOUNDS[1] for v in row["config"])
@@ -89,36 +96,25 @@ def test_nan_objective_becomes_inf_and_is_flagged():
         calls["n"] += 1
         return float("nan") if calls["n"] % 3 == 0 else sphere(x)
 
-    result = pso_minimize(ObjectiveTracker(sometimes_nan, budget=6 * 6), [SPHERE_BOUNDS] * 2,
-                          n_particles=6, seed=0)
+    result = pso_minimize(make_tracker(sometimes_nan, budget=6 * 6), [SPHERE_BOUNDS] * 2,
+                          n_particles=6, seed=0, init_positions=None)
     assert result.n_non_finite > 0
     assert np.isfinite(result.best_value)
 
 
 def test_pso_deterministic():
-    a, b = (pso_minimize(ObjectiveTracker(rastrigin, budget=8 * 31), [RASTRIGIN_BOUNDS] * 3,
-                         n_particles=8, seed=9) for _ in range(2))
+    a, b = (pso_minimize(make_tracker(rastrigin, budget=8 * 31), [RASTRIGIN_BOUNDS] * 3,
+                         n_particles=8, seed=9, init_positions=None) for _ in range(2))
     assert a.best_value == b.best_value
     np.testing.assert_array_equal(a.best_position, b.best_position)
 
 
 def test_budget_caps_evaluations():
     trace = []
-    result = pso_minimize(ObjectiveTracker(sphere, budget=50, trace=trace), [SPHERE_BOUNDS] * 2,
-                          n_particles=7, seed=2)
+    result = pso_minimize(make_tracker(sphere, budget=50, trace=trace), [SPHERE_BOUNDS] * 2,
+                          n_particles=7, seed=2, init_positions=None)
     assert result.n_evals == 50
     assert len(trace) == 50
-
-
-@pytest.mark.parametrize("search", [pso_minimize, hybrid_minimize])
-def test_unbudgeted_tracker_is_refused(search):
-    def objective(x):
-        raise AssertionError("the objective must not run")
-
-    bounds = [SPHERE_BOUNDS] * 2
-    decoder = gray_genome(bounds) if search is hybrid_minimize else {}
-    with pytest.raises(ConfigurationError, match="evaluation budget"):
-        search(ObjectiveTracker(objective), bounds, seed=0, **decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -153,29 +149,29 @@ def test_rotation_angles_steer_toward_best_or_own_bits():
 
 
 def test_qga_spends_pop_times_generations_evaluations():
-    result = qga_minimize(ObjectiveTracker(one_max), 8, pop_size=6, n_generations=5, seed=4,
-                          decode=np.copy)
+    result = qga_minimize(make_tracker(one_max, budget=6 * 5), 8, pop_size=6, n_generations=5,
+                          seed=4, decode=np.copy)
     assert result.n_evals == 30
 
 
 def test_one_max_criterion():
-    result = qga_minimize(ObjectiveTracker(one_max), 16, pop_size=20, n_generations=50, seed=7,
-                          decode=np.copy)
+    result = qga_minimize(make_tracker(one_max, budget=20 * 50), 16, pop_size=20,
+                          n_generations=50, seed=7, decode=np.copy)
     assert result.best_value == -16.0
-    assert np.all(result.best_bits == 1)
+    assert np.all(result.best_decoded == 1)  # decode=np.copy: the best measured bits
 
 
 def test_qga_deterministic():
-    a, b = (qga_minimize(ObjectiveTracker(one_max), 12, pop_size=10, n_generations=20, seed=11,
-                         decode=np.copy)
+    a, b = (qga_minimize(make_tracker(one_max, budget=10 * 20), 12, pop_size=10,
+                         n_generations=20, seed=11, decode=np.copy)
             for _ in range(2))
     assert a.best_value == b.best_value
-    np.testing.assert_array_equal(a.best_bits, b.best_bits)
+    np.testing.assert_array_equal(a.best_decoded, b.best_decoded)
 
 
 def test_empty_population_rejected():
     with pytest.raises(ConfigurationError):
-        qga_minimize(ObjectiveTracker(one_max), 8, pop_size=0, n_generations=5, seed=0,
+        qga_minimize(make_tracker(one_max, budget=5), 8, pop_size=0, n_generations=5, seed=0,
                      decode=np.copy)
 
 
@@ -185,22 +181,26 @@ def test_empty_population_rejected():
 
 
 def test_full_genetic_budget_returns_its_best_exactly():
+    trace = []
     bounds = [SPHERE_BOUNDS] * 2
-    result = hybrid_minimize(ObjectiveTracker(sphere, budget=200), bounds, seed=6,
+    result = hybrid_minimize(make_tracker(sphere, budget=200, trace=trace), bounds, seed=6,
                              qga_fraction=1.0, **gray_genome(bounds))
-    assert result.pso is None
-    assert result.best_value == result.qga.best_value
-    np.testing.assert_array_equal(result.best_position, np.asarray(result.qga.best_decoded))
+    assert "pso" not in {row["phase"] for row in trace}
+    genetic_best = min((row for row in trace if row["phase"] == "qga"),
+                       key=lambda row: row["objective"])
+    assert result.best_value == genetic_best["objective"]
+    np.testing.assert_array_equal(result.best_position, genetic_best["config"])
 
 
 def test_zero_genetic_budget_equals_plain_swarm():
     budget = 300
     bounds = [RASTRIGIN_BOUNDS] * 3
-    hybrid = hybrid_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds,
+    trace = []
+    hybrid = hybrid_minimize(make_tracker(rastrigin, budget=budget, trace=trace), bounds,
                              seed=13, qga_fraction=0.0, **gray_genome(bounds))
-    plain = pso_minimize(ObjectiveTracker(rastrigin, budget=budget), [RASTRIGIN_BOUNDS] * 3,
-                         n_particles=20, seed=13)
-    assert hybrid.qga is None
+    plain = pso_minimize(make_tracker(rastrigin, budget=budget), [RASTRIGIN_BOUNDS] * 3,
+                         n_particles=20, seed=13, init_positions=None)
+    assert "qga" not in {row["phase"] for row in trace}
     assert hybrid.best_value == plain.best_value
     np.testing.assert_array_equal(hybrid.best_position, plain.best_position)
 
@@ -208,7 +208,7 @@ def test_zero_genetic_budget_equals_plain_swarm():
 def test_hybrid_budget_is_exact():
     trace = []
     bounds = [SPHERE_BOUNDS] * 3
-    result = hybrid_minimize(ObjectiveTracker(sphere, budget=137, trace=trace), bounds,
+    result = hybrid_minimize(make_tracker(sphere, budget=137, trace=trace), bounds,
                              seed=1, **gray_genome(bounds))
     assert result.n_evals == 137
     assert len(trace) == 137
@@ -220,11 +220,12 @@ def test_hybrid_splits_the_tracker_budget():
     # 0.4 * 60 evaluations fund one genetic generation of 20; the swarm gets the other 40
     trace = []
     bounds = [RASTRIGIN_BOUNDS] * 3
-    result = hybrid_minimize(ObjectiveTracker(rastrigin, budget=60, trace=trace), bounds,
+    result = hybrid_minimize(make_tracker(rastrigin, budget=60, trace=trace), bounds,
                              seed=1, **gray_genome(bounds))
     phases = [row["phase"] for row in trace]
     assert (phases.count("qga"), phases.count("pso")) == (20, 40)
-    assert result.qga.n_evals == 20 and result.n_evals == 60
+    # the genetic phase ran first and ended after 20 evaluations
+    assert phases[:20] == ["qga"] * 20 and result.n_evals == 60
 
 
 def test_hybrid_not_worse_than_plain_on_rastrigin_medians():
@@ -233,19 +234,19 @@ def test_hybrid_not_worse_than_plain_on_rastrigin_medians():
     hybrid_finals, plain_finals = [], []
     for seed in range(10):
         hybrid_finals.append(
-            hybrid_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds,
+            hybrid_minimize(make_tracker(rastrigin, budget=budget), bounds,
                             seed=seed, **gray_genome(bounds)).best_value
         )
         plain_finals.append(
-            pso_minimize(ObjectiveTracker(rastrigin, budget=budget), bounds, n_particles=20,
-                         seed=seed).best_value
+            pso_minimize(make_tracker(rastrigin, budget=budget), bounds, n_particles=20,
+                         seed=seed, init_positions=None).best_value
         )
     assert np.median(hybrid_finals) <= np.median(plain_finals)
 
 
 def test_hybrid_deterministic():
     bounds = [RASTRIGIN_BOUNDS] * 2
-    a, b = (hybrid_minimize(ObjectiveTracker(rastrigin, budget=400), bounds, seed=21,
+    a, b = (hybrid_minimize(make_tracker(rastrigin, budget=400), bounds, seed=21,
                             **gray_genome(bounds)) for _ in range(2))
     assert a.best_value == b.best_value
     np.testing.assert_array_equal(a.best_position, b.best_position)
@@ -257,7 +258,8 @@ def test_hybrid_deterministic():
 
 
 def test_every_bitstring_decodes_to_a_valid_config():
-    space = SearchSpace.default(sequence_length=3, epochs=5)
+    space = SearchSpace.default(sequence_length=3, epochs=5, qubit_bounds=(2, 6),
+                                 layer_bounds=(1, 3))
     rng = np.random.default_rng(17)
     for _ in range(200):
         bits = rng.integers(0, 2, size=space.total_bits)
@@ -271,7 +273,8 @@ def test_every_bitstring_decodes_to_a_valid_config():
 
 
 def test_integer_rounding_half_up():
-    space = SearchSpace.default(sequence_length=3, epochs=5)
+    space = SearchSpace.default(sequence_length=3, epochs=5, qubit_bounds=(2, 6),
+                                 layer_bounds=(1, 3))
     dim = space.dimensions[1]  # n_layers in [1, 3]
     assert dim.decode(1.5) == 2
     assert dim.decode(2.49) == 2

@@ -127,7 +127,7 @@ def trained_fixture():
         700, seed=21, noise_sigma=0.0, annual_amplitude=0.0,
         base_temperature=15.0, daily_amplitude=5.0,
     )
-    dataset = prepare_dataset(series)
+    dataset = prepare_dataset(series, train_fraction=0.87)
     cfg = HyperConfig(0.02, 1, 2, 8, 5, 32, 60)
     windows = make_windows(dataset.train_matrix[:, :1], cfg.sequence_length)
     split = int(0.9 * len(windows))
@@ -139,8 +139,9 @@ def trained_fixture():
 def test_horizon_one_equals_single_forward(trained_fixture):
     dataset, cfg, model = trained_fixture
     context = dataset.test_matrix[: cfg.sequence_length, :1]
-    result = forecast_iterative([("lstm", cfg, model)], [1.0], context, dataset.scaler, 1)
-    direct = forward_sequence(model, context[-cfg.sequence_length :])
+    result = forecast_iterative([("lstm", cfg, model)], [1.0], context, dataset.scaler, 1,
+                                true_future=None, model_tag="ensemble")
+    direct = forward_sequence(model, context[-cfg.sequence_length :], None)
     want = destandardize_temperature(np.array([direct]), dataset.scaler)[0]
     assert result.y_pred[0] == pytest.approx(want, abs=1e-12)
 
@@ -151,14 +152,15 @@ def test_24h_forecast_on_periodic_fixture(trained_fixture):
     context = dataset.test_matrix[:seq, :1]
     future = dataset.test_matrix[seq : seq + 24, 0]
     result = forecast_iterative(
-        [("lstm", cfg, model)], [1.0], context, dataset.scaler, 24, true_future=future
+        [("lstm", cfg, model)], [1.0], context, dataset.scaler, 24, true_future=future,
+        model_tag="ensemble",
     )
-    assert result.horizon == "24h"
+    assert result.timestamps == list(range(1, 25))  # hours 1..24 ahead
     assert mape_with_exclusions(result.y_true, result.y_pred)[0] < 5.0
 
 
 def test_multi_model_forecast_matches_feedback_loop():
-    dataset = prepare_dataset(synth_series(240, seed=8))
+    dataset = prepare_dataset(synth_series(240, seed=8, noise_sigma=0.1), train_fraction=0.87)
     n_features = dataset.train_matrix.shape[1]
     cfg3 = HyperConfig(0.05, 1, 2, 4, 3, 32, 1)
     cfg5 = HyperConfig(0.05, 1, 2, 4, 5, 32, 1)
@@ -166,7 +168,8 @@ def test_multi_model_forecast_matches_feedback_loop():
               ("lstm", cfg5, init_classical_lstm(cfg5, n_features, seed=2))]
     weights = np.array([0.3, 0.7])
     context = dataset.train_matrix[-8:]
-    result = forecast_iterative(models, weights, context, dataset.scaler, 6)
+    result = forecast_iterative(models, weights, context, dataset.scaler, 6, true_future=None,
+                                model_tag="ensemble")
 
     buffer = context.copy()
     want = []
@@ -189,13 +192,13 @@ def test_forecast_compiles_each_model_once(monkeypatch):
     calls = []
     real = qlstm.compile_blocks
     monkeypatch.setattr(qlstm, "compile_blocks", lambda *args: calls.append(1) or real(*args))
-    dataset = prepare_dataset(synth_series(240, seed=8))
+    dataset = prepare_dataset(synth_series(240, seed=8, noise_sigma=0.1), train_fraction=0.87)
     n_features = dataset.train_matrix.shape[1]
     configs = [HyperConfig(0.05, 1, 2, 4, seq, 32, 1) for seq in (3, 5)]
     models = [("qlstm", config, init_qlstm(config, n_features, seed=seq))
               for seq, config in enumerate(configs)]
     result = forecast_iterative(models, [0.5, 0.5], dataset.train_matrix[-8:],
-                                dataset.scaler, 6)
+                                dataset.scaler, 6, true_future=None, model_tag="ensemble")
     assert len(result.y_pred) == 6
     assert len(calls) == 2
 
@@ -204,7 +207,8 @@ def test_bad_horizon():
     cfg = HyperConfig(0.05, 1, 2, 4, 2, 32, 1)
     models = [("lstm", cfg, init_classical_lstm(cfg, input_dim=7, seed=0))]
     with pytest.raises(ConfigurationError):
-        forecast_iterative(models, [1.0], np.zeros((3, 7)), _dummy_scaler(), 0)
+        forecast_iterative(models, [1.0], np.zeros((3, 7)), _dummy_scaler(), 0, true_future=None,
+                           model_tag="ensemble")
 
 
 def _dummy_scaler():
@@ -227,7 +231,7 @@ def _dummy_scaler():
 def test_forecast_tsv_layout():
     res = ForecastResult(
         timestamps=[1, 2], y_true=np.array([1.0, 2.0]), y_pred=np.array([1.5, 2.5]),
-        model="demo", horizon="2-step",
+        model="demo",
     )
     assert list(tsv_lines([res])) == ["timestamp\ty_true\ty_pred\tmodel\n",
                                       "1\t1\t1.5\tdemo\n", "2\t2\t2.5\tdemo\n"]
@@ -236,8 +240,8 @@ def test_forecast_tsv_layout():
 def test_tsv_edge_values_and_literal_model_tags(tmp_path):
     extremes = np.array([-0.0, 5e-324, 1e-300, 1e300])
     results = [
-        ForecastResult([1, 2, 3, 4], extremes, extremes[::-1].copy(), "a{0}%s}", "4-step"),
-        ForecastResult([7, 8], None, np.array([-0.0, 1e300]), "{", "2-step"),
+        ForecastResult([1, 2, 3, 4], extremes, extremes[::-1].copy(), "a{0}%s}"),
+        ForecastResult([7, 8], None, np.array([-0.0, 1e300]), "{"),
     ]
     write_tsv(results, tmp_path / "out.tsv")
     assert (tmp_path / "out.tsv").read_text().split("\n") == [

@@ -49,8 +49,8 @@ def small_config(**overrides):
 
 @pytest.fixture(scope="module")
 def sine_dataset():
-    series = synth_series(600, seed=33)
-    return prepare_dataset(series)
+    series = synth_series(600, seed=33, noise_sigma=0.1)
+    return prepare_dataset(series, train_fraction=0.87)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_cell_state_recurrence_exact():
 def test_sequence_length_one_is_single_step():
     model = init_qlstm(small_config(sequence_length=1), input_dim=3, seed=3)
     x = np.random.default_rng(0).normal(size=(1, 3))
-    pred = forward_sequence(model, x)
+    pred = forward_sequence(model, x, None)
     _, _, y, _ = model.step_batch(x, np.zeros((1, 3)), np.zeros((1, 2)), want_y=True)
     assert pred == y[0, 0]
 
@@ -124,7 +124,7 @@ def test_sequence_length_one_is_single_step():
 def test_forward_is_deterministic():
     model = init_qlstm(small_config(), input_dim=3, seed=4)
     window = np.random.default_rng(1).normal(size=(3, 3))
-    assert forward_sequence(model, window) == forward_sequence(model, window)
+    assert forward_sequence(model, window, None) == forward_sequence(model, window, None)
 
 
 def test_forward_matches_dense_oracle_pipeline():
@@ -148,7 +148,7 @@ def test_forward_matches_dense_oracle_pipeline():
         u = o * np.tanh(c)
         h = model.w_h @ oracle_vqc(model.vqc[4], u) + model.b_h
     y = model.w_y @ oracle_vqc(model.vqc[5], u) + model.b_y
-    assert forward_sequence(model, window) == pytest.approx(y[0], abs=1e-8)
+    assert forward_sequence(model, window, None) == pytest.approx(y[0], abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def test_zero_length_windows_are_shape_errors(kind):
     with pytest.raises(ShapeError, match="sequence length 0"):
         model.forward_batch(np.zeros((4, 0, 7)))
     with pytest.raises(ShapeError, match="sequence length 0"):
-        forward_sequence(model, np.zeros((0, 7)))
+        forward_sequence(model, np.zeros((0, 7)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +543,7 @@ def test_qlstm_checkpoint_round_trip(tmp_path):
         assert ka == kb
         np.testing.assert_array_equal(va, vb)
     window = np.random.default_rng(3).normal(size=(3, 5))
-    assert forward_sequence(model, window) == forward_sequence(loaded, window)
+    assert forward_sequence(model, window, None) == forward_sequence(loaded, window, None)
 
 
 def test_classical_checkpoint_round_trip(tmp_path):

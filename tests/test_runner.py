@@ -5,6 +5,7 @@ import pytest
 
 from qforecast.bayesopt import KBestSet
 from qforecast.data import prepare_dataset, synth_series
+from qforecast.ensemble import WeightParams
 from qforecast.errors import CheckpointVersionError
 from qforecast.qlstm import HyperConfig, init_classical_lstm, predict_batch
 from qforecast.runner import (
@@ -26,7 +27,7 @@ warnings.filterwarnings("ignore", message="zero IQR")
 def small_dataset():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return prepare_dataset(synth_series(420, seed=6))
+        return prepare_dataset(synth_series(420, seed=6, noise_sigma=0.1), train_fraction=0.87)
 
 
 def small_config(seq=3, **overrides):
@@ -91,7 +92,7 @@ def test_probe_objective_trains_each_configuration_once(small_dataset, trainings
 
     trace = []
     tracker = ObjectiveTracker(probe_objective(small_dataset, 3, 0, 99, probe_epochs=1),
-                               trace=trace, describe=lambda config: config.to_dict())
+                               budget=3, trace=trace, describe=lambda config: config.to_dict())
     first, again = (tracker(small_config(), "probe", it) for it in range(2))
     assert len(trainings) == 1 and first == again
     assert len(trace) == 2 and trace[0]["objective"] == trace[1]["objective"]
@@ -112,7 +113,7 @@ def test_boq_reuses_shared_trainings(small_dataset):
         KBestSet(0, [small_config(3), small_config(3, learning_rate=0.03)], [0.0, 1.0]),
         KBestSet(1, [small_config(5), small_config(5, learning_rate=0.03)], [0.0, 1.0]),
     ]
-    run = run_ensemble("bo-q", small_dataset, ksets, 11, memo=memo)
+    run = run_ensemble(small_dataset, ksets, 11, WeightParams(), memo=memo)
     assert run.enumeration.n_tuples == 4
     assert len(memo) == 4  # one training per distinct (model, config) pair
     rows, _ = evaluate_ensemble(small_dataset, [r.triple for r in run.base_runs],
@@ -125,7 +126,7 @@ def test_boq_diverged_candidate_scores_inf(small_dataset, trainings):
         KBestSet(0, [small_config(3), small_config(3, learning_rate=1e300)], [0.0, 1.0]),
         KBestSet(1, [small_config(5), small_config(5, learning_rate=0.03)], [0.0, 1.0]),
     ]
-    run = run_ensemble("bo-q", small_dataset, ksets, 11)
+    run = run_ensemble(small_dataset, ksets, 11, WeightParams())
     assert len(trainings) == 4  # once per distinct (model, config) pair
     objectives = run.enumeration.objectives
     assert objectives[2:] == [float("inf")] * 2 and max(objectives[:2]) < float("inf")
@@ -133,9 +134,9 @@ def test_boq_diverged_candidate_scores_inf(small_dataset, trainings):
 
 def test_ensemble_checkpoint_round_trip(tmp_path, small_dataset):
     configs = [small_config(3), small_config(5)]
-    run = run_ensemble("genhyb", small_dataset, genhyb_sets(configs), 13)
+    run = run_ensemble(small_dataset, genhyb_sets(configs), 13, WeightParams())
     path = tmp_path / "ensemble.npz"
-    save_ensemble_checkpoint(path, run.architecture, run.enumeration.best.weights,
+    save_ensemble_checkpoint(path, "genhyb", run.enumeration.best.weights,
                              [b.triple for b in run.base_runs])
     arch, weights, models = load_ensemble_checkpoint(path)
     assert arch == "genhyb"
@@ -171,9 +172,9 @@ def test_constant_lstm_checkpoint_round_trip(tmp_path):
 
 def test_forecast_horizon_shapes(small_dataset):
     configs = [small_config(3), small_config(5)]
-    run = run_ensemble("genhyb", small_dataset, genhyb_sets(configs), 17)
+    run = run_ensemble(small_dataset, genhyb_sets(configs), 17, WeightParams())
     result = forecast_horizon(small_dataset, [b.triple for b in run.base_runs],
-                              run.enumeration.best.weights, horizon=24)
+                              run.enumeration.best.weights, horizon=24, model_tag="ensemble")
     assert len(result.y_pred) == 24
     assert result.y_true is not None and len(result.y_true) == 24
-    assert result.horizon == "24h"
+    assert result.timestamps == list(range(1, 25))  # hours 1..24 ahead

@@ -2,7 +2,8 @@
 
 Each case hashes everything a tuner run yields (trace rows, best point and
 value, histories, evaluation counts) as JSON, whose float repr round-trips
-exactly, so the digests hold only for bit-identical runs.  The BO case also
+exactly, so the digests hold only for bit-identical runs.  A hybrid run's
+genetic and swarm phases show in its trace rows, tagged by phase.  The BO case also
 pins the GP path's rounding: its Cholesky factors, solves and minimizer steps.
 """
 
@@ -16,7 +17,15 @@ from qforecast.bayesopt import bo_minimize_unit
 from qforecast.hyperspace import SearchSpace
 from qforecast.metaheuristics import ObjectiveTracker, hybrid_minimize, pso_minimize, qga_minimize
 
-from objectives import RASTRIGIN_BOUNDS, SPHERE_BOUNDS, gray_genome, one_max, rastrigin, sphere
+from objectives import (
+    RASTRIGIN_BOUNDS,
+    SPHERE_BOUNDS,
+    gray_genome,
+    make_tracker,
+    one_max,
+    rastrigin,
+    sphere,
+)
 
 
 def plain(value):
@@ -41,21 +50,19 @@ def swarm_run(result, trace):
 
 
 def genetic_run(result):
-    return [result.best_bits, result.best_value, result.best_decoded, result.history,
-            result.n_evals, result.archive]
+    return [result.best_value, result.best_decoded, result.history, result.n_evals,
+            result.archive]
 
 
 def hybrid_run(result, trace):
-    return [trace, result.best_position, result.best_value, result.n_evals,
-            None if result.qga is None else genetic_run(result.qga),
-            None if result.pso is None else swarm_run(result.pso, [])]
+    return [trace, result.best_position, result.best_value, result.n_evals]
 
 
 def pso_free():
     trace = []
     # the initial sweep and 15 more of 8 particles
-    result = pso_minimize(ObjectiveTracker(rastrigin, budget=8 * 16, trace=trace),
-                          [RASTRIGIN_BOUNDS] * 3, n_particles=8, seed=9)
+    result = pso_minimize(make_tracker(rastrigin, budget=8 * 16, trace=trace),
+                          [RASTRIGIN_BOUNDS] * 3, n_particles=8, seed=9, init_positions=None)
     return swarm_run(result, trace)
 
 
@@ -64,15 +71,15 @@ def pso_budget():
     runs = []
     for budget in (50, 5):
         trace = []
-        result = pso_minimize(ObjectiveTracker(sphere, budget=budget, trace=trace),
-                              [SPHERE_BOUNDS] * 2, n_particles=7, seed=2)
+        result = pso_minimize(make_tracker(sphere, budget=budget, trace=trace),
+                              [SPHERE_BOUNDS] * 2, n_particles=7, seed=2, init_positions=None)
         runs.append(swarm_run(result, trace))
     return runs
 
 
 def qga():
     trace = []
-    tracker = ObjectiveTracker(one_max, trace=trace)
+    tracker = make_tracker(one_max, budget=10 * 20, trace=trace)  # every generation
     return [trace, genetic_run(qga_minimize(tracker, 12, pop_size=10, n_generations=20,
                                             seed=11, decode=np.copy))]
 
@@ -80,7 +87,7 @@ def qga():
 def hybrid(fraction):
     trace = []
     bounds = [RASTRIGIN_BOUNDS] * 3
-    result = hybrid_minimize(ObjectiveTracker(rastrigin, budget=137, trace=trace), bounds,
+    result = hybrid_minimize(make_tracker(rastrigin, budget=137, trace=trace), bounds,
                              seed=1, qga_fraction=fraction, **gray_genome(bounds))
     return hybrid_run(result, trace)
 
@@ -104,7 +111,7 @@ def hybrid_search_space():
 
 def bo_sphere():
     lo, hi = SPHERE_BOUNDS
-    return bo_minimize_unit(ObjectiveTracker(lambda u: sphere(lo + (hi - lo) * u), budget=15), 3,
+    return bo_minimize_unit(make_tracker(lambda u: sphere(lo + (hi - lo) * u), budget=15), 3,
                             n_init=5, seed=6)
 
 
@@ -114,17 +121,17 @@ CASES = {
     "pso_budget": (pso_budget,
         "0c8eb370b8b2a39ab76b9792386fff06dc86dcd83767d9398785efe066549a85"),
     "qga": (qga,
-        "4fd0f88ab815b0c9f7300b665b6ebad97141152c3004fcbace4d761bd70d7a0d"),
+        "8494c9b093c97c6f6f527c96c7bf7c614e23315cc766b3c96cb7e868d862baea"),
     "hybrid_0": (lambda: hybrid(0.0),
-        "7519575ee077f451cebc574e25f41f9c65b7f89103a0d48a46b9879be3e8b34c"),
+        "cb7ed22cd9446621540adde8c0419cb301b57237594e3d0f98cd0de71b9eb4eb"),
     "hybrid_04": (lambda: hybrid(0.4),
-        "1b9c5be6863c1bec784708283eb5111cf5192d37df3da31db9a1f011b541467b"),
+        "89ebc2f2089392461024cf911b4e146be17b72433f69f194b4cfc43c539eab19"),
     "hybrid_1": (lambda: hybrid(1.0),
-        "5ed1dc85ddbbedc0b93bbc05cff033b4f3764a3f22145fddb984fcdcf814e688"),
+        "03df804226cb4e6847912bd356395029164881290f1bcba876f70d9ac87dbe96"),
     "bo_sphere": (bo_sphere,
         "4e5f740c7067a9353ab376927d43fd696e786224d0192d32fa592d0f0acf5d55"),
     "hybrid_search_space": (hybrid_search_space,
-        "db85853977bc689b58ec869c9463e288533be4494f33176e974a076a2688b17a"),
+        "71734cc59593522f1d4421c6396d4a170a969a62d0149cdd8e62b008bc762f30"),
 }
 
 
