@@ -249,12 +249,10 @@ def test_forced_tune_leaves_no_stale_artifacts(prepared_run, tmp_path):
 
 
 def test_unknown_tuner_is_usage_error(prepared_run):
-    # argparse handles invalid choices itself and exits with code 2; the
-    # hybrid search's two phases are no tuners of their own
-    for tuner in ("nosuch", "pso", "qga"):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("tune", "--run", prepared_run, "--tuner", tuner)
-        assert exc.value.code == 2
+    # argparse handles invalid choices itself and exits with code 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("tune", "--run", prepared_run, "--tuner", "nosuch")
+    assert exc.value.code == 2
 
 
 def test_ensemble_has_no_jobs_flag(prepared_run):
@@ -467,6 +465,9 @@ TUNE_BAYES = ("tune", "--tuner", "bayes", "--budget", 4) + TUNE_SMALL
     (("ensemble", "--arch", "bo-q", "--k", 0), "--k must be >= 1"),
     (("ensemble", "--arch", "bo-q", "--k", -1), "--k must be >= 1"),
     (("tune", "--tuner", "hybrid", "--budget", 0) + TUNE_SMALL, "--budget must be >= 1"),
+    # the hybrid search's two phases are no tuners of their own: argparse refuses them
+    (("tune", "--tuner", "pso", "--budget", 0) + TUNE_SMALL, "invalid choice: 'pso'"),
+    (("tune", "--tuner", "qga", "--budget", 0) + TUNE_SMALL, "invalid choice: 'qga'"),
     (("tune", "--tuner", "bayes", "--budget", 0) + TUNE_SMALL, "--budget must be >= 2"),
     (("tune", "--tuner", "bayes", "--budget", 1) + TUNE_SMALL, "--budget must be >= 2"),
     (("tune", "--tuner", "hybrid", "--budget", 50, "--probe-epochs", 1, "--max-qubits", 11,
@@ -480,7 +481,8 @@ TUNE_BAYES = ("tune", "--tuner", "bayes", "--budget", 4) + TUNE_SMALL
     # two models of one sequence length would write the same tune files
     (("tune", "--tuner", "hybrid", "--budget", 4) + TUNE_SMALL + ("--seq", 3, 3),
      "--seq values must be distinct"),
-], ids=["tune-k0", "tune-k-1", "boq-k0", "boq-k-1", "hybrid-budget0", "bayes-budget0",
+], ids=["tune-k0", "tune-k-1", "boq-k0", "boq-k-1", "hybrid-budget0", "pso-budget0",
+        "qga-budget0", "bayes-budget0",
         "bayes-budget1", "max-qubits11", "max-qubits1", "max-layers0", "probe-epochs0",
         "seq-repeated"])
 def test_counts_below_one_exit_before_writing(prepared_run, tmp_path, capsys, argv, flag):
@@ -493,9 +495,15 @@ def test_counts_below_one_exit_before_writing(prepared_run, tmp_path, capsys, ar
     if command == "ensemble":
         _write_kbest(run_dir)
     before = sorted(run_dir.rglob("*"))
-    assert run_cli(command, "--run", run_dir, "--seq", 3, 5, *flags) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and flag in err
+    try:
+        code = run_cli(command, "--run", run_dir, "--seq", 3, 5, *flags)
+    except SystemExit as exc:  # argparse's own usage error
+        code, err = exc.code, capsys.readouterr().err
+        assert err.startswith("usage:")
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+    assert code == 2 and flag in err
     assert sorted(run_dir.rglob("*")) == before
 
 
