@@ -32,10 +32,11 @@ with open("gp_curve.tsv", "w") as fh:
 print("wrote gp_curve.tsv (posterior and acquisition surface over [0, 1])")
 
 # --- run the full loop on a quadratic ----------------------------------------
-# the tracker's budget of 20 evaluations: 5 initial points, then 15 BO rounds
-xs, ys = bo_minimize_unit(ObjectiveTracker(parabola, budget=20, trace=None, describe=None), 1,
-                          n_init=5, seed=3)
-order = np.argsort(ys)
+# the tracker's budget of 20 evaluations: 5 initial points, then 15 BO rounds;
+# its trace, one row per evaluation, is the loop's result
+tracker = ObjectiveTracker(parabola, budget=20, describe=np.ndarray.tolist)
+bo_minimize_unit(tracker, 1, n_init=5, seed=3)
+best = min(tracker.trace, key=lambda row: row["objective"])
 print(f"\nBO on (x - 0.7)^2 with 20 evaluations:")
-print(f"  best point {xs[order[0]][0]:.4f} with value {ys[order[0]]:.2e}")
-print("  evaluation order:", " ".join(f"{p[0]:.2f}" for p in xs))
+print(f"  best point {best['config'][0]:.4f} with value {best['objective']:.2e}")
+print("  evaluation order:", " ".join(f"{row['config'][0]:.2f}" for row in tracker.trace))

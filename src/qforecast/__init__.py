@@ -21,7 +21,7 @@ from . import errors
 # each module's exports, imported on first access (PEP 562): ``import
 # qforecast.cli`` and a command that needs only the data layer load no model
 _EXPORTS = {
-    "bayesopt": ("KBestSet", "bo_tune", "enumerate_ensembles", "expected_improvement", "gp_fit"),
+    "bayesopt": ("KBestSet", "enumerate_ensembles", "expected_improvement", "gp_fit"),
     "data": ("ingest_csv", "make_windows", "prepare_dataset", "synth_series"),
     "ensemble": ("WeightParams", "combine_predictions", "evolve_weights", "finalize_weights"),
     "hyperspace": ("SearchSpace",),

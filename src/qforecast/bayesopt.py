@@ -9,8 +9,9 @@ Beckman & Conover, 1979), the best one refined on EI's closed-form gradient.
 Both searches run ``box_minimize``, a projected quasi-Newton method on the
 box, so the module needs numpy alone.
 
-The BO loop runs until its ``ObjectiveTracker``'s budget is spent.
-``bo_tune`` runs it per base model and keeps the K lowest-scoring
+The BO loop runs until its ``ObjectiveTracker``'s budget is spent, and
+like every tuner leaves its evaluations in the tracker's trace.
+``KBestSet.from_trace`` ranks any tune's trace into the K lowest-scoring
 distinct configurations; ``enumerate_ensembles`` scores every K^m tuple of
 those sets with the adaptive-weight combiner and returns the argmin.
 """
@@ -31,7 +32,6 @@ from .ensemble import (
     weights_from_predictions,
 )
 from .errors import ConfigurationError, NumericDivergenceError, ShapeError
-from .hyperspace import SearchSpace
 from .metaheuristics import ObjectiveTracker
 from .metrics import mse
 from .qlstm import HyperConfig
@@ -175,12 +175,9 @@ def _neg_lml(log_params, sq_diffs, y_centered):
     return -float(lml), -0.5 * math.log(10.0) * grad
 
 
-def gp_fit(observations_x, observations_y, *, seed,
-           hyperparams: tuple | None = None) -> GPSurrogate:
+def gp_fit(observations_x, observations_y, *, seed) -> GPSurrogate:
     """Fit the surrogate to observed (point, score) pairs.
 
-    ``hyperparams`` pins (length_scales, signal_var, noise_var) directly,
-    skipping the likelihood search (used by tests and tight loops).
     Duplicate points do not break the fit while the noise bounds are not
     negligible against the scores' variance; where no search finds a
     positive-definite kernel matrix, ConfigurationError is raised.
@@ -197,12 +194,6 @@ def gp_fit(observations_x, observations_y, *, seed,
     mean = float(np.mean(y))
     y_centered = y - mean
     y_var = max(float(np.var(y_centered)), 1e-12)
-
-    if hyperparams is not None:
-        length_scales, signal_var, noise_var = hyperparams
-        length_scales = np.asarray(length_scales, dtype=float) * np.ones(d)
-        return _finalize_fit(x, y, length_scales, float(signal_var),
-                             max(float(noise_var), NOISE_FLOOR), mean)
 
     # bounded likelihood search in log10 coordinates
     lo = np.concatenate([np.full(d, -2.0), [math.log10(max(y_var * 1e-3, 1e-12))], [-6.0]])
@@ -313,12 +304,13 @@ def acquire_next(gp: GPSurrogate, best_so_far: float, *, seed) -> np.ndarray:
     return np.asarray(best_point, dtype=float)
 
 
-def bo_minimize_unit(tracker: ObjectiveTracker, d: int, *, n_init: int,
-                     seed) -> tuple[np.ndarray, np.ndarray]:
-    """BO loop on the unit cube; returns all evaluated (points, scores).
+def bo_minimize_unit(tracker: ObjectiveTracker, d: int, *, n_init: int, seed) -> None:
+    """BO loop on the unit cube.
 
     Starts from a Latin-hypercube design of ``n_init`` points, then runs
-    acquire-evaluate-refit rounds until the tracker's budget is spent.
+    acquire-evaluate-refit rounds until the tracker's budget is spent.  The
+    points and scores the GP is fitted to are the loop's own; its result is
+    the tracker's trace.
     """
     if n_init < 2:
         raise ConfigurationError("n_init must be >= 2")
@@ -342,7 +334,6 @@ def bo_minimize_unit(tracker: ObjectiveTracker, d: int, *, n_init: int,
             nxt = np.random.default_rng(acq_rng.integers(2**31)).random(d)
         xs.append(nxt)
         ys.append(tracker(nxt, "bo", it))
-    return np.array(xs), np.array(ys)
 
 
 @dataclass
@@ -377,44 +368,33 @@ class KBestSet:
         """A ``to_dict`` set, every configuration validated."""
         return cls(
             model_index=int(d["model_index"]),
-            configs=[HyperConfig.from_dict(c).validate() for c in d["configs"]],
+            configs=[HyperConfig.from_dict(c) for c in d["configs"]],
             scores=[float(s) for s in d["scores"]],
         )
 
+    @classmethod
+    def from_trace(cls, model_index: int, trace: list, k: int) -> "KBestSet":
+        """The K lowest-scoring distinct configurations of a tune's trace.
 
-def bo_tune(objective, space: SearchSpace, *, n_init: int, budget: int, k: int, seed,
-            model_index: int, trace: list | None) -> KBestSet:
-    """Tune one base model's configuration by Bayesian optimization.
-
-    ``objective`` consumes a :class:`HyperConfig` and returns the score to
-    minimize; it runs ``budget`` times.  Distinct unit-cube points can round
-    to the same configuration; each configuration keeps its best observed
-    score, and the K lowest-scoring distinct configurations are returned.
-    """
-    if k < 1:
-        raise ConfigurationError(f"K must be >= 1, got {k}")
-
-    def unit_objective(u):
-        return objective(space.decode_vector(space.from_unit(u)))
-
-    tracker = ObjectiveTracker(
-        unit_objective, budget=budget, trace=trace,
-        describe=lambda u: space.decode_vector(space.from_unit(u)).to_dict(),
-    )
-    xs, ys = bo_minimize_unit(tracker, space.n_dims, n_init=n_init, seed=seed)
-    by_config: dict[HyperConfig, float] = {}
-    for u, score in zip(xs, ys):
-        config = space.decode_vector(space.from_unit(u))
-        if np.isfinite(score) and score < by_config.get(config, np.inf):
-            by_config[config] = float(score)
-    if k > len(by_config):
-        raise ConfigurationError(
-            f"asked for {k} best configs but only {len(by_config)} distinct ones were evaluated"
-        )
-    ranked = sorted(by_config.items(), key=lambda item: item[1])[:k]
-    return KBestSet(model_index=model_index,
-                    configs=[c for c, _ in ranked],
-                    scores=[s for _, s in ranked])
+        Distinct search points can round to the same configuration; each
+        configuration with a finite objective counts once, at its best
+        score, and equal scores rank by the configuration's first finite
+        evaluation.
+        """
+        if k < 1:
+            raise ConfigurationError(f"K must be >= 1, got {k}")
+        by_config: dict[HyperConfig, float] = {}
+        for row in trace:
+            config, score = HyperConfig.from_dict(row["config"]), row["objective"]
+            if np.isfinite(score) and score < by_config.get(config, np.inf):
+                by_config[config] = float(score)
+        if k > len(by_config):
+            raise ConfigurationError(
+                f"asked for {k} best configs but only {len(by_config)} distinct ones were "
+                f"evaluated"
+            )
+        ranked = sorted(by_config.items(), key=lambda item: item[1])[:k]
+        return cls(model_index, [c for c, _ in ranked], [s for _, s in ranked])
 
 
 # ---------------------------------------------------------------------------

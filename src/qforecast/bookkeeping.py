@@ -31,7 +31,7 @@ def sha256_file(path) -> str:
 
 @dataclass
 class StageTimer:
-    times: dict = field(default_factory=dict)
+    times: dict = field(default_factory=dict, init=False)  # stage name -> seconds
 
     def time(self, name: str):
         timer = self

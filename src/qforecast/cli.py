@@ -179,7 +179,7 @@ def dataset_path(run_dir: Path) -> Path:
 def model_config(options: dict, sequence_length: int):
     from .qlstm import HyperConfig
 
-    return HyperConfig.from_dict({**options, "sequence_length": sequence_length}).validate()
+    return HyperConfig.from_dict({**options, "sequence_length": sequence_length})
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +240,9 @@ def cmd_preprocess(options: dict) -> int:
 
 
 def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: dict):
-    """One model's best configuration and score, and its files by name."""
-    from .bayesopt import bo_tune
+    """One model's K-best set, ranked from its tune's trace (K = ``--k`` for
+    the bayes tuner, 1 for the hybrid), and its files by name."""
+    from .bayesopt import KBestSet, bo_minimize_unit
     from .hyperspace import SearchSpace
     from .metaheuristics import ObjectiveTracker, hybrid_minimize
     from .runner import probe_objective
@@ -254,29 +255,27 @@ def _tune_one_model(tuner: str, dataset, seq: int, model_index: int, options: di
     )
     objective = probe_objective(dataset, seq, model_index, int(options["seed"]),
                                 probe_epochs=int(options["probe_epochs"]))
-    trace: list = []
     budget = int(options["budget"])
 
-    if tuner == "bayes":
-        n_init = min(5, max(2, budget - 1))
-        kset = bo_tune(objective, space, n_init=n_init, budget=budget, k=int(options["k"]),
-                       seed=seed, model_index=model_index, trace=trace)
-        best = {"config": kset.configs[0].to_dict(), "score": kset.scores[0]}
-        files = {f"kbest_seq{seq}.json": kset.to_dict()}
-    else:  # hybrid
-        tracker = ObjectiveTracker(
-            lambda v: objective(space.decode_vector(v)), budget=budget, trace=trace,
-            describe=lambda v: space.decode_vector(v).to_dict(),
-        )
-        result = hybrid_minimize(tracker, space.bounds(), seed=seed,
-                                 decode_bits=space.decode_bits, n_bits=space.total_bits)
-        config = space.decode_vector(result.best_position)
-        best = {"config": config.to_dict(), "score": float(result.best_value)}
-        files = {f"best_config_seq{seq}.json": best}
+    def config(point):
+        # the bayes tuner searches the unit cube, the hybrid the box itself
+        return space.decode_vector(space.from_unit(point) if tuner == "bayes" else point)
 
-    files[f"trace_seq{seq}.jsonl"] = "".join(json.dumps(row, sort_keys=True) + "\n"
-                                             for row in trace)
-    return best, files
+    tracker = ObjectiveTracker(lambda point: objective(config(point)), budget=budget,
+                               describe=lambda point: config(point).to_dict())
+    if tuner == "bayes":
+        bo_minimize_unit(tracker, space.n_dims, n_init=min(5, max(2, budget - 1)), seed=seed)
+        k = int(options["k"])
+    else:  # hybrid
+        hybrid_minimize(tracker, space.bounds(), seed=seed, decode_bits=space.decode_bits,
+                        n_bits=space.total_bits)
+        k = 1
+    kset = KBestSet.from_trace(model_index, tracker.trace, k)
+    return kset, {
+        f"kbest_seq{seq}.json": kset.to_dict(),
+        f"trace_seq{seq}.jsonl": "".join(json.dumps(row, sort_keys=True) + "\n"
+                                         for row in tracker.trace),
+    }
 
 
 def cmd_tune(options: dict) -> int:
@@ -301,11 +300,11 @@ def cmd_tune(options: dict) -> int:
     files = {}
     for model_index, seq in enumerate(options["seq"]):
         with timer.time(f"model{model_index}"):
-            best, model_files = _tune_one_model(tuner, dataset, int(seq), model_index, options)
+            kset, model_files = _tune_one_model(tuner, dataset, int(seq), model_index, options)
         files.update(model_files)
         ref = REFERENCE_LEARNING_RATES["genhyb" if tuner == "hybrid" else "bo-q"]
-        print(f"model {model_index} (seq {seq}): best score {best['score']:.6f} "
-              f"lr {best['config']['learning_rate']:.4f} "
+        print(f"model {model_index} (seq {seq}): best score {kset.scores[0]:.6f} "
+              f"lr {kset.configs[0].learning_rate:.4f} "
               f"(reference full-scale lr magnitudes: {ref})")
     publish(out_dir, "tune", options, timer.times, files)
     return 0
@@ -339,16 +338,12 @@ def cmd_train(options: dict) -> int:
 
 
 def _read_kbest(path: Path, model_index: int, seq: int):
-    """A tune artifact as a K-best set: ``kbest_seq*.json`` from the bayes
-    tuner, or ``best_config_seq*.json`` (one configuration) from the hybrid.
-    An unreadable or invalid file is a DataError, as a stored configuration is."""
+    """A ``kbest_seq*.json`` tune artifact as a K-best set.  An unreadable or
+    invalid file is a DataError, as a stored configuration is."""
     from .bayesopt import KBestSet
 
     try:
-        payload = json.loads(path.read_text())
-        if path.name.startswith("best_config"):
-            payload = {"configs": [payload["config"]], "scores": [payload["score"]]}
-        kset = KBestSet.from_dict({**payload, "model_index": model_index})
+        kset = KBestSet.from_dict({**json.loads(path.read_text()), "model_index": model_index})
         if any(c.sequence_length != seq for c in kset.configs):
             raise DataError(f"a configuration is not for sequence length {seq}")
         return kset
@@ -364,13 +359,10 @@ def _kbest_sets(run_dir: Path, seqs: list, options: dict) -> list:
 
     if options["inline"]:
         return [KBestSet(m, [model_config(options, seq)], [0.0]) for m, seq in enumerate(seqs)]
-    if options["arch"] == "genhyb":
-        k, name, tuner = 1, "best_config_seq{}.json", "hybrid"
-    else:
-        k, name, tuner = int(options["k"]), "kbest_seq{}.json", "bayes"
+    k, tuner = (1, "hybrid") if options["arch"] == "genhyb" else (int(options["k"]), "bayes")
     ksets = []
     for model_index, seq in enumerate(seqs):
-        path = run_dir / f"tune-{tuner}" / name.format(seq)
+        path = run_dir / f"tune-{tuner}" / f"kbest_seq{seq}.json"
         if not path.exists():
             raise ConfigurationError(
                 f"no tuned configuration for sequence length {seq}; run `qforecast tune "

@@ -80,8 +80,7 @@ class SearchSpace:
         if vector.shape != (self.n_dims,):
             raise ConfigurationError(f"expected a {self.n_dims}-dimensional point")
         values = {d.name: d.decode(v) for d, v in zip(self.dimensions, vector)}
-        return HyperConfig(**values, sequence_length=self.sequence_length,
-                           epochs=self.epochs).validate()
+        return HyperConfig(**values, sequence_length=self.sequence_length, epochs=self.epochs)
 
     def decode_bits(self, bits) -> np.ndarray:
         """Gray-coded fixed-point decoding onto the box (MSB first per dimension).

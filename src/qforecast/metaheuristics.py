@@ -23,7 +23,9 @@ arrays:
 Every evaluation flows through an ``ObjectiveTracker``, the one holder of
 the evaluation budget and the trace: it maps non-finite objective values to
 +inf (flagged) and records one trace row per call.  Every tracker has a
-budget, and the swarm and the hybrid run until it is spent.
+budget, and the swarm and the hybrid run until it is spent.  The trace is a
+search's only result: the swarm and the hybrid return nothing, and the
+genetic search returns only the archive that seeds the hybrid's swarm.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ P_MUTATION = 0.02
 HYBRID_POP_SIZE = 20  # genetic population of the hybrid
 HYBRID_PARTICLES = 20  # swarm size of the hybrid
 HYBRID_SEEDS = 3  # distinct genetic-phase bests that seed the swarm
+HYBRID_QGA_FRACTION = 0.4  # share of the hybrid's budget that funds genetic generations
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -58,15 +61,15 @@ class BudgetExhausted(Exception):
 class ObjectiveTracker:
     """Counts, caps, traces, and sanitizes objective evaluations.
 
-    ``describe`` turns a query point into the value stored in ``trace``
-    (the tuning pipelines put decoded configurations there); with ``trace``
-    None nothing is recorded.
+    Each call appends one row to ``trace``: the phase, the iteration, the
+    query point as ``describe`` gives it (the tune command stores decoded
+    configurations) and the sanitized objective value.
     """
 
-    def __init__(self, objective, budget: int, trace: list | None, describe):
+    def __init__(self, objective, budget: int, describe):
         self.objective = objective
         self.budget = budget
-        self.trace = trace
+        self.trace: list = []
         self.describe = describe
         self.n_evals = 0
         self.n_non_finite = 0
@@ -82,11 +85,8 @@ class ObjectiveTracker:
         if not np.isfinite(value):
             self.n_non_finite += 1
             value = float("inf")
-        if self.trace is not None:
-            self.trace.append(
-                {"phase": phase, "iteration": iteration,
-                 "config": self.describe(x), "objective": value}
-            )
+        self.trace.append({"phase": phase, "iteration": iteration,
+                           "config": self.describe(x), "objective": value})
         return value
 
 
@@ -105,15 +105,6 @@ class Swarm:
     pbest_value: np.ndarray  # (P,) +inf until a particle has a finite value
     best_position: np.ndarray  # (d,)
     best_value: float
-
-
-@dataclass
-class TunerResult:
-    best_position: np.ndarray
-    best_value: float
-    history: list  # best value after each iteration/generation
-    n_evals: int
-    n_non_finite: int
 
 
 def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -184,17 +175,13 @@ def pso_step(swarm: Swarm, tracker: ObjectiveTracker, bounds, rng,
 
 
 def pso_minimize(tracker: ObjectiveTracker, bounds, *, n_particles: int, seed,
-                 init_positions) -> TunerResult:
-    """Particle-swarm minimization over a box.
-
-    Sweeps the swarm until the tracker's evaluation budget is spent; a
-    sweep the budget cuts short adds no history entry.
-    """
+                 init_positions) -> None:
+    """Particle-swarm minimization over a box: sweeps the swarm until the
+    tracker's evaluation budget is spent."""
     if n_particles < 1:
         raise ConfigurationError("need at least one particle")
     rng = _as_rng(seed)
     swarm = init_swarm(tracker, bounds, n_particles, rng, init_positions=init_positions)
-    history = [swarm.best_value]
     it = 0
     while tracker.remaining() > 0:
         it += 1
@@ -202,9 +189,6 @@ def pso_minimize(tracker: ObjectiveTracker, bounds, *, n_particles: int, seed,
             pso_step(swarm, tracker, bounds, rng, iteration=it)
         except BudgetExhausted:
             break
-        history.append(swarm.best_value)
-    return TunerResult(swarm.best_position.copy(), float(swarm.best_value), history,
-                       tracker.n_evals, tracker.n_non_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +223,14 @@ def rotation_angles(bits, values) -> np.ndarray:
     return np.where(bits != bits[best], direction * magnitude, 0.0)
 
 
-@dataclass
-class QGAResult:
-    best_value: float
-    best_decoded: object
-    history: list
-    n_evals: int
-    archive: list  # (value, decoded) per evaluation
-
-
 def qga_minimize(tracker: ObjectiveTracker, n_bits: int, *, decode,
-                 pop_size: int, n_generations: int, seed) -> QGAResult:
+                 pop_size: int, n_generations: int, seed) -> list:
     """Genetic minimization on qubit-amplitude chromosomes.
 
     Stops after ``n_generations``, or at the first generation the tracker's
     budget cuts short.  ``decode`` maps a measured bit array to the
-    objective's argument (and to the archive/result payload).
+    objective's argument.  Returns the archive, one ``(value, decoded)``
+    pair per evaluation in order.
     """
     if pop_size < 1:
         raise ConfigurationError("population must be non-empty")
@@ -264,8 +240,6 @@ def qga_minimize(tracker: ObjectiveTracker, n_bits: int, *, decode,
     alpha = np.full((pop_size, n_bits), 1.0 / np.sqrt(2.0))
     beta = alpha.copy()
 
-    best_value, best_decoded = np.inf, None
-    history = []
     archive = []
     for gen in range(n_generations):
         measured = (rng.random((pop_size, n_bits)) < beta**2).astype(int)
@@ -278,15 +252,11 @@ def qga_minimize(tracker: ObjectiveTracker, n_bits: int, *, decode,
                 break
             values.append(value)
             archive.append((value, decoded))
-            if value < best_value:
-                best_value, best_decoded = value, decoded
         if len(values) < pop_size:
             break
         alpha, beta = rotate(alpha, beta, rotation_angles(measured, values))
         alpha, beta = swap_mutate(alpha, beta, rng.random((pop_size, n_bits)) < P_MUTATION)
-        history.append(best_value)
-    return QGAResult(float(best_value), best_decoded, history,
-                     tracker.n_evals, archive)
+    return archive
 
 
 # ---------------------------------------------------------------------------
@@ -294,38 +264,30 @@ def qga_minimize(tracker: ObjectiveTracker, n_bits: int, *, decode,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HybridResult:
-    best_position: np.ndarray
-    best_value: float
-    n_evals: int
-
-
-def hybrid_minimize(tracker: ObjectiveTracker, bounds, *, decode_bits, n_bits: int, seed,
-                    qga_fraction: float = 0.4) -> HybridResult:
+def hybrid_minimize(tracker: ObjectiveTracker, bounds, *, decode_bits, n_bits: int,
+                    seed) -> None:
     """Genetic phase then swarm phase under the tracker's evaluation budget.
 
-    The first ``qga_fraction`` of the remaining budget funds whole genetic
-    generations of ``HYBRID_POP_SIZE``; a swarm of ``HYBRID_PARTICLES``,
+    ``HYBRID_QGA_FRACTION`` of the remaining budget funds whole genetic
+    generations of ``HYBRID_POP_SIZE``, and at least one whenever the budget
+    holds a generation and a swarm sweep; a swarm of ``HYBRID_PARTICLES``,
     seeded with the genetic phase's ``HYBRID_SEEDS`` distinct best points,
     consumes exactly the remainder.  The caller's ``decode_bits`` maps a
-    genome of ``n_bits`` onto the box.  Returns the better of the two phases.
+    genome of ``n_bits`` onto the box.
     """
-    if not 0.0 <= qga_fraction <= 1.0:
-        raise ConfigurationError("qga_fraction must lie in [0, 1]")
     _check_bounds(bounds)
     rng = _as_rng(seed)
 
-    qga_evals = int(round(qga_fraction * tracker.remaining()))
-    n_generations = qga_evals // HYBRID_POP_SIZE
-    qga_result = None
+    n_generations = int(round(HYBRID_QGA_FRACTION * tracker.remaining())) // HYBRID_POP_SIZE
+    if tracker.remaining() >= HYBRID_POP_SIZE + HYBRID_PARTICLES:
+        n_generations = max(n_generations, 1)
     seeds = None
     if n_generations > 0:
-        qga_result = qga_minimize(
+        archive = qga_minimize(
             tracker, n_bits, pop_size=HYBRID_POP_SIZE, n_generations=n_generations,
             seed=rng, decode=decode_bits,
         )
-        ranked = sorted(qga_result.archive, key=lambda pair: pair[0])
+        ranked = sorted(archive, key=lambda pair: pair[0])
         seeds, seen = [], set()
         for value, vector in ranked:
             key = tuple(np.round(np.asarray(vector, float), 12))
@@ -335,17 +297,6 @@ def hybrid_minimize(tracker: ObjectiveTracker, bounds, *, decode_bits, n_bits: i
             if len(seeds) == HYBRID_SEEDS:
                 break
 
-    pso_result = None
     if tracker.remaining() > 0:
-        pso_result = pso_minimize(tracker, bounds, n_particles=HYBRID_PARTICLES, seed=rng,
-                                  init_positions=seeds)
-
-    candidates = []
-    if qga_result is not None and qga_result.best_decoded is not None:
-        candidates.append((qga_result.best_value, np.asarray(qga_result.best_decoded, float)))
-    if pso_result is not None and np.isfinite(pso_result.best_value):
-        candidates.append((pso_result.best_value, pso_result.best_position))
-    if not candidates:
-        raise ConfigurationError("budget too small: no evaluation completed")
-    best_value, best_position = min(candidates, key=lambda pair: pair[0])
-    return HybridResult(best_position, float(best_value), tracker.n_evals)
+        pso_minimize(tracker, bounds, n_particles=HYBRID_PARTICLES, seed=rng,
+                     init_positions=seeds)

@@ -67,7 +67,7 @@ GATE_NAMES = ("forget", "input", "update", "output", "hidden", "readout")
 
 @dataclass(frozen=True)
 class HyperConfig:
-    """One point in hyperparameter space."""
+    """One point in hyperparameter space, checked when it is built."""
 
     learning_rate: float
     n_layers: int
@@ -77,7 +77,7 @@ class HyperConfig:
     batch_size: int
     epochs: int
 
-    def validate(self) -> "HyperConfig":
+    def __post_init__(self):
         # training only needs a finite, non-negative rate (zero disables
         # updates, which is legal); the tuning box lives in ``hyperspace``
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
@@ -94,7 +94,6 @@ class HyperConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        return self
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -125,7 +124,7 @@ class HyperConfig:
     def from_json(cls, text) -> "HyperConfig":
         """A stored configuration; an unreadable or invalid one is a DataError."""
         try:
-            return cls.from_dict(json.loads(str(text))).validate()
+            return cls.from_dict(json.loads(str(text)))
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"stored configuration {str(text)!r} is invalid: {exc}") from exc
 
@@ -186,8 +185,8 @@ class QLSTMParams:
     b_in: np.ndarray  # (n_qubits,)
     w_h: np.ndarray  # (hidden_units, n_qubits)
     b_h: np.ndarray  # (hidden_units,)
-    w_y: np.ndarray  # (output_dim, n_qubits)
-    b_y: np.ndarray  # (output_dim,)
+    w_y: np.ndarray  # (1, n_qubits)
+    b_y: np.ndarray  # (1,)
     hidden_units: int
     input_dim: int
 
@@ -209,10 +208,6 @@ class QLSTMParams:
     @property
     def n_qubits(self) -> int:
         return self.vqc[0].n_qubits
-
-    @property
-    def output_dim(self) -> int:
-        return self.w_y.shape[0]
 
     def param_arrays(self) -> dict:
         out = {f"theta_{name}": blk.thetas for name, blk in zip(GATE_NAMES, self.vqc)}
@@ -596,7 +591,6 @@ def train(model, config: HyperConfig, train_set, test_set, seed) -> TrainReport:
     :class:`~qforecast.errors.NumericDivergenceError` with the offending
     epoch in the message.
     """
-    config.validate()
     x_train, y_train = train_set.inputs, train_set.targets
     x_test, y_test = test_set.inputs, test_set.targets
     if len(x_train) == 0 or len(x_test) == 0:
@@ -652,11 +646,11 @@ def train(model, config: HyperConfig, train_set, test_set, seed) -> TrainReport:
 # ---------------------------------------------------------------------------
 
 
-def _qlstm_layout(config: HyperConfig, input_dim: int, output_dim: int) -> dict:
+def _qlstm_layout(config: HyperConfig, input_dim: int) -> dict:
     n, hidden = config.n_qubits, config.hidden_units
     layout = {f"theta_{name}": (config.n_layers, n, 3) for name in GATE_NAMES}
     layout.update(w_in=(n, hidden + input_dim), b_in=(n,), w_h=(hidden, n), b_h=(hidden,),
-                  w_y=(output_dim, n), b_y=(output_dim,))
+                  w_y=(1, n), b_y=(1,))
     return layout
 
 
@@ -667,13 +661,13 @@ def _qlstm_build(arrays: dict, config: HyperConfig, input_dim: int) -> QLSTMPara
                        input_dim=input_dim)
 
 
-def _lstm_layout(config: HyperConfig, input_dim: int, output_dim: int) -> dict:
+def _lstm_layout(config: HyperConfig, input_dim: int) -> dict:
     hidden = config.hidden_units
     layout = {}
     for gate in "figo":
         layout[f"w_{gate}"] = (hidden, hidden + input_dim)
         layout[f"b_{gate}"] = (hidden,)
-    layout.update(w_y=(output_dim, hidden), b_y=(output_dim,))
+    layout.update(w_y=(1, hidden), b_y=(1,))
     return layout
 
 
@@ -710,11 +704,8 @@ def model_from_arrays(kind: str, config: HyperConfig, input_dim: int, arrays: di
     if kind not in MODEL_KINDS:
         raise CheckpointVersionError(f"unknown model kind {kind!r}")
     _, layout, build = MODEL_KINDS[kind]
-    # the output width is whatever b_y stores; w_y must agree with it
-    output_dim = int(np.size(arrays.get("b_y")))
-    shapes = layout(config, input_dim, output_dim)
     return build({name: checked_array(name, arrays.get(name), shape)
-                  for name, shape in shapes.items()}, config, input_dim)
+                  for name, shape in layout(config, input_dim).items()}, config, input_dim)
 
 
 def save_checkpoint(path, model, config: HyperConfig) -> None:

@@ -3,8 +3,9 @@
 Sphere and rastrigin reach 0 at the origin; one_max counts down from 0 at
 the all-ones bitstring.  ``gray_genome`` gives the genetic and hybrid
 searches a decoder onto a box, as the tune command gives them
-``SearchSpace.decode_bits``, and ``make_tracker`` wraps an objective in the
-tracker every search takes.
+``SearchSpace.decode_bits``, ``make_tracker`` wraps an objective in the
+tracker every search takes, and ``best_row`` reads a search's result, its
+best evaluation, from that tracker's trace.
 """
 
 import functools
@@ -57,7 +58,12 @@ def point_list(x) -> list:
     return np.asarray(x, dtype=float).tolist()
 
 
-def make_tracker(objective, budget: int, trace: list | None = None) -> ObjectiveTracker:
-    """A tracker of ``budget`` evaluations; its trace rows, if ``trace`` is
-    a list, store each query point as :func:`point_list` gives it."""
-    return ObjectiveTracker(objective, budget=budget, trace=trace, describe=point_list)
+def make_tracker(objective, budget: int) -> ObjectiveTracker:
+    """A tracker of ``budget`` evaluations whose trace rows store each query
+    point as :func:`point_list` gives it."""
+    return ObjectiveTracker(objective, budget=budget, describe=point_list)
+
+
+def best_row(tracker: ObjectiveTracker) -> dict:
+    """The trace row of the first evaluation at the lowest objective."""
+    return min(tracker.trace, key=lambda row: row["objective"])

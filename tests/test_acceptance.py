@@ -13,9 +13,9 @@ warnings.filterwarnings("ignore", message="zero IQR")
 
 from qforecast.bayesopt import (
     KBestSet,
+    _finalize_fit,
     bo_minimize_unit,
     expected_improvement,
-    gp_fit,
     gp_posterior,
 )
 from qforecast.cli import main as cli_main
@@ -45,8 +45,8 @@ from qforecast.runner import (
     validation_targets,
 )
 
-from objectives import (RASTRIGIN_BOUNDS, SPHERE_BOUNDS, gray_genome, make_tracker, one_max,
-                        quadratic_1d, rastrigin, sphere)
+from objectives import (RASTRIGIN_BOUNDS, SPHERE_BOUNDS, best_row, gray_genome, make_tracker,
+                        one_max, quadratic_1d, rastrigin, sphere)
 from oracles import central_difference, dense_vqc_expectations, inverse_transform, loop_oracle
 
 
@@ -158,27 +158,25 @@ def test_criterion_2_bptt_correctness():
 def test_criterion_3_optimizer_benchmarks():
     with Criterion(3, "swarm/genetic/hybrid benchmarks", 120.0):
         # 200 sweeps of 20 particles after the initial one
-        pso = pso_minimize(make_tracker(sphere, budget=20 * 201), [SPHERE_BOUNDS] * 4,
-                           n_particles=20, seed=42, init_positions=None)
-        assert pso.best_value < 1e-3
+        pso = make_tracker(sphere, budget=20 * 201)
+        pso_minimize(pso, [SPHERE_BOUNDS] * 4, n_particles=20, seed=42, init_positions=None)
+        assert best_row(pso)["objective"] < 1e-3
 
         # decode=np.copy: the best decoded point is the best measured bits
-        qga = qga_minimize(make_tracker(one_max, budget=20 * 50), 16, pop_size=20,
-                           n_generations=50, seed=7, decode=np.copy)
-        assert qga.best_value == -16.0 and np.all(qga.best_decoded == 1)
+        archive = qga_minimize(make_tracker(one_max, budget=20 * 50), 16, pop_size=20,
+                               n_generations=50, seed=7, decode=np.copy)
+        best_value, best_decoded = min(archive, key=lambda pair: pair[0])
+        assert best_value == -16.0 and np.all(best_decoded == 1)
 
         budget = 4000
         bounds = [RASTRIGIN_BOUNDS] * 4
         hybrid_finals, plain_finals = [], []
         for seed in range(10):
-            hybrid_finals.append(
-                hybrid_minimize(make_tracker(rastrigin, budget=budget), bounds,
-                                seed=seed, **gray_genome(bounds)).best_value
-            )
-            plain_finals.append(
-                pso_minimize(make_tracker(rastrigin, budget=budget), bounds, n_particles=20,
-                             seed=seed, init_positions=None).best_value
-            )
+            hybrid, plain = (make_tracker(rastrigin, budget=budget) for _ in range(2))
+            hybrid_minimize(hybrid, bounds, seed=seed, **gray_genome(bounds))
+            pso_minimize(plain, bounds, n_particles=20, seed=seed, init_positions=None)
+            hybrid_finals.append(best_row(hybrid)["objective"])
+            plain_finals.append(best_row(plain)["objective"])
         assert np.median(hybrid_finals) <= np.median(plain_finals)
 
 
@@ -194,7 +192,7 @@ def test_criterion_4_gp_ei_correctness():
         x = np.array([[0.05], [0.3], [0.5], [0.75], [0.95]])
         y = np.sin(6 * x[:, 0])
         hyper = (np.array([0.2]), 1.3, 1e-6)
-        gp = gp_fit(x, y, seed=0, hyperparams=hyper)
+        gp = _finalize_fit(x, y, *hyper, float(np.mean(y)))  # at fixed hyperparameters
         grid = np.linspace(0, 1, 20)[:, None]
         mean, var = gp_posterior(gp, grid)
         want_mean, want_var = gp_posterior_oracle(x, y, grid, hyper[0], hyper[1],
@@ -206,10 +204,10 @@ def test_criterion_4_gp_ei_correctness():
                                                                    gp.best_observed),
                                    atol=1e-8)
 
-        xs, ys = bo_minimize_unit(make_tracker(quadratic_1d(0.7), budget=20), 1, n_init=5,
-                                  seed=3)
-        assert len(ys) == 20
-        assert abs(xs[int(np.argmin(ys))][0] - 0.7) <= 0.05
+        bo = make_tracker(quadratic_1d(0.7), budget=20)
+        bo_minimize_unit(bo, 1, n_init=5, seed=3)
+        assert len(bo.trace) == 20
+        assert abs(best_row(bo)["config"][0] - 0.7) <= 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ import pytest
 
 from qforecast.bayesopt import (
     KBestSet,
+    _finalize_fit,
     _neg_ei,
     acquire_next,
     bo_minimize_unit,
-    bo_tune,
     ei_from_moments,
     enumerate_ensembles,
     expected_improvement,
@@ -16,9 +16,10 @@ from qforecast.bayesopt import (
 from qforecast.ensemble import WeightParams
 from qforecast.errors import ConfigurationError, NumericDivergenceError
 from qforecast.hyperspace import SearchSpace
+from qforecast.metaheuristics import ObjectiveTracker
 from qforecast.qlstm import HyperConfig
 
-from objectives import make_tracker, quadratic_1d
+from objectives import best_row, make_tracker, quadratic_1d
 from oracles import (
     central_difference,
     expected_improvement_oracle,
@@ -33,7 +34,8 @@ SIN_HYPER = (np.array([0.2]), 1.3, 1e-6)
 
 @pytest.fixture(scope="module")
 def sin_gp():
-    return gp_fit(SIN_X, SIN_Y, seed=0, hyperparams=SIN_HYPER)
+    # the surrogate at fixed hyperparameters, no likelihood search
+    return _finalize_fit(SIN_X, SIN_Y, *SIN_HYPER, float(np.mean(SIN_Y)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +148,7 @@ def test_ei_gradient_is_finite_where_the_posterior_sd_is_zero():
     # a signal variance of 2^40 swallows the noise floor: at an observed point
     # the posterior variance is exactly 0
     x = np.array([[0.2, 0.3], [0.9, 0.8]])
-    gp = gp_fit(x, np.array([1.0, 2.0]), seed=0,
-                hyperparams=(np.array([0.01, 0.01]), 2.0**40, 1e-6))
+    gp = _finalize_fit(x, np.array([1.0, 2.0]), np.array([0.01, 0.01]), 2.0**40, 1e-6, 1.5)
     assert gp_posterior(gp, x[:1])[1][0] == 0.0
     for best in (gp.best_observed, gp.best_observed + 1.0):
         value, grad = _neg_ei(x[0], gp, best)
@@ -167,17 +168,18 @@ def test_acquire_next_returns_unit_point(sin_gp):
 
 
 def test_quadratic_minimum_found_in_twenty_evaluations():
-    xs, ys = bo_minimize_unit(make_tracker(quadratic_1d(0.7), budget=20), 1, n_init=5, seed=3)
-    assert len(ys) == 20
-    best = xs[int(np.argmin(ys))][0]
+    tracker = make_tracker(quadratic_1d(0.7), budget=20)
+    bo_minimize_unit(tracker, 1, n_init=5, seed=3)
+    assert len(tracker.trace) == 20
+    best = best_row(tracker)["config"][0]
     assert abs(best - 0.7) <= 0.05
 
 
 def test_bo_loop_deterministic():
-    a, b = (bo_minimize_unit(make_tracker(quadratic_1d(0.3), budget=10), 1, n_init=4, seed=9)
-            for _ in range(2))
-    np.testing.assert_array_equal(a[0], b[0])
-    np.testing.assert_array_equal(a[1], b[1])
+    a, b = (make_tracker(quadratic_1d(0.3), budget=10) for _ in range(2))
+    for tracker in (a, b):
+        bo_minimize_unit(tracker, 1, n_init=4, seed=9)
+    assert a.trace == b.trace
 
 
 @pytest.mark.parametrize("budget", [4])
@@ -199,12 +201,24 @@ def _config_score(config: HyperConfig) -> float:
     )
 
 
-def test_bo_tune_returns_k_lowest_observed():
+def _bayes_tune(objective, *, n_init: int, budget: int, k: int, seed):
+    """A bayes tune as the tune command runs one: the BO loop over the unit
+    cube, each point decoded to a configuration, and its trace ranked into a
+    K-best set.  Returns the set and the trace."""
     space = SearchSpace.default(sequence_length=3, epochs=2, qubit_bounds=(2, 6),
                                 layer_bounds=(1, 3))
-    trace = []
-    kset = bo_tune(_config_score, space, n_init=5, budget=10, k=3, seed=2, model_index=0,
-                   trace=trace)
+
+    def config(u):
+        return space.decode_vector(space.from_unit(u))
+
+    tracker = ObjectiveTracker(lambda u: objective(config(u)), budget=budget,
+                               describe=lambda u: config(u).to_dict())
+    bo_minimize_unit(tracker, space.n_dims, n_init=n_init, seed=seed)
+    return KBestSet.from_trace(0, tracker.trace, k), tracker.trace
+
+
+def test_bo_tune_returns_k_lowest_observed():
+    kset, trace = _bayes_tune(_config_score, n_init=5, budget=10, k=3, seed=2)
     assert kset.k == 3
     assert kset.scores == sorted(kset.scores)
     # the returned scores are true observed scores: recompute directly
@@ -220,31 +234,34 @@ def test_bo_tune_returns_k_lowest_observed():
 
 
 def test_bo_tune_zero_iterations_returns_sorted_initial_design():
-    space = SearchSpace.default(sequence_length=3, epochs=2, qubit_bounds=(2, 6),
-                                layer_bounds=(1, 3))
-    kset = bo_tune(_config_score, space, n_init=4, budget=4, k=4, seed=5, model_index=0,
-                   trace=None)
+    kset, _ = _bayes_tune(_config_score, n_init=4, budget=4, k=4, seed=5)
     assert kset.k == 4
     assert kset.scores == sorted(kset.scores)
 
 
 def test_bo_tune_k_too_large():
-    space = SearchSpace.default(sequence_length=3, epochs=2, qubit_bounds=(2, 6),
-                                layer_bounds=(1, 3))
-    with pytest.raises(ConfigurationError):
-        bo_tune(_config_score, space, n_init=3, budget=3, k=10, seed=0, model_index=0,
-                trace=None)
+    with pytest.raises(ConfigurationError, match="only 3 distinct"):
+        _bayes_tune(_config_score, n_init=3, budget=3, k=10, seed=0)
 
 
 @pytest.mark.parametrize("k", [0, -1])
-def test_bo_tune_rejects_k_below_one_before_evaluating(k):
-    def objective(config):
-        raise AssertionError("the objective must not run")
-
-    space = SearchSpace.default(sequence_length=3, epochs=2, qubit_bounds=(2, 6),
-                                layer_bounds=(1, 3))
+def test_kbest_from_trace_rejects_k_below_one(k):
+    # the K check comes first: an empty trace would otherwise hold too few
     with pytest.raises(ConfigurationError, match="K must be >= 1"):
-        bo_tune(objective, space, n_init=3, budget=3, k=k, seed=0, model_index=0, trace=None)
+        KBestSet.from_trace(0, [], k)
+
+
+def test_kbest_from_trace_ranks_each_finite_config_once_at_its_best():
+    a, b, c, d = (_mk_config(lr).to_dict() for lr in (0.01, 0.02, 0.03, 0.04))
+    trace = [{"config": config, "objective": score} for config, score in [
+        (a, 3.0), (b, float("inf")), (c, 2.0), (a, 1.0), (b, 2.0), (d, float("inf")),
+        (c, 5.0)]]
+    kset = KBestSet.from_trace(4, trace, 3)
+    # c and b tie at 2.0: c's first finite evaluation came first
+    assert kset.configs == [HyperConfig.from_dict(x) for x in (a, c, b)]
+    assert kset.scores == [1.0, 2.0, 2.0] and kset.model_index == 4
+    with pytest.raises(ConfigurationError, match="asked for 4 best configs but only 3"):
+        KBestSet.from_trace(4, trace, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,31 @@ def test_hybrid_tune_budget_is_exact(prepared_run):
     assert all(np.isfinite(r["objective"]) for r in rows)
 
 
+def test_default_hybrid_tune_runs_a_generation_and_publishes_its_best(prepared_run, tmp_path):
+    # the default budget of 40 holds one genetic generation of 20 and one
+    # swarm sweep of 20; the K = 1 set is the trace's first lowest row
+    import shutil
+
+    run_dir = tmp_path / "default"
+    run_dir.mkdir()
+    shutil.copy(prepared_run / "dataset.npz", run_dir / "dataset.npz")
+    assert run_cli("tune", "--run", run_dir, "--tuner", "hybrid", "--seq", 3, "--epochs", 1,
+                   *TUNE_SMALL) == 0
+    out = run_dir / "tune-hybrid"
+    rows = [json.loads(line) for line in (out / "trace_seq3.jsonl").read_text().splitlines()]
+    phases = [row["phase"] for row in rows]
+    assert len(rows) == DEFAULTS["tune"]["budget"] == 40
+    assert phases == ["qga"] * 20 + ["pso"] * 20
+    best = min(rows, key=lambda row: row["objective"])
+    assert json.loads((out / "kbest_seq3.json").read_text()) == {
+        "model_index": 0, "configs": [best["config"]], "scores": [best["objective"]]}
+    assert sorted(p.name for p in out.iterdir()) == ["kbest_seq3.json", "manifest.json",
+                                                     "trace_seq3.jsonl"]
+    assert run_cli("ensemble", "--run", run_dir, "--arch", "genhyb", "--seq", 3) == 0
+    weights = json.loads((run_dir / "ensemble-genhyb" / "weights.json").read_text())
+    assert weights["configs"] == [best["config"]]
+
+
 def test_bayes_tune_persists_k_best(prepared_run):
     assert run_cli(
         "tune", "--run", prepared_run, "--tuner", "bayes", "--budget", 8, "--k", 2,
@@ -243,7 +268,7 @@ def test_forced_tune_leaves_no_stale_artifacts(prepared_run, tmp_path):
     (out / "notes.txt").write_text("not an artifact")
     assert run_cli(*tune, 3, "--force") == 0
     assert sorted(p.name for p in out.iterdir()) == [
-        "best_config_seq3.json", "manifest.json", "notes.txt", "trace_seq3.jsonl"]
+        "kbest_seq3.json", "manifest.json", "notes.txt", "trace_seq3.jsonl"]
     # the ensemble no longer finds a tuned configuration for sequence length 5
     assert run_cli("ensemble", "--run", run_dir, "--arch", "genhyb", "--seq", 3, 5) == 2
 
@@ -365,10 +390,12 @@ GOOD_CONFIG = HyperConfig(0.05, 1, 2, 2, 3, 16, 1).to_dict()
 
 
 @pytest.mark.parametrize("name, content", [
-    ("tune-hybrid/best_config_seq3.json", json.dumps({"config": GOOD_CONFIG})[:40]),
-    ("tune-hybrid/best_config_seq3.json",
-     json.dumps({"config": {k: v for k, v in GOOD_CONFIG.items() if k != "epochs"},
-                 "score": 0.1})),
+    ("tune-hybrid/kbest_seq3.json",
+     json.dumps({"model_index": 0, "configs": [GOOD_CONFIG], "scores": [0.1]})[:40]),
+    ("tune-hybrid/kbest_seq3.json",
+     json.dumps({"model_index": 0,
+                 "configs": [{k: v for k, v in GOOD_CONFIG.items() if k != "epochs"}],
+                 "scores": [0.1]})),
     ("tune-bayes/kbest_seq3.json", json.dumps([GOOD_CONFIG])),
     ("tune-bayes/kbest_seq3.json",
      json.dumps({"model_index": 0, "configs": [{**GOOD_CONFIG, "n_qubits": 0}],
@@ -376,8 +403,9 @@ GOOD_CONFIG = HyperConfig(0.05, 1, 2, 2, 3, 16, 1).to_dict()
     ("tune-bayes/kbest_seq3.json",
      json.dumps({"model_index": 0, "configs": [{**GOOD_CONFIG, "sequence_length": 5}],
                  "scores": [0.1]})),
-    ("tune-hybrid/best_config_seq3.json",
-     json.dumps({"config": {**GOOD_CONFIG, "n_qubits": 2.7}, "score": 0.1})),
+    ("tune-hybrid/kbest_seq3.json",
+     json.dumps({"model_index": 0, "configs": [{**GOOD_CONFIG, "n_qubits": 2.7}],
+                 "scores": [0.1]})),
     ("tune-bayes/kbest_seq3.json",
      json.dumps({"model_index": 0, "configs": [{**GOOD_CONFIG, "epochs": True}],
                  "scores": [0.1]})),
@@ -700,6 +728,22 @@ def test_corrupt_checkpoint_array_is_data_error(tmp_path, capsys, key, value):
     np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
     assert run_cli("evaluate", "--run", run_dir) == 3
     assert key.split("_", 1)[-1] in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_two_wide_readout_is_data_error(tmp_path, capsys):
+    # a model predicts one value: a wider readout is refused, not read from its first row
+    run_dir = untrained_ensemble_run(tmp_path)
+    path = run_dir / "ensemble-genhyb" / "checkpoint.npz"
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["model0_w_y"] = np.vstack([arrays["model0_w_y"]] * 2)
+    arrays["model0_b_y"] = np.zeros(2)
+    np.savez(path, **arrays)
+    before = tree_bytes(tmp_path)
+    assert run_cli("evaluate", "--run", run_dir) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "w_y has shape (2, 2)" in err
+    assert tree_bytes(tmp_path) == before
 
 
 def test_missing_ensemble_is_actionable(prepared_run, capsys):

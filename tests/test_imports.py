@@ -199,8 +199,14 @@ def is_dataclass(node) -> bool:
 
 
 def dataclass_fields(node) -> list:
-    """``(name, has default)`` of each field a ``@dataclass`` class declares."""
-    return [(item.target.id, item.value is not None) for item in node.body
+    """``(name, has default, is a constructor parameter)`` of each field a
+    ``@dataclass`` class declares; ``field(init=False)`` makes one state."""
+    def in_init(value) -> bool:
+        return not (isinstance(value, ast.Call) and any(
+            k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in value.keywords))
+
+    return [(item.target.id, item.value is not None, in_init(item.value)) for item in node.body
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
 
 
@@ -215,7 +221,7 @@ def signatures(tree):
         for node in body:
             if isinstance(node, ast.ClassDef):
                 if is_dataclass(node):
-                    names = dataclass_fields(node)
+                    names = [(n, default) for n, default, init in dataclass_fields(node) if init]
                     yield (node.name, node.name, [n for n, _ in names],
                            [n for n, default in names if default])
                 yield from walk(node.body, node)
@@ -248,23 +254,45 @@ def calls(tree):
             yield name, count, None if None in keywords else keywords
 
 
-def unomitted_defaults(sources: dict, callers: list) -> list:
+def default_uses(sources: dict, callers: list) -> dict:
     """``module.name(parameter)`` of each keyword default in ``sources``
-    (module name -> source) that every call in ``callers`` (sources) to a
-    function of that name passes, by position, by keyword or through
-    ``**kwargs``: a default that only other code uses."""
-    found = []
+    (module name -> source) -> ``(omitted, passed)``: whether some call in
+    ``callers`` (sources) to a function of that name leaves it out, and
+    whether some call passes it, by position, by keyword or through
+    ``**kwargs``."""
+    uses = {}
     all_calls = [call for source in callers for call in calls(ast.parse(source))]
     for module, source in sources.items():
         for qualified, called, positional, defaulted in signatures(ast.parse(source)):
             for param in defaulted:
                 slot = positional.index(param) if param in positional else None
-                omitted = any(keywords is not None and param not in keywords
-                              and (slot is None or count <= slot)
-                              for name, count, keywords in all_calls if name == called)
-                if not omitted:
-                    found.append(f"{module}.{qualified}({param})")
-    return found
+                passes = [keywords is None or param in keywords
+                          or (slot is not None and count > slot)
+                          for name, count, keywords in all_calls if name == called]
+                uses[f"{module}.{qualified}({param})"] = (not all(passes), any(passes))
+    return uses
+
+
+def unomitted_defaults(sources: dict, callers: list) -> list:
+    """The defaults every call passes: a default that only other code uses."""
+    return [name for name, (omitted, _) in default_uses(sources, callers).items() if not omitted]
+
+
+def unpassed_defaults(sources: dict, callers: list) -> list:
+    """The defaults no call passes: a setting nothing varies, which belongs in
+    a constant or the CLI's defaults table."""
+    return [name for name, (_, passed) in default_uses(sources, callers).items() if not passed]
+
+
+# defaults no library or benchmark call passes that stay on purpose, with the reason
+UNPASSED_DEFAULT_KEEP = {
+    "runner.run_ensemble(memo)": "criterion 6 shares its genhyb trainings with its bo-q run "
+                                 "through it, instead of training four models again",
+    **{f"data.synth_series({shape})": "shapes the flat, zero-crossing and gappy test series; "
+                                      "the `synth` command fixes it"
+       for shape in ("daily_amplitude", "annual_amplitude", "base_temperature",
+                     "missing_fraction")},
+}
 
 
 def unread_fields(sources: dict, readers: list) -> list:
@@ -274,16 +302,17 @@ def unread_fields(sources: dict, readers: list) -> list:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return [f"{module}.{node.name}.{name}" for module, source in sources.items()
             for node in ast.walk(ast.parse(source)) if is_dataclass(node)
-            for name, _ in dataclass_fields(node) if name not in read]
+            for name, _, _ in dataclass_fields(node) if name not in read]
 
 
 def test_every_default_and_every_field_has_a_library_user():
     # the checkers themselves: a default every caller passes, by position,
     # by keyword or through ``**kwargs``, is found, as is a dataclass field
     # default every constructor call passes; a default some call leaves out,
-    # after a ``*args`` included, is not.  A field read nowhere is found,
-    # one read anywhere is not.
-    assert unomitted_defaults({"a": (
+    # after a ``*args`` included, is not.  A default no call passes is found
+    # too; a field with ``init=False`` is no parameter.  A field read nowhere
+    # is found, one read anywhere is not.
+    sample = ({"a": (
         "def f(x, y=1, *, z=2): pass\n"
         "def g(x=0): pass\n"
         "def h(a, b, c=0): pass\n"
@@ -293,9 +322,12 @@ def test_every_default_and_every_field_has_a_library_user():
         "@dataclass(frozen=True)\n"
         "class D:\n"
         "    p: int\n"
-        "    q: int = 0\n")}, [
+        "    q: int = 0\n"
+        "    r: dict = field(default_factory=dict, init=False)\n")}, [
         "f(0, 1, z=2)\nf(0, y=1, **opts)\ng()\nh(*pair)\nC(1)\nC(1, b=2).m(c=4)\nD(1, 2)\n"
-    ]) == ["a.f(y)", "a.f(z)", "a.C.m(c)", "a.D(q)"]
+    ])
+    assert unomitted_defaults(*sample) == ["a.f(y)", "a.f(z)", "a.C.m(c)", "a.D(q)"]
+    assert unpassed_defaults(*sample) == ["a.g(x)", "a.h(c)"]
     assert unread_fields({"a": "@dataclass\nclass R:\n    x: int\n    y: int\n"
                                "class S:\n    z: int\n"},
                          ["r = R(1, 2)\nr.x\nr.y = 3\n"]) == ["a.R.y"]
@@ -305,4 +337,5 @@ def test_every_default_and_every_field_has_a_library_user():
     callers = list(sources.values()) + [path.read_text() for path in
                                         sorted((ROOT / "perfbench").glob("*.py"))]
     assert unomitted_defaults(sources, callers) == []
+    assert sorted(unpassed_defaults(sources, callers)) == sorted(UNPASSED_DEFAULT_KEEP)
     assert sorted(unread_fields(sources, callers)) == sorted(UNREAD_FIELD_KEEP)

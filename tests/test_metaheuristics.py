@@ -5,6 +5,8 @@ from qforecast.errors import ConfigurationError
 from qforecast.hyperspace import SearchSpace, gray_fraction
 from qforecast.metaheuristics import (
     COGNITIVE,
+    HYBRID_PARTICLES,
+    HYBRID_POP_SIZE,
     INERTIA,
     SOCIAL,
     TOWARD_BEST,
@@ -22,6 +24,7 @@ from qforecast.metaheuristics import (
 from objectives import (
     RASTRIGIN_BOUNDS,
     SPHERE_BOUNDS,
+    best_row,
     gray_genome,
     make_tracker,
     one_max,
@@ -75,17 +78,25 @@ def test_particle_at_global_best_with_zero_velocity_stays():
 
 def test_sphere_benchmark_criterion():
     # 200 sweeps of 20 particles after the initial one
-    result = pso_minimize(make_tracker(sphere, budget=20 * 201), [SPHERE_BOUNDS] * 4,
-                          n_particles=20, seed=42, init_positions=None)
-    assert result.best_value < 1e-3
+    tracker = make_tracker(sphere, budget=20 * 201)
+    pso_minimize(tracker, [SPHERE_BOUNDS] * 4, n_particles=20, seed=42, init_positions=None)
+    assert best_row(tracker)["objective"] < 1e-3
 
 
 def test_gbest_monotone_and_in_bounds():
-    trace = []
-    result = pso_minimize(make_tracker(rastrigin, budget=10 * 41, trace=trace),
-                          [RASTRIGIN_BOUNDS] * 3, n_particles=10, seed=3, init_positions=None)
-    assert all(b <= a + 1e-15 for a, b in zip(result.history, result.history[1:]))
-    for row in trace:
+    # pso_minimize's sweeps one at a time: the swarm best never worsens, and
+    # it ends at the trace's lowest objective
+    rng = np.random.default_rng(3)
+    tracker = make_tracker(rastrigin, budget=10 * 41)
+    bounds = [RASTRIGIN_BOUNDS] * 3
+    swarm = init_swarm(tracker, bounds, 10, rng, init_positions=None)
+    bests = [swarm.best_value]
+    for it in range(1, 41):
+        pso_step(swarm, tracker, bounds, rng, iteration=it)
+        bests.append(swarm.best_value)
+    assert all(b <= a + 1e-15 for a, b in zip(bests, bests[1:]))
+    assert bests[-1] == best_row(tracker)["objective"]
+    for row in tracker.trace:
         assert all(RASTRIGIN_BOUNDS[0] <= v <= RASTRIGIN_BOUNDS[1] for v in row["config"])
 
 
@@ -96,25 +107,25 @@ def test_nan_objective_becomes_inf_and_is_flagged():
         calls["n"] += 1
         return float("nan") if calls["n"] % 3 == 0 else sphere(x)
 
-    result = pso_minimize(make_tracker(sometimes_nan, budget=6 * 6), [SPHERE_BOUNDS] * 2,
-                          n_particles=6, seed=0, init_positions=None)
-    assert result.n_non_finite > 0
-    assert np.isfinite(result.best_value)
+    tracker = make_tracker(sometimes_nan, budget=6 * 6)
+    pso_minimize(tracker, [SPHERE_BOUNDS] * 2, n_particles=6, seed=0, init_positions=None)
+    assert tracker.n_non_finite > 0
+    assert np.isfinite(best_row(tracker)["objective"])
 
 
 def test_pso_deterministic():
-    a, b = (pso_minimize(make_tracker(rastrigin, budget=8 * 31), [RASTRIGIN_BOUNDS] * 3,
-                         n_particles=8, seed=9, init_positions=None) for _ in range(2))
-    assert a.best_value == b.best_value
-    np.testing.assert_array_equal(a.best_position, b.best_position)
+    a, b = (make_tracker(rastrigin, budget=8 * 31) for _ in range(2))
+    for tracker in (a, b):
+        pso_minimize(tracker, [RASTRIGIN_BOUNDS] * 3, n_particles=8, seed=9,
+                     init_positions=None)
+    assert a.trace == b.trace
 
 
 def test_budget_caps_evaluations():
-    trace = []
-    result = pso_minimize(make_tracker(sphere, budget=50, trace=trace), [SPHERE_BOUNDS] * 2,
-                          n_particles=7, seed=2, init_positions=None)
-    assert result.n_evals == 50
-    assert len(trace) == 50
+    tracker = make_tracker(sphere, budget=50)
+    pso_minimize(tracker, [SPHERE_BOUNDS] * 2, n_particles=7, seed=2, init_positions=None)
+    assert tracker.n_evals == 50
+    assert len(tracker.trace) == 50
 
 
 # ---------------------------------------------------------------------------
@@ -149,24 +160,24 @@ def test_rotation_angles_steer_toward_best_or_own_bits():
 
 
 def test_qga_spends_pop_times_generations_evaluations():
-    result = qga_minimize(make_tracker(one_max, budget=6 * 5), 8, pop_size=6, n_generations=5,
-                          seed=4, decode=np.copy)
-    assert result.n_evals == 30
+    tracker = make_tracker(one_max, budget=6 * 5)
+    archive = qga_minimize(tracker, 8, pop_size=6, n_generations=5, seed=4, decode=np.copy)
+    assert tracker.n_evals == len(archive) == 30
 
 
 def test_one_max_criterion():
-    result = qga_minimize(make_tracker(one_max, budget=20 * 50), 16, pop_size=20,
-                          n_generations=50, seed=7, decode=np.copy)
-    assert result.best_value == -16.0
-    assert np.all(result.best_decoded == 1)  # decode=np.copy: the best measured bits
+    archive = qga_minimize(make_tracker(one_max, budget=20 * 50), 16, pop_size=20,
+                           n_generations=50, seed=7, decode=np.copy)
+    best_value, best_decoded = min(archive, key=lambda pair: pair[0])
+    assert best_value == -16.0
+    assert np.all(best_decoded == 1)  # decode=np.copy: the best measured bits
 
 
 def test_qga_deterministic():
-    a, b = (qga_minimize(make_tracker(one_max, budget=10 * 20), 12, pop_size=10,
-                         n_generations=20, seed=11, decode=np.copy)
-            for _ in range(2))
-    assert a.best_value == b.best_value
-    np.testing.assert_array_equal(a.best_decoded, b.best_decoded)
+    a, b = (make_tracker(one_max, budget=10 * 20) for _ in range(2))
+    for tracker in (a, b):
+        qga_minimize(tracker, 12, pop_size=10, n_generations=20, seed=11, decode=np.copy)
+    assert a.trace == b.trace
 
 
 def test_empty_population_rejected():
@@ -180,52 +191,46 @@ def test_empty_population_rejected():
 # ---------------------------------------------------------------------------
 
 
-def test_full_genetic_budget_returns_its_best_exactly():
-    trace = []
-    bounds = [SPHERE_BOUNDS] * 2
-    result = hybrid_minimize(make_tracker(sphere, budget=200, trace=trace), bounds, seed=6,
-                             qga_fraction=1.0, **gray_genome(bounds))
-    assert "pso" not in {row["phase"] for row in trace}
-    genetic_best = min((row for row in trace if row["phase"] == "qga"),
-                       key=lambda row: row["objective"])
-    assert result.best_value == genetic_best["objective"]
-    np.testing.assert_array_equal(result.best_position, genetic_best["config"])
-
-
 def test_zero_genetic_budget_equals_plain_swarm():
-    budget = 300
+    # a budget below one generation and one swarm sweep funds no generation
+    budget = HYBRID_POP_SIZE + HYBRID_PARTICLES - 1
     bounds = [RASTRIGIN_BOUNDS] * 3
-    trace = []
-    hybrid = hybrid_minimize(make_tracker(rastrigin, budget=budget, trace=trace), bounds,
-                             seed=13, qga_fraction=0.0, **gray_genome(bounds))
-    plain = pso_minimize(make_tracker(rastrigin, budget=budget), [RASTRIGIN_BOUNDS] * 3,
-                         n_particles=20, seed=13, init_positions=None)
-    assert "qga" not in {row["phase"] for row in trace}
-    assert hybrid.best_value == plain.best_value
-    np.testing.assert_array_equal(hybrid.best_position, plain.best_position)
+    hybrid, plain = (make_tracker(rastrigin, budget=budget) for _ in range(2))
+    hybrid_minimize(hybrid, bounds, seed=13, **gray_genome(bounds))
+    pso_minimize(plain, bounds, n_particles=20, seed=13, init_positions=None)
+    assert "qga" not in {row["phase"] for row in hybrid.trace}
+    assert hybrid.trace == plain.trace
+
+
+@pytest.mark.parametrize("budget, generations", [(39, 0), (40, 1), (48, 1), (49, 1), (100, 2)])
+def test_hybrid_runs_a_generation_once_the_budget_holds_one_and_a_sweep(budget, generations):
+    tracker = make_tracker(rastrigin, budget=budget)
+    bounds = [RASTRIGIN_BOUNDS] * 2
+    hybrid_minimize(tracker, bounds, seed=2, **gray_genome(bounds))
+    phases = [row["phase"] for row in tracker.trace]
+    assert phases.count("qga") == generations * HYBRID_POP_SIZE
+    assert phases.count("pso") == budget - generations * HYBRID_POP_SIZE
 
 
 def test_hybrid_budget_is_exact():
-    trace = []
+    tracker = make_tracker(sphere, budget=137)
     bounds = [SPHERE_BOUNDS] * 3
-    result = hybrid_minimize(make_tracker(sphere, budget=137, trace=trace), bounds,
-                             seed=1, **gray_genome(bounds))
-    assert result.n_evals == 137
-    assert len(trace) == 137
-    phases = {row["phase"] for row in trace}
+    hybrid_minimize(tracker, bounds, seed=1, **gray_genome(bounds))
+    assert tracker.n_evals == 137
+    assert len(tracker.trace) == 137
+    phases = {row["phase"] for row in tracker.trace}
     assert phases == {"qga", "pso"}
 
 
 def test_hybrid_splits_the_tracker_budget():
     # 0.4 * 60 evaluations fund one genetic generation of 20; the swarm gets the other 40
-    trace = []
+    tracker = make_tracker(rastrigin, budget=60)
     bounds = [RASTRIGIN_BOUNDS] * 3
-    result = hybrid_minimize(make_tracker(rastrigin, budget=60, trace=trace), bounds,
-                             seed=1, **gray_genome(bounds))
-    phases = [row["phase"] for row in trace]
+    hybrid_minimize(tracker, bounds, seed=1, **gray_genome(bounds))
+    phases = [row["phase"] for row in tracker.trace]
     assert (phases.count("qga"), phases.count("pso")) == (20, 40)
     # the genetic phase ran first and ended after 20 evaluations
-    assert phases[:20] == ["qga"] * 20 and result.n_evals == 60
+    assert phases[:20] == ["qga"] * 20 and tracker.n_evals == 60
 
 
 def test_hybrid_not_worse_than_plain_on_rastrigin_medians():
@@ -233,23 +238,20 @@ def test_hybrid_not_worse_than_plain_on_rastrigin_medians():
     bounds = [RASTRIGIN_BOUNDS] * 4
     hybrid_finals, plain_finals = [], []
     for seed in range(10):
-        hybrid_finals.append(
-            hybrid_minimize(make_tracker(rastrigin, budget=budget), bounds,
-                            seed=seed, **gray_genome(bounds)).best_value
-        )
-        plain_finals.append(
-            pso_minimize(make_tracker(rastrigin, budget=budget), bounds, n_particles=20,
-                         seed=seed, init_positions=None).best_value
-        )
+        hybrid, plain = (make_tracker(rastrigin, budget=budget) for _ in range(2))
+        hybrid_minimize(hybrid, bounds, seed=seed, **gray_genome(bounds))
+        pso_minimize(plain, bounds, n_particles=20, seed=seed, init_positions=None)
+        hybrid_finals.append(best_row(hybrid)["objective"])
+        plain_finals.append(best_row(plain)["objective"])
     assert np.median(hybrid_finals) <= np.median(plain_finals)
 
 
 def test_hybrid_deterministic():
     bounds = [RASTRIGIN_BOUNDS] * 2
-    a, b = (hybrid_minimize(make_tracker(rastrigin, budget=400), bounds, seed=21,
-                            **gray_genome(bounds)) for _ in range(2))
-    assert a.best_value == b.best_value
-    np.testing.assert_array_equal(a.best_position, b.best_position)
+    a, b = (make_tracker(rastrigin, budget=400) for _ in range(2))
+    for tracker in (a, b):
+        hybrid_minimize(tracker, bounds, seed=21, **gray_genome(bounds))
+    assert a.trace == b.trace
 
 
 # ---------------------------------------------------------------------------

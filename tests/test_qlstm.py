@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,8 @@ from qforecast.qlstm import (
     init_classical_lstm,
     init_qlstm,
     load_checkpoint,
+    model_from_arrays,
+    model_to_arrays,
     predict_batch,
     prediction_block_rows,
     save_checkpoint,
@@ -525,9 +528,31 @@ def test_config_from_dict_takes_numpy_numbers():
     assert type(config.learning_rate) is float and config.learning_rate == 0.5
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("learning_rate", float("nan"), "learning_rate must be finite and >= 0"),
+    ("n_layers", 0, "n_layers must be >= 1, got 0"),
+    ("n_qubits", MAX_QUBITS + 1, f"n_qubits must be in [2, {MAX_QUBITS}]"),
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+])
+def test_config_checks_itself_when_built(field, value, named):
+    good = HyperConfig(0.05, 1, 2, 4, 3, 16, 1).to_dict()
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        HyperConfig(**{**good, field: value})
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("init", [init_qlstm, init_classical_lstm])
+def test_codec_refuses_a_readout_wider_than_one(init):
+    cfg = small_config()
+    kind, arrays = model_to_arrays(init(cfg, input_dim=3, seed=8))
+    wide = {**arrays, "w_y": np.vstack([arrays["w_y"]] * 2), "b_y": np.zeros(2)}
+    assert model_from_arrays(kind, cfg, 3, arrays).param_arrays()["b_y"].shape == (1,)
+    with pytest.raises(DataError, match=r"w_y has shape \(2, "):
+        model_from_arrays(kind, cfg, 3, wide)
 
 
 def test_qlstm_checkpoint_round_trip(tmp_path):

@@ -90,11 +90,11 @@ def test_memo_short_circuits(small_dataset):
 def test_probe_objective_trains_each_configuration_once(small_dataset, trainings):
     from qforecast.metaheuristics import ObjectiveTracker
 
-    trace = []
     tracker = ObjectiveTracker(probe_objective(small_dataset, 3, 0, 99, probe_epochs=1),
-                               budget=3, trace=trace, describe=lambda config: config.to_dict())
+                               budget=3, describe=lambda config: config.to_dict())
     first, again = (tracker(small_config(), "probe", it) for it in range(2))
     assert len(trainings) == 1 and first == again
+    trace = tracker.trace
     assert len(trace) == 2 and trace[0]["objective"] == trace[1]["objective"]
     tracker(small_config(learning_rate=0.03), "probe", 2)
     assert len(trainings) == 2

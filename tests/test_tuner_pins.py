@@ -1,10 +1,11 @@
 """Pinned tuner outputs: any change to a random stream or update order shows here.
 
-Each case hashes everything a tuner run yields (trace rows, best point and
-value, histories, evaluation counts) as JSON, whose float repr round-trips
-exactly, so the digests hold only for bit-identical runs.  A hybrid run's
-genetic and swarm phases show in its trace rows, tagged by phase.  The BO case also
-pins the GP path's rounding: its Cholesky factors, solves and minimizer steps.
+Each case hashes everything a tuner run yields -- its tracker's trace rows
+and counts, and the genetic search's archive -- as JSON, whose float repr
+round-trips exactly, so the digests hold only for bit-identical runs.  A
+hybrid run's genetic and swarm phases show in its trace rows, tagged by
+phase; below 40 evaluations it runs no generation.  The BO case also pins
+the GP path's rounding: its Cholesky factors, solves and minimizer steps.
 """
 
 import hashlib
@@ -44,52 +45,38 @@ def digest(payload) -> str:
     return hashlib.sha256(json.dumps(plain(payload), sort_keys=True).encode()).hexdigest()
 
 
-def swarm_run(result, trace):
-    return [trace, result.best_position, result.best_value, result.history,
-            result.n_evals, result.n_non_finite]
-
-
-def genetic_run(result):
-    return [result.best_value, result.best_decoded, result.history, result.n_evals,
-            result.archive]
-
-
-def hybrid_run(result, trace):
-    return [trace, result.best_position, result.best_value, result.n_evals]
+def tracked(tracker):
+    return [tracker.trace, tracker.n_evals, tracker.n_non_finite]
 
 
 def pso_free():
-    trace = []
     # the initial sweep and 15 more of 8 particles
-    result = pso_minimize(make_tracker(rastrigin, budget=8 * 16, trace=trace),
-                          [RASTRIGIN_BOUNDS] * 3, n_particles=8, seed=9, init_positions=None)
-    return swarm_run(result, trace)
+    tracker = make_tracker(rastrigin, budget=8 * 16)
+    pso_minimize(tracker, [RASTRIGIN_BOUNDS] * 3, n_particles=8, seed=9, init_positions=None)
+    return tracked(tracker)
 
 
 def pso_budget():
     # 50 evaluations end mid-sweep; 5 end inside the initial sweep
     runs = []
     for budget in (50, 5):
-        trace = []
-        result = pso_minimize(make_tracker(sphere, budget=budget, trace=trace),
-                              [SPHERE_BOUNDS] * 2, n_particles=7, seed=2, init_positions=None)
-        runs.append(swarm_run(result, trace))
+        tracker = make_tracker(sphere, budget=budget)
+        pso_minimize(tracker, [SPHERE_BOUNDS] * 2, n_particles=7, seed=2, init_positions=None)
+        runs.append(tracked(tracker))
     return runs
 
 
 def qga():
-    trace = []
-    tracker = make_tracker(one_max, budget=10 * 20, trace=trace)  # every generation
-    return [trace, genetic_run(qga_minimize(tracker, 12, pop_size=10, n_generations=20,
-                                            seed=11, decode=np.copy))]
+    tracker = make_tracker(one_max, budget=10 * 20)  # every generation
+    archive = qga_minimize(tracker, 12, pop_size=10, n_generations=20, seed=11, decode=np.copy)
+    return [tracked(tracker), archive]
 
 
-def hybrid(fraction):
-    trace = []
+def hybrid(budget):
+    tracker = make_tracker(rastrigin, budget=budget)
     bounds = [RASTRIGIN_BOUNDS] * 3
-    result = hybrid_minimize(make_tracker(rastrigin, budget=137, trace=trace), bounds,
-                             seed=1, qga_fraction=fraction, **gray_genome(bounds))
-    return hybrid_run(result, trace)
+    hybrid_minimize(tracker, bounds, seed=1, **gray_genome(bounds))
+    return tracked(tracker)
 
 
 def hybrid_search_space():
@@ -100,38 +87,36 @@ def hybrid_search_space():
     def score(config):
         return config.n_layers + abs(config.n_qubits - 3) + (config.batch_size > 64)
 
-    trace = []
-    tracker = ObjectiveTracker(lambda v: score(space.decode_vector(v)), budget=60, trace=trace,
+    tracker = ObjectiveTracker(lambda v: score(space.decode_vector(v)), budget=60,
                                describe=lambda v: space.decode_vector(v).to_dict())
-    result = hybrid_minimize(tracker, space.bounds(), seed=5, decode_bits=space.decode_bits,
-                             n_bits=space.total_bits)
+    hybrid_minimize(tracker, space.bounds(), seed=5, decode_bits=space.decode_bits,
+                    n_bits=space.total_bits)
     genomes = np.random.default_rng(3).integers(0, 2, size=(20, space.total_bits))
-    return [hybrid_run(result, trace), [space.decode_bits(g) for g in genomes]]
+    return [tracked(tracker), [space.decode_bits(g) for g in genomes]]
 
 
 def bo_sphere():
     lo, hi = SPHERE_BOUNDS
-    return bo_minimize_unit(make_tracker(lambda u: sphere(lo + (hi - lo) * u), budget=15), 3,
-                            n_init=5, seed=6)
+    tracker = make_tracker(lambda u: sphere(lo + (hi - lo) * u), budget=15)
+    bo_minimize_unit(tracker, 3, n_init=5, seed=6)
+    return tracked(tracker)
 
 
 CASES = {
     "pso": (pso_free,
-        "0cbc38806001c4091bc59634874bd5aec32ecaf2b47fdf08f70f4707c44a3350"),
+        "05b9e64fc8e74dbe13ac520dde36c04472d5ddaab372a2d886605cbcd9eedb9f"),
     "pso_budget": (pso_budget,
-        "0c8eb370b8b2a39ab76b9792386fff06dc86dcd83767d9398785efe066549a85"),
+        "607e222f47c5c4e1b5810b69d1cce9c31b5b072473eab0aa567e6181c14e87c5"),
     "qga": (qga,
-        "8494c9b093c97c6f6f527c96c7bf7c614e23315cc766b3c96cb7e868d862baea"),
-    "hybrid_0": (lambda: hybrid(0.0),
-        "cb7ed22cd9446621540adde8c0419cb301b57237594e3d0f98cd0de71b9eb4eb"),
-    "hybrid_04": (lambda: hybrid(0.4),
-        "89ebc2f2089392461024cf911b4e146be17b72433f69f194b4cfc43c539eab19"),
-    "hybrid_1": (lambda: hybrid(1.0),
-        "03df804226cb4e6847912bd356395029164881290f1bcba876f70d9ac87dbe96"),
+        "0df3653d975b07fed914abc5b16301b80bb7d73f247b40cb59e07fc8940af76a"),
+    "hybrid_0": (lambda: hybrid(39),
+        "408ae4684324ee41f9237f7d007d140258bad190be988235dca7d06effaa2865"),
+    "hybrid_04": (lambda: hybrid(137),
+        "d1a423e347c9ecd93c25a7edc4e38fb2ab39d5463d0306b4b40281dd75d37669"),
     "bo_sphere": (bo_sphere,
-        "4e5f740c7067a9353ab376927d43fd696e786224d0192d32fa592d0f0acf5d55"),
+        "ae98a267a5d04408b827aa43eb2073bed42382881c9d6a7df438236c13c23613"),
     "hybrid_search_space": (hybrid_search_space,
-        "71734cc59593522f1d4421c6396d4a170a969a62d0149cdd8e62b008bc762f30"),
+        "a167a40a8d65291829293bbaa310c157d9367f9f94a24bcf80eda4705a507609"),
 }
 
 
